@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -230,6 +230,19 @@ class RandomSource:
             u = self._gen.random()
         return u
 
+    def uniform_iter(self, block: int) -> Iterator[float]:
+        """Endless iterator over the draws that repeated ``uniform()`` calls give.
+
+        Fetches ``block`` values per numpy call, which spreads the call's
+        overhead over the block, and skips zeros as ``uniform()`` redraws
+        them.  Up to ``block - 1`` values are drawn ahead of the consumer, so
+        nothing else may draw from this source once the iterator is in use.
+        """
+        while True:
+            for u in self._gen.random(block).tolist():
+                if u != 0.0:
+                    yield u
+
     def uniforms(self, n: int) -> np.ndarray:
         u = self._gen.random(int(n))
         u[u == 0.0] = 2.0**-53
@@ -277,7 +290,7 @@ def sample_laplace(scale: float, rng: RandomSource) -> float:
 def sample_gaussian(sigma: float, rng: RandomSource) -> float:
     """One draw from N(0, sigma^2)."""
     _check_scale("sigma", sigma)
-    return sigma * normal_inverse_cdf(rng.uniform())
+    return sigma * standard_normal_quantile(rng.uniform())
 
 
 def sample_gumbel(beta: float, rng: RandomSource) -> float:
@@ -330,8 +343,27 @@ _ICDF_D = (
 _ICDF_P_LOW = 0.02425
 
 
-def _normal_inverse_cdf_half(p: float) -> float:
-    # p in (0, 0.5]; result is <= 0.
+def normal_inverse_cdf(p: float) -> float:
+    """Standard normal quantile, absolute error below 1e-9 on [1e-15, 1-1e-15].
+
+    Antisymmetric by construction: the upper half is evaluated as the
+    mirrored lower half, so quantiles of u and 1-u cancel exactly.
+    """
+    _check_open_unit("p", p)
+    return standard_normal_quantile(p)
+
+
+def standard_normal_quantile(p: float) -> float:
+    """normal_inverse_cdf without the argument check.
+
+    For hot loops whose p comes straight from ``RandomSource.uniform``, which
+    already lies in (0, 1); every Gaussian draw goes through this transform.
+    The upper half is evaluated as the mirrored lower half.
+    """
+    upper = p > 0.5
+    if upper:
+        p = 1.0 - p
+    # Now p in (0, 0.5] and the lower-half quantile x <= 0.
     if p < _ICDF_P_LOW:
         q = math.sqrt(-2.0 * math.log(p))
         c = _ICDF_C
@@ -354,16 +386,4 @@ def _normal_inverse_cdf_half(p: float) -> float:
         err = 0.5 * math.erfc(-x / _SQRT2) - p
         u = err * _SQRT_2PI * math.exp(0.5 * x * x)
         x -= u / (1.0 + 0.5 * x * u)
-    return x
-
-
-def normal_inverse_cdf(p: float) -> float:
-    """Standard normal quantile, absolute error below 1e-9 on [1e-15, 1-1e-15].
-
-    Antisymmetric by construction: the upper half is evaluated as the
-    mirrored lower half, so quantiles of u and 1-u cancel exactly.
-    """
-    _check_open_unit("p", p)
-    if p > 0.5:
-        return -_normal_inverse_cdf_half(1.0 - p)
-    return _normal_inverse_cdf_half(p) + 0.0
+    return -x if upper else x + 0.0

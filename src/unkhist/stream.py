@@ -1,20 +1,33 @@
 """Running per-label counters over an event stream, released above a threshold.
 
-Each label's prefix count is assembled from dyadic partial sums: the count
-through round r sums the popcount(r) interval nodes given by r's binary
-representation.  Every node carries one Gaussian draw for its whole life, so
-an event touches at most ceil(log2(L+1)) noised values and the lifetime
-budget stays logarithmic in the horizon.  Labels are released only once
-their noisy prefix count clears the threshold, which keeps never-seen labels
-unobservable (event-level privacy over an unknown label universe).
+This is the binary mechanism (Dwork, Naor, Pitassi and Rothblum, STOC'10;
+Chan, Shi and Song, TISSEC'11).  Each label's prefix count is assembled from
+dyadic partial sums: the count through round r sums the popcount(r) interval
+nodes given by r's binary representation.  Every node carries one Gaussian
+draw for its whole life, so an event touches at most ceil(log2(L+1)) noised
+values and the lifetime budget stays logarithmic in the horizon.  Labels are
+released only once their noisy prefix count clears the threshold, which
+keeps never-seen labels unobservable (event-level privacy over an unknown
+label universe).
+
+The nodes of round r are those of round r-1 with the tz lowest removed
+(tz = trailing zero bits of r) and one node at level tz added, which covers
+exactly the removed nodes plus round r.  Both lists run leftmost first, so
+the left-to-right noisy sum over round r's nodes shares its whole prefix
+with round r-1's.  Each label therefore keeps a stack of its active nodes:
+their event counts and the running sums through each of them.  A round pops
+tz entries, draws one Gaussian and pushes one sum per label, with the same
+draws, order and additions as a from-scratch sum, hence bit-identical
+snapshots.  State is O(labels * log L): nothing is kept of a node once
+it leaves the active set.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterable
+from bisect import insort
+from dataclasses import dataclass
+from typing import Callable, Iterable, NamedTuple
 
 from .accountant import CdpBudget
 from .core import (
@@ -22,6 +35,7 @@ from .core import (
     RandomSource,
     normal_inverse_cdf,
     sample_gaussian,
+    standard_normal_quantile,
     validate_label,
 )
 
@@ -44,7 +58,6 @@ def active_node_count(round: int) -> int:
     return round.bit_count()
 
 
-@lru_cache(maxsize=None)
 def dyadic_nodes(round: int) -> tuple[tuple[int, int], ...]:
     """The (level, index) interval nodes tiling rounds 1..round, leftmost first.
 
@@ -143,20 +156,30 @@ class CounterConfig:
         )
 
 
-@dataclass
-class _LabelState:
-    rng: RandomSource
-    sums: dict[tuple[int, int], int] = field(default_factory=dict)
-    noises: dict[tuple[int, int], float] = field(default_factory=dict)
+class _LabelState(NamedTuple):
+    debut: int  # round of the label's first event
+    uniform: Callable[[], float]  # the label's child stream
+    counts: list[int]  # events in each active node, leftmost first
+    sums: list[float]  # sums[0] = 0.0; sums[i + 1] = sums[i] + (counts[i] + noise_i)
+
+
+def _trailing_zeros(round: int) -> int:
+    return (round & -round).bit_length() - 1
 
 
 class Counter:
     """Single-writer state machine: feed events in round order, read snapshots back.
 
     A label's node noises come from a child stream keyed by the label, drawn
-    the first time each node is needed (leftmost node first), so late-arriving
-    labels get fresh noise on every partial sum that predates them and reruns
-    with the same seed and events reproduce bit-identical snapshots.
+    when each node first becomes active (leftmost node first), so
+    late-arriving labels get fresh noise on every partial sum that predates
+    them and reruns with the same seed and events reproduce bit-identical
+    snapshots.
+
+    Per label the counter keeps only the active nodes of the current round,
+    at most ceil(log2(L+1)) of them, as a stack of node counts and running
+    sums; a round pops the tz(r) lowest entries and pushes the node that
+    replaces them.  State is O(labels * log L).
     """
 
     def __init__(self, config: CounterConfig, rng: RandomSource | None = None):
@@ -170,33 +193,44 @@ class Counter:
         # seeds from the config.
         self._master = rng if rng is not None else RandomSource(config.seed)
         self._labels: dict[str, _LabelState] = {}
-        self._ordered: list[str] = []
+        self._ordered: list[tuple[str, _LabelState]] = []  # sorted by label
 
     @property
     def budget(self) -> CdpBudget:
         return self.config.budget
 
     def labels_seen(self) -> list[str]:
-        return sorted(self._labels)
+        return [label for label, _ in self._ordered]
 
     def node_noises(self, label: str) -> dict[tuple[int, int], float]:
-        """Test hook: the noise fixed on each materialized node for the label."""
+        """Test hook: the noise on every node the label has used, in draw order.
+
+        Replayed from the label's child stream: the nodes of its debut round,
+        then the newest node of each later round.
+        """
         state = self._labels.get(label)
-        return dict(state.noises) if state is not None else {}
+        if state is None:
+            return {}
+        nodes = list(dyadic_nodes(state.debut))
+        for r in range(state.debut + 1, self.round + 1):
+            tz = _trailing_zeros(r)
+            nodes.append((tz, (r >> tz) - 1))
+        sigma = self.config.sigma
+        rng = self._master.child(label)
+        return {node: sample_gaussian(sigma, rng) if sigma > 0.0 else 0.0 for node in nodes}
 
     def state_dict(self) -> dict:
-        """Full JSON-able state: round plus per-label partial sums and noises.
+        """JSON-able state: round, config, and per label its debut round and
+        the event count of each active node.
 
-        This is an operator dump, not a release: it exposes the raw noise
-        values and must be handled like the input data.
+        This is an operator dump, not a release: the exact counts must be
+        handled like the input data.  It exports no noise value.
         """
-        labels = {}
-        for label in self._ordered:
-            state = self._labels[label]
-            labels[label] = {
-                "sums": {f"{b}:{i}": c for (b, i), c in sorted(state.sums.items())},
-                "noises": {f"{b}:{i}": z for (b, i), z in sorted(state.noises.items())},
-            }
+        nodes = [f"{b}:{i}" for b, i in dyadic_nodes(self.round)] if self.round else []
+        labels = {
+            label: {"debut": state.debut, "counts": dict(zip(nodes, state.counts))}
+            for label, state in self._ordered
+        }
         return {
             "round": self.round,
             "horizon": self.config.horizon,
@@ -207,6 +241,27 @@ class Counter:
             "budget": self.config.budget.to_json_dict(),
             "labels": labels,
         }
+
+    def _add_label(self, label: str, r: int, tz: int) -> None:
+        # At most depth uniforms drawn ahead per label keeps state O(log L).
+        uniform = self._master.child(label).uniform_iter(self.config.depth).__next__
+        sigma = self.config.sigma
+        counts: list[int] = []
+        sums = [0.0]
+        # The nodes of round r left of its newest one predate the label: no
+        # events, noise drawn leftmost first.
+        for _ in range(r.bit_count() - 1):
+            count = 0
+            noise = sigma * standard_normal_quantile(uniform()) if sigma > 0.0 else 0.0
+            counts.append(count)
+            sums.append(sums[-1] + (count + noise))
+        # tz empty entries for this round's pop to remove, so that observe
+        # pushes the newest node as it does for every other label.
+        counts.extend([0] * tz)
+        sums.extend([sums[-1]] * tz)
+        state = _LabelState(r, uniform, counts, sums)
+        self._labels[label] = state
+        insort(self._ordered, (label, state))
 
     def observe(self, event: StreamEvent) -> dict[str, float]:
         """Ingest the next round and return labels whose noisy prefix count exceeds T.
@@ -228,33 +283,29 @@ class Counter:
             )
 
         self.round = r
-        depth = config.depth
-        for label in sorted(event.items):
-            state = self._labels.get(label)
-            if state is None:
-                state = _LabelState(rng=self._master.child(label))
-                self._labels[label] = state
-                self._ordered = sorted(self._labels)
-            sums = state.sums
-            for level in range(depth):
-                node = (level, (r - 1) >> level)
-                sums[node] = sums.get(node, 0) + 1
+        # The newest node, at level tz, replaces the tz lowest nodes of round
+        # r-1 and covers exactly them plus round r.
+        tz = _trailing_zeros(r)
+        items = event.items
+        for label in items:
+            if label not in self._labels:
+                self._add_label(label, r, tz)
 
-        nodes = dyadic_nodes(r)
         sigma = config.sigma
         threshold = config.threshold
         released: dict[str, float] = {}
-        for label in self._ordered:
-            state = self._labels[label]
-            sums = state.sums
-            noises = state.noises
-            total = 0.0
-            for node in nodes:
-                noise = noises.get(node)
-                if noise is None:
-                    noise = sample_gaussian(sigma, state.rng) if sigma > 0.0 else 0.0
-                    noises[node] = noise
-                total += sums.get(node, 0) + noise
+        for label, (_, uniform, counts, sums) in self._ordered:
+            if tz:
+                count = sum(counts[-tz:])
+                del counts[-tz:], sums[-tz:]
+            else:
+                count = 0
+            if label in items:
+                count += 1
+            noise = sigma * standard_normal_quantile(uniform()) if sigma > 0.0 else 0.0
+            total = sums[-1] + (count + noise)
+            counts.append(count)
+            sums.append(total)
             if total > threshold:
                 released[label] = total
         return released

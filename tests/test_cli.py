@@ -1,6 +1,8 @@
 """CSV/JSON formats and the command-line surface."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -290,3 +292,24 @@ class TestMain:
         payload = json.loads(out.read_text())
         noisy = [item["noisy_count"] for item in payload["items"]]
         assert any(round(value, 1) != value for value in noisy)
+
+
+# SHA-256 of the snapshots below, computed with the dict-based counter that
+# the partial-sum stack replaced.  A change that alters the stream's noise
+# for a given seed must change the report's mechanism tag (today
+# "continual-counter") and this digest together.
+STREAM_GOLDEN = Path(__file__).parent / "data" / "stream_golden.ndjson"
+STREAM_GOLDEN_SHA256 = "3284d3bad4aacf35c3d245d9467b27d227cfd32039793f4e998ed8678ec9ff97"
+
+
+def test_stream_output_matches_golden_digest(tmp_path):
+    # 40 rounds, 6 labels, three of them arriving after round 10, three empty rounds.
+    out = tmp_path / "snapshots.ndjson"
+    code = main(
+        ["stream", "--horizon", "64", "--epsilon", "1", "--delta", "0.05", "--l0", "3",
+         "--in", str(STREAM_GOLDEN), "--out", str(out), "--seed", "7"]
+    )  # fmt: skip
+    assert code == 0
+    text = out.read_text(encoding="utf-8")
+    assert json.loads(text.splitlines()[0])["mechanism"] == "continual-counter"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == STREAM_GOLDEN_SHA256

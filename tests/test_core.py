@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from unkhist.core import (
@@ -126,6 +127,28 @@ class TestRandomSource:
         arr = RandomSource(3).uniforms(17)
         assert arr.shape == (17,)
         assert (arr > 0).all() and (arr < 1).all()
+
+    @pytest.mark.parametrize("block", [1, 3, 10])
+    def test_uniform_iter_replays_uniform(self, block):
+        it = RandomSource(5).child("x").uniform_iter(block)
+        rng = RandomSource(5).child("x")
+        assert [next(it) for _ in range(25)] == [rng.uniform() for _ in range(25)]
+
+    def test_uniform_iter_skips_zeros_like_uniform(self):
+        class Gen:  # a generator whose stream holds exact zeros
+            def __init__(self):
+                self.values = [0.25, 0.0, 0.5, 0.0, 0.0, 0.75]
+
+            def random(self, size=None):
+                if size is None:
+                    return self.values.pop(0)
+                taken, self.values = self.values[:size], self.values[size:]
+                return np.array(taken)
+
+        a, b = RandomSource(0), RandomSource(0)
+        a._gen, b._gen = Gen(), Gen()
+        it = a.uniform_iter(2)
+        assert [next(it) for _ in range(3)] == [b.uniform() for _ in range(3)] == [0.25, 0.5, 0.75]
 
     @pytest.mark.parametrize("seed", ["7", 1.5, 2**64])
     def test_bad_seed(self, seed):

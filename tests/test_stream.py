@@ -204,4 +204,6 @@ def test_state_dict_is_json_ready():
     state = counter.state_dict()
     assert state["round"] == 4
     assert set(state["labels"]) == {"a", "b"}
-    json.dumps(state)  # must serialize without help
+    assert state["labels"]["b"] == {"debut": 2, "counts": {"2:0": 2}}
+    text = json.dumps(state)  # must serialize without help
+    assert '"noises"' not in text  # raw noise is never exported
