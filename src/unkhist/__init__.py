@@ -24,7 +24,6 @@ from .core import (
     BOTTOM,
     Histogram,
     IngestionError,
-    NoiseSpec,
     ParameterError,
     RandomSource,
     SensitivityBound,
@@ -41,7 +40,6 @@ from .stream import (
     CounterConfig,
     StreamEvent,
     active_node_count,
-    new_counter,
 )
 from .topk import TruncatedHistogram, release_topk, topk_threshold, truncate_topk
 from .validation import (
@@ -69,7 +67,6 @@ __all__ = [
     "IngestionError",
     "MechanismConfig",
     "NeighborPair",
-    "NoiseSpec",
     "ParameterError",
     "RandomSource",
     "RankedList",
@@ -91,7 +88,6 @@ __all__ = [
     "gumbel_threshold",
     "laplace_pure_dp",
     "make_boundary_neighbors",
-    "new_counter",
     "normal_cdf",
     "normal_inverse_cdf",
     "release",

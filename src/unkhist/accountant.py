@@ -11,9 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
-from .core import ParameterError
+from .core import ParameterError, check_positive, check_probability, check_real
 
 __all__ = [
     "CdpBudget",
@@ -29,30 +27,6 @@ __all__ = [
 ]
 
 
-def _check_delta(delta: float) -> float:
-    if not isinstance(delta, (int, float)) or isinstance(delta, bool):
-        raise ParameterError(f"delta must be a real in [0, 1), got {delta!r}")
-    if not 0.0 <= delta < 1.0:
-        raise ParameterError(f"delta must lie in [0, 1), got {delta!r}")
-    return float(delta)
-
-
-def _check_nonneg(name: str, value: float) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ParameterError(f"{name} must be a non-negative real, got {value!r}")
-    if math.isnan(value) or value < 0.0:
-        raise ParameterError(f"{name} must be non-negative, got {value!r}")
-    return float(value)
-
-
-def _check_positive(name: str, value: float) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ParameterError(f"{name} must be a positive real, got {value!r}")
-    if not math.isfinite(value) or value <= 0.0:
-        raise ParameterError(f"{name} must be positive and finite, got {value!r}")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class CdpBudget:
     """delta-approximate rho-zCDP; delta = 0 is pure zCDP."""
@@ -61,8 +35,8 @@ class CdpBudget:
     rho: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "delta", _check_delta(self.delta))
-        object.__setattr__(self, "rho", _check_nonneg("rho", self.rho))
+        object.__setattr__(self, "delta", check_probability("delta", self.delta, allow_zero=True))
+        object.__setattr__(self, "rho", check_real("rho", self.rho))
 
     def to_json_dict(self) -> dict:
         return {"rho": self.rho, "delta": self.delta}
@@ -83,8 +57,8 @@ class DpBudget:
     delta: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "epsilon", _check_nonneg("epsilon", self.epsilon))
-        object.__setattr__(self, "delta", _check_delta(self.delta))
+        object.__setattr__(self, "epsilon", check_real("epsilon", self.epsilon))
+        object.__setattr__(self, "delta", check_probability("delta", self.delta, allow_zero=True))
 
     def to_json_dict(self) -> dict:
         return {"epsilon": self.epsilon, "delta": self.delta}
@@ -97,30 +71,26 @@ class RenyiOrder:
     value: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.value, (int, float)) or isinstance(self.value, bool):
-            raise ParameterError(f"order must be a real >= 1, got {self.value!r}")
-        if math.isnan(self.value) or self.value < 1.0:
-            raise ParameterError(f"order must be >= 1, got {self.value!r}")
-        object.__setattr__(self, "value", float(self.value))
+        object.__setattr__(self, "value", check_real("order", self.value, 1.0))
 
 
 def laplace_pure_dp(l1_sensitivity: float, scale: float) -> DpBudget:
     """Laplace noise of scale b on an l1-sensitivity-D statistic is (D/b)-DP."""
-    l1 = _check_positive("l1_sensitivity", l1_sensitivity)
-    b = _check_positive("scale", scale)
+    l1 = check_positive("l1_sensitivity", l1_sensitivity)
+    b = check_positive("scale", scale)
     return DpBudget(epsilon=l1 / b, delta=0.0)
 
 
 def gaussian_cdp(l2_sensitivity: float, sigma: float) -> CdpBudget:
     """Gaussian noise of deviation sigma on an l2-sensitivity-D statistic is D^2/(2 sigma^2)-zCDP."""
-    l2 = _check_positive("l2_sensitivity", l2_sensitivity)
-    s = _check_positive("sigma", sigma)
+    l2 = check_positive("l2_sensitivity", l2_sensitivity)
+    s = check_positive("sigma", sigma)
     return CdpBudget(delta=0.0, rho=l2 * l2 / (2.0 * s * s))
 
 
 def expmech_cdp(epsilon: float) -> CdpBudget:
     """The exponential mechanism at privacy loss epsilon is eps^2/8-zCDP (bounded range)."""
-    eps = _check_positive("epsilon", epsilon)
+    eps = check_positive("epsilon", epsilon)
     return CdpBudget(delta=0.0, rho=eps * eps / 8.0)
 
 
@@ -135,9 +105,7 @@ def cdp_to_dp(budget: CdpBudget, delta_prime: float) -> DpBudget:
     """delta-approximate rho-zCDP implies (rho + 2*sqrt(rho*ln(1/d')), delta + d')-DP."""
     if not isinstance(budget, CdpBudget):
         raise ParameterError(f"expected a CdpBudget, got {budget!r}")
-    dp = delta_prime
-    if not isinstance(dp, (int, float)) or isinstance(dp, bool) or not 0.0 < dp < 1.0:
-        raise ParameterError(f"delta_prime must lie in (0, 1), got {dp!r}")
+    dp = check_probability("delta_prime", delta_prime)
     total_delta = budget.delta + dp
     if total_delta >= 1.0:
         raise ParameterError(
@@ -150,26 +118,18 @@ def cdp_to_dp(budget: CdpBudget, delta_prime: float) -> DpBudget:
 def cdp_to_dp_optimize(budget: CdpBudget, total_delta: float) -> DpBudget:
     """Convenience: split total_delta into delta + delta' minimizing epsilon.
 
-    Searches delta' over a 512-point log-spaced grid whose top end is the
-    full remaining slack total_delta - budget.delta.
+    epsilon = rho + 2*sqrt(rho*ln(1/delta')) only falls as delta' grows, so
+    the best split spends the whole slack total_delta - budget.delta on delta'.
     """
     if not isinstance(budget, CdpBudget):
         raise ParameterError(f"expected a CdpBudget, got {budget!r}")
-    td = total_delta
-    if not isinstance(td, (int, float)) or isinstance(td, bool) or not 0.0 < td < 1.0:
-        raise ParameterError(f"total_delta must lie in (0, 1), got {td!r}")
+    td = check_probability("total_delta", total_delta)
     slack = td - budget.delta
     if slack <= 0.0:
         raise ParameterError(
             f"total_delta {td} must exceed the budget's own delta {budget.delta}"
         )
-    grid = np.geomspace(slack * 1e-12, slack, 512)
-    best: DpBudget | None = None
-    for dp in grid:
-        candidate = cdp_to_dp(budget, float(dp))
-        if best is None or candidate.epsilon < best.epsilon:
-            best = candidate
-    return best
+    return cdp_to_dp(budget, slack)
 
 
 def compose(budgets: Iterable[CdpBudget]) -> CdpBudget:

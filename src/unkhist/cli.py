@@ -25,6 +25,7 @@ from .accountant import (
 from .core import IngestionError, ParameterError, RandomSource, SensitivityBound
 from .fileio import (
     canonical_json,
+    open_text,
     parse_histogram_csv,
     ranked_report_payload,
     read_budget,
@@ -124,7 +125,7 @@ def _cmd_gumbel_topk(args) -> int:
 
 def _read_stream_events(path: str) -> list[StreamEvent]:
     events = []
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:

@@ -25,7 +25,6 @@ __all__ = [
     "padding_label",
     "Histogram",
     "SensitivityBound",
-    "NoiseSpec",
     "RandomSource",
     "laplace_inverse_cdf",
     "gumbel_inverse_cdf",
@@ -43,6 +42,43 @@ class ParameterError(ValueError):
 
 class IngestionError(ParameterError):
     """Input data (histogram entries, CSV rows, stream events) is invalid."""
+
+
+# Argument checkers shared by every module.  Each returns the checked value
+# (reals as float) and stays one flat function, because the samplers and
+# inverse CDFs run them on every draw.
+
+
+def check_int(name: str, value: object, minimum: int = 1) -> int:
+    """An integer (not a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def check_positive(name: str, value: object) -> float:
+    """A real (not a bool) that is positive and finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 < value < math.inf:
+        raise ParameterError(f"{name} must be a positive finite real, got {value!r}")
+    return float(value)
+
+
+def check_real(name: str, value: object, minimum: float = 0.0) -> float:
+    """A real (not a bool) >= minimum: NaN fails, infinity passes."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not value >= minimum:
+        raise ParameterError(f"{name} must be a real >= {minimum}, got {value!r}")
+    return float(value)
+
+
+def check_probability(name: str, value: object, *, allow_zero: bool = False) -> float:
+    """A real in (0, 1), the range mechanisms need; allow_zero widens it to
+    [0, 1), the range of a budget record's delta."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        0.0 <= value < 1.0 if allow_zero else 0.0 < value < 1.0
+    ):
+        interval = "[0, 1)" if allow_zero else "(0, 1)"
+        raise ParameterError(f"{name} must be a real in {interval}, got {value!r}")
+    return float(value)
 
 
 #: Reserved sentinel marker; "⊥" terminates ranked lists, "⊥1", "⊥2", ... pad
@@ -152,36 +188,21 @@ class SensitivityBound:
 
     def __post_init__(self) -> None:
         if self.l0 != math.inf:
-            if isinstance(self.l0, bool) or not isinstance(self.l0, int) or self.l0 < 1:
-                raise ParameterError(f"l0 must be an integer >= 1 or inf, got {self.l0!r}")
-        linf = self.linf
-        if not isinstance(linf, (int, float)) or isinstance(linf, bool):
-            raise ParameterError(f"linf must be a positive real, got {linf!r}")
-        if not math.isfinite(linf) or linf <= 0:
-            raise ParameterError(f"linf must be positive and finite, got {linf!r}")
+            check_int("l0", self.l0)
+        check_positive("linf", self.linf)
 
     @property
     def has_bounded_l0(self) -> bool:
         return self.l0 != math.inf
 
 
-_NOISE_KINDS = ("laplace", "gaussian", "gumbel")
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """A noise law and its scale: b for Laplace, sigma for Gaussian, beta for Gumbel."""
-
-    kind: str
-    scale: float
-
-    def __post_init__(self) -> None:
-        if self.kind not in _NOISE_KINDS:
-            raise ParameterError(f"noise kind must be one of {_NOISE_KINDS}, got {self.kind!r}")
-        if not isinstance(self.scale, (int, float)) or isinstance(self.scale, bool):
-            raise ParameterError(f"noise scale must be a positive real, got {self.scale!r}")
-        if not math.isfinite(self.scale) or self.scale <= 0:
-            raise ParameterError(f"noise scale must be positive and finite, got {self.scale!r}")
+def check_sensitivity(sens: object) -> SensitivityBound:
+    """A SensitivityBound with a finite l0, as the thresholds need."""
+    if not isinstance(sens, SensitivityBound):
+        raise ParameterError(f"expected a SensitivityBound, got {sens!r}")
+    if not sens.has_bounded_l0:
+        raise ParameterError("this threshold needs a finite l0 sensitivity")
+    return sens
 
 
 _SEED_MASK = 0xFFFF_FFFF_FFFF_FFFF
@@ -210,9 +231,7 @@ class RandomSource:
     __slots__ = ("seed", "_entropy", "_gen")
 
     def __init__(self, seed: int, *, _entropy: tuple[int, ...] | None = None):
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ParameterError(f"seed must be an integer, got {seed!r}")
-        if not -(2**63) <= seed < 2**64:
+        if check_int("seed", seed, -(2**63)) >= 2**64:
             raise ParameterError("seed must fit in 64 bits")
         if _entropy is None:
             _entropy = (seed & _SEED_MASK,)
@@ -249,26 +268,10 @@ class RandomSource:
         return u
 
 
-def _check_scale(name: str, value: float) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ParameterError(f"{name} must be a positive real, got {value!r}")
-    if not math.isfinite(value) or value <= 0:
-        raise ParameterError(f"{name} must be positive and finite, got {value!r}")
-    return float(value)
-
-
-def _check_open_unit(name: str, value: float) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ParameterError(f"{name} must be a real in (0, 1), got {value!r}")
-    if not 0.0 < value < 1.0:
-        raise ParameterError(f"{name} must lie strictly between 0 and 1, got {value!r}")
-    return float(value)
-
-
 def laplace_inverse_cdf(u: float, scale: float) -> float:
     """Quantile of Lap(scale): scale*ln(2u) below the median, -scale*ln(2(1-u)) above."""
-    _check_scale("scale", scale)
-    _check_open_unit("u", u)
+    check_positive("scale", scale)
+    check_probability("u", u)
     if u < 0.5:
         return scale * math.log(2.0 * u)
     return -scale * math.log(2.0 * (1.0 - u)) + 0.0
@@ -276,26 +279,24 @@ def laplace_inverse_cdf(u: float, scale: float) -> float:
 
 def gumbel_inverse_cdf(u: float, beta: float) -> float:
     """Quantile of Gumbel(beta): -beta*ln(-ln u)."""
-    _check_scale("beta", beta)
-    _check_open_unit("u", u)
+    check_positive("beta", beta)
+    check_probability("u", u)
     return -beta * math.log(-math.log(u)) + 0.0
 
 
 def sample_laplace(scale: float, rng: RandomSource) -> float:
     """One draw from the Laplace law with density exp(-|z|/scale)/(2*scale)."""
-    _check_scale("scale", scale)
     return laplace_inverse_cdf(rng.uniform(), scale)
 
 
 def sample_gaussian(sigma: float, rng: RandomSource) -> float:
     """One draw from N(0, sigma^2)."""
-    _check_scale("sigma", sigma)
+    check_positive("sigma", sigma)
     return sigma * standard_normal_quantile(rng.uniform())
 
 
 def sample_gumbel(beta: float, rng: RandomSource) -> float:
     """One draw from Gumbel(beta), mean beta*gamma, variance beta^2*pi^2/6."""
-    _check_scale("beta", beta)
     return gumbel_inverse_cdf(rng.uniform(), beta)
 
 
@@ -305,8 +306,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 def normal_cdf(z: float) -> float:
     """Standard normal CDF via erfc, accurate in both tails."""
-    if not isinstance(z, (int, float)) or isinstance(z, bool) or math.isnan(z):
-        raise ParameterError(f"z must be a real number, got {z!r}")
+    check_real("z", z, -math.inf)
     return 0.5 * math.erfc(-z / _SQRT2)
 
 
@@ -349,7 +349,7 @@ def normal_inverse_cdf(p: float) -> float:
     Antisymmetric by construction: the upper half is evaluated as the
     mirrored lower half, so quantiles of u and 1-u cancel exactly.
     """
-    _check_open_unit("p", p)
+    check_probability("p", p)
     return standard_normal_quantile(p)
 
 

@@ -10,15 +10,18 @@ import csv
 import json
 import math
 import re
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping, TextIO
 
 from .accountant import CdpBudget
 from .core import Histogram, IngestionError, ParameterError, validate_label
-from .gumbel import RankedList
+from .gumbel import MECHANISM_TAG as GUMBEL_TAG, RankedList
 from .release import ReleaseReport
+from .stream import MECHANISM_TAG as STREAM_TAG
 
 __all__ = [
+    "open_text",
     "parse_histogram_csv",
     "write_histogram_csv",
     "canonical_json",
@@ -34,10 +37,27 @@ _HEADER = ["label", "count"]
 _COUNT_RE = re.compile(r"[0-9]+")
 
 
+@contextmanager
+def open_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """open() a UTF-8 input file; a byte that does not decode raises
+    IngestionError naming the path and the line it sits on."""
+    with open(path, encoding="utf-8", newline=newline) as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError:
+            data = Path(path).read_bytes()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = data.count(b"\n", 0, exc.start) + 1
+                raise IngestionError(f"{path}: line {line}: not valid UTF-8 text") from None
+            raise
+
+
 def parse_histogram_csv(path: str | Path) -> Histogram:
     """Read `label,count` rows into a Histogram, reporting the offending line on error."""
     counts: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open_text(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != _HEADER:
@@ -129,10 +149,9 @@ def ranked_report_payload(
     params: dict,
     seed: int,
     threshold_public: float,
-    mechanism: str = "gumbel-topk",
 ) -> dict:
     return {
-        "mechanism": mechanism,
+        "mechanism": GUMBEL_TAG,
         "params": dict(params),
         "seed": seed,
         "threshold_public": float(threshold_public),
@@ -148,7 +167,7 @@ def stream_header_payload(
     *, params: dict, seed: int, threshold_public: float, budget: CdpBudget
 ) -> dict:
     return {
-        "mechanism": "continual-counter",
+        "mechanism": STREAM_TAG,
         "params": dict(params),
         "seed": seed,
         "threshold_public": float(threshold_public),

@@ -12,8 +12,16 @@ import math
 from dataclasses import dataclass
 
 from .accountant import CdpBudget
-from .core import BOTTOM, Histogram, ParameterError, RandomSource, sample_gumbel
-from .release import _check_delta, _check_epsilon
+from .core import (
+    BOTTOM,
+    Histogram,
+    ParameterError,
+    RandomSource,
+    check_int,
+    check_positive,
+    check_probability,
+    sample_gumbel,
+)
 from .topk import truncate_topk
 
 __all__ = [
@@ -48,23 +56,11 @@ class RankedList:
         return self.items
 
 
-def _check_l0(l0_for_threshold: int) -> int:
-    if (
-        isinstance(l0_for_threshold, bool)
-        or not isinstance(l0_for_threshold, int)
-        or l0_for_threshold < 1
-    ):
-        raise ParameterError(
-            f"l0_for_threshold must be an integer >= 1, got {l0_for_threshold!r}"
-        )
-    return l0_for_threshold
-
-
 def gumbel_threshold(l0_for_threshold: int, epsilon: float, delta: float) -> float:
     """T = 1 + (1/eps) * ln(l0 / delta)."""
-    l0 = _check_l0(l0_for_threshold)
-    eps = _check_epsilon(epsilon)
-    d = _check_delta(delta)
+    l0 = check_int("l0_for_threshold", l0_for_threshold)
+    eps = check_positive("epsilon", epsilon)
+    d = check_probability("delta", delta)
     return 1.0 + math.log(l0 / d) / eps
 
 
@@ -90,15 +86,13 @@ def release_gumbel_topk(
     (-inf disables thresholding entirely).
     """
     h = Histogram.coerce(h)
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ParameterError(f"k must be an integer >= 1, got {k!r}")
-    if isinstance(kbar, bool) or not isinstance(kbar, int) or kbar < 1:
-        raise ParameterError(f"kbar must be an integer >= 1, got {kbar!r}")
+    check_int("k", k)
+    check_int("kbar", kbar)
     if k > kbar:
         raise ParameterError("k must not exceed kbar")
-    l0 = _check_l0(l0_for_threshold)
-    eps = _check_epsilon(epsilon)
-    d = _check_delta(delta)
+    l0 = check_int("l0_for_threshold", l0_for_threshold)
+    eps = check_positive("epsilon", epsilon)
+    d = check_probability("delta", delta)
 
     beta = 1.0 / eps
     threshold = gumbel_threshold(l0, eps, d)

@@ -14,10 +14,14 @@ from .accountant import CdpBudget
 from .core import (
     Histogram,
     IngestionError,
-    NoiseSpec,
     ParameterError,
     RandomSource,
     SensitivityBound,
+    check_int,
+    check_positive,
+    check_probability,
+    check_real,
+    check_sensitivity,
     normal_inverse_cdf,
     sample_gaussian,
     sample_laplace,
@@ -46,73 +50,30 @@ class ReleaseReport:
         return sorted(self.released.items())
 
 
-def _check_epsilon(epsilon: float) -> float:
-    if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool):
-        raise ParameterError(f"epsilon must be a positive real, got {epsilon!r}")
-    if not math.isfinite(epsilon) or epsilon <= 0.0:
-        raise ParameterError(f"epsilon must be positive and finite, got {epsilon!r}")
-    return float(epsilon)
-
-
-def _check_delta(delta: float) -> float:
-    if not isinstance(delta, (int, float)) or isinstance(delta, bool):
-        raise ParameterError(f"delta must be a real in (0, 1), got {delta!r}")
-    if not 0.0 < delta < 1.0:
-        raise ParameterError(f"delta must lie strictly between 0 and 1, got {delta!r}")
-    return float(delta)
-
-
-def _check_sens(sens: SensitivityBound) -> SensitivityBound:
-    if not isinstance(sens, SensitivityBound):
-        raise ParameterError(f"expected a SensitivityBound, got {sens!r}")
-    if not sens.has_bounded_l0:
-        raise ParameterError("this threshold needs a finite l0 sensitivity")
-    return sens
-
-
 def threshold_laplace(sens: SensitivityBound, epsilon: float, delta: float) -> float:
     """T = linf + (linf/eps) * ln(l0 / (2*delta)) for Laplace noise of scale linf/eps."""
-    sens = _check_sens(sens)
-    eps = _check_epsilon(epsilon)
-    d = _check_delta(delta)
+    sens = check_sensitivity(sens)
+    eps = check_positive("epsilon", epsilon)
+    d = check_probability("delta", delta)
     return sens.linf + (sens.linf / eps) * math.log(sens.l0 / (2.0 * d))
 
 
 def threshold_gaussian(sens: SensitivityBound, epsilon: float, delta: float) -> float:
     """T = linf + (linf/eps) * PhiInv(1 - delta/l0) for Gaussian noise of deviation linf/eps."""
-    sens = _check_sens(sens)
-    eps = _check_epsilon(epsilon)
-    d = _check_delta(delta)
-    ratio = d / sens.l0
-    if ratio >= 1.0:
-        raise ParameterError(f"delta/l0 = {ratio} must lie in (0, 1)")
-    return sens.linf + (sens.linf / eps) * normal_inverse_cdf(1.0 - ratio)
+    sens = check_sensitivity(sens)
+    eps = check_positive("epsilon", epsilon)
+    d = check_probability("delta", delta)
+    return sens.linf + (sens.linf / eps) * normal_inverse_cdf(1.0 - d / sens.l0)
 
 
 _TAGS = {"laplace": "unknown-domain-laplace", "gaussian": "unknown-domain-gaussian"}
 _THRESHOLDS = {"laplace": threshold_laplace, "gaussian": threshold_gaussian}
 
 
-def _resolve_noise_kind(noise: str | NoiseSpec, derived_scale: float) -> str:
-    if isinstance(noise, NoiseSpec):
-        kind = noise.kind
-        if not math.isclose(noise.scale, derived_scale, rel_tol=1e-12):
-            raise ParameterError(
-                f"noise scale {noise.scale} disagrees with linf/epsilon = {derived_scale}"
-            )
-    elif isinstance(noise, str):
-        kind = noise
-    else:
-        raise ParameterError(f"noise must be 'laplace', 'gaussian', or a NoiseSpec, got {noise!r}")
-    if kind not in _TAGS:
-        raise ParameterError(f"noise kind must be 'laplace' or 'gaussian', got {kind!r}")
-    return kind
-
-
 def release(
     h: Histogram,
     sens: SensitivityBound,
-    noise: str | NoiseSpec,
+    noise: str,
     epsilon: float,
     delta: float,
     rng: RandomSource,
@@ -132,20 +93,17 @@ def release(
     release a deterministic count-above-threshold filter.
     """
     h = Histogram.coerce(h)
-    sens = _check_sens(sens)
-    eps = _check_epsilon(epsilon)
-    d = _check_delta(delta)
-    if isinstance(min_count, bool) or not isinstance(min_count, int) or min_count < 1:
-        raise ParameterError(f"min_count must be an integer >= 1, got {min_count!r}")
-    derived_scale = sens.linf / eps
-    kind = _resolve_noise_kind(noise, derived_scale)
+    sens = check_sensitivity(sens)
+    eps = check_positive("epsilon", epsilon)
+    d = check_probability("delta", delta)
+    check_int("min_count", min_count)
+    if noise not in ("laplace", "gaussian"):
+        raise ParameterError(f"noise must be 'laplace' or 'gaussian', got {noise!r}")
 
-    scale = derived_scale
+    scale = sens.linf / eps
     if scale_override is not None:
-        if not isinstance(scale_override, (int, float)) or scale_override < 0:
-            raise ParameterError(f"scale_override must be >= 0, got {scale_override!r}")
-        scale = float(scale_override)
-    threshold = _THRESHOLDS[kind](sens, eps, d)
+        scale = check_real("scale_override", scale_override)
+    threshold = _THRESHOLDS[noise](sens, eps, d)
     if threshold_override is not None:
         threshold = float(threshold_override)
 
@@ -155,7 +113,7 @@ def release(
                 f"count for {label!r} is {count}, below the ingestion floor {min_count}"
             )
 
-    sampler = sample_laplace if kind == "laplace" else sample_gaussian
+    sampler = sample_laplace if noise == "laplace" else sample_gaussian
     released: dict[str, float] = {}
     for label, count in h.items():
         z = sampler(scale, rng) if scale > 0.0 else 0.0
@@ -164,13 +122,13 @@ def release(
             released[label] = noisy
 
     return ReleaseReport(
-        mechanism=_TAGS[kind],
+        mechanism=_TAGS[noise],
         released=released,
         threshold=threshold,
         budget=CdpBudget(delta=d, rho=sens.l0 * eps * eps / 2.0),
         seed=rng.seed,
         params={
-            "noise": kind,
+            "noise": noise,
             "epsilon": eps,
             "delta": d,
             "l0": sens.l0,

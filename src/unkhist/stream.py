@@ -33,6 +33,10 @@ from .accountant import CdpBudget
 from .core import (
     ParameterError,
     RandomSource,
+    check_int,
+    check_positive,
+    check_probability,
+    check_real,
     normal_inverse_cdf,
     sample_gaussian,
     standard_normal_quantile,
@@ -43,7 +47,6 @@ __all__ = [
     "StreamEvent",
     "CounterConfig",
     "Counter",
-    "new_counter",
     "active_node_count",
     "dyadic_nodes",
 ]
@@ -53,9 +56,7 @@ MECHANISM_TAG = "continual-counter"
 
 def active_node_count(round: int) -> int:
     """How many partial sums make up the round's prefix count: popcount(round)."""
-    if isinstance(round, bool) or not isinstance(round, int) or round < 1:
-        raise ParameterError(f"round must be an integer >= 1, got {round!r}")
-    return round.bit_count()
+    return check_int("round", round).bit_count()
 
 
 def dyadic_nodes(round: int) -> tuple[tuple[int, int], ...]:
@@ -63,8 +64,7 @@ def dyadic_nodes(round: int) -> tuple[tuple[int, int], ...]:
 
     Node (b, m) covers rounds m*2^b + 1 through (m+1)*2^b.
     """
-    if isinstance(round, bool) or not isinstance(round, int) or round < 1:
-        raise ParameterError(f"round must be an integer >= 1, got {round!r}")
+    check_int("round", round)
     nodes = []
     start = 0
     for level in reversed(range(round.bit_length())):
@@ -82,13 +82,8 @@ class StreamEvent:
     items: frozenset[str]
 
     def __init__(self, round: int, items: Iterable[str]):
-        if isinstance(round, bool) or not isinstance(round, int) or round < 1:
-            raise ParameterError(f"round must be an integer >= 1, got {round!r}")
-        labels = frozenset(items)
-        for label in labels:
-            validate_label(label)
-        object.__setattr__(self, "round", round)
-        object.__setattr__(self, "items", labels)
+        object.__setattr__(self, "round", check_int("round", round))
+        object.__setattr__(self, "items", frozenset(validate_label(label) for label in items))
 
 
 @dataclass(frozen=True)
@@ -109,12 +104,9 @@ class CounterConfig:
     budget: CdpBudget
 
     def __post_init__(self) -> None:
-        if isinstance(self.horizon, bool) or not isinstance(self.horizon, int) or self.horizon < 1:
-            raise ParameterError(f"horizon must be an integer >= 1, got {self.horizon!r}")
-        if isinstance(self.l0, bool) or not isinstance(self.l0, int) or self.l0 < 1:
-            raise ParameterError(f"l0 must be an integer >= 1, got {self.l0!r}")
-        if not isinstance(self.sigma, (int, float)) or self.sigma < 0 or math.isnan(self.sigma):
-            raise ParameterError(f"sigma must be >= 0, got {self.sigma!r}")
+        check_int("horizon", self.horizon)
+        check_int("l0", self.l0)
+        check_real("sigma", self.sigma)
         if not isinstance(self.budget, CdpBudget):
             raise ParameterError(f"budget must be a CdpBudget, got {self.budget!r}")
 
@@ -127,21 +119,12 @@ class CounterConfig:
     def from_privacy(
         cls, horizon: int, l0: int, epsilon: float, delta: float, seed: int
     ) -> "CounterConfig":
-        if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 1:
-            raise ParameterError(f"horizon must be an integer >= 1, got {horizon!r}")
-        if isinstance(l0, bool) or not isinstance(l0, int) or l0 < 1:
-            raise ParameterError(f"l0 must be an integer >= 1, got {l0!r}")
-        if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool):
-            raise ParameterError(f"epsilon must be a positive real, got {epsilon!r}")
-        if not math.isfinite(epsilon) or epsilon <= 0:
-            raise ParameterError(f"epsilon must be positive and finite, got {epsilon!r}")
-        if not isinstance(delta, (int, float)) or isinstance(delta, bool):
-            raise ParameterError(f"delta must be a real in (0, 1), got {delta!r}")
+        check_positive("epsilon", epsilon)
+        check_probability("delta", delta)
+        # Checked here as well as in __post_init__: both are used before it runs.
+        check_int("horizon", horizon)
+        check_int("l0", l0)
         ratio = delta / (l0 * horizon)
-        if not 0.0 < ratio < 1.0:
-            raise ParameterError(f"delta/(l0*horizon) = {ratio} must lie in (0, 1)")
-        if not 0.0 < delta < 1.0:
-            raise ParameterError(f"delta must lie strictly between 0 and 1, got {delta!r}")
         depth = horizon.bit_length()
         sigma = 1.0 / epsilon
         threshold = 1.0 + sigma * math.sqrt(depth + 1.0) * normal_inverse_cdf(1.0 - ratio)
@@ -310,7 +293,3 @@ class Counter:
                 released[label] = total
         return released
 
-
-def new_counter(config: CounterConfig, rng: RandomSource | None = None) -> Counter:
-    """Fresh counter at round zero; the lifetime budget is config.budget."""
-    return Counter(config, rng)

@@ -16,12 +16,17 @@ from .core import (
     ParameterError,
     RandomSource,
     SensitivityBound,
+    check_int,
+    check_positive,
+    check_probability,
+    check_real,
+    check_sensitivity,
     is_reserved_label,
     normal_inverse_cdf,
     padding_label,
     sample_gaussian,
 )
-from .release import ReleaseReport, _check_delta, _check_epsilon, _check_sens
+from .release import ReleaseReport
 
 __all__ = [
     "TruncatedHistogram",
@@ -46,14 +51,7 @@ class TruncatedHistogram:
             raise ParameterError("top counts must be non-increasing")
         if counts and counts[-1] < self.next_count:
             raise ParameterError("every top count must be >= next_count")
-        if self.next_count < 0:
-            raise ParameterError("next_count must be non-negative")
-
-
-def _check_kbar(kbar: int) -> int:
-    if isinstance(kbar, bool) or not isinstance(kbar, int) or kbar < 1:
-        raise ParameterError(f"kbar must be an integer >= 1, got {kbar!r}")
-    return kbar
+        check_int("next_count", self.next_count, 0)
 
 
 def truncate_topk(h: Histogram, kbar: int) -> TruncatedHistogram:
@@ -63,7 +61,7 @@ def truncate_topk(h: Histogram, kbar: int) -> TruncatedHistogram:
     sentinels so the output shape never reveals the input size.
     """
     h = Histogram.coerce(h)
-    kbar = _check_kbar(kbar)
+    kbar = check_int("kbar", kbar)
     ranked = sorted(h.items(), key=lambda item: (-item[1], item[0]))
     top = ranked[:kbar]
     next_count = ranked[kbar][1] if len(ranked) > kbar else 0
@@ -79,13 +77,10 @@ def topk_threshold(sens: SensitivityBound, epsilon: float, delta: float) -> floa
     a count and the threshold are compared through the difference of two
     independent draws.
     """
-    sens = _check_sens(sens)
-    eps = _check_epsilon(epsilon)
-    d = _check_delta(delta)
-    ratio = d / sens.l0
-    if ratio >= 1.0:
-        raise ParameterError(f"delta/l0 = {ratio} must lie in (0, 1)")
-    return sens.linf + math.sqrt(2.0) * (sens.linf / eps) * normal_inverse_cdf(1.0 - ratio)
+    sens = check_sensitivity(sens)
+    eps = check_positive("epsilon", epsilon)
+    d = check_probability("delta", delta)
+    return sens.linf + math.sqrt(2.0) * (sens.linf / eps) * normal_inverse_cdf(1.0 - d / sens.l0)
 
 
 def release_topk(
@@ -110,16 +105,14 @@ def release_topk(
     replaces the noisy threshold the counts are compared against.
     """
     h = Histogram.coerce(h)
-    kbar = _check_kbar(kbar)
-    sens = _check_sens(sens)
-    eps = _check_epsilon(epsilon)
-    d = _check_delta(delta)
+    kbar = check_int("kbar", kbar)
+    sens = check_sensitivity(sens)
+    eps = check_positive("epsilon", epsilon)
+    d = check_probability("delta", delta)
 
     sigma = sens.linf / eps
     if sigma_override is not None:
-        if not isinstance(sigma_override, (int, float)) or sigma_override < 0:
-            raise ParameterError(f"sigma_override must be >= 0, got {sigma_override!r}")
-        sigma = float(sigma_override)
+        sigma = check_real("sigma_override", sigma_override)
 
     trunc = truncate_topk(h, kbar)
     threshold = topk_threshold(sens, eps, d)

@@ -13,7 +13,7 @@ import dataclasses
 import math
 import string
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -24,6 +24,9 @@ from .core import (
     ParameterError,
     RandomSource,
     SensitivityBound,
+    check_int,
+    check_positive,
+    check_sensitivity,
     is_reserved_label,
     normal_cdf,
 )
@@ -173,8 +176,7 @@ def make_boundary_neighbors(
     - stream: a burst of l0 fresh labels at one round; the neighbor's round is empty.
     """
     if mechanism == "alg1":
-        if sens is None or not sens.has_bounded_l0:
-            raise ParameterError("alg1 boundary pairs need a finite SensitivityBound")
+        check_sensitivity(sens)
         floor = int(sens.linf)
         if floor != sens.linf or floor < 1:
             raise ParameterError("alg1 boundary pairs need an integer linf >= 1")
@@ -194,10 +196,8 @@ def make_boundary_neighbors(
         return pair
 
     if mechanism == "topk":
-        if sens is None or not sens.has_bounded_l0:
-            raise ParameterError("topk boundary pairs need a finite SensitivityBound")
-        if kbar is None:
-            raise ParameterError("topk boundary pairs need kbar")
+        check_sensitivity(sens)
+        check_int("kbar", kbar)
         gap = int(sens.linf)
         if gap != sens.linf or gap < 1:
             raise ParameterError("topk boundary pairs need an integer linf >= 1")
@@ -222,10 +222,8 @@ def make_boundary_neighbors(
         return pair
 
     if mechanism == "gumbel":
-        if kbar is None:
-            raise ParameterError("gumbel boundary pairs need kbar")
-        if count < 2:
-            raise ParameterError("gumbel boundary pairs need count >= 2")
+        check_int("kbar", kbar)
+        check_int("count", count, 2)
         tied = _letters(kbar, start=1)
         base = Histogram({lab: count for lab in tied} | {"a": count - 1})
         neighbor = Histogram({lab: count - 1 for lab in tied} | {"a": count - 1})
@@ -242,11 +240,9 @@ def make_boundary_neighbors(
         return pair
 
     if mechanism == "stream":
-        if sens is None or not sens.has_bounded_l0:
-            raise ParameterError("stream boundary pairs need a finite SensitivityBound")
-        if horizon is None or debut_round is None:
-            raise ParameterError("stream boundary pairs need horizon and debut_round")
-        if not 1 <= debut_round <= horizon:
+        check_sensitivity(sens)
+        check_int("horizon", horizon)
+        if check_int("debut_round", debut_round) > horizon:
             raise ParameterError("debut_round must lie within the horizon")
         fresh = frozenset(string.ascii_lowercase[: sens.l0])
         base = tuple(
@@ -269,21 +265,89 @@ def make_boundary_neighbors(
     raise ParameterError(f"unknown boundary mechanism {mechanism!r}")
 
 
-def _feasible_labels(pair: NeighborPair, config: MechanismConfig) -> frozenset[str]:
-    """Labels the neighbor could ever emit; anything else is differentiating."""
-    if config.mechanism == "alg1":
-        return frozenset(Histogram.coerce(pair.neighbor).labels())
-    if config.mechanism in ("topk", "gumbel"):
-        trunc = truncate_topk(Histogram.coerce(pair.neighbor), config.kbar)
-        if config.mechanism == "topk":
-            return frozenset(lab for lab, _ in trunc.top if not is_reserved_label(lab))
-        return frozenset(lab for lab, c in trunc.top if c > 0)
-    if config.mechanism == "stream":
+def _delta_event_setup(
+    pair: NeighborPair, config: MechanismConfig
+) -> tuple[frozenset[str], Callable[[RandomSource], Iterable[str]]]:
+    """The labels the neighbor could ever emit (anything else is
+    differentiating) and one run of the mechanism on the base input."""
+    mech = config.mechanism
+    if mech not in ("alg1", "topk", "gumbel", "stream"):
+        raise ParameterError(f"unknown mechanism {mech!r}")
+    if (pair.kind == "stream") != (mech == "stream"):
+        raise ParameterError(f"{mech} delta events cannot run on a {pair.kind} pair")
+
+    if mech == "stream":
+        if config.debut_round is None:
+            raise ParameterError("stream delta events need debut_round")
+        l0 = check_sensitivity(config.sens).l0
+        template = CounterConfig.from_privacy(
+            config.horizon, l0, config.epsilon, config.delta, seed=0
+        )
+        if config.threshold_override is not None:
+            template = dataclasses.replace(template, threshold=config.threshold_override)
+        events = pair.base[: config.debut_round]
+
+        def run(rng: RandomSource) -> dict[str, float]:
+            counter = Counter(template, rng=rng)
+            snapshot: dict[str, float] = {}
+            for event in events:
+                snapshot = counter.observe(event)
+            return snapshot
+
         seen: set[str] = set()
         for event in pair.neighbor:
             seen |= event.items
-        return frozenset(seen)
-    raise ParameterError(f"unknown mechanism {config.mechanism!r}")
+        return frozenset(seen), run
+
+    base = Histogram.coerce(pair.base)
+    neighbor = Histogram.coerce(pair.neighbor)
+    if mech == "alg1":
+
+        def run(rng: RandomSource) -> dict[str, float]:
+            return release(
+                base,
+                config.sens,
+                config.noise,
+                config.epsilon,
+                config.delta,
+                rng,
+                threshold_override=config.threshold_override,
+            ).released
+
+        return frozenset(neighbor.labels()), run
+
+    trunc = truncate_topk(neighbor, config.kbar)
+    if mech == "topk":
+
+        def run(rng: RandomSource) -> dict[str, float]:
+            return release_topk(
+                base,
+                config.kbar,
+                config.sens,
+                config.epsilon,
+                config.delta,
+                rng,
+                threshold_override=config.threshold_override,
+            ).released
+
+        return frozenset(lab for lab, _ in trunc.top if not is_reserved_label(lab)), run
+
+    k = config.k if config.k is not None else config.kbar
+
+    def run(rng: RandomSource) -> tuple[str, ...]:
+        ranked, _ = release_gumbel_topk(
+            base,
+            k,
+            config.kbar,
+            config.l0_for_threshold,
+            config.epsilon,
+            config.delta,
+            rng,
+            threshold_override=config.threshold_override,
+        )
+        return ranked.labels
+
+    return frozenset(lab for lab, c in trunc.top if c > 0), run
 
 
 def estimate_delta_event(
@@ -295,75 +359,12 @@ def estimate_delta_event(
     """Run the mechanism on the base input with fresh per-trial substreams and
     count runs whose released label set the neighbor could not have produced.
     """
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < MIN_TRIALS:
-        raise ParameterError(f"trials must be an integer >= {MIN_TRIALS}, got {trials!r}")
-    feasible = _feasible_labels(pair, config)
-
-    mech = config.mechanism
+    check_int("trials", trials, MIN_TRIALS)
+    feasible, run = _delta_event_setup(pair, config)
     hits = 0
-    if mech == "alg1":
-        base = Histogram.coerce(pair.base)
-        for i in range(trials):
-            report = release(
-                base,
-                config.sens,
-                config.noise,
-                config.epsilon,
-                config.delta,
-                rng.child(i),
-                threshold_override=config.threshold_override,
-            )
-            if any(label not in feasible for label in report.released):
-                hits += 1
-    elif mech == "topk":
-        base = Histogram.coerce(pair.base)
-        for i in range(trials):
-            report = release_topk(
-                base,
-                config.kbar,
-                config.sens,
-                config.epsilon,
-                config.delta,
-                rng.child(i),
-                threshold_override=config.threshold_override,
-            )
-            if any(label not in feasible for label in report.released):
-                hits += 1
-    elif mech == "gumbel":
-        base = Histogram.coerce(pair.base)
-        k = config.k if config.k is not None else config.kbar
-        for i in range(trials):
-            ranked, _ = release_gumbel_topk(
-                base,
-                k,
-                config.kbar,
-                config.l0_for_threshold,
-                config.epsilon,
-                config.delta,
-                rng.child(i),
-                threshold_override=config.threshold_override,
-            )
-            if any(label not in feasible for label in ranked.labels):
-                hits += 1
-    elif mech == "stream":
-        if config.debut_round is None:
-            raise ParameterError("stream delta events need debut_round")
-        template = CounterConfig.from_privacy(
-            config.horizon, config.sens.l0, config.epsilon, config.delta, seed=0
-        )
-        if config.threshold_override is not None:
-            template = dataclasses.replace(template, threshold=config.threshold_override)
-        events = pair.base[: config.debut_round]
-        for i in range(trials):
-            counter = Counter(template, rng=rng.child(i))
-            snapshot: dict[str, float] = {}
-            for event in events:
-                snapshot = counter.observe(event)
-            if any(label not in feasible for label in snapshot):
-                hits += 1
-    else:
-        raise ParameterError(f"unknown mechanism {mech!r}")
-
+    for i in range(trials):
+        if not feasible.issuperset(run(rng.child(i))):
+            hits += 1
     return DeltaEstimate(
         point=hits / trials,
         upper=wilson_upper(hits, trials),
@@ -383,10 +384,9 @@ def exact_expmech_topk_distribution(
     n = len(h)
     if n > 8:
         raise ParameterError(f"instance too large to enumerate: {n} items")
-    if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= n:
-        raise ParameterError(f"k must be an integer in [1, {n}], got {k!r}")
-    if not isinstance(epsilon, (int, float)) or epsilon <= 0 or not math.isfinite(epsilon):
-        raise ParameterError(f"epsilon must be positive and finite, got {epsilon!r}")
+    if check_int("k", k) > n:
+        raise ParameterError(f"k must not exceed the {n} items, got {k!r}")
+    check_positive("epsilon", epsilon)
 
     labels = h.labels()
     top = max(count for _, count in h.items())
@@ -427,8 +427,7 @@ def sample_gumbel_topk_outcomes(
     per-trial uniform blocks from one stream instead of per-run substreams.
     """
     h = Histogram.coerce(h)
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-        raise ParameterError(f"trials must be a positive integer, got {trials!r}")
+    check_int("trials", trials)
     trunc = truncate_topk(h, kbar)
     candidates = [(label, count) for label, count in trunc.top if count > 0]
     n = len(candidates)
@@ -495,9 +494,7 @@ def estimate_renyi_divergence(
     order 1 is the KL limit; above 1 the divergence is
     ln(sum p^lambda q^(1-lambda)) / (lambda - 1).
     """
-    lam = order.value if isinstance(order, RenyiOrder) else float(order)
-    if math.isnan(lam) or lam < 1.0:
-        raise ParameterError(f"order must be >= 1, got {order!r}")
+    lam = (order if isinstance(order, RenyiOrder) else RenyiOrder(order)).value
     support = [(key, prob) for key, prob in p.items() if prob > 0.0]
     for key, _ in support:
         if q.get(key, 0.0) <= 0.0:

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from unkhist.accountant import (
@@ -118,14 +118,33 @@ class TestConversions:
         back = cdp_to_dp(dp_to_cdp(DpBudget(epsilon=eps, delta=0.0)), delta_prime)
         assert back.epsilon >= eps
 
-    def test_optimize_uses_full_slack(self):
+    @given(
+        rho=st.floats(min_value=0.0, max_value=1e3, exclude_min=True),
+        delta=st.floats(min_value=0.0, max_value=0.5),
+        total_delta=st.floats(min_value=0.0, max_value=0.5, exclude_min=True),
+        fraction=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    )
+    def test_optimize_uses_full_slack(self, rho, delta, total_delta, fraction):
+        assume(total_delta > delta)
+        budget = CdpBudget(delta=delta, rho=rho)
+        slack = total_delta - budget.delta
+        out = cdp_to_dp_optimize(budget, total_delta)
+        assert out == cdp_to_dp(budget, slack)
+        # epsilon only falls as delta' grows: no smaller delta' does better.
+        assume(slack * fraction > 0.0)
+        assert cdp_to_dp(budget, slack * fraction).epsilon >= out.epsilon
+
+    def test_optimize_at_zero_rho_reports_the_whole_slack(self):
+        # Every split gives epsilon 0; the whole total_delta is reported.
+        out = cdp_to_dp_optimize(CdpBudget(delta=1e-6, rho=0.0), 1e-3)
+        assert out == DpBudget(epsilon=0.0, delta=1e-6 + (1e-3 - 1e-6))
+        assert out.delta == pytest.approx(1e-3, rel=1e-15)
+
+    def test_optimize_errors(self):
         budget = CdpBudget(delta=1e-6, rho=0.5)
-        out = cdp_to_dp_optimize(budget, 1e-3)
-        direct = cdp_to_dp(budget, 1e-3 - 1e-6)
-        assert out.epsilon == pytest.approx(direct.epsilon, rel=1e-12)
-        assert out.delta == pytest.approx(1e-3, rel=1e-12)
-        with pytest.raises(ParameterError):
-            cdp_to_dp_optimize(budget, 1e-7)
+        for total_delta in (1e-7, 1e-6, 0.0, 1.0, True):
+            with pytest.raises(ParameterError):
+                cdp_to_dp_optimize(budget, total_delta)
 
 
 class TestCompose:

@@ -40,11 +40,18 @@ class TestParseHistogramCsv:
         with pytest.raises(IngestionError, match="reserved"):
             parse_histogram_csv(path)
 
-    @pytest.mark.parametrize("row", ["a,-1", "a,1.5", "a,x", "a,3,9", "a"])
-    def test_malformed_rows(self, tmp_path, row):
-        path = write(tmp_path / "h.csv", f"label,count\n{row}\n")
-        with pytest.raises(IngestionError, match="line 2"):
+    @pytest.mark.parametrize("row", [b"a,-1", b"a,1.5", b"a,x", b"a,3,9", b"a", b"caf\xe9,3"])
+    def test_malformed_rows(self, tmp_path, row, capsys):
+        path = tmp_path / "h.csv"
+        path.write_bytes(b"label,count\na0,1\n" + row + b"\n")
+        with pytest.raises(IngestionError, match="line 3"):
             parse_histogram_csv(path)
+        code = main(
+            ["release", "--noise", "laplace", "--epsilon", "1", "--delta", "0.05",
+             "--l0", "1", "--linf", "1", "--in", str(path), "--seed", "1"]
+        )  # fmt: skip
+        assert code == 2
+        assert "line 3" in capsys.readouterr().err
 
     def test_missing_header(self, tmp_path):
         path = write(tmp_path / "h.csv", "name,value\na,3\n")
@@ -232,14 +239,19 @@ class TestMain:
         assert rounds == [1, 2, 3]
 
     def test_stream_rejects_bad_event_lines(self, tmp_path, capsys):
-        bad = write(tmp_path / "ev.ndjson", '{"round": 1}\n')
-        code = main(
-            [
-                "stream", "--horizon", "4", "--epsilon", "1", "--delta", "0.01",
-                "--l0", "2", "--in", bad, "--seed", "5",
-            ]
-        )
-        assert code == 2
+        # A missing key, labels that are not text, and a byte that is not UTF-8.
+        for line in (b'{"round": 2}', b'{"round": 2, "items": [{}]}',
+                     b'{"round": 2, "items": [7]}', b'{"round": 2, "items": ["caf\xe9"]}'):
+            bad = tmp_path / "ev.ndjson"
+            bad.write_bytes(b'{"round": 1, "items": []}\n' + line + b"\n")
+            code = main(
+                [
+                    "stream", "--horizon", "4", "--epsilon", "1", "--delta", "0.01",
+                    "--l0", "2", "--in", str(bad), "--seed", "5",
+                ]
+            )
+            assert code == 2
+            assert "line 2" in capsys.readouterr().err
 
     def test_account_compose_reproduces_report_budgets(self, hist_csv, tmp_path, capsys):
         paths = []
@@ -313,3 +325,43 @@ def test_stream_output_matches_golden_digest(tmp_path):
     text = out.read_text(encoding="utf-8")
     assert json.loads(text.splitlines()[0])["mechanism"] == "continual-counter"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == STREAM_GOLDEN_SHA256
+
+
+# SHA-256 of each histogram mechanism's report on the fixture below (seed 7,
+# epsilon 1, delta 0.05), computed before the argument checks moved into
+# core and estimate_delta_event became one trial loop.  A change that alters
+# a mechanism's noise for a given seed must change its report's mechanism
+# tag and its digest here together.
+HIST_GOLDEN = Path(__file__).parent / "data" / "hist_golden.csv"
+HIST_GOLDEN_CASES = {
+    "release-laplace": (
+        ["release", "--noise", "laplace", "--l0", "2", "--linf", "1"],
+        "7863af23048546b7f6c5943e0e1210bbcd9c1236a43b0cdbc71da55837de5957",
+    ),
+    "release-gaussian": (
+        ["release", "--noise", "gaussian", "--l0", "2", "--linf", "1"],
+        "76a7a53657b4d4a5dc57a6005a6420765106473a1031d66a786ebb89dac61cb5",
+    ),
+    "topk": (
+        ["topk", "--kbar", "8", "--l0", "2", "--linf", "1"],
+        "de061278a467a3ce470a965b52025a3bfd17318a7ed07a97f04c1886221b4f2f",
+    ),
+    "gumbel-topk": (
+        ["gumbel-topk", "--k", "8", "--kbar", "12", "--l0", "2"],
+        "c2b4e8a10c50bbfa83d1139bea93fa3da0b53c88b3110158278fca499f069032",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HIST_GOLDEN_CASES))
+def test_histogram_output_matches_golden_digest(tmp_path, case):
+    # 20 labels, one of them non-ASCII, with near-ties around the thresholds
+    # and among the ranks that gumbel-topk releases.
+    argv, digest = HIST_GOLDEN_CASES[case]
+    out = tmp_path / "report.json"
+    code = main(
+        argv + ["--epsilon", "1", "--delta", "0.05", "--in", str(HIST_GOLDEN),
+                "--out", str(out), "--seed", "7"]
+    )  # fmt: skip
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

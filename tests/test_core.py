@@ -9,7 +9,6 @@ from unkhist.core import (
     BOTTOM,
     Histogram,
     IngestionError,
-    NoiseSpec,
     ParameterError,
     RandomSource,
     SensitivityBound,
@@ -87,16 +86,6 @@ class TestSensitivityBound:
     def test_invalid(self, l0, linf):
         with pytest.raises(ParameterError):
             SensitivityBound(l0=l0, linf=linf)
-
-
-class TestNoiseSpec:
-    def test_valid(self):
-        assert NoiseSpec("laplace", 2.0).scale == 2.0
-
-    @pytest.mark.parametrize("kind,scale", [("cauchy", 1.0), ("laplace", 0.0), ("gumbel", -1.0)])
-    def test_invalid(self, kind, scale):
-        with pytest.raises(ParameterError):
-            NoiseSpec(kind, scale)
 
 
 class TestRandomSource:

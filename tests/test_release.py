@@ -10,7 +10,6 @@ from unkhist.accountant import CdpBudget
 from unkhist.core import (
     Histogram,
     IngestionError,
-    NoiseSpec,
     ParameterError,
     RandomSource,
     SensitivityBound,
@@ -111,14 +110,6 @@ class TestRelease:
         release({"a": 5}, UNIT, "gaussian", 1.0, 0.05, RandomSource(0), min_count=5)
         with pytest.raises(IngestionError):
             release({"a": 4}, UNIT, "gaussian", 1.0, 0.05, RandomSource(0), min_count=5)
-
-    def test_noise_spec_argument(self):
-        noise = NoiseSpec("gaussian", 1.0)
-        report = release({"a": 9}, UNIT, "gaussian", 1.0, 0.05, RandomSource(3))
-        via_spec = release({"a": 9}, UNIT, noise, 1.0, 0.05, RandomSource(3))
-        assert report.released == via_spec.released
-        with pytest.raises(ParameterError):
-            release({"a": 9}, UNIT, NoiseSpec("gaussian", 2.0), 1.0, 0.05, RandomSource(3))
 
     def test_unknown_noise_kind(self):
         with pytest.raises(ParameterError):

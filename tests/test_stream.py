@@ -12,7 +12,6 @@ from unkhist.stream import (
     StreamEvent,
     active_node_count,
     dyadic_nodes,
-    new_counter,
 )
 
 # mpmath (50 digits): 1 + 2*PhiInv(0.99).
@@ -82,20 +81,20 @@ class TestCounterConfig:
 
 class TestObserve:
     def test_noiseless_prefix_counts(self):
-        counter = new_counter(hook_config(8, sigma=0.0, threshold=1.0))
+        counter = Counter(hook_config(8, sigma=0.0, threshold=1.0))
         snapshot = {}
         for r in range(1, 6):
             snapshot = counter.observe(StreamEvent(r, {"a"}))
         assert snapshot == {"a": 5.0}
 
     def test_below_threshold_absent(self):
-        counter = new_counter(hook_config(8, sigma=0.0, threshold=10.0))
+        counter = Counter(hook_config(8, sigma=0.0, threshold=10.0))
         for r in range(1, 6):
             snapshot = counter.observe(StreamEvent(r, {"a"}))
         assert snapshot == {}
 
     def test_released_labels_already_observed(self):
-        counter = new_counter(hook_config(16, sigma=1.0, threshold=-math.inf, l0=2, seed=4))
+        counter = Counter(hook_config(16, sigma=1.0, threshold=-math.inf, l0=2, seed=4))
         seen = set()
         for r in range(1, 13):
             items = {"a"} if r < 5 else {"a", "b"}
@@ -104,7 +103,7 @@ class TestObserve:
             assert set(snapshot) <= seen
 
     def test_rejections_leave_state_unchanged(self):
-        counter = new_counter(hook_config(4, sigma=0.0, threshold=0.5, l0=1))
+        counter = Counter(hook_config(4, sigma=0.0, threshold=0.5, l0=1))
         counter.observe(StreamEvent(1, {"a"}))
         with pytest.raises(ParameterError):
             counter.observe(StreamEvent(3, {"a"}))  # out of order
@@ -121,7 +120,7 @@ class TestObserve:
 
     def test_noise_drawn_once_per_node(self):
         config = hook_config(16, sigma=1.0, threshold=-math.inf, seed=9)
-        counter = new_counter(config)
+        counter = Counter(config)
         history = {}
         for r in range(1, 17):
             counter.observe(StreamEvent(r, {"a"}))
@@ -132,7 +131,7 @@ class TestObserve:
 
     def test_late_label_gets_fresh_noise_on_prior_nodes(self):
         config = hook_config(16, sigma=1.0, threshold=-math.inf, l0=2, seed=9)
-        counter = new_counter(config)
+        counter = Counter(config)
         for r in range(1, 9):
             counter.observe(StreamEvent(r, {"a"}))
         counter.observe(StreamEvent(9, {"a", "late"}))
@@ -144,7 +143,7 @@ class TestObserve:
 
     def test_seeded_streams_reproduce(self):
         def run():
-            counter = new_counter(
+            counter = Counter(
                 CounterConfig.from_privacy(10, 2, 1.0, 0.05, seed=123)
             )
             out = []
@@ -157,7 +156,7 @@ class TestObserve:
 
     def test_noisy_count_sums_active_nodes(self):
         config = hook_config(16, sigma=1.0, threshold=-math.inf, seed=5)
-        counter = new_counter(config)
+        counter = Counter(config)
         for r in range(1, 11):
             snapshot = counter.observe(StreamEvent(r, {"a"}))
             noises = counter.node_noises("a")
@@ -198,7 +197,7 @@ def test_events_validate_labels():
 def test_state_dict_is_json_ready():
     import json
 
-    counter = new_counter(CounterConfig.from_privacy(8, 2, 1.0, 0.05, seed=21))
+    counter = Counter(CounterConfig.from_privacy(8, 2, 1.0, 0.05, seed=21))
     for r in range(1, 5):
         counter.observe(StreamEvent(r, {"a"} if r % 2 else {"a", "b"}))
     state = counter.state_dict()

@@ -141,6 +141,23 @@ class TestDeltaEvents:
         with pytest.raises(ParameterError):
             estimate_delta_event(pair, config, 9_999, RandomSource(0))
 
+    def test_stream_config_without_sens_is_parameter_error(self):
+        pair = make_boundary_neighbors(
+            "stream", SensitivityBound(1, 1), horizon=3, debut_round=2
+        )
+        config = MechanismConfig(
+            mechanism="stream", epsilon=1.0, delta=0.05, horizon=3, debut_round=2
+        )
+        with pytest.raises(ParameterError, match="SensitivityBound"):
+            estimate_delta_event(pair, config, 10**4, RandomSource(0))
+
+    def test_histogram_mechanism_on_stream_pair_is_parameter_error(self):
+        sens = SensitivityBound(1, 1)
+        pair = make_boundary_neighbors("stream", sens, horizon=3, debut_round=2)
+        config = MechanismConfig(mechanism="alg1", epsilon=1.0, delta=0.05, sens=sens)
+        with pytest.raises(ParameterError, match="stream pair"):
+            estimate_delta_event(pair, config, 10**4, RandomSource(0))
+
     def test_estimate_invariants(self):
         estimate = DeltaEstimate(point=0.01, upper=0.02, trials=10**4)
         assert 0.0 <= estimate.point <= estimate.upper <= 1.0
