@@ -64,9 +64,11 @@ def parse_histogram_csv(path: str | Path) -> Histogram:
             raise IngestionError(
                 f"{path}: line 1: expected header 'label,count', got {header!r}"
             )
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
+            # The physical line the record ends on: a quoted label may span lines.
+            lineno = reader.line_num
             if len(row) != 2:
                 raise IngestionError(
                     f"{path}: line {lineno}: expected 2 fields, got {len(row)}"

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .accountant import CdpBudget
 from .core import (
@@ -27,6 +30,8 @@ from .topk import truncate_topk
 __all__ = [
     "RankedList",
     "gumbel_threshold",
+    "select_gumbel",
+    "release_gumbel_topk_batch",
     "release_gumbel_topk",
 ]
 
@@ -64,6 +69,79 @@ def gumbel_threshold(l0_for_threshold: int, epsilon: float, delta: float) -> flo
     return 1.0 + math.log(l0 / d) / eps
 
 
+def select_gumbel(
+    counts: np.ndarray,
+    labels: Sequence[str],
+    noise: np.ndarray,
+    cut: float,
+    k: int,
+    threshold_override: float | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The selection rule, one row per trial, over noise [trials, 1 + n]
+    whose column 0 is the threshold draw and the rest one per candidate.
+
+    Candidates whose noisy count counts + noise[:, 1:] clears the row's
+    noisy threshold cut + noise[:, 0] (threshold_override replaces it) are
+    ranked by (-noisy count, label).  Returns ``order``, [trials, min(k, n)]
+    candidate indices in rank order, and ``taken``, [trials] how many of
+    them are released: row i's ranked list is labels[order[i, :taken[i]]],
+    closed by the bottom marker when taken[i] < k.
+    """
+    noisy = counts + noise[:, 1:]
+    if threshold_override is None:
+        noisy_threshold = cut + noise[:, :1]
+    else:
+        noisy_threshold = float(threshold_override)
+    surviving = noisy > noisy_threshold
+    ranks = np.empty(len(labels), dtype=np.int64)
+    ranks[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(len(labels))
+    keys = (np.broadcast_to(ranks, noisy.shape), np.where(surviving, -noisy, np.inf))
+    order = np.lexsort(keys, axis=1)[:, :k]
+    taken = np.minimum(surviving.sum(axis=1), k)
+    return order, taken
+
+
+def release_gumbel_topk_batch(
+    h: Histogram,
+    k: int,
+    kbar: int,
+    l0_for_threshold: int,
+    epsilon: float,
+    delta: float,
+    rng: RandomSource,
+    trials: int,
+    *,
+    threshold_override: float | None = None,
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """``trials`` runs of ``release_gumbel_topk`` on consecutive draws of rng,
+    as the candidate labels and select_gumbel's (order, taken).
+
+    Row i is what the i-th of ``trials`` consecutive ``release_gumbel_topk``
+    calls on rng would draw and release.
+    """
+    h = Histogram.coerce(h)
+    check_int("k", k)
+    check_int("kbar", kbar)
+    if k > kbar:
+        raise ParameterError("k must not exceed kbar")
+    l0 = check_int("l0_for_threshold", l0_for_threshold)
+    eps = check_positive("epsilon", epsilon)
+    d = check_probability("delta", delta)
+    check_int("trials", trials)
+
+    beta = 1.0 / eps
+    threshold = gumbel_threshold(l0, eps, d)
+    trunc = truncate_topk(h, kbar)
+    candidates = [(label, count) for label, count in trunc.top if count > 0]
+    labels = [label for label, _ in candidates]
+    counts = np.array([count for _, count in candidates], dtype=float)
+    z = sample_gumbel(beta, rng, (trials, 1 + len(labels)))
+    order, taken = select_gumbel(
+        counts, labels, z, threshold + trunc.next_count, k, threshold_override
+    )
+    return labels, order, taken
+
+
 def release_gumbel_topk(
     h: Histogram,
     k: int,
@@ -85,35 +163,19 @@ def release_gumbel_topk(
     threshold_override is a test hook replacing the noisy threshold
     (-inf disables thresholding entirely).
     """
-    h = Histogram.coerce(h)
-    check_int("k", k)
-    check_int("kbar", kbar)
-    if k > kbar:
-        raise ParameterError("k must not exceed kbar")
-    l0 = check_int("l0_for_threshold", l0_for_threshold)
-    eps = check_positive("epsilon", epsilon)
-    d = check_probability("delta", delta)
-
-    beta = 1.0 / eps
-    threshold = gumbel_threshold(l0, eps, d)
-    trunc = truncate_topk(h, kbar)
-
-    noisy_threshold = threshold + trunc.next_count + sample_gumbel(beta, rng)
-    if threshold_override is not None:
-        noisy_threshold = float(threshold_override)
-
-    survivors: list[tuple[float, str]] = []
-    for label, count in trunc.top:
-        if count <= 0:
-            continue
-        noisy = count + sample_gumbel(beta, rng)
-        if noisy > noisy_threshold:
-            survivors.append((noisy, label))
-
-    survivors.sort(key=lambda pair: (-pair[0], pair[1]))
-    items = [label for _, label in survivors[:k]]
+    labels, order, taken = release_gumbel_topk_batch(
+        h,
+        k,
+        kbar,
+        l0_for_threshold,
+        epsilon,
+        delta,
+        rng,
+        1,
+        threshold_override=threshold_override,
+    )
+    items = [labels[i] for i in order[0, : taken[0]].tolist()]
     if len(items) < k:
         items.append(BOTTOM)
-
-    budget = CdpBudget(delta=d, rho=k * eps * eps / 8.0)
-    return RankedList(items=tuple(items)), budget
+    eps = float(epsilon)
+    return RankedList(items=tuple(items)), CdpBudget(delta=float(delta), rho=k * eps * eps / 8.0)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .accountant import CdpBudget
 from .core import (
     Histogram,
@@ -31,6 +33,7 @@ __all__ = [
     "ReleaseReport",
     "threshold_laplace",
     "threshold_gaussian",
+    "release_batch",
     "release",
 ]
 
@@ -70,6 +73,55 @@ _TAGS = {"laplace": "unknown-domain-laplace", "gaussian": "unknown-domain-gaussi
 _THRESHOLDS = {"laplace": threshold_laplace, "gaussian": threshold_gaussian}
 
 
+def release_batch(
+    h: Histogram,
+    sens: SensitivityBound,
+    noise: str,
+    epsilon: float,
+    delta: float,
+    rng: RandomSource,
+    trials: int,
+    *,
+    min_count: int = 1,
+    scale_override: float | None = None,
+    threshold_override: float | None = None,
+) -> tuple[list[str], np.ndarray, np.ndarray, float]:
+    """``trials`` runs of ``release`` on consecutive draws of rng, as arrays.
+
+    Returns the labels in sorted order, the [trials, n] noisy counts, which
+    of them are released, and the threshold they were compared against.
+    Row i is what the i-th of ``trials`` consecutive ``release`` calls on
+    rng would draw and release.
+    """
+    h = Histogram.coerce(h)
+    sens = check_sensitivity(sens)
+    eps = check_positive("epsilon", epsilon)
+    d = check_probability("delta", delta)
+    check_int("min_count", min_count)
+    check_int("trials", trials)
+    if noise not in ("laplace", "gaussian"):
+        raise ParameterError(f"noise must be 'laplace' or 'gaussian', got {noise!r}")
+
+    scale = sens.linf / eps
+    if scale_override is not None:
+        scale = check_real("scale_override", scale_override)
+    threshold = _THRESHOLDS[noise](sens, eps, d)
+    if threshold_override is not None:
+        threshold = float(threshold_override)
+
+    items = h.items()
+    for label, count in items:
+        if count < min_count:
+            raise IngestionError(
+                f"count for {label!r} is {count}, below the ingestion floor {min_count}"
+            )
+    counts = np.fromiter((count for _, count in items), dtype=float, count=len(items))
+    sampler = sample_laplace if noise == "laplace" else sample_gaussian
+    shape = (trials, len(items))
+    noisy = counts + (sampler(scale, rng, shape) if scale > 0.0 else np.zeros(shape))
+    return [label for label, _ in items], noisy, noisy > threshold, threshold
+
+
 def release(
     h: Histogram,
     sens: SensitivityBound,
@@ -88,42 +140,28 @@ def release(
     spends (delta, l0 * epsilon^2 / 2) regardless of what survives.  Entries
     must have count >= min_count (default 1: only positive-count items are
     accepted; raise the floor for histograms truncated at a known value).
+    Draws are made in sorted label order.
 
     scale_override and threshold_override are test hooks; scale 0 makes the
     release a deterministic count-above-threshold filter.
     """
-    h = Histogram.coerce(h)
-    sens = check_sensitivity(sens)
-    eps = check_positive("epsilon", epsilon)
-    d = check_probability("delta", delta)
-    check_int("min_count", min_count)
-    if noise not in ("laplace", "gaussian"):
-        raise ParameterError(f"noise must be 'laplace' or 'gaussian', got {noise!r}")
-
-    scale = sens.linf / eps
-    if scale_override is not None:
-        scale = check_real("scale_override", scale_override)
-    threshold = _THRESHOLDS[noise](sens, eps, d)
-    if threshold_override is not None:
-        threshold = float(threshold_override)
-
-    for label, count in h.items():
-        if count < min_count:
-            raise IngestionError(
-                f"count for {label!r} is {count}, below the ingestion floor {min_count}"
-            )
-
-    sampler = sample_laplace if noise == "laplace" else sample_gaussian
-    released: dict[str, float] = {}
-    for label, count in h.items():
-        z = sampler(scale, rng) if scale > 0.0 else 0.0
-        noisy = count + z
-        if noisy > threshold:
-            released[label] = noisy
-
+    labels, noisy, kept, threshold = release_batch(
+        h,
+        sens,
+        noise,
+        epsilon,
+        delta,
+        rng,
+        1,
+        min_count=min_count,
+        scale_override=scale_override,
+        threshold_override=threshold_override,
+    )
+    survivors = np.flatnonzero(kept[0]).tolist()
+    eps, d = float(epsilon), float(delta)
     return ReleaseReport(
         mechanism=_TAGS[noise],
-        released=released,
+        released=dict(zip([labels[i] for i in survivors], noisy[0, survivors].tolist())),
         threshold=threshold,
         budget=CdpBudget(delta=d, rho=sens.l0 * eps * eps / 2.0),
         seed=rng.seed,

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .accountant import CdpBudget
 from .core import (
     Histogram,
@@ -32,6 +34,7 @@ __all__ = [
     "TruncatedHistogram",
     "truncate_topk",
     "topk_threshold",
+    "release_topk_batch",
     "release_topk",
 ]
 
@@ -83,6 +86,51 @@ def topk_threshold(sens: SensitivityBound, epsilon: float, delta: float) -> floa
     return sens.linf + math.sqrt(2.0) * (sens.linf / eps) * normal_inverse_cdf(1.0 - d / sens.l0)
 
 
+def release_topk_batch(
+    h: Histogram,
+    kbar: int,
+    sens: SensitivityBound,
+    epsilon: float,
+    delta: float,
+    rng: RandomSource,
+    trials: int,
+    *,
+    sigma_override: float | None = None,
+    threshold_override: float | None = None,
+) -> tuple[TruncatedHistogram, np.ndarray, np.ndarray, float]:
+    """``trials`` runs of ``release_topk`` on consecutive draws of rng, as arrays.
+
+    Returns the truncated histogram, the [trials, kbar] noisy counts of its
+    top entries, which of them are released, and the public T.  Row i is
+    what the i-th of ``trials`` consecutive ``release_topk`` calls on rng
+    would draw and release.
+    """
+    h = Histogram.coerce(h)
+    kbar = check_int("kbar", kbar)
+    sens = check_sensitivity(sens)
+    eps = check_positive("epsilon", epsilon)
+    d = check_probability("delta", delta)
+    check_int("trials", trials)
+
+    sigma = sens.linf / eps
+    if sigma_override is not None:
+        sigma = check_real("sigma_override", sigma_override)
+
+    trunc = truncate_topk(h, kbar)
+    threshold = topk_threshold(sens, eps, d)
+    counts = np.array([count for _, count in trunc.top], dtype=float)
+    real = np.array([not is_reserved_label(label) for label, _ in trunc.top], dtype=bool)
+    # Column 0 is the threshold draw, then one per top entry.
+    shape = (trials, 1 + kbar)
+    z = sample_gaussian(sigma, rng, shape) if sigma > 0.0 else np.zeros(shape)
+    noisy = counts + z[:, 1:]
+    if threshold_override is None:
+        noisy_threshold = threshold + trunc.next_count + z[:, :1]
+    else:
+        noisy_threshold = float(threshold_override)
+    return trunc, noisy, (noisy > noisy_threshold) & real, threshold
+
+
 def release_topk(
     h: Histogram,
     kbar: int,
@@ -104,34 +152,22 @@ def release_topk(
     sigma_override and threshold_override are test hooks; threshold_override
     replaces the noisy threshold the counts are compared against.
     """
-    h = Histogram.coerce(h)
-    kbar = check_int("kbar", kbar)
-    sens = check_sensitivity(sens)
-    eps = check_positive("epsilon", epsilon)
-    d = check_probability("delta", delta)
-
-    sigma = sens.linf / eps
-    if sigma_override is not None:
-        sigma = check_real("sigma_override", sigma_override)
-
-    trunc = truncate_topk(h, kbar)
-    threshold = topk_threshold(sens, eps, d)
-
-    threshold_noise = sample_gaussian(sigma, rng) if sigma > 0.0 else 0.0
-    noisy_threshold = threshold + trunc.next_count + threshold_noise
-    if threshold_override is not None:
-        noisy_threshold = float(threshold_override)
-
-    released: dict[str, float] = {}
-    for label, count in trunc.top:
-        z = sample_gaussian(sigma, rng) if sigma > 0.0 else 0.0
-        noisy = count + z
-        if noisy > noisy_threshold and not is_reserved_label(label):
-            released[label] = noisy
-
+    trunc, noisy, kept, threshold = release_topk_batch(
+        h,
+        kbar,
+        sens,
+        epsilon,
+        delta,
+        rng,
+        1,
+        sigma_override=sigma_override,
+        threshold_override=threshold_override,
+    )
+    survivors = np.flatnonzero(kept[0]).tolist()
+    eps, d = float(epsilon), float(delta)
     return ReleaseReport(
         mechanism=MECHANISM_TAG,
-        released=released,
+        released=dict(zip([trunc.top[i][0] for i in survivors], noisy[0, survivors].tolist())),
         threshold=threshold,
         budget=CdpBudget(delta=d, rho=sens.l0 * eps * eps / 2.0),
         seed=rng.seed,

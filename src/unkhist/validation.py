@@ -13,7 +13,7 @@ import dataclasses
 import math
 import string
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -30,10 +30,18 @@ from .core import (
     is_reserved_label,
     normal_cdf,
 )
-from .gumbel import gumbel_threshold, release_gumbel_topk
-from .release import release
+# release, release_topk and release_gumbel_topk stay bound here for
+# perfbench/tracing.py, which wraps these names; the estimators run the
+# *_batch forms.
+from .gumbel import (  # noqa: F401
+    gumbel_threshold,
+    release_gumbel_topk,
+    release_gumbel_topk_batch,
+    select_gumbel,
+)
+from .release import release, release_batch  # noqa: F401
 from .stream import Counter, CounterConfig, StreamEvent, active_node_count
-from .topk import release_topk, truncate_topk
+from .topk import release_topk, release_topk_batch, truncate_topk  # noqa: F401
 
 __all__ = [
     "NeighborPair",
@@ -55,6 +63,9 @@ __all__ = [
 Z_ONE_SIDED_99 = 2.326347874040841
 
 MIN_TRIALS = 10_000
+
+#: Trials per batch in estimate_delta_event.
+DELTA_EVENT_BATCH = 2**16
 
 
 @dataclass(frozen=True)
@@ -267,9 +278,13 @@ def make_boundary_neighbors(
 
 def _delta_event_setup(
     pair: NeighborPair, config: MechanismConfig
-) -> tuple[frozenset[str], Callable[[RandomSource], Iterable[str]]]:
+) -> tuple[frozenset[str], Callable[[RandomSource, int, int], tuple[list[str], np.ndarray]]]:
     """The labels the neighbor could ever emit (anything else is
-    differentiating) and one run of the mechanism on the base input."""
+    differentiating) and runs(rng, start, stop) -> (labels, released) for
+    trials start..stop-1 on the base input, where released[i, j] says
+    whether the (start+i)-th run released labels[j].  The histogram
+    mechanisms draw the next stop - start runs from rng, so calls over
+    consecutive ranges make the runs one call over their union would."""
     mech = config.mechanism
     if mech not in ("alg1", "topk", "gumbel", "stream"):
         raise ParameterError(f"unknown mechanism {mech!r}")
@@ -286,56 +301,64 @@ def _delta_event_setup(
         if config.threshold_override is not None:
             template = dataclasses.replace(template, threshold=config.threshold_override)
         events = pair.base[: config.debut_round]
+        labels = sorted(set().union(*(event.items for event in events)))
 
-        def run(rng: RandomSource) -> dict[str, float]:
-            counter = Counter(template, rng=rng)
-            snapshot: dict[str, float] = {}
-            for event in events:
-                snapshot = counter.observe(event)
-            return snapshot
+        def runs(rng: RandomSource, start: int, stop: int) -> tuple[list[str], np.ndarray]:
+            released = np.zeros((stop - start, len(labels)), dtype=bool)
+            for i in range(start, stop):
+                counter = Counter(template, rng=rng.child(i))
+                snapshot: dict[str, float] = {}
+                for event in events:
+                    snapshot = counter.observe(event)
+                released[i - start] = [label in snapshot for label in labels]
+            return labels, released
 
         seen: set[str] = set()
         for event in pair.neighbor:
             seen |= event.items
-        return frozenset(seen), run
+        return frozenset(seen), runs
 
     base = Histogram.coerce(pair.base)
     neighbor = Histogram.coerce(pair.neighbor)
     if mech == "alg1":
 
-        def run(rng: RandomSource) -> dict[str, float]:
-            return release(
+        def runs(rng: RandomSource, start: int, stop: int) -> tuple[list[str], np.ndarray]:
+            labels, _, released, _ = release_batch(
                 base,
                 config.sens,
                 config.noise,
                 config.epsilon,
                 config.delta,
                 rng,
+                stop - start,
                 threshold_override=config.threshold_override,
-            ).released
+            )
+            return labels, released
 
-        return frozenset(neighbor.labels()), run
+        return frozenset(neighbor.labels()), runs
 
     trunc = truncate_topk(neighbor, config.kbar)
     if mech == "topk":
 
-        def run(rng: RandomSource) -> dict[str, float]:
-            return release_topk(
+        def runs(rng: RandomSource, start: int, stop: int) -> tuple[list[str], np.ndarray]:
+            base_trunc, _, released, _ = release_topk_batch(
                 base,
                 config.kbar,
                 config.sens,
                 config.epsilon,
                 config.delta,
                 rng,
+                stop - start,
                 threshold_override=config.threshold_override,
-            ).released
+            )
+            return [label for label, _ in base_trunc.top], released
 
-        return frozenset(lab for lab, _ in trunc.top if not is_reserved_label(lab)), run
+        return frozenset(lab for lab, _ in trunc.top if not is_reserved_label(lab)), runs
 
     k = config.k if config.k is not None else config.kbar
 
-    def run(rng: RandomSource) -> tuple[str, ...]:
-        ranked, _ = release_gumbel_topk(
+    def runs(rng: RandomSource, start: int, stop: int) -> tuple[list[str], np.ndarray]:
+        labels, order, taken = release_gumbel_topk_batch(
             base,
             k,
             config.kbar,
@@ -343,11 +366,15 @@ def _delta_event_setup(
             config.epsilon,
             config.delta,
             rng,
+            stop - start,
             threshold_override=config.threshold_override,
         )
-        return ranked.labels
+        released = np.zeros((stop - start, len(labels)), dtype=bool)
+        ranked = np.arange(order.shape[1]) < taken[:, None]
+        np.put_along_axis(released, order, ranked, axis=1)
+        return labels, released
 
-    return frozenset(lab for lab, c in trunc.top if c > 0), run
+    return frozenset(lab for lab, c in trunc.top if c > 0), runs
 
 
 def estimate_delta_event(
@@ -356,15 +383,23 @@ def estimate_delta_event(
     trials: int,
     rng: RandomSource,
 ) -> DeltaEstimate:
-    """Run the mechanism on the base input with fresh per-trial substreams and
-    count runs whose released label set the neighbor could not have produced.
+    """Run the mechanism ``trials`` times on the base input and count runs
+    whose released label set the neighbor could not have produced.
+
+    The histogram mechanisms run in batches of up to DELTA_EVENT_BATCH
+    trials: one [batch, draws] noise block from rng, through the mechanism's
+    selection rule, so the runs are the ones ``trials`` consecutive single
+    runs on rng would make, and memory stays bounded whatever the trial
+    count.  The stream counter runs once per trial, on the substream
+    rng.child(i).
     """
     check_int("trials", trials, MIN_TRIALS)
-    feasible, run = _delta_event_setup(pair, config)
+    feasible, runs = _delta_event_setup(pair, config)
     hits = 0
-    for i in range(trials):
-        if not feasible.issuperset(run(rng.child(i))):
-            hits += 1
+    for start in range(0, trials, DELTA_EVENT_BATCH):
+        labels, released = runs(rng, start, min(start + DELTA_EVENT_BATCH, trials))
+        infeasible = [j for j, label in enumerate(labels) if label not in feasible]
+        hits += int(released[:, infeasible].any(axis=1).sum())
     return DeltaEstimate(
         point=hits / trials,
         upper=wilson_upper(hits, trials),
@@ -421,10 +456,10 @@ def sample_gumbel_topk_outcomes(
 ) -> dict[tuple[str, ...], float]:
     """Empirical distribution of ranked outputs over many one-shot runs.
 
-    Vectorizes the same selection rule as release_gumbel_topk (identical
-    inverse-CDF noise transform, positive-count candidates, noisy threshold,
-    descending sort, truncate to k, bottom marker when short), drawing the
-    per-trial uniform blocks from one stream instead of per-run substreams.
+    Ranks through release_gumbel_topk's selection kernel, with the same
+    candidates (positive top-kbar counts) and noisy threshold, but maps
+    numpy's vectorised Gumbel transform over one uniform block, for the
+    10^6-trial distance checks.
     """
     h = Histogram.coerce(h)
     check_int("trials", trials)
@@ -435,45 +470,34 @@ def sample_gumbel_topk_outcomes(
         raise ParameterError("k must not exceed kbar")
     if n == 0:
         return {(BOTTOM,): 1.0}
+    width = min(k, n)
+    if (n + 1) ** width > 2**63:
+        raise ParameterError("too many ranked outcomes to tabulate")
 
-    beta = 1.0 / epsilon
+    cut = gumbel_threshold(l0_for_threshold, epsilon, delta) + trunc.next_count
     u = rng.uniforms(trials * (n + 1)).reshape(trials, n + 1)
-    noise = -beta * np.log(-np.log(u))
-    counts = np.array([count for _, count in candidates], dtype=float)
-    noisy = counts[None, :] + noise[:, 1:]
-    if threshold_disabled:
-        noisy_threshold = np.full(trials, -np.inf)
-    else:
-        base = gumbel_threshold(l0_for_threshold, epsilon, delta) + trunc.next_count
-        noisy_threshold = base + noise[:, 0]
-
-    surviving = noisy > noisy_threshold[:, None]
-    masked = np.where(surviving, noisy, -np.inf)
-    order = np.argsort(-masked, axis=1, kind="stable")[:, : min(k, n)]
-    survivors = surviving.sum(axis=1)
-
+    noise = -(1.0 / epsilon) * np.log(-np.log(u))
     labels = [label for label, _ in candidates]
+    counts = np.array([count for _, count in candidates], dtype=float)
+    order, taken = select_gumbel(
+        counts, labels, noise, cut, k, -math.inf if threshold_disabled else None
+    )
+
+    # Row i as the base-(n+1) number whose digits are its ranked candidates
+    # plus one, padded with zeros after the last released one.
+    digits = np.where(np.arange(width) < taken[:, None], order + 1, 0)
+    codes = digits @ (n + 1) ** np.arange(width - 1, -1, -1, dtype=np.int64)
     frequencies: dict[tuple[str, ...], float] = {}
-    full = survivors >= k
-    if full.any():
-        codes = np.zeros(int(full.sum()), dtype=np.int64)
-        sel = order[full]
-        for j in range(sel.shape[1]):
-            codes = codes * n + sel[:, j]
-        unique, counts_per = np.unique(codes, return_counts=True)
-        width = sel.shape[1]
-        for code, hits in zip(unique.tolist(), counts_per.tolist()):
-            digits = []
-            for _ in range(width):
-                digits.append(code % n)
-                code //= n
-            outcome = tuple(labels[idx] for idx in reversed(digits))
-            frequencies[outcome] = frequencies.get(outcome, 0.0) + hits / trials
-    partial_rows = np.nonzero(~full)[0]
-    for row in partial_rows:
-        taken = order[row, : survivors[row]]
-        outcome = tuple(labels[idx] for idx in taken) + (BOTTOM,)
-        frequencies[outcome] = frequencies.get(outcome, 0.0) + 1.0 / trials
+    unique, repeats = np.unique(codes, return_counts=True)
+    for code, hits in zip(unique.tolist(), repeats.tolist()):
+        ranked = []
+        for _ in range(width):
+            code, digit = divmod(code, n + 1)
+            ranked.append(digit)
+        outcome = tuple(labels[d - 1] for d in reversed(ranked) if d)
+        if len(outcome) < k:
+            outcome += (BOTTOM,)
+        frequencies[outcome] = hits / trials
     return frequencies
 
 

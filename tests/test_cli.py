@@ -53,6 +53,18 @@ class TestParseHistogramCsv:
         assert code == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_error_names_physical_line_after_multiline_label(self, tmp_path, capsys):
+        path = tmp_path / "h.csv"
+        path.write_bytes(b'label,count\n"a\nb",3\nc,x\n')
+        with pytest.raises(IngestionError, match="line 4"):
+            parse_histogram_csv(path)
+        code = main(
+            ["release", "--noise", "laplace", "--epsilon", "1", "--delta", "0.05",
+             "--l0", "1", "--linf", "1", "--in", str(path), "--seed", "1"]
+        )  # fmt: skip
+        assert code == 2
+        assert "line 4" in capsys.readouterr().err
+
     def test_missing_header(self, tmp_path):
         path = write(tmp_path / "h.csv", "name,value\na,3\n")
         with pytest.raises(IngestionError, match="line 1"):

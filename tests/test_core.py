@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from unkhist import core
 from unkhist.core import (
     BOTTOM,
     Histogram,
@@ -116,6 +117,8 @@ class TestRandomSource:
         arr = RandomSource(3).uniforms(17)
         assert arr.shape == (17,)
         assert (arr > 0).all() and (arr < 1).all()
+        rng = RandomSource(3)
+        assert arr.tolist() == [rng.uniform() for _ in range(17)]
 
     @pytest.mark.parametrize("block", [1, 3, 10])
     def test_uniform_iter_replays_uniform(self, block):
@@ -126,7 +129,7 @@ class TestRandomSource:
     def test_uniform_iter_skips_zeros_like_uniform(self):
         class Gen:  # a generator whose stream holds exact zeros
             def __init__(self):
-                self.values = [0.25, 0.0, 0.5, 0.0, 0.0, 0.75]
+                self.values = [0.25, 0.0, 0.5, 0.0, 0.0, 0.75, 0.125]
 
             def random(self, size=None):
                 if size is None:
@@ -134,10 +137,14 @@ class TestRandomSource:
                 taken, self.values = self.values[:size], self.values[size:]
                 return np.array(taken)
 
-        a, b = RandomSource(0), RandomSource(0)
-        a._gen, b._gen = Gen(), Gen()
+        a, b, c = RandomSource(0), RandomSource(0), RandomSource(0)
+        a._gen, b._gen, c._gen = Gen(), Gen(), Gen()
         it = a.uniform_iter(2)
         assert [next(it) for _ in range(3)] == [b.uniform() for _ in range(3)] == [0.25, 0.5, 0.75]
+        # A block redraws zeros too, and leaves the source where the single
+        # draws leave it.
+        assert c.uniforms(3).tolist() == [0.25, 0.5, 0.75]
+        assert c.uniform() == b.uniform() == 0.125
 
     @pytest.mark.parametrize("seed", ["7", 1.5, 2**64])
     def test_bad_seed(self, seed):
@@ -254,3 +261,21 @@ def test_seeded_runs_are_bit_identical():
 
     assert run(77) == run(77)
     assert run(77) != run(78)
+
+
+@pytest.mark.parametrize(
+    "sampler, scale", [(sample_laplace, 1.3), (sample_gaussian, 0.7), (sample_gumbel, 2.0)]
+)
+def test_block_draws_are_repeated_single_draws(sampler, scale, monkeypatch):
+    # A step smaller than the block makes the block span several steps.
+    monkeypatch.setattr(core, "_BLOCK_STEP", 7)
+    rng = RandomSource(5)
+    singles = [sampler(scale, rng) for _ in range(3 * 11)]
+    rng_block = RandomSource(5)
+    block = sampler(scale, rng_block, (3, 11))
+    assert block.shape == (3, 11)
+    assert block.ravel().tolist() == singles
+    assert rng_block.uniform() == rng.uniform()
+    assert sampler(scale, RandomSource(5), (4, 0)).shape == (4, 0)
+    with pytest.raises(ParameterError):
+        sampler(0.0, RandomSource(5), (1, 1))

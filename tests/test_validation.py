@@ -4,9 +4,13 @@ import math
 
 import pytest
 
+from unkhist import validation
 from unkhist.accountant import RenyiOrder
 from unkhist.core import Histogram, ParameterError, RandomSource, SensitivityBound
+from unkhist.gumbel import release_gumbel_topk
+from unkhist.release import release
 from unkhist.stream import StreamEvent
+from unkhist.topk import release_topk
 from unkhist.validation import (
     DeltaEstimate,
     MechanismConfig,
@@ -23,6 +27,37 @@ from unkhist.validation import (
 )
 
 LN_4_3 = 0.28768207245178092  # mpmath ln(4/3)
+
+
+def _alg1_case():
+    sens = SensitivityBound(1, 1)
+    config = MechanismConfig(mechanism="alg1", epsilon=1.0, delta=0.05, sens=sens, noise="laplace")
+    return make_boundary_neighbors("alg1", sens), config
+
+
+def _topk_case():
+    sens = SensitivityBound(1, 1)
+    config = MechanismConfig(mechanism="topk", epsilon=1.0, delta=0.05, sens=sens, kbar=1)
+    return make_boundary_neighbors("topk", sens, kbar=1), config
+
+
+def _gumbel_case():
+    config = MechanismConfig(
+        mechanism="gumbel", epsilon=1.0, delta=0.05, kbar=1, k=1, l0_for_threshold=1
+    )
+    return make_boundary_neighbors("gumbel", kbar=1), config
+
+
+def _stream_case():
+    sens = SensitivityBound(1, 1)
+    config = MechanismConfig(
+        mechanism="stream", epsilon=1.0, delta=0.05, sens=sens, horizon=7, debut_round=7
+    )
+    return make_boundary_neighbors("stream", sens, horizon=7, debut_round=7), config
+
+
+#: The suites' boundary pairs and configs for the batched mechanisms.
+HISTOGRAM_BOUNDARY_CASES = {"alg1": _alg1_case, "topk": _topk_case, "gumbel": _gumbel_case}
 
 
 class TestWilsonUpper:
@@ -158,6 +193,64 @@ class TestDeltaEvents:
         with pytest.raises(ParameterError, match="stream pair"):
             estimate_delta_event(pair, config, 10**4, RandomSource(0))
 
+    @pytest.mark.parametrize("mechanism", ["alg1", "topk", "gumbel"])
+    def test_histogram_estimates_make_no_per_trial_substreams(self, mechanism, monkeypatch):
+        calls = []
+        child = RandomSource.child
+
+        def counting_child(self, *tokens):
+            calls.append(tokens)
+            return child(self, *tokens)
+
+        monkeypatch.setattr(RandomSource, "child", counting_child)
+        pair, config = HISTOGRAM_BOUNDARY_CASES[mechanism]()
+        made = []
+        for trials in (10**4, 3 * 10**4):
+            calls.clear()
+            estimate_delta_event(pair, config, trials, RandomSource(0))
+            made.append(len(calls))
+        assert made[0] == made[1]
+
+    @pytest.mark.parametrize("mechanism", ["alg1", "topk", "gumbel"])
+    def test_histogram_estimate_counts_consecutive_single_runs(self, mechanism):
+        # The batch is, row by row, the runs that consecutive single calls
+        # on the same source make.
+        pair, config = HISTOGRAM_BOUNDARY_CASES[mechanism]()
+        trials = 10**4
+        rng = RandomSource(5)
+        base = pair.base
+        if mechanism == "alg1":
+            feasible = set(pair.neighbor.labels())
+            runs = (
+                release(base, config.sens, config.noise, 1.0, 0.05, rng).released
+                for _ in range(trials)
+            )
+        elif mechanism == "topk":
+            feasible = {"a"}  # the neighbor's tied top-1 goes to "a"
+            runs = (
+                release_topk(base, 1, config.sens, 1.0, 0.05, rng).released
+                for _ in range(trials)
+            )
+        else:
+            feasible = {"a"}
+            runs = (
+                release_gumbel_topk(base, 1, 1, 1, 1.0, 0.05, rng)[0].labels
+                for _ in range(trials)
+            )
+        hits = sum(not feasible.issuperset(run) for run in runs)
+        estimate = estimate_delta_event(pair, config, trials, RandomSource(5))
+        assert estimate.point == hits / trials
+        assert 0 < hits < trials
+
+    @pytest.mark.parametrize("mechanism", ["alg1", "topk", "gumbel", "stream"])
+    def test_estimate_does_not_depend_on_the_batch_size(self, mechanism, monkeypatch):
+        pair, config = (HISTOGRAM_BOUNDARY_CASES | {"stream": _stream_case})[mechanism]()
+        whole = estimate_delta_event(pair, config, 10**4, RandomSource(9))
+        # Four batches, the last one short.
+        monkeypatch.setattr(validation, "DELTA_EVENT_BATCH", 3001)
+        assert estimate_delta_event(pair, config, 10**4, RandomSource(9)) == whole
+        assert 0.0 < whole.point < 1.0
+
     def test_estimate_invariants(self):
         estimate = DeltaEstimate(point=0.01, upper=0.02, trials=10**4)
         assert 0.0 <= estimate.point <= estimate.upper <= 1.0
@@ -255,6 +348,10 @@ class TestBatchSampler:
         )
         assert outcomes.get(("⊥",), 0.0) > 0.5
         assert sum(outcomes.values()) == pytest.approx(1.0, rel=1e-9)
+
+    def test_bad_epsilon_is_parameter_error(self):
+        with pytest.raises(ParameterError, match="epsilon"):
+            sample_gumbel_topk_outcomes({"a": 1}, 1, 1, 0.0, 100, RandomSource(0))
 
     def test_frequencies_normalized(self):
         outcomes = sample_gumbel_topk_outcomes(
