@@ -7,6 +7,7 @@ replayed or paired antithetically in tests.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 from dataclasses import dataclass
@@ -112,67 +113,90 @@ def validate_label(label: object) -> str:
     return label
 
 
-def _validate_count(label: str, count: object) -> int:
-    if isinstance(count, bool) or not isinstance(count, int):
-        raise IngestionError(f"count for {label!r} must be an integer, got {count!r}")
-    if count < 0:
-        raise IngestionError(f"count for {label!r} must be non-negative, got {count}")
-    if count > MAX_COUNT:
-        raise IngestionError(f"count for {label!r} exceeds 64-bit range")
-    return count
-
-
 class Histogram:
-    """Finite map from label to non-negative integer count.
+    """Finite map from label to non-negative integer count, built from a mapping,
+    from (label, count) pairs, or from a label and a count column, and stored as
+    the sorted labels plus a read-only int64 count array.  Iteration is in sorted
+    label order so that seeded mechanism runs are reproducible."""
 
-    Iteration is always in sorted label order so that seeded mechanism runs
-    are reproducible.
-    """
+    __slots__ = ("_labels", "_counts")
 
-    __slots__ = ("_counts",)
-
-    def __init__(self, counts: Mapping[str, int] | Iterable[tuple[str, int]] = ()):
-        pairs = counts.items() if isinstance(counts, Mapping) else counts
-        acc: dict[str, int] = {}
-        for label, count in pairs:
-            validate_label(label)
-            if label in acc:
-                raise IngestionError(f"duplicate label {label!r}")
-            acc[label] = _validate_count(label, count)
-        self._counts = dict(sorted(acc.items()))
+    def __init__(self, counts: Mapping[str, int] | Iterable = (), values: Iterable | None = None):
+        if values is None:
+            pairs = list(counts.items() if isinstance(counts, Mapping) else counts)
+            labels, values = [label for label, _ in pairs], [count for _, count in pairs]
+        else:
+            labels, values = list(counts), list(values)
+            if len(labels) != len(values):
+                raise ParameterError(f"{len(labels)} labels but {len(values)} counts")
+        # Whole-column checks; where one fails, per-entry checks raise for the first
+        # invalid entry in input order, or pass (str or int subclasses, inner "⊥").
+        if not (
+            set(map(type, labels)) <= {str}
+            and set(map(type, values)) <= {int}
+            and all(labels)
+            and RESERVED_LABEL_PREFIX not in "".join(labels)
+            and len(set(labels)) == len(labels)
+            and min(values, default=0) >= 0
+            and max(values, default=0) <= MAX_COUNT
+        ):
+            seen = set()
+            for label, count in zip(labels, values):
+                validate_label(label)
+                if label in seen:
+                    raise IngestionError(f"duplicate label {label!r}")
+                seen.add(label)
+                if isinstance(count, bool) or not isinstance(count, int):
+                    raise IngestionError(f"count for {label!r} must be an integer, got {count!r}")
+                if count < 0:
+                    raise IngestionError(f"count for {label!r} must be non-negative, got {count}")
+                if count > MAX_COUNT:
+                    raise IngestionError(f"count for {label!r} exceeds 64-bit range")
+        order = sorted(range(len(labels)), key=labels.__getitem__)
+        self._labels = tuple(map(labels.__getitem__, order))
+        self._counts = np.array(values, dtype=np.int64)[order]
+        self._counts.flags.writeable = False
 
     @classmethod
     def coerce(cls, value: "Histogram" | Mapping[str, int]) -> "Histogram":
         return value if isinstance(value, cls) else cls(value)
 
+    @property
+    def counts(self) -> np.ndarray:
+        """The counts in sorted label order, as a read-only int64 array."""
+        return self._counts
+
     def items(self) -> list[tuple[str, int]]:
-        return list(self._counts.items())
+        return list(zip(self._labels, self._counts.tolist()))
 
     def labels(self) -> list[str]:
-        return list(self._counts)
+        return list(self._labels)
 
     def get(self, label: str, default: int = 0) -> int:
-        return self._counts.get(label, default)
+        i = bisect.bisect_left(self._labels, label) if isinstance(label, str) else len(self)
+        return int(self._counts[i]) if i < len(self) and self._labels[i] == label else default
 
     def __getitem__(self, label: str) -> int:
-        return self._counts[label]
+        if label not in self:
+            raise KeyError(label)
+        return self.get(label)
 
     def __contains__(self, label: str) -> bool:
-        return label in self._counts
+        return self.get(label, None) is not None
 
     def __len__(self) -> int:
-        return len(self._counts)
+        return len(self._labels)
 
     def __iter__(self):
-        return iter(self._counts)
+        return iter(self._labels)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Histogram):
-            return self._counts == other._counts
+            return self._labels == other._labels and np.array_equal(self._counts, other._counts)
         return NotImplemented
 
     def __repr__(self) -> str:
-        return f"Histogram({self._counts!r})"
+        return f"Histogram({dict(self.items())!r})"
 
 
 @dataclass(frozen=True)
@@ -425,6 +449,11 @@ def normal_inverse_cdf(p: float) -> float:
     """
     check_probability("p", p)
     return standard_normal_quantile(p)
+
+
+def normal_upper_quantile(q: float) -> float:
+    """PhiInv(1 - q), as -PhiInv(q) only for a q so small that 1 - q rounds to 1.0."""
+    return normal_inverse_cdf(1.0 - q) if 1.0 - q < 1.0 else -normal_inverse_cdf(q)
 
 
 def standard_normal_quantile(p: float) -> float:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import re
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, Mapping, TextIO
@@ -34,7 +33,6 @@ __all__ = [
 ]
 
 _HEADER = ["label", "count"]
-_COUNT_RE = re.compile(r"[0-9]+")
 
 
 @contextmanager
@@ -55,36 +53,47 @@ def open_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
 
 
 def parse_histogram_csv(path: str | Path) -> Histogram:
-    """Read `label,count` rows into a Histogram, reporting the offending line on error."""
+    """Read `label,count` rows into a Histogram: one pass collects both columns,
+    and any failed check reads the file again row by row to name the line."""
+    labels, raw_counts = [], []
+    try:
+        with open_text(path, newline="") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            for label, raw_count in filter(None, reader):  # skips blank lines
+                labels.append(label)
+                raw_counts.append(raw_count)
+        digits = "".join(raw_counts)
+        if header == _HEADER and digits.isascii() and digits.isdigit():
+            return Histogram(labels, map(int, raw_counts))
+    except (ValueError, csv.Error):  # IngestionError and UnicodeDecodeError included
+        pass
+    return _parse_histogram_rows(path)
+
+
+def _parse_histogram_rows(path: str | Path) -> Histogram:
+    """parse_histogram_csv row by row: the first offending row raises, naming its line."""
     counts: dict[str, int] = {}
     with open_text(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != _HEADER:
-            raise IngestionError(
-                f"{path}: line 1: expected header 'label,count', got {header!r}"
-            )
-        for row in reader:
-            if not row:
-                continue
-            # The physical line the record ends on: a quoted label may span lines.
-            lineno = reader.line_num
-            if len(row) != 2:
-                raise IngestionError(
-                    f"{path}: line {lineno}: expected 2 fields, got {len(row)}"
-                )
-            label, raw_count = row
+            raise IngestionError(f"{path}: line 1: expected header 'label,count', got {header!r}")
+        for row in filter(None, reader):
             try:
+                if len(row) != 2:
+                    raise IngestionError(f"expected 2 fields, got {len(row)}")
+                label, raw_count = row
                 validate_label(label)
+                if label in counts:
+                    raise IngestionError(f"duplicate label {label!r}")
+                if not (raw_count.isascii() and raw_count.isdigit()):
+                    raise IngestionError(
+                        f"count must be a non-negative integer, got {raw_count!r}"
+                    )
             except IngestionError as exc:
-                raise IngestionError(f"{path}: line {lineno}: {exc}") from None
-            if label in counts:
-                raise IngestionError(f"{path}: line {lineno}: duplicate label {label!r}")
-            if not _COUNT_RE.fullmatch(raw_count):
-                raise IngestionError(
-                    f"{path}: line {lineno}: count must be a non-negative integer, "
-                    f"got {raw_count!r}"
-                )
+                # The physical line the record ends on: a quoted label may span lines.
+                raise IngestionError(f"{path}: line {reader.line_num}: {exc}") from None
             counts[label] = int(raw_count)
     return Histogram(counts)
 
@@ -92,10 +101,7 @@ def parse_histogram_csv(path: str | Path) -> Histogram:
 def write_histogram_csv(h: Histogram, path: str | Path) -> None:
     h = Histogram.coerce(h)
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_HEADER)
-        for label, count in h.items():
-            writer.writerow([label, count])
+        csv.writer(handle).writerows([_HEADER, *h.items()])
 
 
 def _format_float(value: float) -> str:

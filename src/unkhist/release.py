@@ -24,7 +24,7 @@ from .core import (
     check_probability,
     check_real,
     check_sensitivity,
-    normal_inverse_cdf,
+    normal_upper_quantile,
     sample_gaussian,
     sample_laplace,
 )
@@ -66,7 +66,7 @@ def threshold_gaussian(sens: SensitivityBound, epsilon: float, delta: float) -> 
     sens = check_sensitivity(sens)
     eps = check_positive("epsilon", epsilon)
     d = check_probability("delta", delta)
-    return sens.linf + (sens.linf / eps) * normal_inverse_cdf(1.0 - d / sens.l0)
+    return sens.linf + (sens.linf / eps) * normal_upper_quantile(d / sens.l0)
 
 
 _TAGS = {"laplace": "unknown-domain-laplace", "gaussian": "unknown-domain-gaussian"}
@@ -109,17 +109,15 @@ def release_batch(
     if threshold_override is not None:
         threshold = float(threshold_override)
 
-    items = h.items()
-    for label, count in items:
-        if count < min_count:
-            raise IngestionError(
-                f"count for {label!r} is {count}, below the ingestion floor {min_count}"
-            )
-    counts = np.fromiter((count for _, count in items), dtype=float, count=len(items))
+    below = np.flatnonzero(h.counts < min_count)
+    if below.size:
+        label, count = h.items()[below[0]]
+        raise IngestionError(f"count for {label!r} is {count}, below the ingestion floor {min_count}")
+    counts = h.counts.astype(float)
     sampler = sample_laplace if noise == "laplace" else sample_gaussian
-    shape = (trials, len(items))
+    shape = (trials, len(counts))
     noisy = counts + (sampler(scale, rng, shape) if scale > 0.0 else np.zeros(shape))
-    return [label for label, _ in items], noisy, noisy > threshold, threshold
+    return h.labels(), noisy, noisy > threshold, threshold
 
 
 def release(

@@ -37,7 +37,7 @@ from .core import (
     check_positive,
     check_probability,
     check_real,
-    normal_inverse_cdf,
+    normal_upper_quantile,
     sample_gaussian,
     standard_normal_quantile,
     validate_label,
@@ -127,7 +127,7 @@ class CounterConfig:
         ratio = delta / (l0 * horizon)
         depth = horizon.bit_length()
         sigma = 1.0 / epsilon
-        threshold = 1.0 + sigma * math.sqrt(depth + 1.0) * normal_inverse_cdf(1.0 - ratio)
+        threshold = 1.0 + sigma * math.sqrt(depth + 1.0) * normal_upper_quantile(ratio)
         budget = CdpBudget(delta=float(delta), rho=l0 * depth * epsilon * epsilon / 2.0)
         return cls(
             horizon=horizon,

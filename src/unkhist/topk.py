@@ -24,7 +24,7 @@ from .core import (
     check_real,
     check_sensitivity,
     is_reserved_label,
-    normal_inverse_cdf,
+    normal_upper_quantile,
     padding_label,
     sample_gaussian,
 )
@@ -65,11 +65,17 @@ def truncate_topk(h: Histogram, kbar: int) -> TruncatedHistogram:
     """
     h = Histogram.coerce(h)
     kbar = check_int("kbar", kbar)
-    ranked = sorted(h.items(), key=lambda item: (-item[1], item[0]))
-    top = ranked[:kbar]
-    next_count = ranked[kbar][1] if len(ranked) > kbar else 0
-    for j in range(1, kbar - len(top) + 1):
-        top.append((padding_label(j), 0))
+    counts = h.counts
+    ranked, next_count = np.arange(len(counts)), 0
+    if len(counts) > kbar:
+        # Only counts at or above the kbar-th largest can make the cut.
+        part = np.partition(counts, (-kbar - 1, -kbar))
+        ranked, next_count = np.flatnonzero(counts >= part[-kbar]), int(part[-kbar - 1])
+    # Labels are in sorted order, so a stable sort keeps tied counts in label order.
+    ranked = ranked[np.argsort(-counts[ranked], kind="stable")][:kbar].tolist()
+    labels = h.labels()
+    top = [(labels[i], count) for i, count in zip(ranked, counts[ranked].tolist())]
+    top += [(padding_label(j), 0) for j in range(1, kbar - len(top) + 1)]
     return TruncatedHistogram(top=tuple(top), next_count=next_count)
 
 
@@ -83,7 +89,7 @@ def topk_threshold(sens: SensitivityBound, epsilon: float, delta: float) -> floa
     sens = check_sensitivity(sens)
     eps = check_positive("epsilon", epsilon)
     d = check_probability("delta", delta)
-    return sens.linf + math.sqrt(2.0) * (sens.linf / eps) * normal_inverse_cdf(1.0 - d / sens.l0)
+    return sens.linf + math.sqrt(2.0) * (sens.linf / eps) * normal_upper_quantile(d / sens.l0)
 
 
 def release_topk_batch(

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -264,6 +265,32 @@ class TestMain:
             )
             assert code == 2
             assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["release", "--noise", "gaussian", "--l0", "1", "--linf", "1"],
+            ["topk", "--kbar", "2", "--l0", "1", "--linf", "1"],
+            ["stream", "--horizon", "4", "--l0", "2"],
+        ],
+    )
+    def test_delta_below_double_resolution_still_calibrates(
+        self, argv, hist_csv, events_ndjson, tmp_path
+    ):
+        # At delta 1e-17, 1 - delta/l0 (or 1 - delta/(l0*horizon)) rounds to 1.0.
+        source = events_ndjson if argv[0] == "stream" else hist_csv
+        thresholds = []
+        for delta in ("1e-15", "1e-17"):
+            out = tmp_path / f"{delta}.json"
+            code = main(
+                argv + ["--epsilon", "1", "--delta", delta, "--in", source, "--seed", "3",
+                        "--out", str(out)]
+            )  # fmt: skip
+            assert code == 0
+            header = out.read_text(encoding="utf-8").splitlines()[0]
+            thresholds.append(json.loads(header)["threshold_public"])
+        assert math.isfinite(thresholds[1])
+        assert thresholds[1] > thresholds[0]
 
     def test_account_compose_reproduces_report_budgets(self, hist_csv, tmp_path, capsys):
         paths = []

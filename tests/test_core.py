@@ -10,6 +10,7 @@ from unkhist.core import (
     BOTTOM,
     Histogram,
     IngestionError,
+    MAX_COUNT,
     ParameterError,
     RandomSource,
     SensitivityBound,
@@ -72,6 +73,37 @@ class TestLabels:
 
     def test_zero_counts_allowed(self):
         assert Histogram({"a": 0})["a"] == 0
+
+    def test_histogram_store_and_lookups(self):
+        h = Histogram({"pear": 1, "apple": 3, "fig": 0})
+        assert h == Histogram([("fig", 0), ("apple", 3), ("pear", 1)])
+        assert h == Histogram(["pear", "fig", "apple"], [1, 0, 3])
+        assert h != Histogram({"pear": 1, "apple": 3, "fig": 1})
+        assert h != Histogram({"pear": 1, "apple": 3})
+        assert h.items() == [("apple", 3), ("fig", 0), ("pear", 1)]
+        assert all(type(count) is int for _, count in h.items())
+        assert h.labels() == list(h) == ["apple", "fig", "pear"]
+        assert h.counts.dtype == np.int64 and h.counts.tolist() == [3, 0, 1]
+        with pytest.raises(ValueError):
+            h.counts[0] = 9
+        assert repr(h) == "Histogram({'apple': 3, 'fig': 0, 'pear': 1})"
+        assert (h["fig"], h.get("fig"), "fig" in h) == (0, 0, True)
+        for missing in ("grape", "", "⊥", "zzz", 3):
+            assert missing not in h
+            assert h.get(missing) == 0 and h.get(missing, -1) == -1
+            with pytest.raises(KeyError):
+                h[missing]
+
+        class Count(int):
+            pass
+
+        assert Histogram({"a": Count(5)})["a"] == 5
+        assert Histogram({"a": MAX_COUNT}).items() == [("a", MAX_COUNT)]
+        with pytest.raises(ParameterError):
+            Histogram(["a", "b"], [1])
+        empty = Histogram()
+        assert (len(empty), empty.items(), empty.counts.tolist()) == (0, [], [])
+        assert empty == Histogram({}) == Histogram([], [])
 
 
 class TestSensitivityBound:

@@ -1,0 +1,256 @@
+"""Array-backed ingestion against the per-item code it replaced.
+
+``DictHistogram`` is the earlier dict-backed ``Histogram`` and
+``reference_parse`` the earlier per-row ``parse_histogram_csv``.  The
+array-backed ``Histogram`` must accept exactly the entries the dict-backed
+one accepted and raise the identical error for the rest; the one-pass CSV
+parser must return an equal histogram or raise the identical error, naming
+the same physical line.  ``truncate_topk`` must pick what a full sort by
+(-count, label) picks.
+"""
+
+import contextlib
+import csv
+import io
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from unkhist.cli import main
+from unkhist.core import MAX_COUNT, Histogram, IngestionError, padding_label, validate_label
+from unkhist.fileio import open_text, parse_histogram_csv
+from unkhist.topk import truncate_topk
+
+
+def _validate_count(label, count):
+    if isinstance(count, bool) or not isinstance(count, int):
+        raise IngestionError(f"count for {label!r} must be an integer, got {count!r}")
+    if count < 0:
+        raise IngestionError(f"count for {label!r} must be non-negative, got {count}")
+    if count > MAX_COUNT:
+        raise IngestionError(f"count for {label!r} exceeds 64-bit range")
+    return count
+
+
+class DictHistogram:
+    def __init__(self, counts=()):
+        pairs = counts.items() if isinstance(counts, dict) else counts
+        acc = {}
+        for label, count in pairs:
+            validate_label(label)
+            if label in acc:
+                raise IngestionError(f"duplicate label {label!r}")
+            acc[label] = _validate_count(label, count)
+        self._counts = dict(sorted(acc.items()))
+
+    def items(self):
+        return list(self._counts.items())
+
+    def __repr__(self):
+        return f"Histogram({self._counts!r})"
+
+
+_COUNT_RE = re.compile(r"[0-9]+")
+
+
+def reference_parse(path):
+    counts = {}
+    with open_text(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header != ["label", "count"]:
+            raise IngestionError(
+                f"{path}: line 1: expected header 'label,count', got {header!r}"
+            )
+        for row in reader:
+            if not row:
+                continue
+            lineno = reader.line_num
+            if len(row) != 2:
+                raise IngestionError(
+                    f"{path}: line {lineno}: expected 2 fields, got {len(row)}"
+                )
+            label, raw_count = row
+            try:
+                validate_label(label)
+            except IngestionError as exc:
+                raise IngestionError(f"{path}: line {lineno}: {exc}") from None
+            if label in counts:
+                raise IngestionError(f"{path}: line {lineno}: duplicate label {label!r}")
+            if not _COUNT_RE.fullmatch(raw_count):
+                raise IngestionError(
+                    f"{path}: line {lineno}: count must be a non-negative integer, "
+                    f"got {raw_count!r}"
+                )
+            counts[label] = int(raw_count)
+    return DictHistogram(counts)
+
+
+def outcome(build, *args):
+    """('ok', items) or (exception type, message)."""
+    try:
+        return "ok", build(*args).items()
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def release_exit_code(path):
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(
+            ["release", "--noise", "laplace", "--epsilon", "1", "--delta", "0.05",
+             "--l0", "1", "--linf", "1", "--in", str(path), "--seed", "1"]
+        )  # fmt: skip
+    return code, err.getvalue()
+
+
+# ---- Histogram ---------------------------------------------------------------
+
+
+class Label(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+entry_labels = st.sampled_from(["a", "b", "c", "é", "", "⊥", "⊥1", "a⊥", Label("b"), 7, None])
+entry_counts = st.sampled_from(
+    [0, 1, 2, 40, MAX_COUNT, MAX_COUNT + 1, 2**64, -1, -(2**63) - 1, True, False, 1.5, 2.0,
+     "3", None, Count(5)]
+)  # fmt: skip
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=st.lists(st.tuples(entry_labels, entry_counts), max_size=8))
+def test_histogram_accepts_and_rejects_what_the_dict_one_did(entries):
+    expected = outcome(DictHistogram, entries)
+    assert outcome(Histogram, entries) == expected
+    assert outcome(Histogram, dict(entries)) == outcome(DictHistogram, dict(entries))
+    labels = [label for label, _ in entries]
+    assert outcome(Histogram, labels, [count for _, count in entries]) == expected
+    if expected[0] == "ok":
+        assert repr(Histogram(entries)) == repr(DictHistogram(entries))
+
+
+# ---- CSV parser --------------------------------------------------------------
+
+CSV_LABELS = ["a", "b", "café", "a b", "", "⊥", "⊥1", "x⊥", '"q,1"', '"m\nl"', '"m\r\nl"',
+              '""', '"a"']  # fmt: skip
+CSV_COUNTS = ["0", "3", "007", "-1", "+3", "1.5", "٣", "²", "", " 4", str(2**63),
+              str(MAX_COUNT), "9" * 30]  # fmt: skip
+csv_labels = st.sampled_from(CSV_LABELS)
+csv_counts = st.sampled_from(CSV_COUNTS)
+good_rows = st.tuples(
+    st.sampled_from(["a", "b", "c", "d", "e", "café", '"m\nl"']),
+    st.sampled_from(["0", "1", "3", "12"]),
+).map(lambda row: ",".join(row).encode())
+any_rows = st.tuples(csv_labels, csv_counts).map(lambda row: ",".join(row).encode())
+odd_rows = st.sampled_from([b"", b"a", b"a,1,2", b",", b"a,1,", b"caf\xe9,3", b"b\xff,2"])
+rows = st.one_of(good_rows, good_rows, any_rows, odd_rows)
+headers = st.sampled_from([b"label,count", b"label,count", b"label,count", b"name,value", b""])
+
+
+def assert_parses_like_reference(path):
+    expected = outcome(reference_parse, path)
+    assert expected[0] in ("ok", IngestionError)
+    assert outcome(parse_histogram_csv, path) == expected
+    if expected[0] is IngestionError:
+        code, err = release_exit_code(path)
+        assert code == 2
+        assert expected[1] in err
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    header=headers,
+    body=st.lists(rows, max_size=10),
+    newline=st.sampled_from([b"\n", b"\r\n"]),
+)
+def test_parser_matches_its_per_row_reference(header, body, newline, tmp_path_factory):
+    path = tmp_path_factory.mktemp("csv") / "h.csv"
+    path.write_bytes(newline.join([header, *body]) + newline)
+    assert_parses_like_reference(path)
+
+
+@pytest.mark.parametrize("count", CSV_COUNTS)
+@pytest.mark.parametrize("label", CSV_LABELS)
+def test_each_field_text_after_a_valid_row(tmp_path, label, count):
+    path = tmp_path / "h.csv"
+    path.write_text(f"label,count\nz,1\n{label},{count}\n", encoding="utf-8")
+    assert_parses_like_reference(path)
+
+
+@pytest.mark.parametrize(
+    "late",
+    [b"zz,\xff", b"zz,x", b"zz,1,2", b"a0,5"],
+    ids=["bad-byte", "bad-count", "fields", "duplicate"],
+)
+@pytest.mark.parametrize("early", [b"", b"\xe2\x8a\xa5,3", b"b,-1"], ids=["none", "reserved", "neg"])
+def test_first_offending_line_wins_across_read_chunks(tmp_path, early, late):
+    # The late fault sits some 40 kB in, past the first chunks the text layer
+    # decodes, so an early fault must be reported before the late one is read.
+    rows = [b"label,count", b"a0,1", early] + [b"p%05d,2" % i for i in range(5000)] + [late]
+    path = tmp_path / "h.csv"
+    path.write_bytes(b"\n".join(rows) + b"\n")
+    expected = outcome(reference_parse, path)
+    assert expected[0] is IngestionError
+    assert outcome(parse_histogram_csv, path) == expected
+
+
+def test_overflowing_count_is_reported_after_every_row_check(tmp_path):
+    path = tmp_path / "h.csv"
+    path.write_bytes(b"label,count\na,%d\nb,1\n\xe2\x8a\xa5,2\n" % 2**63)
+    assert outcome(parse_histogram_csv, path) == outcome(reference_parse, path)
+    assert "line 4" in outcome(parse_histogram_csv, path)[1]
+    path.write_bytes(b"label,count\nb,1\na,%d\n" % 2**63)
+    assert outcome(parse_histogram_csv, path) == (
+        IngestionError, "count for 'a' exceeds 64-bit range"
+    )
+
+
+# ---- top-kbar ----------------------------------------------------------------
+
+
+def reference_truncate(h, kbar):
+    ranked = sorted(h.items(), key=lambda item: (-item[1], item[0]))
+    top = ranked[:kbar] + [(padding_label(j), 0) for j in range(1, kbar - len(h) + 1)]
+    return tuple(top), ranked[kbar][1] if len(ranked) > kbar else 0
+
+
+def assert_truncation_matches(h, kbar):
+    trunc = truncate_topk(h, kbar)
+    assert (trunc.top, trunc.next_count) == reference_truncate(h, kbar)
+    assert all(type(count) is int for _, count in trunc.top)
+    assert type(trunc.next_count) is int
+
+
+top_counts = st.integers(0, 4) | st.integers(MAX_COUNT - 3, MAX_COUNT)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    counts=st.dictionaries(st.text(alphabet="abcxyz", min_size=1, max_size=3), top_counts),
+    kbar=st.integers(1, 14),
+)
+def test_truncate_topk_matches_a_full_sort(counts, kbar):
+    assert_truncation_matches(Histogram(counts), kbar)
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        {},
+        {"a": 0, "b": 0, "c": 0, "d": 0},
+        {"e": 5, "d": 3, "c": 3, "b": 3, "a": 1, "f": 3},
+        {"a": MAX_COUNT, "b": MAX_COUNT, "c": MAX_COUNT - 1, "d": 0},
+        {f"x{i:03d}": i % 7 for i in range(300)},
+    ],
+    ids=["empty", "all-zero", "ties-at-cut", "near-max", "many-ties"],
+)
+def test_truncate_topk_edge_cases(counts):
+    h = Histogram(counts)
+    for kbar in sorted({1, 2, 3, 4, max(len(h) - 1, 1), len(h) or 1, len(h) + 1, len(h) + 5}):
+        assert_truncation_matches(h, kbar)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from unkhist.accountant import CdpBudget
 from unkhist.core import (
+    MAX_COUNT,
     Histogram,
     IngestionError,
     ParameterError,
@@ -110,6 +111,14 @@ class TestRelease:
         release({"a": 5}, UNIT, "gaussian", 1.0, 0.05, RandomSource(0), min_count=5)
         with pytest.raises(IngestionError):
             release({"a": 4}, UNIT, "gaussian", 1.0, 0.05, RandomSource(0), min_count=5)
+
+    def test_huge_counts_read_as_their_nearest_doubles(self):
+        counts = {"a": MAX_COUNT, "b": 2**53 + 1, "c": 2**62 + 2**9 + 1}
+        report = release(
+            Histogram(counts), SensitivityBound(1, 1), "laplace", 1.0, 0.5, RandomSource(0),
+            scale_override=0.0,
+        )  # fmt: skip
+        assert report.released == {label: float(count) for label, count in counts.items()}
 
     def test_unknown_noise_kind(self):
         with pytest.raises(ParameterError):
