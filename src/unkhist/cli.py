@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 parameter or input error, 3 I/O error.  Results go
-to the output file (or standard output); diagnostics go to standard error.
+to the output file (or standard output, only when no file is given);
+diagnostics go to standard error.
 """
 
 from __future__ import annotations
@@ -23,12 +24,14 @@ from .accountant import (
     laplace_pure_dp,
 )
 from .core import IngestionError, ParameterError, RandomSource, SensitivityBound
-from .fileio import (
+# canonical_json stays bound here for perfbench/tracing.py, which wraps it.
+from .fileio import (  # noqa: F401
     canonical_json,
     open_text,
     parse_histogram_csv,
     ranked_report_payload,
     read_budget,
+    release_report_payload,
     snapshot_payload,
     stream_header_payload,
     write_report_json,
@@ -42,84 +45,51 @@ from .validation import SUITES, run_suite
 __all__ = ["build_parser", "main", "entrypoint"]
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-
-
-def _summarize_release(report_items, total, args) -> None:
-    """Human summary on stdout when the report itself went to a file."""
-    digits = args.round_digits
-    order = args.sort_by
-    entries = list(report_items)
-    if order == "count":
-        entries.sort(key=lambda item: (-item[1], item[0]))
-    lines = [f"released {len(entries)} of {total} labels"]
-    for label, noisy in entries:
-        shown = round(noisy, digits) if digits is not None else noisy
-        lines.append(f"  {label}\t{shown}")
-    sys.stdout.write("\n".join(lines) + "\n")
+def _report_meta(args, *names: str) -> dict:
+    """A report header's params (the named arguments as parsed) and seed."""
+    return {"params": {name: getattr(args, name) for name in names}, "seed": args.seed}
 
 
 def _cmd_release(args) -> int:
     histogram = parse_histogram_csv(args.infile)
     sens = SensitivityBound(l0=args.l0, linf=args.linf)
-    rng = RandomSource(args.seed)
     report = release(
         histogram,
         sens,
         args.noise,
         args.epsilon,
         args.delta,
-        rng,
+        RandomSource(args.seed),
         min_count=args.min_count,
     )
-    text = write_report_json(report, args.out)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        _summarize_release(report.items(), len(histogram), args)
+    meta = _report_meta(args, "noise", "epsilon", "delta", "l0", "linf", "min_count")
+    write_report_json(release_report_payload(report, **meta), args.out)
     return 0
 
 
 def _cmd_topk(args) -> int:
     histogram = parse_histogram_csv(args.infile)
     sens = SensitivityBound(l0=args.l0, linf=args.linf)
-    rng = RandomSource(args.seed)
     report = release_topk(
-        histogram, args.kbar, sens, args.epsilon, args.delta, rng
+        histogram, args.kbar, sens, args.epsilon, args.delta, RandomSource(args.seed)
     )
-    text = write_report_json(report, args.out)
-    if args.out is None:
-        sys.stdout.write(text)
+    meta = _report_meta(args, "kbar", "epsilon", "delta", "l0", "linf")
+    write_report_json(release_report_payload(report, **meta), args.out)
     return 0
 
 
 def _cmd_gumbel_topk(args) -> int:
     histogram = parse_histogram_csv(args.infile)
-    rng = RandomSource(args.seed)
     ranked, budget = release_gumbel_topk(
-        histogram, args.k, args.kbar, args.l0, args.epsilon, args.delta, rng
+        histogram, args.k, args.kbar, args.l0, args.epsilon, args.delta, RandomSource(args.seed)
     )
     payload = ranked_report_payload(
         ranked,
         budget,
-        params={
-            "k": args.k,
-            "kbar": args.kbar,
-            "l0": args.l0,
-            "epsilon": args.epsilon,
-            "delta": args.delta,
-        },
-        seed=args.seed,
+        **_report_meta(args, "k", "kbar", "l0", "epsilon", "delta"),
         threshold_public=gumbel_threshold(args.l0, args.epsilon, args.delta),
     )
-    text = write_report_json(payload, args.out)
-    if args.out is None:
-        sys.stdout.write(text)
+    write_report_json(payload, args.out)
     return 0
 
 
@@ -152,59 +122,25 @@ def _cmd_stream(args) -> int:
     config = CounterConfig.from_privacy(
         args.horizon, args.l0, args.epsilon, args.delta, args.seed
     )
+    header = stream_header_payload(
+        **_report_meta(args, "horizon", "l0", "epsilon", "delta"),
+        threshold_public=config.threshold,
+        budget=config.budget,
+    )
     counter = Counter(config)
-    lines = [
-        canonical_json(
-            stream_header_payload(
-                params={
-                    "horizon": args.horizon,
-                    "l0": args.l0,
-                    "epsilon": args.epsilon,
-                    "delta": args.delta,
-                },
-                seed=args.seed,
-                threshold_public=config.threshold,
-                budget=config.budget,
-            )
-        )
-    ]
-    for event in events:
-        snapshot = counter.observe(event)
-        lines.append(canonical_json(snapshot_payload(event.round, snapshot)))
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
-
-
-def _print_budget(budget: CdpBudget | DpBudget) -> int:
-    sys.stdout.write(canonical_json(budget.to_json_dict()) + "\n")
+    snapshots = (snapshot_payload(event.round, counter.observe(event)) for event in events)
+    write_report_json(header, args.out, snapshots)
     return 0
 
 
 def _cmd_account(args) -> int:
-    action = args.action
-    if action == "laplace-dp":
-        return _print_budget(laplace_pure_dp(args.l1, args.scale))
-    if action == "gaussian-cdp":
-        return _print_budget(gaussian_cdp(args.l2, args.sigma))
-    if action == "expmech-cdp":
-        return _print_budget(expmech_cdp(args.epsilon))
-    if action == "dp-to-cdp":
-        return _print_budget(dp_to_cdp(DpBudget(epsilon=args.epsilon, delta=args.delta)))
-    if action == "cdp-to-dp":
-        budget = CdpBudget(delta=args.delta, rho=args.rho)
-        return _print_budget(cdp_to_dp(budget, args.delta_prime))
-    if action == "optimize":
-        budget = CdpBudget(delta=args.delta, rho=args.rho)
-        return _print_budget(cdp_to_dp_optimize(budget, args.total_delta))
-    if action == "compose":
-        budgets = [read_budget(path) for path in args.reports]
-        return _print_budget(compose(budgets))
-    raise ParameterError(f"unknown account action {action!r}")
+    write_report_json(args.budget(args).to_json_dict(), None)
+    return 0
 
 
 def _cmd_validate(args) -> int:
     report = run_suite(args.suite, args.trials, args.seed)
-    _emit(canonical_json(report) + "\n", args.report)
+    write_report_json(report, args.report)
     return 0 if report["passed"] else 1
 
 
@@ -234,15 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", choices=("laplace", "gaussian"), required=True)
     _add_common_release_flags(p, with_linf=True)
     p.add_argument("--min-count", type=int, default=1, help="ingestion floor (default 1)")
-    p.add_argument(
-        "--round-digits", type=int, default=None, help="round counts in the stdout summary"
-    )
-    p.add_argument(
-        "--sort-by",
-        choices=("label", "count"),
-        default="label",
-        help="order of the stdout summary",
-    )
     p.set_defaults(handler=_cmd_release)
 
     p = sub.add_parser("topk", help="release from the top-kbar truncated histogram", allow_abbrev=False)
@@ -272,30 +199,39 @@ def build_parser() -> argparse.ArgumentParser:
     a = actions.add_parser("laplace-dp", help="pure DP of the Laplace mechanism", allow_abbrev=False)
     a.add_argument("--l1", type=float, required=True)
     a.add_argument("--scale", type=float, required=True)
+    a.set_defaults(budget=lambda args: laplace_pure_dp(args.l1, args.scale))
 
     a = actions.add_parser("gaussian-cdp", help="zCDP of the Gaussian mechanism", allow_abbrev=False)
     a.add_argument("--l2", type=float, required=True)
     a.add_argument("--sigma", type=float, required=True)
+    a.set_defaults(budget=lambda args: gaussian_cdp(args.l2, args.sigma))
 
     a = actions.add_parser("expmech-cdp", help="zCDP of the exponential mechanism", allow_abbrev=False)
     a.add_argument("--epsilon", type=float, required=True)
+    a.set_defaults(budget=lambda args: expmech_cdp(args.epsilon))
 
     a = actions.add_parser("dp-to-cdp", help="convert (epsilon, delta)-DP to zCDP", allow_abbrev=False)
     a.add_argument("--epsilon", type=float, required=True)
     a.add_argument("--delta", type=float, required=True)
+    a.set_defaults(budget=lambda args: dp_to_cdp(DpBudget(epsilon=args.epsilon, delta=args.delta)))
 
     a = actions.add_parser("cdp-to-dp", help="convert zCDP to (epsilon, delta)-DP", allow_abbrev=False)
     a.add_argument("--rho", type=float, required=True)
     a.add_argument("--delta", type=float, required=True)
     a.add_argument("--delta-prime", type=float, required=True)
+    a.set_defaults(budget=lambda args: cdp_to_dp(CdpBudget(args.delta, args.rho), args.delta_prime))
 
     a = actions.add_parser("optimize", help="best delta split for a DP target", allow_abbrev=False)
     a.add_argument("--rho", type=float, required=True)
     a.add_argument("--delta", type=float, required=True)
     a.add_argument("--total-delta", type=float, required=True)
+    a.set_defaults(
+        budget=lambda args: cdp_to_dp_optimize(CdpBudget(args.delta, args.rho), args.total_delta)
+    )
 
     a = actions.add_parser("compose", help="compose budgets from report files", allow_abbrev=False)
     a.add_argument("reports", nargs="+", help="report JSON files")
+    a.set_defaults(budget=lambda args: compose([read_budget(path) for path in args.reports]))
 
     p.set_defaults(handler=_cmd_account)
 

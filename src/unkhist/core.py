@@ -83,6 +83,17 @@ def check_probability(name: str, value: object, *, allow_zero: bool = False) -> 
     return float(value)
 
 
+def check_threshold(threshold: float, epsilon: float, delta: float) -> float:
+    """A threshold calibrated from (epsilon, delta), which must come out finite:
+    a delta whose tail ratio over- or underflows, or an epsilon whose noise
+    scale overflows, leaves none."""
+    if not math.isfinite(threshold):
+        raise ParameterError(
+            f"epsilon = {epsilon!r} and delta = {delta!r} give no finite threshold"
+        )
+    return threshold
+
+
 #: Reserved sentinel marker; "⊥" terminates ranked lists, "⊥1", "⊥2", ... pad
 #: truncated histograms.  User labels must never start with it.
 RESERVED_LABEL_PREFIX = "⊥"
@@ -253,20 +264,19 @@ class RandomSource:
     regardless of how sibling streams are consumed.
     """
 
-    __slots__ = ("seed", "_entropy", "_gen")
+    __slots__ = ("_entropy", "_gen")
 
     def __init__(self, seed: int, *, _entropy: tuple[int, ...] | None = None):
-        if check_int("seed", seed, -(2**63)) >= 2**64:
-            raise ParameterError("seed must fit in 64 bits")
         if _entropy is None:
+            if check_int("seed", seed, -(2**63)) >= 2**64:
+                raise ParameterError("seed must fit in 64 bits")
             _entropy = (seed & _SEED_MASK,)
-        self.seed = seed
         self._entropy = _entropy
         self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(_entropy)))
 
     def child(self, *tokens: int | str) -> "RandomSource":
         entropy = self._entropy + tuple(_token_entropy(t) for t in tokens)
-        return RandomSource(self.seed, _entropy=entropy)
+        return RandomSource(0, _entropy=entropy)
 
     def uniform(self) -> float:
         u = self._gen.random()
@@ -452,7 +462,10 @@ def normal_inverse_cdf(p: float) -> float:
 
 
 def normal_upper_quantile(q: float) -> float:
-    """PhiInv(1 - q), as -PhiInv(q) only for a q so small that 1 - q rounds to 1.0."""
+    """PhiInv(1 - q), as -PhiInv(q) only for a q so small that 1 - q rounds to 1.0,
+    and +inf for a q that underflowed to 0.0."""
+    if q == 0.0:
+        return math.inf
     return normal_inverse_cdf(1.0 - q) if 1.0 - q < 1.0 else -normal_inverse_cdf(q)
 
 

@@ -1,17 +1,24 @@
 """File formats: histogram CSV in, canonical report JSON out.
 
 Report JSON is canonical (keys sorted, floats printed with 17 significant
-digits) so identical runs produce byte-identical files.
+digits) so identical runs produce byte-identical files.  This module alone
+knows the report layout and writes every report.
 """
 
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import math
+import os
+import secrets
+import shutil
+import sys
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
-from typing import Iterator, Mapping, TextIO
+from typing import Iterable, Iterator, Mapping, TextIO
 
 from .accountant import CdpBudget
 from .core import Histogram, IngestionError, ParameterError, validate_label
@@ -137,17 +144,29 @@ def canonical_json(obj) -> str:
     raise ParameterError(f"cannot serialize {type(obj).__name__} to report JSON")
 
 
-def release_report_payload(report: ReleaseReport) -> dict:
+def _report_header(
+    mechanism: str, params: dict, seed: int, threshold_public: float, budget: CdpBudget
+) -> dict:
+    """The five keys that open every release report: the mechanism tag, the
+    caller's parameters and seed, the public threshold and the budget spent."""
     return {
-        "mechanism": report.mechanism,
-        "params": dict(report.params),
-        "seed": report.seed,
-        "threshold_public": float(report.threshold),
-        "budget": report.budget.to_json_dict(),
-        "items": [
-            {"label": label, "noisy_count": float(noisy)} for label, noisy in report.items()
-        ],
+        "mechanism": mechanism,
+        "params": dict(params),
+        "seed": seed,
+        "threshold_public": float(threshold_public),
+        "budget": budget.to_json_dict(),
     }
+
+
+def _noisy_items(released: Mapping[str, float]) -> list[dict]:
+    return [
+        {"label": label, "noisy_count": float(noisy)} for label, noisy in sorted(released.items())
+    ]
+
+
+def release_report_payload(report: ReleaseReport, *, params: dict, seed: int) -> dict:
+    header = _report_header(report.mechanism, params, seed, report.threshold, report.budget)
+    return header | {"items": _noisy_items(report.released)}
 
 
 def ranked_report_payload(
@@ -158,12 +177,7 @@ def ranked_report_payload(
     seed: int,
     threshold_public: float,
 ) -> dict:
-    return {
-        "mechanism": GUMBEL_TAG,
-        "params": dict(params),
-        "seed": seed,
-        "threshold_public": float(threshold_public),
-        "budget": budget.to_json_dict(),
+    return _report_header(GUMBEL_TAG, params, seed, threshold_public, budget) | {
         "items": [
             {"rank": position + 1, "label": label}
             for position, label in enumerate(ranked.items)
@@ -174,33 +188,58 @@ def ranked_report_payload(
 def stream_header_payload(
     *, params: dict, seed: int, threshold_public: float, budget: CdpBudget
 ) -> dict:
-    return {
-        "mechanism": STREAM_TAG,
-        "params": dict(params),
-        "seed": seed,
-        "threshold_public": float(threshold_public),
-        "budget": budget.to_json_dict(),
-    }
+    return _report_header(STREAM_TAG, params, seed, threshold_public, budget)
 
 
 def snapshot_payload(round: int, released: Mapping[str, float]) -> dict:
-    return {
-        "round": round,
-        "items": [
-            {"label": label, "noisy_count": float(noisy)}
-            for label, noisy in sorted(released.items())
-        ],
-    }
+    return {"round": round, "items": _noisy_items(released)}
 
 
-def write_report_json(report: ReleaseReport | dict, path: str | Path | None) -> str:
-    """Serialize a report (or prebuilt payload) canonically; write it if path given."""
-    payload = release_report_payload(report) if isinstance(report, ReleaseReport) else report
-    text = canonical_json(payload) + "\n"
-    if path is not None:
+def write_report_json(
+    payload: dict, path: str | Path | None, rows: Iterable[dict] = ()
+) -> str:
+    """Serialize a payload canonically, one line, then one line per row (NDJSON).
+
+    The whole text is built before anything is written, so an error leaves no
+    partial output.  It replaces the file at path, or goes to standard output
+    when path is None, and is returned.
+    """
+    text = "".join(canonical_json(obj) + "\n" for obj in chain([payload], rows))
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        _replace_file(path, text)
+    return text
+
+
+def _replace_file(path: str | Path, text: str) -> None:
+    """Write text to path as open(path, "w") would, but through a temp file in
+    the same directory renamed over it: a failed write leaves any existing
+    file unchanged and no temp file behind, and its OSError names path.  A
+    path that names no regular file, such as /dev/stdout, is written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
-    return text
+        return
+    target = os.path.realpath(path)  # through a symlink, as open() writes
+    tmp = f"{target}.{secrets.token_hex(8)}.tmp"
+    try:
+        if os.path.exists(target) and not os.access(target, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        # 0o666 less the umask is the mode open() gives a new file; a replaced
+        # file keeps its own.
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            if os.path.exists(target):
+                shutil.copymode(target, tmp)
+            os.replace(tmp, target)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
 def read_budget(path: str | Path) -> CdpBudget:

@@ -23,6 +23,7 @@ from .core import (
     check_int,
     check_positive,
     check_probability,
+    check_threshold,
     sample_gumbel,
 )
 from .topk import truncate_topk
@@ -66,7 +67,7 @@ def gumbel_threshold(l0_for_threshold: int, epsilon: float, delta: float) -> flo
     l0 = check_int("l0_for_threshold", l0_for_threshold)
     eps = check_positive("epsilon", epsilon)
     d = check_probability("delta", delta)
-    return 1.0 + math.log(l0 / d) / eps
+    return check_threshold(1.0 + math.log(l0 / d) / eps, eps, d)
 
 
 def select_gumbel(

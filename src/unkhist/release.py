@@ -8,7 +8,7 @@ survives with probability at most delta / l0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .core import (
     check_probability,
     check_real,
     check_sensitivity,
+    check_threshold,
     normal_upper_quantile,
     sample_gaussian,
     sample_laplace,
@@ -46,11 +47,6 @@ class ReleaseReport:
     released: dict[str, float]
     threshold: float
     budget: CdpBudget
-    seed: int
-    params: dict = field(default_factory=dict)
-
-    def items(self) -> list[tuple[str, float]]:
-        return sorted(self.released.items())
 
 
 def threshold_laplace(sens: SensitivityBound, epsilon: float, delta: float) -> float:
@@ -58,7 +54,8 @@ def threshold_laplace(sens: SensitivityBound, epsilon: float, delta: float) -> f
     sens = check_sensitivity(sens)
     eps = check_positive("epsilon", epsilon)
     d = check_probability("delta", delta)
-    return sens.linf + (sens.linf / eps) * math.log(sens.l0 / (2.0 * d))
+    tail = math.log(sens.l0 / (2.0 * d))
+    return check_threshold(sens.linf + (sens.linf / eps) * tail, eps, d)
 
 
 def threshold_gaussian(sens: SensitivityBound, epsilon: float, delta: float) -> float:
@@ -66,7 +63,8 @@ def threshold_gaussian(sens: SensitivityBound, epsilon: float, delta: float) -> 
     sens = check_sensitivity(sens)
     eps = check_positive("epsilon", epsilon)
     d = check_probability("delta", delta)
-    return sens.linf + (sens.linf / eps) * normal_upper_quantile(d / sens.l0)
+    z = normal_upper_quantile(d / sens.l0)
+    return check_threshold(sens.linf + (sens.linf / eps) * z, eps, d)
 
 
 _TAGS = {"laplace": "unknown-domain-laplace", "gaussian": "unknown-domain-gaussian"}
@@ -156,19 +154,10 @@ def release(
         threshold_override=threshold_override,
     )
     survivors = np.flatnonzero(kept[0]).tolist()
-    eps, d = float(epsilon), float(delta)
+    eps = float(epsilon)
     return ReleaseReport(
         mechanism=_TAGS[noise],
         released=dict(zip([labels[i] for i in survivors], noisy[0, survivors].tolist())),
         threshold=threshold,
-        budget=CdpBudget(delta=d, rho=sens.l0 * eps * eps / 2.0),
-        seed=rng.seed,
-        params={
-            "noise": noise,
-            "epsilon": eps,
-            "delta": d,
-            "l0": sens.l0,
-            "linf": sens.linf,
-            "min_count": min_count,
-        },
+        budget=CdpBudget(delta=float(delta), rho=sens.l0 * eps * eps / 2.0),
     )

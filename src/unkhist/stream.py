@@ -37,6 +37,7 @@ from .core import (
     check_positive,
     check_probability,
     check_real,
+    check_threshold,
     normal_upper_quantile,
     sample_gaussian,
     standard_normal_quantile,
@@ -127,7 +128,8 @@ class CounterConfig:
         ratio = delta / (l0 * horizon)
         depth = horizon.bit_length()
         sigma = 1.0 / epsilon
-        threshold = 1.0 + sigma * math.sqrt(depth + 1.0) * normal_upper_quantile(ratio)
+        z = normal_upper_quantile(ratio)
+        threshold = check_threshold(1.0 + sigma * math.sqrt(depth + 1.0) * z, epsilon, delta)
         budget = CdpBudget(delta=float(delta), rho=l0 * depth * epsilon * epsilon / 2.0)
         return cls(
             horizon=horizon,
@@ -207,7 +209,7 @@ class Counter:
         the event count of each active node.
 
         This is an operator dump, not a release: the exact counts must be
-        handled like the input data.  It exports no noise value.
+        handled like the input data.  It exports no noise value and no seed.
         """
         nodes = [f"{b}:{i}" for b, i in dyadic_nodes(self.round)] if self.round else []
         labels = {
@@ -220,7 +222,6 @@ class Counter:
             "l0": self.config.l0,
             "sigma": self.config.sigma,
             "threshold": self.config.threshold,
-            "seed": self.config.seed,
             "budget": self.config.budget.to_json_dict(),
             "labels": labels,
         }

@@ -23,6 +23,7 @@ from .core import (
     check_probability,
     check_real,
     check_sensitivity,
+    check_threshold,
     is_reserved_label,
     normal_upper_quantile,
     padding_label,
@@ -89,7 +90,8 @@ def topk_threshold(sens: SensitivityBound, epsilon: float, delta: float) -> floa
     sens = check_sensitivity(sens)
     eps = check_positive("epsilon", epsilon)
     d = check_probability("delta", delta)
-    return sens.linf + math.sqrt(2.0) * (sens.linf / eps) * normal_upper_quantile(d / sens.l0)
+    z = normal_upper_quantile(d / sens.l0)
+    return check_threshold(sens.linf + math.sqrt(2.0) * (sens.linf / eps) * z, eps, d)
 
 
 def release_topk_batch(
@@ -170,18 +172,10 @@ def release_topk(
         threshold_override=threshold_override,
     )
     survivors = np.flatnonzero(kept[0]).tolist()
-    eps, d = float(epsilon), float(delta)
+    eps = float(epsilon)
     return ReleaseReport(
         mechanism=MECHANISM_TAG,
         released=dict(zip([trunc.top[i][0] for i in survivors], noisy[0, survivors].tolist())),
         threshold=threshold,
-        budget=CdpBudget(delta=d, rho=sens.l0 * eps * eps / 2.0),
-        seed=rng.seed,
-        params={
-            "kbar": kbar,
-            "epsilon": eps,
-            "delta": d,
-            "l0": sens.l0,
-            "linf": sens.linf,
-        },
+        budget=CdpBudget(delta=float(delta), rho=sens.l0 * eps * eps / 2.0),
     )

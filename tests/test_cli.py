@@ -1,8 +1,11 @@
 """CSV/JSON formats and the command-line surface."""
 
+import errno
 import hashlib
 import json
 import math
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,7 @@ from unkhist.fileio import (
     canonical_json,
     parse_histogram_csv,
     read_budget,
+    release_report_payload,
     write_histogram_csv,
     write_report_json,
 )
@@ -117,10 +121,63 @@ class TestReportFiles:
         report = release(
             Histogram(), SensitivityBound(1, 1), "gaussian", 1.0, 1e-6, RandomSource(1)
         )
-        text = write_report_json(report, tmp_path / "r.json")
+        payload = release_report_payload(report, params={}, seed=1)
+        text = write_report_json(payload, tmp_path / "r.json")
         payload = json.loads(text)
         assert payload["items"] == []
         assert payload["budget"] == {"rho": 0.5, "delta": 1e-6}
+
+    def release_to(self, hist_csv, out):
+        return main(
+            ["release", "--noise", "laplace", "--epsilon", "1", "--delta", "0.05",
+             "--l0", "1", "--linf", "1", "--in", hist_csv, "--seed", "1", "--out", str(out)]
+        )  # fmt: skip
+
+    def test_failed_write_leaves_the_old_file(self, hist_csv, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "r.json"
+        out.write_text("old report\n", encoding="utf-8")
+        before = sorted(tmp_path.iterdir())
+
+        def replace(src, dst):
+            raise OSError(errno.ENOSPC, "No space left on device", src)
+
+        monkeypatch.setattr("unkhist.fileio.os.replace", replace)
+        assert self.release_to(hist_csv, out) == 3
+        err = capsys.readouterr().err
+        assert "No space left on device" in err
+        assert f"{str(out)!r}" in err  # the report path, not the temp file
+        assert out.read_text(encoding="utf-8") == "old report\n"
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_unwritable_file_is_not_replaced(self, hist_csv, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "r.json"
+        out.write_text("old report\n", encoding="utf-8")
+        out.chmod(0o444)
+        before = sorted(tmp_path.iterdir())
+        # Root may write any file, so unwritability is what os.access reports.
+        monkeypatch.setattr("unkhist.fileio.os.access", lambda path, mode: False)
+        assert self.release_to(hist_csv, out) == 3
+        assert f"Permission denied: {str(out)!r}" in capsys.readouterr().err
+        assert out.read_text(encoding="utf-8") == "old report\n"
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_missing_directory_names_the_report_path(self, hist_csv, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.json"
+        assert self.release_to(hist_csv, out) == 3
+        assert f"No such file or directory: {str(out)!r}" in capsys.readouterr().err
+
+    def test_replaced_file_keeps_its_mode(self, hist_csv, tmp_path):
+        out = tmp_path / "r.json"
+        out.write_text("old report\n", encoding="utf-8")
+        out.chmod(0o640)
+        assert self.release_to(hist_csv, out) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert json.loads(out.read_text(encoding="utf-8"))["mechanism"]
+
+    def test_path_that_is_no_regular_file_is_written_in_place(self):
+        text = write_report_json({"a": 1}, os.devnull)
+        assert text == '{"a":1}\n'
+        assert not stat.S_ISREG(os.stat(os.devnull).st_mode)
 
     def test_read_budget_single_json(self, tmp_path):
         path = write(
@@ -327,22 +384,44 @@ class TestMain:
         assert payload["suite"] == "renyi"
         assert payload["passed"] is True
 
-    def test_release_summary_respects_display_options(self, hist_csv, tmp_path, capsys):
-        out = tmp_path / "r.json"
-        code = main(
-            [
-                "release", "--noise", "gaussian", "--epsilon", "1", "--delta", "1e-6",
-                "--l0", "1", "--linf", "1", "--in", hist_csv, "--seed", "7",
-                "--out", str(out), "--round-digits", "1", "--sort-by", "count",
-            ]
-        )
-        assert code == 0
-        summary = capsys.readouterr().out
-        assert summary.startswith("released ")
-        # The file payload stays full precision regardless of display options.
-        payload = json.loads(out.read_text())
-        noisy = [item["noisy_count"] for item in payload["items"]]
-        assert any(round(value, 1) != value for value in noisy)
+
+RELEASE_ARGV = {
+    "release-laplace": ["release", "--noise", "laplace", "--l0", "2", "--linf", "1"],
+    "release-gaussian": ["release", "--noise", "gaussian", "--l0", "2", "--linf", "1"],
+    "topk": ["topk", "--kbar", "2", "--l0", "2", "--linf", "1"],
+    "gumbel-topk": ["gumbel-topk", "--k", "2", "--kbar", "3", "--l0", "2"],
+    "stream": ["stream", "--horizon", "4", "--l0", "2"],
+}
+
+
+@pytest.mark.parametrize("case", [*RELEASE_ARGV, "validate"])
+def test_output_contract(case, hist_csv, events_ndjson, tmp_path, capsys):
+    # Given an output path, a command writes nothing to stdout and makes the
+    # file with the mode open(path, "w") gives.  A delta too small to
+    # calibrate a finite threshold exits 2, names delta and writes no file:
+    # delta/l0 underflows to 0.0, or l0/delta overflows to inf.  So does an
+    # epsilon whose noise scale overflows.
+    def run(out, epsilon="1", delta="0.05"):
+        if case == "validate":
+            return main(["validate", "--suite", "renyi", "--trials", "10000", "--seed", "0",
+                         "--report", str(out)])  # fmt: skip
+        source = events_ndjson if case == "stream" else hist_csv
+        return main(RELEASE_ARGV[case] + ["--epsilon", epsilon, "--delta", delta, "--in", source,
+                                          "--seed", "3", "--out", str(out)])  # fmt: skip
+
+    assert run(tmp_path / "report") == 0
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "report").stat().st_size > 0
+    with open(tmp_path / "reference", "w"):
+        pass
+    mode = stat.S_IMODE((tmp_path / "reference").stat().st_mode)
+    assert stat.S_IMODE((tmp_path / "report").stat().st_mode) == mode
+    if case != "validate":
+        assert run(tmp_path / "tiny", delta="5e-324") == 2
+        assert "delta = 5e-324" in capsys.readouterr().err
+        assert run(tmp_path / "tiny", epsilon="1e-310") == 2
+        assert "epsilon = 1e-310 and delta = 0.05" in capsys.readouterr().err
+        assert not (tmp_path / "tiny").exists()
 
 
 # SHA-256 of the snapshots below, computed with the dict-based counter that

@@ -202,6 +202,7 @@ def test_state_dict_is_json_ready():
         counter.observe(StreamEvent(r, {"a"} if r % 2 else {"a", "b"}))
     state = counter.state_dict()
     assert state["round"] == 4
+    assert "seed" not in state
     assert set(state["labels"]) == {"a", "b"}
     assert state["labels"]["b"] == {"debut": 2, "counts": {"2:0": 2}}
     text = json.dumps(state)  # must serialize without help
