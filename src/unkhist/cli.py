@@ -93,7 +93,8 @@ def _cmd_gumbel_topk(args) -> int:
     return 0
 
 
-def _read_stream_events(path: str) -> list[StreamEvent]:
+def _read_stream_events(path: str) -> list[tuple[int, StreamEvent]]:
+    """Each event of an NDJSON file with the line it sits on."""
     events = []
     with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -102,7 +103,7 @@ def _read_stream_events(path: str) -> list[StreamEvent]:
                 continue
             try:
                 payload = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # also too many digits, or too deep
                 raise IngestionError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
             if not isinstance(payload, dict) or set(payload) != {"round", "items"}:
                 raise IngestionError(
@@ -111,7 +112,7 @@ def _read_stream_events(path: str) -> list[StreamEvent]:
             if not isinstance(payload["items"], list):
                 raise IngestionError(f"{path}: line {lineno}: items must be a list")
             try:
-                events.append(StreamEvent(payload["round"], payload["items"]))
+                events.append((lineno, StreamEvent(payload["round"], payload["items"])))
             except ParameterError as exc:
                 raise IngestionError(f"{path}: line {lineno}: {exc}") from None
     return events
@@ -128,9 +129,19 @@ def _cmd_stream(args) -> int:
         budget=config.budget,
     )
     counter = Counter(config)
-    snapshots = (snapshot_payload(event.round, counter.observe(event)) for event in events)
+    snapshots = (_snapshot(counter, args.infile, lineno, event) for lineno, event in events)
     write_report_json(header, args.out, snapshots)
     return 0
+
+
+def _snapshot(counter: Counter, path: str, lineno: int, event: StreamEvent) -> dict:
+    """The counter's snapshot after the event; an event it refuses (out of
+    order, past the horizon, over l0) raises naming its line."""
+    try:
+        released = counter.observe(event)
+    except ParameterError as exc:
+        raise IngestionError(f"{path}: line {lineno}: {exc}") from None
+    return snapshot_payload(event.round, released)
 
 
 def _cmd_account(args) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import math
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Mapping
@@ -55,6 +56,15 @@ def check_int(name: str, value: object, minimum: int = 1) -> int:
     """An integer (not a bool) >= minimum."""
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def check_l0(name: str, value: object) -> int:
+    """An integer >= 1 within the float range, as the threshold and budget
+    arithmetic that takes an l0 sensitivity needs."""
+    limit = sys.float_info.max
+    if check_int(name, value) > limit:
+        raise ParameterError(f"{name} must be at most {limit!r}, got a {value.bit_length()}-bit integer")
     return value
 
 
@@ -224,7 +234,7 @@ class SensitivityBound:
 
     def __post_init__(self) -> None:
         if self.l0 != math.inf:
-            check_int("l0", self.l0)
+            check_l0("l0", self.l0)
         check_positive("linf", self.linf)
 
     @property

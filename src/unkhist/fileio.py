@@ -17,6 +17,7 @@ import shutil
 import sys
 from contextlib import contextmanager
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, TextIO
 
@@ -111,36 +112,82 @@ def write_histogram_csv(h: Histogram, path: str | Path) -> None:
         csv.writer(handle).writerows([_HEADER, *h.items()])
 
 
-def _format_float(value: float) -> str:
+_encode_str = json.encoder.encode_basestring_ascii  # the bytes of json.dumps(s)
+
+
+def _encode_float(value: float) -> str:
+    text = format(value, ".17g")
+    if "." in text or "e" in text:
+        return text
+    # Neither marker: an integral value, or inf or nan.
     if not math.isfinite(value):
         raise ParameterError(f"reports must not contain non-finite numbers, got {value!r}")
-    text = format(value, ".17g")
-    # Keep a float marker so the value round-trips as a float.
-    if not any(ch in text for ch in ".e"):
-        text += ".0"
-    return text
+    return text + ".0"  # a float marker, so the value round-trips as a float
+
+
+def _encode_dict(obj: Mapping) -> str:
+    for key in obj:
+        if not isinstance(key, str):
+            raise ParameterError(f"JSON object keys must be text, got {key!r}")
+    return "{" + ",".join([f"{_encode_str(k)}:{canonical_json(obj[k])}" for k in sorted(obj)]) + "}"
+
+
+def _encode_column(values: list) -> list[str]:
+    types = set(map(type, values))
+    encoder = _ENCODERS.get(types.pop()) if len(types) == 1 else None
+    return list(map(encoder or canonical_json, values))
+
+
+def _encode_list(items: list | tuple) -> str:
+    """A JSON array.  Plain dicts that share their text keys, such as a report's
+    items, are encoded column by column through one row template."""
+    if (
+        items
+        and set(map(type, items)) == {dict}
+        and set(map(type, items[0])) == {str}
+        and set(map(len, items)) == {len(items[0])}
+    ):
+        keys = sorted(items[0])
+        try:
+            columns = [_encode_column(list(map(itemgetter(key), items))) for key in keys]
+        except (KeyError, ParameterError):
+            pass  # a row lacks a key, or a value fails: raise in row order below
+        else:
+            template = "{" + ",".join(f"{_encode_str(k).replace('%', '%%')}:%s" for k in keys) + "}"
+            return "[" + ",".join(map(template.__mod__, zip(*columns))) + "]"
+    return "[" + ",".join(map(canonical_json, items)) + "]"
+
+
+_ENCODERS = {
+    type(None): lambda obj: "null",
+    bool: lambda obj: "true" if obj else "false",
+    int: int.__repr__,
+    float: _encode_float,
+    str: _encode_str,
+    dict: _encode_dict,
+    list: _encode_list,
+    tuple: _encode_list,
+}
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, no whitespace, floats at 17 significant digits."""
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
+    """Deterministic JSON: sorted keys, no whitespace, floats at 17 significant digits.
+
+    The encoder is looked up by exact type.  Subclasses (np.float64, say) and
+    other mappings take the isinstance chain, which gives the same text."""
+    encoder = _ENCODERS.get(type(obj))
+    if encoder is not None:
+        return encoder(obj)
+    if isinstance(obj, int):  # None and bool allow no subclasses
         return repr(obj)
     if isinstance(obj, float):
-        return _format_float(obj)
+        return _encode_float(obj)
     if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=True)
+        return _encode_str(obj)
     if isinstance(obj, Mapping):
-        for key in obj:
-            if not isinstance(key, str):
-                raise ParameterError(f"JSON object keys must be text, got {key!r}")
-        parts = (f"{json.dumps(k, ensure_ascii=True)}:{canonical_json(obj[k])}" for k in sorted(obj))
-        return "{" + ",".join(parts) + "}"
+        return _encode_dict(obj)
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(canonical_json(item) for item in obj) + "]"
+        return _encode_list(obj)
     raise ParameterError(f"cannot serialize {type(obj).__name__} to report JSON")
 
 

@@ -21,6 +21,7 @@ from .core import (
     ParameterError,
     RandomSource,
     check_int,
+    check_l0,
     check_positive,
     check_probability,
     check_threshold,
@@ -64,7 +65,7 @@ class RankedList:
 
 def gumbel_threshold(l0_for_threshold: int, epsilon: float, delta: float) -> float:
     """T = 1 + (1/eps) * ln(l0 / delta)."""
-    l0 = check_int("l0_for_threshold", l0_for_threshold)
+    l0 = check_l0("l0_for_threshold", l0_for_threshold)
     eps = check_positive("epsilon", epsilon)
     d = check_probability("delta", delta)
     return check_threshold(1.0 + math.log(l0 / d) / eps, eps, d)
@@ -125,7 +126,7 @@ def release_gumbel_topk_batch(
     check_int("kbar", kbar)
     if k > kbar:
         raise ParameterError("k must not exceed kbar")
-    l0 = check_int("l0_for_threshold", l0_for_threshold)
+    l0 = check_l0("l0_for_threshold", l0_for_threshold)
     eps = check_positive("epsilon", epsilon)
     d = check_probability("delta", delta)
     check_int("trials", trials)

@@ -31,9 +31,11 @@ from typing import Callable, Iterable, NamedTuple
 
 from .accountant import CdpBudget
 from .core import (
+    IngestionError,
     ParameterError,
     RandomSource,
     check_int,
+    check_l0,
     check_positive,
     check_probability,
     check_real,
@@ -84,7 +86,13 @@ class StreamEvent:
 
     def __init__(self, round: int, items: Iterable[str]):
         object.__setattr__(self, "round", check_int("round", round))
-        object.__setattr__(self, "items", frozenset(validate_label(label) for label in items))
+        labels = frozenset(validate_label(label) for label in items)
+        try:  # a label's noise stream is keyed by its UTF-8 bytes
+            "".join(labels).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            char = exc.object[exc.start]
+            raise IngestionError(f"labels must not hold a lone surrogate, got {char!r}") from None
+        object.__setattr__(self, "items", labels)
 
 
 @dataclass(frozen=True)
@@ -106,7 +114,7 @@ class CounterConfig:
 
     def __post_init__(self) -> None:
         check_int("horizon", self.horizon)
-        check_int("l0", self.l0)
+        check_l0("l0", self.l0)
         check_real("sigma", self.sigma)
         if not isinstance(self.budget, CdpBudget):
             raise ParameterError(f"budget must be a CdpBudget, got {self.budget!r}")
@@ -124,8 +132,9 @@ class CounterConfig:
         check_probability("delta", delta)
         # Checked here as well as in __post_init__: both are used before it runs.
         check_int("horizon", horizon)
-        check_int("l0", l0)
-        ratio = delta / (l0 * horizon)
+        check_l0("l0", l0)
+        # l0 * depth, in the budget, is at most this product.
+        ratio = delta / check_l0("l0 * horizon", l0 * horizon)
         depth = horizon.bit_length()
         sigma = 1.0 / epsilon
         z = normal_upper_quantile(ratio)

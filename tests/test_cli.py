@@ -1,15 +1,18 @@
 """CSV/JSON formats and the command-line surface."""
 
+import contextlib
 import errno
 import hashlib
+import io
 import json
 import math
 import os
+import re
 import stat
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unkhist.accountant import CdpBudget, compose
@@ -309,9 +312,13 @@ class TestMain:
         assert rounds == [1, 2, 3]
 
     def test_stream_rejects_bad_event_lines(self, tmp_path, capsys):
-        # A missing key, labels that are not text, and a byte that is not UTF-8.
+        # A missing key, labels that are not text, a byte that is not UTF-8, a
+        # lone surrogate, nesting too deep to parse, and an event the counter
+        # refuses.
         for line in (b'{"round": 2}', b'{"round": 2, "items": [{}]}',
-                     b'{"round": 2, "items": [7]}', b'{"round": 2, "items": ["caf\xe9"]}'):
+                     b'{"round": 2, "items": [7]}', b'{"round": 2, "items": ["caf\xe9"]}',
+                     b'{"round": 2, "items": ["\\ud800"]}', b"[" * 200_000,
+                     b'{"round": 3, "items": []}'):
             bad = tmp_path / "ev.ndjson"
             bad.write_bytes(b'{"round": 1, "items": []}\n' + line + b"\n")
             code = main(
@@ -422,6 +429,64 @@ def test_output_contract(case, hist_csv, events_ndjson, tmp_path, capsys):
         assert run(tmp_path / "tiny", epsilon="1e-310") == 2
         assert "epsilon = 1e-310 and delta = 0.05" in capsys.readouterr().err
         assert not (tmp_path / "tiny").exists()
+
+
+@pytest.mark.parametrize("case", RELEASE_ARGV)
+def test_l0_beyond_the_float_range_exits_2(case, hist_csv, events_ndjson, tmp_path, capsys):
+    argv = list(RELEASE_ARGV[case])
+    argv[argv.index("--l0") + 1] = str(10**400)
+    source = events_ndjson if case == "stream" else hist_csv
+    out = tmp_path / "report"
+    code = main(argv + ["--epsilon", "1", "--delta", "0.05", "--in", source, "--seed", "3",
+                        "--out", str(out)])  # fmt: skip
+    assert code == 2
+    assert "l0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _event(draw_items):
+    return draw_items.map(lambda items: lambda r: json.dumps({"round": r, "items": items}).encode())
+
+
+# Each maker takes the line's position as the round a valid event would carry.
+event_lines = st.one_of(
+    _event(st.lists(st.sampled_from(["a", "b", "c", "é", "\U0001f600"]), max_size=3)),
+    _event(st.lists(st.text(max_size=3), max_size=3)),
+    st.sampled_from([
+        b'{"round": %d}', b'{"items": []}', b'{"round": %d, "items": [], "x": 0}',
+        b'{"round": %d, "items": "ab"}', b'{"round": %d, "items": {"a": 1}}',
+        b'{"round": %d, "items": null}', b'[%d]', b'"%d"', b'{"round": "%d", "items": []}',
+        b'{"round": %d, "items": ["\\ud800"]}', b'{"round": %d, "items": ["a\\udfff"]}',
+        b'{"round": %d, "items": ["\xed\xa0\x80"]}', b'{"round": %d, "items": ["\xff"]}',
+        b'{"round": %d, "items": [1.5, null]}', b'{"round": %d.0, "items": []}',
+        b'{"round": %d, "items": ["\xe2\x8a\xa51"]}', b'{"round": %d, "items": ["a", "b", "c"]}',
+        b'{"round": NaN, "items": []}', b'{"round": %d, "items": []', b"", b"  ", b"\x00",
+    ]).map(lambda line: (lambda r: line.replace(b"%d", b"%d" % r))),  # fmt: skip
+    st.integers(1, 100_000).map(lambda depth: lambda r: b"[" * depth),
+    st.sampled_from([20, 400, 4300, 5000]).map(
+        lambda digits: lambda r: b'{"round": 1%s, "items": []}' % (b"0" * digits)
+    ),
+    st.integers(0, 10).map(lambda shift: lambda r: b'{"round": %d, "items": []}' % (r + shift)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(makers=st.lists(event_lines, max_size=6), newline=st.sampled_from([b"\n", b"\r\n"]))
+def test_stream_event_files_exit_0_or_2_naming_the_line(makers, newline, tmp_path_factory):
+    # Any event file, valid or not, ends in exit 0 with a report, or in exit 2
+    # naming the offending line and leaving no report; nothing else escapes.
+    folder = tmp_path_factory.mktemp("events")
+    events, out = folder / "ev.ndjson", folder / "out.ndjson"
+    events.write_bytes(newline.join(make(r) for r, make in enumerate(makers, 1)) + newline)
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["stream", "--horizon", "8", "--epsilon", "1", "--delta", "0.05",
+                     "--l0", "2", "--in", str(events), "--seed", "1", "--out", str(out)])  # fmt: skip
+    assert code in (0, 2)
+    if code == 2:
+        assert re.search(r"line \d+: ", err.getvalue())
+        assert not out.exists()
+    else:
+        assert out.exists()
 
 
 # SHA-256 of the snapshots below, computed with the dict-based counter that

@@ -1,0 +1,216 @@
+"""The report serialiser against the recursive code it replaced.
+
+``reference_canonical_json`` is the earlier ``fileio.canonical_json``: one
+``json.dumps`` per key and string, ``isinstance`` checks on every value.  The
+exact-type dispatch and the column-wise row template must give the same text
+for every value, or raise the same ParameterError with the same message.
+"""
+
+import enum
+import json
+import math
+from collections import OrderedDict
+from typing import Mapping
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from unkhist.core import Histogram, ParameterError, RandomSource, SensitivityBound
+from unkhist.fileio import canonical_json, release_report_payload
+from unkhist.release import release
+
+
+def _reference_format_float(value: float) -> str:
+    if not math.isfinite(value):
+        raise ParameterError(f"reports must not contain non-finite numbers, got {value!r}")
+    text = format(value, ".17g")
+    # Keep a float marker so the value round-trips as a float.
+    if not any(ch in text for ch in ".e"):
+        text += ".0"
+    return text
+
+
+def reference_canonical_json(obj) -> str:
+    """Deterministic JSON: sorted keys, no whitespace, floats at 17 significant digits."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return repr(obj)
+    if isinstance(obj, float):
+        return _reference_format_float(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=True)
+    if isinstance(obj, Mapping):
+        for key in obj:
+            if not isinstance(key, str):
+                raise ParameterError(f"JSON object keys must be text, got {key!r}")
+        parts = (
+            f"{json.dumps(k, ensure_ascii=True)}:{reference_canonical_json(obj[k])}"
+            for k in sorted(obj)
+        )
+        return "{" + ",".join(parts) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(reference_canonical_json(item) for item in obj) + "]"
+    raise ParameterError(f"cannot serialize {type(obj).__name__} to report JSON")
+
+
+class Level(enum.IntEnum):
+    """An int subclass whose repr is not its digits."""
+
+    LOW = 1
+    HIGH = 2
+
+
+class Label(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+def outcome(encode, value):
+    try:
+        return encode(value)
+    except ParameterError as exc:
+        return ParameterError, str(exc)
+
+
+def assert_encodes_like_reference(value):
+    assert outcome(canonical_json, value) == outcome(reference_canonical_json, value)
+
+
+# Printf and JSON metacharacters, non-ASCII, astral, and lone surrogates.
+SPECIAL_TEXT = ["", "%", "%s", "%%", 'a"b', "\\", "é", "\U0001f600", "\ud800", "x\udfff", "⊥1"]
+texts = st.text(st.characters(exclude_categories=()), max_size=5) | st.sampled_from(SPECIAL_TEXT)
+floats = st.floats() | st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 1e16, 1e17])
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers() | st.integers(-(2**80), 2**80),
+    floats,
+    floats.map(np.float64),
+    texts,
+    texts.map(Label),
+    st.integers().map(Count),
+    st.sampled_from(Level),
+)
+keys = texts | texts.map(Label)
+non_text_keys = st.integers(0, 3) | st.none() | st.just(1.5) | st.just(("a",))
+
+
+def row_lists(children):
+    """Lists of dicts with the same text keys.  Each column draws from one
+    strategy: a single scalar type, so that the column goes through one
+    encoder, or any value (mixed types, nested values)."""
+    kinds = [floats, st.integers(), texts, st.booleans(), floats.map(np.float64),
+             st.sampled_from(Level), st.integers() | floats, children]  # fmt: skip
+
+    def rows(spec):
+        row = st.fixed_dictionaries({key: kinds[kind] for key, kind in spec})
+        return st.lists(row, min_size=1, max_size=6)
+
+    # Kinds are drawn as indices: a strategy's repr would nest children's.
+    columns = st.lists(
+        st.tuples(keys, st.integers(0, len(kinds) - 1)), max_size=4, unique_by=lambda kv: kv[0]
+    )
+    drawn = st.tuples(columns.flatmap(rows), st.integers(0, 5), st.sampled_from(PERTURBATIONS))
+    return drawn.map(perturb)
+
+
+def _extra_key(row):
+    return {**row, "extra%": 1}
+
+
+def _drop_key(row):
+    return dict(list(row.items())[1:])
+
+
+def _non_text_key(row):
+    return {**row, 7: "x"}
+
+
+PERTURBATIONS = [None, OrderedDict, _extra_key, _drop_key, _non_text_key, tuple]
+
+
+def perturb(drawn):
+    """Breaks the shared-keys condition in one row, or makes the list a tuple."""
+    rows, index, change = drawn
+    if change is tuple:
+        return tuple(rows)
+    if change is not None:
+        index %= len(rows)
+        rows[index] = change(rows[index])
+    return rows
+
+
+json_values = st.recursive(
+    scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(keys, children, max_size=4),
+        st.dictionaries(keys, children, max_size=4).map(OrderedDict),
+        st.dictionaries(keys | non_text_keys, children, max_size=3),
+        row_lists(children),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(value=json_values)
+def test_matches_the_recursive_reference(value):
+    assert_encodes_like_reference(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=row_lists(scalars))
+def test_item_lists_match_the_recursive_reference(rows):
+    assert_encodes_like_reference({"items": rows})
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [{"%s": 1, "a%d": 2.0, 'q"%%': "x"}, {"%s": 3, "a%d": 4.5, 'q"%%': "y"}],
+        [{"label": "a", "noisy_count": 1.0}, {"label": "b", "noisy_count": math.inf}],
+        [{"label": "a", "noisy_count": math.nan}, {"label": "b", "noisy_count": 2.0}],
+        # The first failure in row order wins, not the first in column order.
+        [{"a": 1.0, "b": math.inf}, {"a": math.nan, "b": 1.0}],
+        [{"a": {"x": [1.0, math.inf]}}, {"a": {1: 2}}],
+        [{"rank": Level.LOW, "label": "a"}, {"rank": Level.HIGH, "label": "b"}],
+        [{"rank": 1, "label": Label("a")}, {"rank": Count(2), "label": "b"}],
+        [{"n": np.float64(2.0)}, {"n": np.float64(math.inf)}],
+        [{"n": True}, {"n": 1}, {"n": 1.0}],
+        [{}, {}],
+        [{"a": 1}, {"b": 1}],
+        [{"a": 1}, OrderedDict(a=2)],
+        [{"a": 1, "b": 2}, {"a": 1}],
+        (Level.LOW, Count(3), Label("%s"), np.float64(0.5), np.float64(1.0), -0.0, 2**70),
+        Level.HIGH,
+        {"a": Level.LOW, "b": {2: 3}},
+        OrderedDict([("b", [1, (2.0, None)]), ("a", "\U0001f600\ud800")]),
+        [math.nan],
+        {"x": [{"y": -math.inf}]},
+        object(),
+    ],
+)
+def test_edge_cases_match_the_reference(value):
+    assert_encodes_like_reference(value)
+
+
+def test_release_payload_of_ten_thousand_items_is_byte_equal():
+    labels = [f"w{i:05d}" for i in range(9_990)] + [f"café{i}" for i in range(5)]
+    labels += [f"\U0001f600{i}" for i in range(5)]
+    h = Histogram(labels, [10**6 + i for i in range(len(labels))])
+    report = release(h, SensitivityBound(2, 1.0), "gaussian", 1.0, 1e-6, RandomSource(11))
+    assert len(report.released) == 10_000
+    payload = release_report_payload(report, params={"noise": "gaussian"}, seed=11)
+    text = canonical_json(payload)
+    assert text == reference_canonical_json(payload)
+    assert len(json.loads(text)["items"]) == 10_000
