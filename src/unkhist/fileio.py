@@ -55,7 +55,9 @@ def open_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
             try:
                 data.decode("utf-8")
             except UnicodeDecodeError as exc:
-                line = data.count(b"\n", 0, exc.start) + 1
+                # Lines end at \n, \r or \r\n, as the readers split them.
+                head = data[: exc.start].replace(b"\r\n", b"\n")
+                line = head.count(b"\n") + head.count(b"\r") + 1
                 raise IngestionError(f"{path}: line {line}: not valid UTF-8 text") from None
             raise
 

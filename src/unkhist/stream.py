@@ -27,7 +27,11 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from functools import partial
+from itertools import repeat
+from typing import Callable, Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .accountant import CdpBudget
 from .core import (
@@ -51,6 +55,7 @@ __all__ = [
     "CounterConfig",
     "Counter",
     "active_node_count",
+    "counter_batch",
     "dyadic_nodes",
 ]
 
@@ -152,13 +157,23 @@ class CounterConfig:
 
 class _LabelState(NamedTuple):
     debut: int  # round of the label's first event
-    uniform: Callable[[], float]  # the label's child stream
+    noise: Callable[[], float]  # the label's next node noise
     counts: list[int]  # events in each active node, leftmost first
     sums: list[float]  # sums[0] = 0.0; sums[i + 1] = sums[i] + (counts[i] + noise_i)
 
 
 def _trailing_zeros(round: int) -> int:
     return (round & -round).bit_length() - 1
+
+
+def _child_noise(master: RandomSource, config: CounterConfig, label: str) -> Callable[[], float]:
+    """The label's node noises, drawn from its child stream of master."""
+    sigma = config.sigma
+    if not sigma > 0.0:
+        return repeat(0.0).__next__
+    # At most depth uniforms drawn ahead per label keeps state O(log L).
+    uniform = master.child(label).uniform_iter(config.depth).__next__
+    return lambda: sigma * standard_normal_quantile(uniform())
 
 
 class Counter:
@@ -176,16 +191,19 @@ class Counter:
     replaces them.  State is O(labels * log L).
     """
 
-    def __init__(self, config: CounterConfig, rng: RandomSource | None = None):
+    def __init__(self, config: CounterConfig, rng: RandomSource | None = None, *,
+                 noise: Callable[[str], Callable[[], float]] | None = None):
         if not isinstance(config, CounterConfig):
             raise ParameterError(f"expected a CounterConfig, got {config!r}")
         if rng is not None and not isinstance(rng, RandomSource):
             raise ParameterError(f"rng must be a RandomSource, got {rng!r}")
         self.config = config
         self.round = 0
-        # rng is a harness hook for derived per-trial substreams; normal use
-        # seeds from the config.
-        self._master = rng if rng is not None else RandomSource(config.seed)
+        # Harness hooks: rng for per-trial substreams, noise(label) for a callable
+        # giving the label's node noises in draw order.  Normal use seeds from config.
+        master = rng if rng is not None else RandomSource(config.seed)
+        self._noise = noise if noise is not None else partial(_child_noise, master, config)
+        self._columns = False  # counter_batch's noises are columns; it applies T
         self._labels: dict[str, _LabelState] = {}
         self._ordered: list[tuple[str, _LabelState]] = []  # sorted by label
 
@@ -199,7 +217,7 @@ class Counter:
     def node_noises(self, label: str) -> dict[tuple[int, int], float]:
         """Test hook: the noise on every node the label has used, in draw order.
 
-        Replayed from the label's child stream: the nodes of its debut round,
+        Replayed from a fresh noise(label): the nodes of its debut round,
         then the newest node of each later round.
         """
         state = self._labels.get(label)
@@ -209,9 +227,8 @@ class Counter:
         for r in range(state.debut + 1, self.round + 1):
             tz = _trailing_zeros(r)
             nodes.append((tz, (r >> tz) - 1))
-        sigma = self.config.sigma
-        rng = self._master.child(label)
-        return {node: sample_gaussian(sigma, rng) if sigma > 0.0 else 0.0 for node in nodes}
+        noise = self._noise(label)
+        return {node: noise() for node in nodes}
 
     def state_dict(self) -> dict:
         """JSON-able state: round, config, and per label its debut round and
@@ -236,23 +253,20 @@ class Counter:
         }
 
     def _add_label(self, label: str, r: int, tz: int) -> None:
-        # At most depth uniforms drawn ahead per label keeps state O(log L).
-        uniform = self._master.child(label).uniform_iter(self.config.depth).__next__
-        sigma = self.config.sigma
+        noise = self._noise(label)
         counts: list[int] = []
         sums = [0.0]
         # The nodes of round r left of its newest one predate the label: no
         # events, noise drawn leftmost first.
         for _ in range(r.bit_count() - 1):
             count = 0
-            noise = sigma * standard_normal_quantile(uniform()) if sigma > 0.0 else 0.0
             counts.append(count)
-            sums.append(sums[-1] + (count + noise))
+            sums.append(sums[-1] + (count + noise()))
         # tz empty entries for this round's pop to remove, so that observe
         # pushes the newest node as it does for every other label.
         counts.extend([0] * tz)
         sums.extend([sums[-1]] * tz)
-        state = _LabelState(r, uniform, counts, sums)
+        state = _LabelState(r, noise, counts, sums)
         self._labels[label] = state
         insort(self._ordered, (label, state))
 
@@ -284,10 +298,10 @@ class Counter:
             if label not in self._labels:
                 self._add_label(label, r, tz)
 
-        sigma = config.sigma
         threshold = config.threshold
+        columns = self._columns
         released: dict[str, float] = {}
-        for label, (_, uniform, counts, sums) in self._ordered:
+        for label, (_, noise, counts, sums) in self._ordered:
             if tz:
                 count = sum(counts[-tz:])
                 del counts[-tz:], sums[-tz:]
@@ -295,11 +309,38 @@ class Counter:
                 count = 0
             if label in items:
                 count += 1
-            noise = sigma * standard_normal_quantile(uniform()) if sigma > 0.0 else 0.0
-            total = sums[-1] + (count + noise)
+            total = sums[-1] + (count + noise())
             counts.append(count)
             sums.append(total)
-            if total > threshold:
+            if columns or total > threshold:
                 released[label] = total
         return released
 
+
+
+def counter_batch(config: CounterConfig, events: Sequence[StreamEvent], rng: RandomSource,
+                  trials: int) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """``trials`` Counter runs over the events: the sorted labels, their [trials,
+    labels] totals after the last event, and which exceed the threshold.
+
+    All runs keep the same node counts; only the noise differs.  One [trials,
+    draws] block holds it, label by label in sorted order, each label's in
+    draw order, and one Counter adds the columns as a single run adds its
+    draws.  Row i is the i-th of ``trials`` consecutive single runs on rng.
+    """
+    check_int("trials", trials)
+    # Reversed, so that each label keeps the first round it appears in.
+    debuts = {label: r for r in range(len(events), 0, -1) for label in events[r - 1].items}
+    labels = sorted(debuts)
+    # popcount(debut) - 1 nodes predate the label, then one node per round.
+    sizes = [debuts[label].bit_count() + len(events) - debuts[label] for label in labels]
+    shape = (trials, sum(sizes))
+    block = sample_gaussian(config.sigma, rng, shape) if config.sigma > 0.0 else np.zeros(shape)
+    spans = dict(zip(labels, np.split(block.T.copy(), np.cumsum(sizes)[:-1])))
+    counter = Counter(config, noise=lambda label: iter(spans[label]).__next__)
+    counter._columns = True
+    totals: dict[str, np.ndarray] = {}
+    for event in events:
+        totals = counter.observe(event)
+    out = np.array([totals[label] for label in labels]).reshape(len(labels), trials).T
+    return labels, out, out > config.threshold

@@ -40,7 +40,7 @@ from .gumbel import (  # noqa: F401
     select_gumbel,
 )
 from .release import release, release_batch  # noqa: F401
-from .stream import Counter, CounterConfig, StreamEvent, active_node_count
+from .stream import CounterConfig, StreamEvent, active_node_count, counter_batch
 from .topk import release_topk, release_topk_batch, truncate_topk  # noqa: F401
 
 __all__ = [
@@ -282,9 +282,9 @@ def _delta_event_setup(
     """The labels the neighbor could ever emit (anything else is
     differentiating) and runs(rng, start, stop) -> (labels, released) for
     trials start..stop-1 on the base input, where released[i, j] says
-    whether the (start+i)-th run released labels[j].  The histogram
-    mechanisms draw the next stop - start runs from rng, so calls over
-    consecutive ranges make the runs one call over their union would."""
+    whether the (start+i)-th run released labels[j].  Each call draws the
+    next stop - start runs from rng, so calls over consecutive ranges make
+    the runs one call over their union would."""
     mech = config.mechanism
     if mech not in ("alg1", "topk", "gumbel", "stream"):
         raise ParameterError(f"unknown mechanism {mech!r}")
@@ -295,28 +295,16 @@ def _delta_event_setup(
         if config.debut_round is None:
             raise ParameterError("stream delta events need debut_round")
         l0 = check_sensitivity(config.sens).l0
-        template = CounterConfig.from_privacy(
-            config.horizon, l0, config.epsilon, config.delta, seed=0
-        )
+        template = CounterConfig.from_privacy(config.horizon, l0, config.epsilon, config.delta, 0)
         if config.threshold_override is not None:
             template = dataclasses.replace(template, threshold=config.threshold_override)
         events = pair.base[: config.debut_round]
-        labels = sorted(set().union(*(event.items for event in events)))
 
         def runs(rng: RandomSource, start: int, stop: int) -> tuple[list[str], np.ndarray]:
-            released = np.zeros((stop - start, len(labels)), dtype=bool)
-            for i in range(start, stop):
-                counter = Counter(template, rng=rng.child(i))
-                snapshot: dict[str, float] = {}
-                for event in events:
-                    snapshot = counter.observe(event)
-                released[i - start] = [label in snapshot for label in labels]
+            labels, _, released = counter_batch(template, events, rng, stop - start)
             return labels, released
 
-        seen: set[str] = set()
-        for event in pair.neighbor:
-            seen |= event.items
-        return frozenset(seen), runs
+        return frozenset().union(*(event.items for event in pair.neighbor)), runs
 
     base = Histogram.coerce(pair.base)
     neighbor = Histogram.coerce(pair.neighbor)
@@ -386,12 +374,11 @@ def estimate_delta_event(
     """Run the mechanism ``trials`` times on the base input and count runs
     whose released label set the neighbor could not have produced.
 
-    The histogram mechanisms run in batches of up to DELTA_EVENT_BATCH
-    trials: one [batch, draws] noise block from rng, through the mechanism's
-    selection rule, so the runs are the ones ``trials`` consecutive single
-    runs on rng would make, and memory stays bounded whatever the trial
-    count.  The stream counter runs once per trial, on the substream
-    rng.child(i).
+    The runs go in batches of up to DELTA_EVENT_BATCH trials: one [batch,
+    draws] noise block from rng, through the mechanism's selection rule (for
+    the stream, one Counter pass over the block's columns), so the runs are
+    the ones ``trials`` consecutive single runs on rng would make, and memory
+    stays bounded whatever the trial count.
     """
     check_int("trials", trials, MIN_TRIALS)
     feasible, runs = _delta_event_setup(pair, config)

@@ -444,6 +444,33 @@ def test_l0_beyond_the_float_range_exits_2(case, hist_csv, events_ndjson, tmp_pa
     assert not out.exists()
 
 
+# Input lines whose third holds a byte that is not UTF-8 or, in its place,
+# content the reader refuses.
+LINE_CASES = {
+    "stream": (["stream", "--horizon", "4", "--l0", "2"],
+               [b'{"round": 1, "items": []}', b"", b'{"round": 2, "items": [%s]}'],
+               b'"\xff"', b"7"),
+    "release": (["release", "--noise", "laplace", "--l0", "1", "--linf", "1"],
+                [b"label,count", b'"a",1', b'"b",%s'], b"2\xff", b"x"),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
+@pytest.mark.parametrize("command", sorted(LINE_CASES))
+def test_undecodable_byte_names_the_line_a_content_error_names(command, newline, tmp_path, capsys):
+    argv, lines, undecodable, refused = LINE_CASES[command]
+    named = []
+    for fill in (undecodable, refused):
+        source, out = tmp_path / "in", tmp_path / "out"
+        source.write_bytes(newline.join(lines).replace(b"%s", fill) + newline)
+        code = main(argv + ["--epsilon", "1", "--delta", "0.05", "--in", str(source),
+                            "--seed", "1", "--out", str(out)])  # fmt: skip
+        assert code == 2
+        assert not out.exists()
+        named.append(re.search(r"line (\d+): ", capsys.readouterr().err).group(1))
+    assert named == ["3", "3"]
+
+
 def _event(draw_items):
     return draw_items.map(lambda items: lambda r: json.dumps({"round": r, "items": items}).encode())
 

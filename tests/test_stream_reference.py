@@ -1,20 +1,24 @@
-"""The partial-sum stack Counter against the dict-based counter it replaced.
+"""The partial-sum stack Counter against the dict-based counter it replaced,
+and the batched counter against single Counters.
 
 ReferenceCounter is the earlier ``Counter.observe``: every round it re-sums
 the round's dyadic nodes for every label seen so far, drawing each node's
 noise the first time it is needed and keeping every count and noise in
 per-label dicts.  The stack must give repr-identical snapshots, round by
-round.
+round.  Each row of ``counter_batch`` must be what a scalar Counter gives
+when fed that row's noises through the noise hook.
 """
 
+import dataclasses
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unkhist.accountant import CdpBudget
 from unkhist.core import RandomSource, sample_gaussian
-from unkhist.stream import Counter, CounterConfig, StreamEvent, dyadic_nodes
+from unkhist.stream import Counter, CounterConfig, StreamEvent, counter_batch, dyadic_nodes
 
 
 class ReferenceCounter:
@@ -111,3 +115,73 @@ def test_stack_matches_dict_reference(stream, sigma, threshold, seed, hook):
     assert counter.labels_seen() == sorted(reference._labels)
     for label in LABELS:
         assert repr(counter.node_noises(label)) == repr(reference.node_noises(label))
+
+
+def _noise_layout(events):
+    """Each label's column range in a run's noise row: labels in sorted
+    order, each taking one column per node it uses, from its debut round's
+    nodes through the last round's."""
+    layout, start = {}, 0
+    for label in sorted(set().union(*(event.items for event in events))):
+        debut = next(r for r, event in enumerate(events, 1) if label in event.items)
+        nodes = set().union(*(dyadic_nodes(r) for r in range(debut, len(events) + 1)))
+        layout[label] = (start, start + len(nodes))
+        start += len(nodes)
+    return layout, start
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    stream=streams(),
+    sigma=st.sampled_from([0.0, 1.0]),
+    # None keeps the calibrated threshold; the integers meet sigma = 0 totals exactly.
+    threshold=st.sampled_from([None, -math.inf, 0.5, 1.0, 2.0, 3.0]),
+    seed=st.integers(0, 2**32),
+    trials=st.integers(1, 5),
+)
+def test_counter_batch_rows_match_hooked_counters(stream, sigma, threshold, seed, trials):
+    horizon, l0, events = stream
+    config = CounterConfig.from_privacy(horizon, l0, 1.0, 0.5, seed)
+    config = dataclasses.replace(config, sigma=sigma)
+    if threshold is not None:
+        config = dataclasses.replace(config, threshold=threshold)
+    labels, totals, released = counter_batch(config, events, RandomSource(seed), trials)
+
+    layout, draws = _noise_layout(events)
+    assert labels == sorted(layout)
+    assert totals.shape == released.shape == (trials, len(labels))
+    shape = (trials, draws)
+    block = sample_gaussian(sigma, RandomSource(seed), shape) if sigma else np.zeros(shape)
+    unmasked = dataclasses.replace(config, threshold=-math.inf)
+    for row, row_totals, row_released in zip(block.tolist(), totals, released):
+        feeds = {}
+
+        def hook(label):
+            start, stop = layout[label]
+            feeds[label] = iter(row[start:stop])
+            return feeds[label].__next__
+
+        scalar, every = Counter(config, noise=hook), Counter(unmasked, noise=hook)
+        for event in events:
+            snapshot, snapshot_all = scalar.observe(event), every.observe(event)
+        # Every label drew exactly its columns, in order.
+        assert all(next(feed, None) is None for feed in feeds.values())
+        assert repr(row_totals.tolist()) == repr([snapshot_all[label] for label in labels])
+        assert {label for label, hit in zip(labels, row_released) if hit} == set(snapshot)
+        assert repr(snapshot) == repr({label: snapshot_all[label] for label in snapshot})
+
+
+@settings(max_examples=50, deadline=None)
+@given(stream=streams(), seed=st.integers(0, 2**32), trials=st.integers(1, 5))
+def test_counter_batch_is_consecutive_single_runs(stream, seed, trials):
+    horizon, l0, events = stream
+    config = CounterConfig.from_privacy(horizon, l0, 1.0, 0.5, seed)
+    labels, totals, released = counter_batch(config, events, RandomSource(seed), trials)
+    rng = RandomSource(seed)
+    for row_totals, row_released in zip(totals, released):
+        single_labels, single_totals, single_released = counter_batch(config, events, rng, 1)
+        assert single_labels == labels
+        assert repr(single_totals[0].tolist()) == repr(row_totals.tolist())
+        assert single_released[0].tolist() == row_released.tolist()
+    # The batch drew what the single runs drew, and nothing more.
+    assert rng.uniform() == RandomSource(seed).uniforms(trials * _noise_layout(events)[1] + 1)[-1]

@@ -9,7 +9,7 @@ from unkhist.accountant import RenyiOrder
 from unkhist.core import Histogram, ParameterError, RandomSource, SensitivityBound
 from unkhist.gumbel import release_gumbel_topk
 from unkhist.release import release
-from unkhist.stream import StreamEvent
+from unkhist.stream import CounterConfig, StreamEvent, counter_batch
 from unkhist.topk import release_topk
 from unkhist.validation import (
     DeltaEstimate,
@@ -58,6 +58,7 @@ def _stream_case():
 
 #: The suites' boundary pairs and configs for the batched mechanisms.
 HISTOGRAM_BOUNDARY_CASES = {"alg1": _alg1_case, "topk": _topk_case, "gumbel": _gumbel_case}
+BOUNDARY_CASES = HISTOGRAM_BOUNDARY_CASES | {"stream": _stream_case}
 
 
 class TestWilsonUpper:
@@ -193,7 +194,7 @@ class TestDeltaEvents:
         with pytest.raises(ParameterError, match="stream pair"):
             estimate_delta_event(pair, config, 10**4, RandomSource(0))
 
-    @pytest.mark.parametrize("mechanism", ["alg1", "topk", "gumbel"])
+    @pytest.mark.parametrize("mechanism", ["alg1", "topk", "gumbel", "stream"])
     def test_histogram_estimates_make_no_per_trial_substreams(self, mechanism, monkeypatch):
         calls = []
         child = RandomSource.child
@@ -203,7 +204,7 @@ class TestDeltaEvents:
             return child(self, *tokens)
 
         monkeypatch.setattr(RandomSource, "child", counting_child)
-        pair, config = HISTOGRAM_BOUNDARY_CASES[mechanism]()
+        pair, config = BOUNDARY_CASES[mechanism]()
         made = []
         for trials in (10**4, 3 * 10**4):
             calls.clear()
@@ -242,9 +243,23 @@ class TestDeltaEvents:
         assert estimate.point == hits / trials
         assert 0 < hits < trials
 
+    def test_stream_estimate_counts_consecutive_single_runs(self):
+        # The neighbor's stream is empty, so any label released by the debut
+        # round is a hit.
+        pair, config = _stream_case()
+        template = CounterConfig.from_privacy(7, 1, 1.0, 0.05, seed=0)
+        trials = 10**4
+        rng = RandomSource(5)
+        hits = sum(
+            bool(counter_batch(template, pair.base, rng, 1)[2].any()) for _ in range(trials)
+        )
+        estimate = estimate_delta_event(pair, config, trials, RandomSource(5))
+        assert estimate.point == hits / trials
+        assert 0 < hits < trials
+
     @pytest.mark.parametrize("mechanism", ["alg1", "topk", "gumbel", "stream"])
     def test_estimate_does_not_depend_on_the_batch_size(self, mechanism, monkeypatch):
-        pair, config = (HISTOGRAM_BOUNDARY_CASES | {"stream": _stream_case})[mechanism]()
+        pair, config = BOUNDARY_CASES[mechanism]()
         whole = estimate_delta_event(pair, config, 10**4, RandomSource(9))
         # Four batches, the last one short.
         monkeypatch.setattr(validation, "DELTA_EVENT_BATCH", 3001)
