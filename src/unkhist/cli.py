@@ -38,7 +38,7 @@ from .fileio import (  # noqa: F401
 )
 from .gumbel import gumbel_threshold, release_gumbel_topk
 from .release import release
-from .stream import Counter, CounterConfig, StreamEvent
+from .stream import SWEEP_MIN_LABELS, Counter, CounterConfig, StreamEvent, counter_sweep
 from .topk import release_topk
 from .validation import SUITES, run_suite
 
@@ -128,20 +128,32 @@ def _cmd_stream(args) -> int:
         threshold_public=config.threshold,
         budget=config.budget,
     )
-    counter = Counter(config)
-    snapshots = (_snapshot(counter, args.infile, lineno, event) for lineno, event in events)
-    write_report_json(header, args.out, snapshots)
+    write_report_json(header, args.out, _snapshots(config, args.infile, events))
     return 0
 
 
-def _snapshot(counter: Counter, path: str, lineno: int, event: StreamEvent) -> dict:
-    """The counter's snapshot after the event; an event it refuses (out of
-    order, past the horizon, over l0) raises naming its line."""
+def _snapshots(config: CounterConfig, path: str, events: list[tuple[int, StreamEvent]]):
+    """The counter's snapshot after each event.  Each event is checked as it
+    is taken (the sweep takes a window at a time), so an event refused (out
+    of order, past the horizon, over l0) is the last one taken, and the
+    error names that one's line."""
+    lineno = 0
+
+    def taken():
+        nonlocal lineno
+        for lineno, event in events:
+            yield event
+
+    if len(set().union(*(event.items for _, event in events))) < SWEEP_MIN_LABELS:
+        # observe refuses every round but the next, so snapshot k is round k.
+        snapshots = enumerate(map(Counter(config).observe, taken()), start=1)
+    else:
+        snapshots = counter_sweep(config, taken())
     try:
-        released = counter.observe(event)
+        for round, released in snapshots:
+            yield snapshot_payload(round, released)
     except ParameterError as exc:
         raise IngestionError(f"{path}: line {lineno}: {exc}") from None
-    return snapshot_payload(event.round, released)
 
 
 def _cmd_account(args) -> int:

@@ -314,11 +314,10 @@ class RandomSource:
         draws leaves the source where n single draws would.
         """
         u = self._gen.random(check_int("n", n, 0))
-        while True:
-            nonzero = u[u != 0.0]
-            if nonzero.size == u.size:
-                return u
-            u = np.concatenate((nonzero, self._gen.random(u.size - nonzero.size)))
+        while np.count_nonzero(u) < n:
+            u = u[u != 0.0]
+            u = np.concatenate((u, self._gen.random(n - u.size)))
+        return u
 
 
 def laplace_inverse_cdf(u: float, scale: float) -> float:
@@ -365,7 +364,7 @@ def sample_laplace(
     check_positive("scale", scale)
     if size is None:
         return laplace_quantile(rng.uniform(), scale)
-    return _quantile_block(laplace_quantile, scale, rng, size)
+    return _quantile_block(lambda u: _map_array(laplace_quantile, u, scale), rng, size)
 
 
 def sample_gaussian(
@@ -376,7 +375,7 @@ def sample_gaussian(
     check_positive("sigma", sigma)
     if size is None:
         return gaussian_quantile(rng.uniform(), sigma)
-    return _quantile_block(gaussian_quantile, sigma, rng, size)
+    return _quantile_block(lambda u: gaussian_quantiles(u, sigma), rng, size)
 
 
 def sample_gumbel(
@@ -387,35 +386,36 @@ def sample_gumbel(
     check_positive("beta", beta)
     if size is None:
         return gumbel_quantile(rng.uniform(), beta)
-    return _quantile_block(gumbel_quantile, beta, rng, size)
+    return _quantile_block(lambda u: _map_array(gumbel_quantile, u, beta), rng, size)
 
 
 #: Uniforms turned into noise per step of a block draw, so the Python floats
 #: held at once stay bounded however large the block.
 _BLOCK_STEP = 2**16
+#: Entries per step of gaussian_quantiles, whose temporaries (a dozen arrays
+#: and a list of Python floats) stay small beside the arrays it is given.
+_GAUSSIAN_STEP = 2**12
 
 
 def _quantile_block(
-    quantile: Callable[[float, float], float],
-    scale: float,
-    rng: RandomSource,
-    size: tuple[int, ...],
+    transform: Callable[[np.ndarray], np.ndarray], rng: RandomSource, size: tuple[int, ...]
 ) -> np.ndarray:
-    """quantile(u, scale) over the next prod(size) uniforms of rng, in
-    row-major order: element i is the draw the i-th single call would make.
-
-    The transform is the scalar one, mapped over the uniforms, because
-    numpy's vectorised log can differ from ``math.log`` in the last bit (in
-    about 0.35% of draws with numpy 2.4 on x86-64).
-    """
+    """transform over the next prod(size) uniforms of rng, in row-major
+    order and in steps of _BLOCK_STEP: element i is the draw the i-th single
+    call would make, provided transform agrees with the scalar quantile bit
+    for bit (``gaussian_quantiles``, or a scalar quantile mapped by
+    ``_map_array``)."""
     out = np.empty(size)
     flat = out.reshape(-1)
     for start in range(0, flat.size, _BLOCK_STEP):
-        u = rng.uniforms(min(_BLOCK_STEP, flat.size - start)).tolist()
-        flat[start : start + len(u)] = np.fromiter(
-            map(quantile, u, repeat(scale)), dtype=float, count=len(u)
-        )
+        u = rng.uniforms(min(_BLOCK_STEP, flat.size - start))
+        flat[start : start + u.size] = transform(u)
     return out
+
+
+def _map_array(fn: Callable[..., float], x: np.ndarray, *args: float) -> np.ndarray:
+    """fn(v, *args) for every v of a flat array, one scalar call each."""
+    return np.fromiter(map(fn, x.tolist(), *map(repeat, args)), dtype=float, count=x.size)
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -513,3 +513,51 @@ def standard_normal_quantile(p: float) -> float:
         u = err * _SQRT_2PI * math.exp(0.5 * x * x)
         x -= u / (1.0 + 0.5 * x * u)
     return -x if upper else x + 0.0
+
+
+def gaussian_quantiles(u: np.ndarray, sigma: float, out: np.ndarray | None = None) -> np.ndarray:
+    """gaussian_quantile(p, sigma) for every p of u, bit for bit, in steps of
+    _GAUSSIAN_STEP entries, into out if given (which may be u itself)."""
+    out = np.empty(u.shape) if out is None else out
+    flat, p = out.reshape(-1), u.reshape(-1)
+    for start in range(0, p.size, _GAUSSIAN_STEP):
+        step = p[start : start + _GAUSSIAN_STEP]
+        flat[start : start + step.size] = sigma * _normal_quantiles(step)
+    return out
+
+
+def _normal_quantiles(p: np.ndarray) -> np.ndarray:
+    """standard_normal_quantile over an array: the same IEEE operations in
+    the same order, each branch on the entries that take it.
+
+    numpy's + - * / and sqrt are correctly rounded, so they round as the
+    scalar code does.  log, erfc and exp are not, and numpy's SIMD log and
+    exp differ from ``math``'s in the last bit on some draws and some CPUs,
+    so those three are the ``math`` functions mapped over the entries.
+    """
+    upper = p > 0.5
+    p = np.where(upper, 1.0 - p, p)
+    a, b = _ICDF_A, _ICDF_B
+    q = p - 0.5
+    r = q * q
+    x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
+        ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
+    )
+    tail = p < _ICDF_P_LOW
+    if tail.any():
+        c, d = _ICDF_C, _ICDF_D
+        q = np.sqrt(-2.0 * _map_array(math.log, p[tail]))
+        x[tail] = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
+            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
+        )
+    step = x > -37.4
+    everywhere = step.all()
+    xs, ps = (x, p) if everywhere else (x[step], p[step])
+    err = 0.5 * _map_array(math.erfc, -xs / _SQRT2) - ps
+    u = err * _SQRT_2PI * _map_array(math.exp, 0.5 * xs * xs)
+    xs = xs - u / (1.0 + 0.5 * xs * u)
+    if everywhere:
+        x = xs
+    else:
+        x[step] = xs
+    return np.where(upper, -x, x + 0.0)

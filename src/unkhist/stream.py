@@ -18,8 +18,20 @@ with round r-1's.  Each label therefore keeps a stack of its active nodes:
 their event counts and the running sums through each of them.  A round pops
 tz entries, draws one Gaussian and pushes one sum per label, with the same
 draws, order and additions as a from-scratch sum, hence bit-identical
-snapshots.  State is O(labels * log L): nothing is kept of a node once
-it leaves the active set.
+snapshots.  Nothing is kept of a node once it leaves the active set.
+
+Two implementations share these stacks.  ``Counter`` is the scalar,
+incremental one: one ``observe`` per event, a Python loop over the labels.
+``counter_sweep`` (the CLI's, from SWEEP_MIN_LABELS labels on) and
+``counter_batch`` (the delta-event Monte Carlo's) run one array sweep over
+a whole event list instead.  Every label's stack has the same height,
+popcount(r - 1) before round r, because a late label is padded to it, so
+the stacks are one [labels, depth] array of node counts and one
+[labels, depth + 1] array of running sums, labels in order of arrival, and
+a round is a few whole-array operations with the same float64 additions as
+the scalar loop.  The sweep draws noise per window of rounds, so its state
+is O(labels * (window + log L)); ``counter_batch`` adds a leading trials
+axis to the sums and the noise.
 """
 
 from __future__ import annotations
@@ -28,8 +40,8 @@ import math
 from bisect import insort
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
-from typing import Callable, Iterable, NamedTuple, Sequence
+from itertools import islice, repeat
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,6 +56,7 @@ from .core import (
     check_probability,
     check_real,
     check_threshold,
+    gaussian_quantiles,
     normal_upper_quantile,
     sample_gaussian,
     standard_normal_quantile,
@@ -56,6 +69,7 @@ __all__ = [
     "Counter",
     "active_node_count",
     "counter_batch",
+    "counter_sweep",
     "dyadic_nodes",
 ]
 
@@ -166,6 +180,21 @@ def _trailing_zeros(round: int) -> int:
     return (round & -round).bit_length() - 1
 
 
+def _check_event(config: CounterConfig, expected: int, event: object) -> StreamEvent:
+    """The event, if it may come next: a StreamEvent of the expected round,
+    within the horizon, with at most l0 items."""
+    if not isinstance(event, StreamEvent):
+        raise ParameterError(f"expected a StreamEvent, got {event!r}")
+    r = event.round
+    if r != expected:
+        raise ParameterError(f"expected round {expected}, got {r}")
+    if r > config.horizon:
+        raise ParameterError(f"round {r} exceeds the horizon {config.horizon}")
+    if len(event.items) > config.l0:
+        raise ParameterError(f"event carries {len(event.items)} items, more than l0 = {config.l0}")
+    return event
+
+
 def _child_noise(master: RandomSource, config: CounterConfig, label: str) -> Callable[[], float]:
     """The label's node noises, drawn from its child stream of master."""
     sigma = config.sigma
@@ -199,11 +228,12 @@ class Counter:
             raise ParameterError(f"rng must be a RandomSource, got {rng!r}")
         self.config = config
         self.round = 0
-        # Harness hooks: rng for per-trial substreams, noise(label) for a callable
-        # giving the label's node noises in draw order.  Normal use seeds from config.
+        # Test hooks, passed by nothing in the package: rng for a master stream
+        # other than RandomSource(seed), noise(label) for a callable giving the
+        # label's node noises in draw order (the reference tests feed it
+        # counter_batch's noise columns).  Normal use seeds from config.
         master = rng if rng is not None else RandomSource(config.seed)
         self._noise = noise if noise is not None else partial(_child_noise, master, config)
-        self._columns = False  # counter_batch's noises are columns; it applies T
         self._labels: dict[str, _LabelState] = {}
         self._ordered: list[tuple[str, _LabelState]] = []  # sorted by label
 
@@ -276,19 +306,11 @@ class Counter:
         Rejected events (wrong round, horizon exceeded, too many items) leave
         the counter untouched.
         """
-        if not isinstance(event, StreamEvent):
-            raise ParameterError(f"expected a StreamEvent, got {event!r}")
         config = self.config
-        r = event.round
-        if r != self.round + 1:
-            raise ParameterError(f"expected round {self.round + 1}, got {r}")
-        if r > config.horizon:
-            raise ParameterError(f"round {r} exceeds the horizon {config.horizon}")
-        if len(event.items) > config.l0:
-            raise ParameterError(
-                f"event carries {len(event.items)} items, more than l0 = {config.l0}"
-            )
-
+        r = self.round + 1
+        if not (isinstance(event, StreamEvent) and event.round == r <= config.horizon
+                and len(event.items) <= config.l0):
+            _check_event(config, r, event)  # raises, naming the check that fails
         self.round = r
         # The newest node, at level tz, replaces the tz lowest nodes of round
         # r-1 and covers exactly them plus round r.
@@ -299,7 +321,6 @@ class Counter:
                 self._add_label(label, r, tz)
 
         threshold = config.threshold
-        columns = self._columns
         released: dict[str, float] = {}
         for label, (_, noise, counts, sums) in self._ordered:
             if tz:
@@ -312,10 +333,129 @@ class Counter:
             total = sums[-1] + (count + noise())
             counts.append(count)
             sums.append(total)
-            if columns or total > threshold:
+            if total > threshold:
                 released[label] = total
         return released
 
+
+#: Rounds whose noise ``counter_sweep`` draws at once: one ``uniforms`` call
+#: per label per window.  State is O(labels * (window + depth)).  Longer
+#: windows make fewer calls but larger arrays: at 64 rounds the stream-zipf
+#: benchmark's peak RSS rose 0.3 MiB above the per-label Counter's.
+SWEEP_WINDOW = 32
+
+#: Labels a whole stream must hold for ``unkhist stream`` to run the sweep
+#: rather than Counter.observe; both give the same bytes.  The sweep costs
+#: some ten numpy calls per round whatever the label count, Counter about a
+#: microsecond per label per round: on 4096-round CLI streams of 0-3 items a
+#: round the sweep took 1.7x Counter's time with one label, 1.1x with ten,
+#: the same with twelve and 0.95x with sixteen (x86-64, numpy 2.4).
+SWEEP_MIN_LABELS = 16
+
+#: draws(new, sizes): the next sizes[i] node noises of the i-th label in order
+#: of arrival, in its draw order, concatenated label after label; ``new`` are
+#: the labels that arrived in this window, the last len(new) of them.
+Draws = Callable[[list[str], list[int]], np.ndarray]
+
+
+def _sweep(config: CounterConfig, events: Iterable[StreamEvent], draws: Draws, window: int,
+           lead: tuple[int, ...] = ()) -> Iterator[tuple[list[str], np.ndarray]]:
+    """Counter.observe for every label at once: after each event, the labels
+    in order of arrival and their [*lead, labels] running totals.
+
+    Node counts are one int64 [labels, depth] array and running sums one
+    float64 [*lead, labels, depth + 1] array; every label's stack has the
+    height popcount(r - 1) before round r.  Each event is checked as it is
+    taken, before any later one is.  Noise is drawn once per window of
+    events, and each sum takes the float64 additions the scalar stack takes.
+    """
+    depth = config.depth
+    labels: list[str] = []
+    index: dict[str, int] = {}
+    counts = np.zeros((0, depth), dtype=np.int64)
+    sums = np.zeros((*lead, 0, depth + 1))
+    events = iter(events)
+    taken = 0
+    while True:
+        batch = []
+        for event in islice(events, window):
+            taken += 1
+            batch.append(_check_event(config, taken, event))
+        if not batch:
+            return
+        first, last = batch[0].round, batch[-1].round
+        old = len(labels)
+        predating: list[int] = []  # of the new labels
+        sizes = [len(batch)] * old  # one node per round
+        active = []  # labels seen through each event
+        for event in batch:
+            for label in sorted(event.items.difference(index)):
+                index[label] = len(labels)
+                labels.append(label)
+                predating.append(event.round.bit_count() - 1)
+                sizes.append(predating[-1] + last - event.round + 1)
+            active.append(len(labels))
+        new = len(labels) - old
+        if new:
+            counts = np.concatenate((counts, np.zeros((new, depth), dtype=np.int64)))
+            sums = np.concatenate((sums, np.zeros((*lead, new, depth + 1))), axis=-2)
+        drawn = draws(labels[old:], sizes)
+        noise = np.empty((*lead, len(labels), len(batch)))  # [..., label, round - first]
+        noise[..., :old, :] = drawn[..., : old * len(batch)].reshape(*lead, old, len(batch))
+        stop = old * len(batch)
+        for j, (before, size) in enumerate(zip(predating, sizes[old:]), start=old):
+            start, stop = stop, stop + size
+            # The nodes of the debut round left of its newest one, summed left to right.
+            sums[..., j, 1 : before + 1] = np.cumsum(drawn[..., start : start + before], axis=-1)
+            noise[..., j, len(batch) - size + before :] = drawn[..., start + before : stop]
+        del drawn  # so that the rounds, and the next window's draws, do not keep it
+        for event, n in zip(batch, active):
+            r = event.round
+            tz = _trailing_zeros(r)
+            low = (r - 1).bit_count() - tz  # stack height after the pop
+            count = counts[:n, low : low + tz].sum(1)
+            count[[index[label] for label in event.items]] += 1
+            total = sums[..., :n, low] + (count + noise[..., :n, r - first])
+            counts[:n, low] = count
+            sums[..., :n, low + 1] = total
+            yield labels, total
+
+
+def _child_draws(config: CounterConfig) -> Draws:
+    """Each label's node noises from its child stream of RandomSource(seed), as
+    Counter draws them: one uniforms call per label per window, one block
+    Gaussian transform over them."""
+    master = RandomSource(config.seed)
+    sigma = config.sigma
+    sources: list[RandomSource] = []
+
+    def draws(new: list[str], sizes: list[int]) -> np.ndarray:
+        if not sigma > 0.0:
+            return np.zeros(sum(sizes))
+        sources.extend(map(master.child, new))
+        uniforms = np.empty(sum(sizes))
+        stop = 0
+        for source, k in zip(sources, sizes):
+            start, stop = stop, stop + k
+            uniforms[start:stop] = source.uniforms(k)
+        return gaussian_quantiles(uniforms, sigma, out=uniforms)
+
+    return draws
+
+
+def counter_sweep(config: CounterConfig,
+                  events: Iterable[StreamEvent]) -> Iterator[tuple[int, dict[str, float]]]:
+    """Each event's round and what ``Counter(config).observe`` returns for it,
+    bit for bit, from one array sweep over all labels.
+
+    Events are checked in order as observe checks them, each before any later
+    event is taken; a refused event raises observe's ParameterError.
+    """
+    threshold = config.threshold
+    snapshots = _sweep(config, events, _child_draws(config), SWEEP_WINDOW)
+    for r, (labels, totals) in enumerate(snapshots, start=1):
+        hits = np.flatnonzero(totals > threshold)
+        yield r, dict(zip(map(labels.__getitem__, hits.tolist()), totals[hits].tolist()))
 
 
 def counter_batch(config: CounterConfig, events: Sequence[StreamEvent], rng: RandomSource,
@@ -325,22 +465,24 @@ def counter_batch(config: CounterConfig, events: Sequence[StreamEvent], rng: Ran
 
     All runs keep the same node counts; only the noise differs.  One [trials,
     draws] block holds it, label by label in sorted order, each label's in
-    draw order, and one Counter adds the columns as a single run adds its
-    draws.  Row i is the i-th of ``trials`` consecutive single runs on rng.
+    draw order, and one sweep with a trials axis adds the columns as a single
+    run adds its draws.  Row i is the i-th of ``trials`` consecutive single
+    runs on rng.  Every event is checked before any noise is drawn.
     """
     check_int("trials", trials)
-    # Reversed, so that each label keeps the first round it appears in.
-    debuts = {label: r for r in range(len(events), 0, -1) for label in events[r - 1].items}
-    labels = sorted(debuts)
-    # popcount(debut) - 1 nodes predate the label, then one node per round.
-    sizes = [debuts[label].bit_count() + len(events) - debuts[label] for label in labels]
-    shape = (trials, sum(sizes))
-    block = sample_gaussian(config.sigma, rng, shape) if config.sigma > 0.0 else np.zeros(shape)
-    spans = dict(zip(labels, np.split(block.T.copy(), np.cumsum(sizes)[:-1])))
-    counter = Counter(config, noise=lambda label: iter(spans[label]).__next__)
-    counter._columns = True
-    totals: dict[str, np.ndarray] = {}
-    for event in events:
-        totals = counter.observe(event)
-    out = np.array([totals[label] for label in labels]).reshape(len(labels), trials).T
-    return labels, out, out > config.threshold
+
+    def draws(labels: list[str], sizes: list[int]) -> np.ndarray:
+        # One window, so every label is new; arrival order, gathered from sorted.
+        order = sorted(range(len(labels)), key=labels.__getitem__)
+        starts = dict(zip(order, np.cumsum([0] + [sizes[i] for i in order]).tolist()))
+        shape = (trials, sum(sizes))
+        block = sample_gaussian(config.sigma, rng, shape) if config.sigma > 0.0 else np.zeros(shape)
+        columns = [c for i, k in enumerate(sizes) for c in range(starts[i], starts[i] + k)]
+        return block[:, np.array(columns, dtype=np.intp)]
+
+    labels, totals = [], np.zeros((trials, 0))
+    for labels, totals in _sweep(config, events, draws, max(len(events), 1), (trials,)):
+        pass
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    out = totals[:, order]
+    return [labels[i] for i in order], out, out > config.threshold

@@ -376,7 +376,7 @@ def estimate_delta_event(
 
     The runs go in batches of up to DELTA_EVENT_BATCH trials: one [batch,
     draws] noise block from rng, through the mechanism's selection rule (for
-    the stream, one Counter pass over the block's columns), so the runs are
+    the stream, one array sweep over the block's columns), so the runs are
     the ones ``trials`` consecutive single runs on rng would make, and memory
     stays bounded whatever the trial count.
     """

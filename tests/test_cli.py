@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unkhist import cli
 from unkhist.accountant import CdpBudget, compose
 from unkhist.cli import main
 from unkhist.core import Histogram, IngestionError, ParameterError
@@ -26,6 +27,7 @@ from unkhist.fileio import (
     write_histogram_csv,
     write_report_json,
 )
+from unkhist.stream import SWEEP_MIN_LABELS, SWEEP_WINDOW, counter_sweep
 
 
 def write(path, text):
@@ -535,6 +537,97 @@ def test_stream_output_matches_golden_digest(tmp_path):
     text = out.read_text(encoding="utf-8")
     assert json.loads(text.splitlines()[0])["mechanism"] == "continual-counter"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == STREAM_GOLDEN_SHA256
+
+
+# SHA-256 of the snapshots of a longer stream, computed with the per-label
+# Counter loop before the CLI ran the array sweep, which draws its noise in
+# windows of SWEEP_WINDOW rounds: 300 rounds span several windows.  At
+# epsilon 2, labels are released while the noise of the nodes that predate
+# their first event still counts.  The same rule as above ties it to the
+# mechanism tag.
+STREAM_LONG = Path(__file__).parent / "data" / "stream_long.ndjson"
+STREAM_LONG_SHA256 = "090fe4bb0c5f796beb1ac81cf0c9d556da6aca8de86bafaceb822929f2ba64f0"
+
+
+def test_long_stream_output_matches_golden_digest(tmp_path):
+    # 300 rounds, 30 labels (two non-ASCII) arriving up to round 285, 40 empty rounds.
+    out = tmp_path / "snapshots.ndjson"
+    code = main(
+        ["stream", "--horizon", "512", "--epsilon", "2", "--delta", "0.05", "--l0", "3",
+         "--in", str(STREAM_LONG), "--out", str(out), "--seed", "11"]
+    )  # fmt: skip
+    assert code == 0
+    assert 300 > 2 * SWEEP_WINDOW
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == STREAM_LONG_SHA256
+
+
+# SWEEP_MIN_LABELS below which unkhist stream runs Counter.observe, set so
+# that every stream takes one path: 0 for the array sweep, 10**9 for Counter.
+STREAM_PATHS = {"sweep": 0, "counter": 10**9}
+
+
+@pytest.mark.parametrize("path", STREAM_PATHS)
+@pytest.mark.parametrize(
+    "source, argv, digest",
+    [
+        (STREAM_GOLDEN, ["--horizon", "64", "--epsilon", "1", "--l0", "3", "--seed", "7"],
+         STREAM_GOLDEN_SHA256),
+        (STREAM_LONG, ["--horizon", "512", "--epsilon", "2", "--l0", "3", "--seed", "11"],
+         STREAM_LONG_SHA256),
+    ],
+    ids=["golden", "long"],
+)  # fmt: skip
+def test_stream_digests_hold_on_either_path(tmp_path, monkeypatch, path, source, argv, digest):
+    # The golden stream has 6 labels and takes Counter, the long one 30 and
+    # takes the sweep; each must give the same bytes on the other path.
+    monkeypatch.setattr(cli, "SWEEP_MIN_LABELS", STREAM_PATHS[path])
+    out = tmp_path / "snapshots.ndjson"
+    code = main(["stream", *argv, "--delta", "0.05", "--in", str(source), "--out", str(out)])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("labels", [1, SWEEP_MIN_LABELS - 1, SWEEP_MIN_LABELS, 40])
+def test_stream_sweeps_from_sweep_min_labels_on(tmp_path, monkeypatch, labels):
+    calls = []
+
+    def counted(config, events):
+        calls.append(config)
+        return counter_sweep(config, events)
+
+    monkeypatch.setattr(cli, "counter_sweep", counted)
+    events, out = tmp_path / "ev.ndjson", tmp_path / "out.ndjson"
+    lines = [json.dumps({"round": r, "items": [f"l{r % labels}"]}) for r in range(1, 65)]
+    events.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["stream", "--horizon", "64", "--epsilon", "1", "--delta", "0.05", "--l0", "1",
+                 "--in", str(events), "--out", str(out), "--seed", "1"])  # fmt: skip
+    assert code == 0
+    assert len(calls) == (labels >= SWEEP_MIN_LABELS)
+
+
+@pytest.mark.parametrize(
+    "horizon, line, message",
+    [
+        (200, '{"round":102,"items":[]}', "expected round 101, got 102"),
+        (200, '{"round":101,"items":["a","b","c"]}', "event carries 3 items, more than l0 = 2"),
+        (100, '{"round":101,"items":["a"]}', "round 101 exceeds the horizon 100"),
+    ],
+)
+@pytest.mark.parametrize("path", STREAM_PATHS)
+def test_stream_names_the_line_of_a_refused_event_past_a_window(
+    tmp_path, capsys, monkeypatch, path, horizon, line, message
+):
+    # The sweep takes events a window at a time; on either path the line
+    # named is the refused event's, and no report is written.
+    monkeypatch.setattr(cli, "SWEEP_MIN_LABELS", STREAM_PATHS[path])
+    good = [json.dumps({"round": r, "items": ["a", "b"] if r % 3 else ["a"]}) for r in range(1, 101)]
+    events, out = tmp_path / "ev.ndjson", tmp_path / "out.ndjson"
+    events.write_text("\n".join(good + [line] + good[:20]) + "\n", encoding="utf-8")
+    code = main(["stream", "--horizon", str(horizon), "--epsilon", "1", "--delta", "0.05",
+                 "--l0", "2", "--in", str(events), "--out", str(out), "--seed", "1"])  # fmt: skip
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {events}: line 101: {message}\n"
+    assert not out.exists()
 
 
 # SHA-256 of each histogram mechanism's report on the fixture below (seed 7,

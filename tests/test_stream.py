@@ -1,6 +1,7 @@
 """Continual counter: dyadic structure, noise reuse, calibration, rejection."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,7 @@ from unkhist.stream import (
     CounterConfig,
     StreamEvent,
     active_node_count,
+    counter_sweep,
     dyadic_nodes,
 )
 
@@ -207,3 +209,26 @@ def test_state_dict_is_json_ready():
     assert state["labels"]["b"] == {"debut": 2, "counts": {"2:0": 2}}
     text = json.dumps(state)  # must serialize without help
     assert '"noises"' not in text  # raw noise is never exported
+
+
+def test_sweep_memory_stays_windowed():
+    # Noise for every label in every round would take 1040 * 4096 float64s,
+    # 32.5 MiB; the sweep holds one window's worth per label at a time.
+    labels, horizon = 1040, 4096
+    names = [f"x{i:04d}" for i in range(labels)]
+    # Every label arrives by round 260; later rounds carry two labels each.
+    events = [
+        StreamEvent(r, names[4 * r - 4 : 4 * r] if 4 * r <= labels else names[r % 1000 : r % 1000 + 2])
+        for r in range(1, horizon + 1)
+    ]
+    config = hook_config(horizon, sigma=1.0, threshold=30.0, l0=4, seed=3)
+    full = labels * horizon * 8
+    assert full > 32 * 2**20
+    tracemalloc.start()
+    try:
+        rounds = sum(1 for _ in counter_sweep(config, events))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rounds == horizon
+    assert peak < full / 4

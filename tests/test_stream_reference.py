@@ -1,24 +1,36 @@
 """The partial-sum stack Counter against the dict-based counter it replaced,
-and the batched counter against single Counters.
+and the array sweeps against the scalar Counter.
 
 ReferenceCounter is the earlier ``Counter.observe``: every round it re-sums
 the round's dyadic nodes for every label seen so far, drawing each node's
 noise the first time it is needed and keeping every count and noise in
 per-label dicts.  The stack must give repr-identical snapshots, round by
-round.  Each row of ``counter_batch`` must be what a scalar Counter gives
-when fed that row's noises through the noise hook.
+round.  ``counter_sweep``, which the CLI runs, must give a Counter's
+snapshots, and each row of ``counter_batch`` must be what a scalar Counter
+gives when fed that row's noises through the noise hook.
 """
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unkhist import stream as stream_module
 from unkhist.accountant import CdpBudget
-from unkhist.core import RandomSource, sample_gaussian
-from unkhist.stream import Counter, CounterConfig, StreamEvent, counter_batch, dyadic_nodes
+from unkhist.core import ParameterError, RandomSource, sample_gaussian
+from unkhist.stream import (
+    SWEEP_WINDOW,
+    Counter,
+    CounterConfig,
+    StreamEvent,
+    counter_batch,
+    counter_sweep,
+    dyadic_nodes,
+)
 
 
 class ReferenceCounter:
@@ -72,11 +84,16 @@ class ReferenceCounter:
 LABELS = ("a", "b", "c", "d", "e", "f")
 # Powers of two and their predecessors, where the stack pops the most.
 EDGE_HORIZONS = (1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64)
+SHORT_HORIZONS = st.one_of(st.sampled_from(EDGE_HORIZONS), st.integers(1, 70))
+# Past two default windows of the sweep, too.
+LONG_HORIZONS = st.one_of(
+    st.sampled_from(EDGE_HORIZONS + (127, 128, 129, 192, 255, 256)), st.integers(1, 200)
+)
 
 
 @st.composite
-def streams(draw):
-    horizon = draw(st.one_of(st.sampled_from(EDGE_HORIZONS), st.integers(1, 70)))
+def streams(draw, horizons=SHORT_HORIZONS):
+    horizon = draw(horizons)
     l0 = draw(st.integers(1, 4))
     # Labels become eligible in order, at sorted debut rounds, so some arrive late.
     debuts = sorted(draw(st.lists(st.integers(1, horizon), min_size=len(LABELS),
@@ -117,6 +134,12 @@ def test_stack_matches_dict_reference(stream, sigma, threshold, seed, hook):
         assert repr(counter.node_noises(label)) == repr(reference.node_noises(label))
 
 
+def _config(horizon, l0, sigma, threshold, seed):
+    config = CounterConfig.from_privacy(horizon, l0, 1.0, 0.5, seed)
+    config = dataclasses.replace(config, sigma=sigma)
+    return config if threshold is None else dataclasses.replace(config, threshold=threshold)
+
+
 def _noise_layout(events):
     """Each label's column range in a run's noise row: labels in sorted
     order, each taking one column per node it uses, from its debut round's
@@ -141,10 +164,7 @@ def _noise_layout(events):
 )
 def test_counter_batch_rows_match_hooked_counters(stream, sigma, threshold, seed, trials):
     horizon, l0, events = stream
-    config = CounterConfig.from_privacy(horizon, l0, 1.0, 0.5, seed)
-    config = dataclasses.replace(config, sigma=sigma)
-    if threshold is not None:
-        config = dataclasses.replace(config, threshold=threshold)
+    config = _config(horizon, l0, sigma, threshold, seed)
     labels, totals, released = counter_batch(config, events, RandomSource(seed), trials)
 
     layout, draws = _noise_layout(events)
@@ -185,3 +205,75 @@ def test_counter_batch_is_consecutive_single_runs(stream, seed, trials):
         assert single_released[0].tolist() == row_released.tolist()
     # The batch drew what the single runs drew, and nothing more.
     assert rng.uniform() == RandomSource(seed).uniforms(trials * _noise_layout(events)[1] + 1)[-1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    stream=streams(LONG_HORIZONS),
+    sigma=st.sampled_from([0.0, 1.0]),
+    threshold=st.sampled_from([None, -math.inf, 0.5, 3.0]),
+    seed=st.integers(0, 2**32),
+    # Short windows make short runs span many of them.
+    window=st.one_of(st.just(SWEEP_WINDOW), st.integers(1, 9)),
+)
+def test_sweep_snapshots_match_counter(stream, sigma, threshold, seed, window):
+    horizon, l0, events = stream
+    config = _config(horizon, l0, sigma, threshold, seed)
+    counter = Counter(config)
+    with mock.patch.object(stream_module, "SWEEP_WINDOW", window):
+        snapshots = list(counter_sweep(config, events))
+    assert [r for r, _ in snapshots] == [event.round for event in events]
+    for event, (_, released) in zip(events, snapshots):
+        # The sweep keeps labels in order of arrival, the Counter sorted.
+        assert repr(dict(sorted(released.items()))) == repr(counter.observe(event))
+
+
+def _bad_streams():
+    """Events that Counter.observe refuses, each after two good ones."""
+    good = [StreamEvent(1, ["a"]), StreamEvent(2, ["a", "b"])]
+    return {
+        "not an event": good + [{"round": 3, "items": ["a"]}],
+        "wrong round": good + [StreamEvent(4, ["a"])],
+        "past the horizon": good + [StreamEvent(3, []), StreamEvent(4, ["b"]), StreamEvent(5, ["a"])],
+        "over l0": good + [StreamEvent(3, ["a", "b", "c"])],
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_streams()))
+def test_sweeps_check_each_event_before_taking_the_next(case):
+    refused = _bad_streams()[case]
+    config = CounterConfig.from_privacy(4, 2, 1.0, 0.5, seed=3)
+    counter = Counter(config)
+    for event in refused[:-1]:
+        counter.observe(event)
+    with pytest.raises(ParameterError) as expected:
+        counter.observe(refused[-1])
+    # Valid events follow the refused one; none of them may be taken.
+    events = refused + [StreamEvent(r, ["a"]) for r in range(len(refused), 5)]
+
+    taken = []
+
+    def feed():
+        for event in events:
+            taken.append(event)
+            yield event
+
+    with pytest.raises(ParameterError) as swept:
+        list(counter_sweep(config, feed()))
+    assert str(swept.value) == str(expected.value)
+    assert taken == refused  # the refused event was the last one taken
+
+    rng = RandomSource(9)
+    with pytest.raises(ParameterError) as batched:
+        counter_batch(config, events, rng, 3)
+    assert str(batched.value) == str(expected.value)
+    assert rng.uniform() == RandomSource(9).uniform()  # nothing was drawn
+
+
+def test_empty_streams():
+    config = CounterConfig.from_privacy(8, 1, 1.0, 0.5, seed=3)
+    assert list(counter_sweep(config, [])) == []
+    events = [StreamEvent(r, []) for r in range(1, 4)]
+    assert list(counter_sweep(config, events)) == [(1, {}), (2, {}), (3, {})]
+    labels, totals, released = counter_batch(config, events, RandomSource(0), 2)
+    assert labels == [] and totals.shape == released.shape == (2, 0)
