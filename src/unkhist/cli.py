@@ -38,7 +38,7 @@ from .fileio import (  # noqa: F401
 )
 from .gumbel import gumbel_threshold, release_gumbel_topk
 from .release import release
-from .stream import SWEEP_MIN_LABELS, Counter, CounterConfig, StreamEvent, counter_sweep
+from .stream import SWEEP_MIN_LABELS, Counter, CounterConfig, StreamEvent, check_event, counter_sweep
 from .topk import release_topk
 from .validation import SUITES, run_suite
 
@@ -133,27 +133,22 @@ def _cmd_stream(args) -> int:
 
 
 def _snapshots(config: CounterConfig, path: str, events: list[tuple[int, StreamEvent]]):
-    """The counter's snapshot after each event.  Each event is checked as it
-    is taken (the sweep takes a window at a time), so an event refused (out
-    of order, past the horizon, over l0) is the last one taken, and the
-    error names that one's line."""
-    lineno = 0
-
-    def taken():
-        nonlocal lineno
-        for lineno, event in events:
-            yield event
-
-    if len(set().union(*(event.items for _, event in events))) < SWEEP_MIN_LABELS:
+    """The counter's snapshot after each event.  Every event is checked
+    first, in order, so an event the counter would refuse (out of order,
+    past the horizon, over l0) is named by its line before any is counted."""
+    for expected, (lineno, event) in enumerate(events, start=1):
+        try:
+            check_event(config, expected, event)
+        except ParameterError as exc:
+            raise IngestionError(f"{path}: line {lineno}: {exc}") from None
+    events = [event for _, event in events]
+    if len(set().union(*(event.items for event in events))) < SWEEP_MIN_LABELS:
         # observe refuses every round but the next, so snapshot k is round k.
-        snapshots = enumerate(map(Counter(config).observe, taken()), start=1)
+        snapshots = enumerate(map(Counter(config).observe, events), start=1)
     else:
-        snapshots = counter_sweep(config, taken())
-    try:
-        for round, released in snapshots:
-            yield snapshot_payload(round, released)
-    except ParameterError as exc:
-        raise IngestionError(f"{path}: line {lineno}: {exc}") from None
+        snapshots = counter_sweep(config, events)
+    for round, released in snapshots:
+        yield snapshot_payload(round, released)
 
 
 def _cmd_account(args) -> int:

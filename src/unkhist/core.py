@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -293,19 +293,6 @@ class RandomSource:
         while u == 0.0:
             u = self._gen.random()
         return u
-
-    def uniform_iter(self, block: int) -> Iterator[float]:
-        """Endless iterator over the draws that repeated ``uniform()`` calls give.
-
-        Fetches ``block`` values per numpy call, which spreads the call's
-        overhead over the block, and skips zeros as ``uniform()`` redraws
-        them.  Up to ``block - 1`` values are drawn ahead of the consumer, so
-        nothing else may draw from this source once the iterator is in use.
-        """
-        while True:
-            for u in self._gen.random(block).tolist():
-                if u != 0.0:
-                    yield u
 
     def uniforms(self, n: int) -> np.ndarray:
         """The next n draws of repeated ``uniform()`` calls, as one array.

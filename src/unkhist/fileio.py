@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, TextIO
 
 from .accountant import CdpBudget
-from .core import Histogram, IngestionError, ParameterError, validate_label
+from .core import MAX_COUNT, Histogram, IngestionError, ParameterError, validate_label
 from .gumbel import MECHANISM_TAG as GUMBEL_TAG, RankedList
 from .release import ReleaseReport
 from .stream import MECHANISM_TAG as STREAM_TAG
@@ -101,10 +101,12 @@ def _parse_histogram_rows(path: str | Path) -> Histogram:
                     raise IngestionError(
                         f"count must be a non-negative integer, got {raw_count!r}"
                     )
+                counts[label] = int(raw_count)
+                if counts[label] > MAX_COUNT:
+                    raise IngestionError(f"count for {label!r} exceeds 64-bit range")
             except IngestionError as exc:
                 # The physical line the record ends on: a quoted label may span lines.
                 raise IngestionError(f"{path}: line {reader.line_num}: {exc}") from None
-            counts[label] = int(raw_count)
     return Histogram(counts)
 
 

@@ -14,24 +14,29 @@ The nodes of round r are those of round r-1 with the tz lowest removed
 (tz = trailing zero bits of r) and one node at level tz added, which covers
 exactly the removed nodes plus round r.  Both lists run leftmost first, so
 the left-to-right noisy sum over round r's nodes shares its whole prefix
-with round r-1's.  Each label therefore keeps a stack of its active nodes:
-their event counts and the running sums through each of them.  A round pops
-tz entries, draws one Gaussian and pushes one sum per label, with the same
-draws, order and additions as a from-scratch sum, hence bit-identical
-snapshots.  Nothing is kept of a node once it leaves the active set.
+with round r-1's.  Each label therefore keeps its active nodes as a stack of
+fixed size: node counts ``counts[0 : depth]`` and running sums
+``sums[0 : depth + 1]``, with sums[0] = 0.0 and sums[i + 1] = sums[i] +
+(counts[i] + noise_i).  Round r has popcount(r) nodes, so its newest node
+sits at index low = popcount(r) - 1: its count is ``counts[low : low + tz]``
+summed plus the round's event, its running sum ``sums[low] + (count +
+noise)``, stored at ``counts[low]`` and ``sums[low + 1]``.  Entries above
+the active height are stale and never read.  That is one Gaussian draw and
+one addition per label per round, with the same draws, order and additions
+as a from-scratch sum, hence bit-identical snapshots.  A label that arrives
+in round r fills ``sums[1 : popcount(r)]``, left to right, from the draws
+of the nodes that predate it.
 
-Two implementations share these stacks.  ``Counter`` is the scalar,
-incremental one: one ``observe`` per event, a Python loop over the labels.
-``counter_sweep`` (the CLI's, from SWEEP_MIN_LABELS labels on) and
+Two implementations share this layout.  ``Counter`` is the scalar,
+incremental one: one ``observe`` per event, a Python loop over its labels'
+lists.  ``counter_sweep`` (the CLI's, from SWEEP_MIN_LABELS labels on) and
 ``counter_batch`` (the delta-event Monte Carlo's) run one array sweep over
-a whole event list instead.  Every label's stack has the same height,
-popcount(r - 1) before round r, because a late label is padded to it, so
-the stacks are one [labels, depth] array of node counts and one
-[labels, depth + 1] array of running sums, labels in order of arrival, and
-a round is a few whole-array operations with the same float64 additions as
-the scalar loop.  The sweep draws noise per window of rounds, so its state
-is O(labels * (window + log L)); ``counter_batch`` adds a leading trials
-axis to the sums and the noise.
+a whole event list instead: the lists are the rows of one int64 [labels,
+depth] array and one float64 [labels, depth + 1] array, labels in order of
+arrival, and a round is the same operations on whole columns.  The sweep
+draws noise per window of rounds, so its state is O(labels * (window +
+log L)); ``counter_batch`` adds a leading trials axis to the sums and the
+noise.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ __all__ = [
     "CounterConfig",
     "Counter",
     "active_node_count",
+    "check_event",
     "counter_batch",
     "counter_sweep",
     "dyadic_nodes",
@@ -170,17 +176,20 @@ class CounterConfig:
 
 
 class _LabelState(NamedTuple):
+    """One label's stack in the module docstring's layout: its row of the
+    sweep's arrays, as lists."""
+
     debut: int  # round of the label's first event
     noise: Callable[[], float]  # the label's next node noise
-    counts: list[int]  # events in each active node, leftmost first
-    sums: list[float]  # sums[0] = 0.0; sums[i + 1] = sums[i] + (counts[i] + noise_i)
+    counts: list[int]  # [depth] node counts; the first popcount(round) are active
+    sums: list[float]  # [depth + 1]; sums[i + 1] = sums[i] + (counts[i] + noise_i)
 
 
 def _trailing_zeros(round: int) -> int:
     return (round & -round).bit_length() - 1
 
 
-def _check_event(config: CounterConfig, expected: int, event: object) -> StreamEvent:
+def check_event(config: CounterConfig, expected: int, event: object) -> StreamEvent:
     """The event, if it may come next: a StreamEvent of the expected round,
     within the horizon, with at most l0 items."""
     if not isinstance(event, StreamEvent):
@@ -200,9 +209,16 @@ def _child_noise(master: RandomSource, config: CounterConfig, label: str) -> Cal
     sigma = config.sigma
     if not sigma > 0.0:
         return repeat(0.0).__next__
-    # At most depth uniforms drawn ahead per label keeps state O(log L).
-    uniform = master.child(label).uniform_iter(config.depth).__next__
-    return lambda: sigma * standard_normal_quantile(uniform())
+    source = master.child(label)
+
+    def noises() -> Iterator[float]:
+        while True:
+            # Blocks of depth uniforms: at most depth drawn ahead per label
+            # keeps state O(log L).
+            for u in source.uniforms(config.depth).tolist():
+                yield sigma * standard_normal_quantile(u)
+
+    return noises().__next__
 
 
 class Counter:
@@ -214,10 +230,10 @@ class Counter:
     them and reruns with the same seed and events reproduce bit-identical
     snapshots.
 
-    Per label the counter keeps only the active nodes of the current round,
-    at most ceil(log2(L+1)) of them, as a stack of node counts and running
-    sums; a round pops the tz(r) lowest entries and pushes the node that
-    replaces them.  State is O(labels * log L).
+    Per label the counter keeps the stack of the module docstring, its row
+    of the sweep's arrays, as two lists: ``depth`` node counts and ``depth +
+    1`` running sums, written in place at the round's stack index.  State is
+    O(labels * log L).
     """
 
     def __init__(self, config: CounterConfig, rng: RandomSource | None = None, *,
@@ -282,20 +298,14 @@ class Counter:
             "labels": labels,
         }
 
-    def _add_label(self, label: str, r: int, tz: int) -> None:
+    def _add_label(self, label: str, r: int) -> None:
         noise = self._noise(label)
-        counts: list[int] = []
-        sums = [0.0]
+        depth = self.config.depth
+        counts, sums = [0] * depth, [0.0] * (depth + 1)
         # The nodes of round r left of its newest one predate the label: no
         # events, noise drawn leftmost first.
-        for _ in range(r.bit_count() - 1):
-            count = 0
-            counts.append(count)
-            sums.append(sums[-1] + (count + noise()))
-        # tz empty entries for this round's pop to remove, so that observe
-        # pushes the newest node as it does for every other label.
-        counts.extend([0] * tz)
-        sums.extend([sums[-1]] * tz)
+        for i in range(r.bit_count() - 1):
+            sums[i + 1] = sums[i] + noise()
         state = _LabelState(r, noise, counts, sums)
         self._labels[label] = state
         insort(self._ordered, (label, state))
@@ -310,29 +320,26 @@ class Counter:
         r = self.round + 1
         if not (isinstance(event, StreamEvent) and event.round == r <= config.horizon
                 and len(event.items) <= config.l0):
-            _check_event(config, r, event)  # raises, naming the check that fails
+            check_event(config, r, event)  # raises, naming the check that fails
         self.round = r
-        # The newest node, at level tz, replaces the tz lowest nodes of round
-        # r-1 and covers exactly them plus round r.
+        # The newest node, at level tz and stack index low, replaces the tz
+        # lowest nodes of round r-1 and covers exactly them plus round r.
         tz = _trailing_zeros(r)
+        low = r.bit_count() - 1
         items = event.items
         for label in items:
             if label not in self._labels:
-                self._add_label(label, r, tz)
+                self._add_label(label, r)
 
         threshold = config.threshold
         released: dict[str, float] = {}
         for label, (_, noise, counts, sums) in self._ordered:
-            if tz:
-                count = sum(counts[-tz:])
-                del counts[-tz:], sums[-tz:]
-            else:
-                count = 0
+            count = sum(counts[low : low + tz]) if tz else 0
             if label in items:
                 count += 1
-            total = sums[-1] + (count + noise())
-            counts.append(count)
-            sums.append(total)
+            total = sums[low] + (count + noise())
+            counts[low] = count
+            sums[low + 1] = total
             if total > threshold:
                 released[label] = total
         return released
@@ -363,11 +370,11 @@ def _sweep(config: CounterConfig, events: Iterable[StreamEvent], draws: Draws, w
     """Counter.observe for every label at once: after each event, the labels
     in order of arrival and their [*lead, labels] running totals.
 
-    Node counts are one int64 [labels, depth] array and running sums one
-    float64 [*lead, labels, depth + 1] array; every label's stack has the
-    height popcount(r - 1) before round r.  Each event is checked as it is
-    taken, before any later one is.  Noise is drawn once per window of
-    events, and each sum takes the float64 additions the scalar stack takes.
+    The stacks of the module docstring are the rows of one int64 [labels,
+    depth] array of node counts and one float64 [*lead, labels, depth + 1]
+    array of running sums.  Each event is checked as it is taken, before any
+    later one is.  Noise is drawn once per window of events, and each sum
+    takes the float64 additions the scalar stack takes.
     """
     depth = config.depth
     labels: list[str] = []
@@ -380,7 +387,7 @@ def _sweep(config: CounterConfig, events: Iterable[StreamEvent], draws: Draws, w
         batch = []
         for event in islice(events, window):
             taken += 1
-            batch.append(_check_event(config, taken, event))
+            batch.append(check_event(config, taken, event))
         if not batch:
             return
         first, last = batch[0].round, batch[-1].round
@@ -412,7 +419,7 @@ def _sweep(config: CounterConfig, events: Iterable[StreamEvent], draws: Draws, w
         for event, n in zip(batch, active):
             r = event.round
             tz = _trailing_zeros(r)
-            low = (r - 1).bit_count() - tz  # stack height after the pop
+            low = r.bit_count() - 1  # the newest node's stack index
             count = counts[:n, low : low + tz].sum(1)
             count[[index[label] for label in event.items]] += 1
             total = sums[..., :n, low] + (count + noise[..., :n, r - first])
@@ -460,29 +467,24 @@ def counter_sweep(config: CounterConfig,
 
 def counter_batch(config: CounterConfig, events: Sequence[StreamEvent], rng: RandomSource,
                   trials: int) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """``trials`` Counter runs over the events: the sorted labels, their [trials,
-    labels] totals after the last event, and which exceed the threshold.
+    """``trials`` Counter runs over the events: the labels in order of arrival,
+    their [trials, labels] totals after the last event, and which exceed the
+    threshold.
 
     All runs keep the same node counts; only the noise differs.  One [trials,
-    draws] block holds it, label by label in sorted order, each label's in
-    draw order, and one sweep with a trials axis adds the columns as a single
-    run adds its draws.  Row i is the i-th of ``trials`` consecutive single
-    runs on rng.  Every event is checked before any noise is drawn.
+    draws] block holds it, in the order the sweep asks for it: label by label
+    in order of arrival, each label's in draw order.  One sweep with a trials
+    axis adds the columns as a single run adds its draws.  Row i is the i-th
+    of ``trials`` consecutive single runs on rng.  Every event is checked
+    before any noise is drawn.
     """
     check_int("trials", trials)
 
     def draws(labels: list[str], sizes: list[int]) -> np.ndarray:
-        # One window, so every label is new; arrival order, gathered from sorted.
-        order = sorted(range(len(labels)), key=labels.__getitem__)
-        starts = dict(zip(order, np.cumsum([0] + [sizes[i] for i in order]).tolist()))
-        shape = (trials, sum(sizes))
-        block = sample_gaussian(config.sigma, rng, shape) if config.sigma > 0.0 else np.zeros(shape)
-        columns = [c for i, k in enumerate(sizes) for c in range(starts[i], starts[i] + k)]
-        return block[:, np.array(columns, dtype=np.intp)]
+        shape = (trials, sum(sizes))  # one window, so every label is new
+        return sample_gaussian(config.sigma, rng, shape) if config.sigma > 0.0 else np.zeros(shape)
 
     labels, totals = [], np.zeros((trials, 0))
     for labels, totals in _sweep(config, events, draws, max(len(events), 1), (trials,)):
         pass
-    order = sorted(range(len(labels)), key=labels.__getitem__)
-    out = totals[:, order]
-    return [labels[i] for i in order], out, out > config.threshold
+    return labels, totals, totals > config.threshold

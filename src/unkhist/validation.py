@@ -278,13 +278,12 @@ def make_boundary_neighbors(
 
 def _delta_event_setup(
     pair: NeighborPair, config: MechanismConfig
-) -> tuple[frozenset[str], Callable[[RandomSource, int, int], tuple[list[str], np.ndarray]]]:
+) -> tuple[frozenset[str], Callable[[RandomSource, int], tuple[list[str], np.ndarray]]]:
     """The labels the neighbor could ever emit (anything else is
-    differentiating) and runs(rng, start, stop) -> (labels, released) for
-    trials start..stop-1 on the base input, where released[i, j] says
-    whether the (start+i)-th run released labels[j].  Each call draws the
-    next stop - start runs from rng, so calls over consecutive ranges make
-    the runs one call over their union would."""
+    differentiating) and runs(rng, n) -> (labels, released) for the next n
+    trials on the base input, where released[i, j] says whether the call's
+    i-th run released labels[j].  Each call draws its n runs from rng, so
+    consecutive calls make the runs one call for their total would."""
     mech = config.mechanism
     if mech not in ("alg1", "topk", "gumbel", "stream"):
         raise ParameterError(f"unknown mechanism {mech!r}")
@@ -300,8 +299,8 @@ def _delta_event_setup(
             template = dataclasses.replace(template, threshold=config.threshold_override)
         events = pair.base[: config.debut_round]
 
-        def runs(rng: RandomSource, start: int, stop: int) -> tuple[list[str], np.ndarray]:
-            labels, _, released = counter_batch(template, events, rng, stop - start)
+        def runs(rng: RandomSource, n: int) -> tuple[list[str], np.ndarray]:
+            labels, _, released = counter_batch(template, events, rng, n)
             return labels, released
 
         return frozenset().union(*(event.items for event in pair.neighbor)), runs
@@ -310,7 +309,7 @@ def _delta_event_setup(
     neighbor = Histogram.coerce(pair.neighbor)
     if mech == "alg1":
 
-        def runs(rng: RandomSource, start: int, stop: int) -> tuple[list[str], np.ndarray]:
+        def runs(rng: RandomSource, n: int) -> tuple[list[str], np.ndarray]:
             labels, _, released, _ = release_batch(
                 base,
                 config.sens,
@@ -318,7 +317,7 @@ def _delta_event_setup(
                 config.epsilon,
                 config.delta,
                 rng,
-                stop - start,
+                n,
                 threshold_override=config.threshold_override,
             )
             return labels, released
@@ -328,7 +327,7 @@ def _delta_event_setup(
     trunc = truncate_topk(neighbor, config.kbar)
     if mech == "topk":
 
-        def runs(rng: RandomSource, start: int, stop: int) -> tuple[list[str], np.ndarray]:
+        def runs(rng: RandomSource, n: int) -> tuple[list[str], np.ndarray]:
             base_trunc, _, released, _ = release_topk_batch(
                 base,
                 config.kbar,
@@ -336,7 +335,7 @@ def _delta_event_setup(
                 config.epsilon,
                 config.delta,
                 rng,
-                stop - start,
+                n,
                 threshold_override=config.threshold_override,
             )
             return [label for label, _ in base_trunc.top], released
@@ -345,7 +344,7 @@ def _delta_event_setup(
 
     k = config.k if config.k is not None else config.kbar
 
-    def runs(rng: RandomSource, start: int, stop: int) -> tuple[list[str], np.ndarray]:
+    def runs(rng: RandomSource, n: int) -> tuple[list[str], np.ndarray]:
         labels, order, taken = release_gumbel_topk_batch(
             base,
             k,
@@ -354,10 +353,10 @@ def _delta_event_setup(
             config.epsilon,
             config.delta,
             rng,
-            stop - start,
+            n,
             threshold_override=config.threshold_override,
         )
-        released = np.zeros((stop - start, len(labels)), dtype=bool)
+        released = np.zeros((n, len(labels)), dtype=bool)
         ranked = np.arange(order.shape[1]) < taken[:, None]
         np.put_along_axis(released, order, ranked, axis=1)
         return labels, released
@@ -384,7 +383,7 @@ def estimate_delta_event(
     feasible, runs = _delta_event_setup(pair, config)
     hits = 0
     for start in range(0, trials, DELTA_EVENT_BATCH):
-        labels, released = runs(rng, start, min(start + DELTA_EVENT_BATCH, trials))
+        labels, released = runs(rng, min(DELTA_EVENT_BATCH, trials - start))
         infeasible = [j for j, label in enumerate(labels) if label not in feasible]
         hits += int(released[:, infeasible].any(axis=1).sum())
     return DeltaEstimate(

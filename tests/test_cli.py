@@ -63,6 +63,16 @@ class TestParseHistogramCsv:
         assert code == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_count_beyond_64_bits_names_file_and_line(self, tmp_path, capsys):
+        path = write(tmp_path / "h.csv", "label,count\na,1\nb,9223372036854775808\n")
+        code = main(
+            ["release", "--noise", "laplace", "--epsilon", "1", "--delta", "0.05",
+             "--l0", "1", "--linf", "1", "--in", path, "--seed", "1"]
+        )  # fmt: skip
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{path}: line 3: count for 'b' exceeds 64-bit range" in err
+
     def test_error_names_physical_line_after_multiline_label(self, tmp_path, capsys):
         path = tmp_path / "h.csv"
         path.write_bytes(b'label,count\n"a\nb",3\nc,x\n')

@@ -152,13 +152,7 @@ class TestRandomSource:
         rng = RandomSource(3)
         assert arr.tolist() == [rng.uniform() for _ in range(17)]
 
-    @pytest.mark.parametrize("block", [1, 3, 10])
-    def test_uniform_iter_replays_uniform(self, block):
-        it = RandomSource(5).child("x").uniform_iter(block)
-        rng = RandomSource(5).child("x")
-        assert [next(it) for _ in range(25)] == [rng.uniform() for _ in range(25)]
-
-    def test_uniform_iter_skips_zeros_like_uniform(self):
+    def test_uniforms_skip_zeros_like_uniform(self):
         class Gen:  # a generator whose stream holds exact zeros
             def __init__(self):
                 self.values = [0.25, 0.0, 0.5, 0.0, 0.0, 0.75, 0.125]
@@ -169,14 +163,13 @@ class TestRandomSource:
                 taken, self.values = self.values[:size], self.values[size:]
                 return np.array(taken)
 
-        a, b, c = RandomSource(0), RandomSource(0), RandomSource(0)
-        a._gen, b._gen, c._gen = Gen(), Gen(), Gen()
-        it = a.uniform_iter(2)
-        assert [next(it) for _ in range(3)] == [b.uniform() for _ in range(3)] == [0.25, 0.5, 0.75]
+        single, block = RandomSource(0), RandomSource(0)
+        single._gen, block._gen = Gen(), Gen()
+        assert [single.uniform() for _ in range(3)] == [0.25, 0.5, 0.75]
         # A block redraws zeros too, and leaves the source where the single
         # draws leave it.
-        assert c.uniforms(3).tolist() == [0.25, 0.5, 0.75]
-        assert c.uniform() == b.uniform() == 0.125
+        assert block.uniforms(3).tolist() == [0.25, 0.5, 0.75]
+        assert block.uniform() == single.uniform() == 0.125
 
     @pytest.mark.parametrize("seed", ["7", 1.5, 2**64])
     def test_bad_seed(self, seed):

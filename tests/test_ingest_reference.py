@@ -1,7 +1,8 @@
 """Array-backed ingestion against the per-item code it replaced.
 
 ``DictHistogram`` is the earlier dict-backed ``Histogram`` and
-``reference_parse`` the earlier per-row ``parse_histogram_csv``.  The
+``reference_parse`` the earlier per-row ``parse_histogram_csv``, with the
+64-bit range check of each count moved into its row's checks.  The
 array-backed ``Histogram`` must accept exactly the entries the dict-backed
 one accepted and raise the identical error for the rest; the one-pass CSV
 parser must return an equal histogram or raise the identical error, naming
@@ -83,6 +84,10 @@ def reference_parse(path):
                 raise IngestionError(
                     f"{path}: line {lineno}: count must be a non-negative integer, "
                     f"got {raw_count!r}"
+                )
+            if int(raw_count) > MAX_COUNT:
+                raise IngestionError(
+                    f"{path}: line {lineno}: count for {label!r} exceeds 64-bit range"
                 )
             counts[label] = int(raw_count)
     return DictHistogram(counts)
@@ -200,15 +205,18 @@ def test_first_offending_line_wins_across_read_chunks(tmp_path, early, late):
     assert outcome(parse_histogram_csv, path) == expected
 
 
-def test_overflowing_count_is_reported_after_every_row_check(tmp_path):
+def test_overflowing_count_names_its_line(tmp_path):
+    # Checked with the row's other checks, so the first offending line wins.
     path = tmp_path / "h.csv"
     path.write_bytes(b"label,count\na,%d\nb,1\n\xe2\x8a\xa5,2\n" % 2**63)
     assert outcome(parse_histogram_csv, path) == outcome(reference_parse, path)
-    assert "line 4" in outcome(parse_histogram_csv, path)[1]
+    assert "line 2" in outcome(parse_histogram_csv, path)[1]
     path.write_bytes(b"label,count\nb,1\na,%d\n" % 2**63)
     assert outcome(parse_histogram_csv, path) == (
-        IngestionError, "count for 'a' exceeds 64-bit range"
+        IngestionError, f"{path}: line 3: count for 'a' exceeds 64-bit range"
     )
+    path.write_bytes(b"label,count\nb,1\na,%d\n" % MAX_COUNT)
+    assert outcome(parse_histogram_csv, path) == ("ok", [("a", MAX_COUNT), ("b", 1)])
 
 
 # ---- top-kbar ----------------------------------------------------------------

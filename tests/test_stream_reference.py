@@ -127,8 +127,15 @@ def test_stack_matches_dict_reference(stream, sigma, threshold, seed, hook):
     else:
         counter = Counter(config)
         reference = ReferenceCounter(config)
-    for event in events:
+    for r, event in enumerate(events, start=1):
         assert repr(counter.observe(event)) == repr(reference.observe(event))
+        # The stack keeps stale entries above the active nodes; none is exported.
+        exported = counter.state_dict()["labels"]
+        assert list(exported) == counter.labels_seen()
+        for label, state in exported.items():
+            node_counts = reference._labels[label][1]
+            assert state["counts"] == {f"{b}:{i}": node_counts.get((b, i), 0)
+                                       for b, i in dyadic_nodes(r)}  # fmt: skip
     assert counter.labels_seen() == sorted(reference._labels)
     for label in LABELS:
         assert repr(counter.node_noises(label)) == repr(reference.node_noises(label))
@@ -141,11 +148,13 @@ def _config(horizon, l0, sigma, threshold, seed):
 
 
 def _noise_layout(events):
-    """Each label's column range in a run's noise row: labels in sorted
-    order, each taking one column per node it uses, from its debut round's
-    nodes through the last round's."""
+    """Each label's column range in a run's noise row: labels in order of
+    arrival (sorted within an event, as the sweep adds them), each taking
+    one column per node it uses, from its debut round's nodes through the
+    last round's."""
     layout, start = {}, 0
-    for label in sorted(set().union(*(event.items for event in events))):
+    arrivals = [label for event in events for label in sorted(event.items)]
+    for label in dict.fromkeys(arrivals):
         debut = next(r for r, event in enumerate(events, 1) if label in event.items)
         nodes = set().union(*(dyadic_nodes(r) for r in range(debut, len(events) + 1)))
         layout[label] = (start, start + len(nodes))
@@ -168,7 +177,7 @@ def test_counter_batch_rows_match_hooked_counters(stream, sigma, threshold, seed
     labels, totals, released = counter_batch(config, events, RandomSource(seed), trials)
 
     layout, draws = _noise_layout(events)
-    assert labels == sorted(layout)
+    assert labels == list(layout)
     assert totals.shape == released.shape == (trials, len(labels))
     shape = (trials, draws)
     block = sample_gaussian(sigma, RandomSource(seed), shape) if sigma else np.zeros(shape)
