@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 parameter or input error, 3 I/O error.  Results go
-to the output file (or standard output, only when no file is given);
-diagnostics go to standard error.
+Exit codes: 0 success, 2 parameter or input error, 3 I/O error or out of
+memory.  Results go to the output file (or standard output, only when no
+file is given); diagnostics go to standard error.
 """
 
 from __future__ import annotations
@@ -284,6 +284,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print(f"error: out of memory running {args.command}", file=sys.stderr)
         return 3
 
 

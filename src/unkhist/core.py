@@ -10,9 +10,9 @@ from __future__ import annotations
 import bisect
 import hashlib
 import math
+import operator
 import sys
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -136,18 +136,25 @@ def validate_label(label: object) -> str:
 
 class Histogram:
     """Finite map from label to non-negative integer count, built from a mapping,
-    from (label, count) pairs, or from a label and a count column, and stored as
-    the sorted labels plus a read-only int64 count array.  Iteration is in sorted
-    label order so that seeded mechanism runs are reproducible."""
+    from (label, count) pairs, or from a label and a count column.
 
-    __slots__ = ("_labels", "_counts")
+    Every entry is checked on construction.  The labels and a read-only int64
+    count array are kept in input order; the sorted view (labels in sorted
+    order, counts in the same order) is built once, on the first call that
+    depends on order: ``counts``, ``items``, ``labels``, ``get``, ``[]``,
+    ``in``, iteration, ``==`` and ``repr``.  Iteration is in sorted label
+    order so that seeded mechanism runs are reproducible.  ``columns`` hands
+    order-free callers, such as top-k selection, the entries without the sort.
+    """
+
+    __slots__ = ("_columns", "_sorted")
 
     def __init__(self, counts: Mapping[str, int] | Iterable = (), values: Iterable | None = None):
         if values is None:
             pairs = list(counts.items() if isinstance(counts, Mapping) else counts)
-            labels, values = [label for label, _ in pairs], [count for _, count in pairs]
+            labels, values = tuple([label for label, _ in pairs]), [count for _, count in pairs]
         else:
-            labels, values = list(counts), list(values)
+            labels, values = tuple(counts), list(values)
             if len(labels) != len(values):
                 raise ParameterError(f"{len(labels)} labels but {len(values)} counts")
         # Whole-column checks; where one fails, per-entry checks raise for the first
@@ -173,29 +180,50 @@ class Histogram:
                     raise IngestionError(f"count for {label!r} must be non-negative, got {count}")
                 if count > MAX_COUNT:
                     raise IngestionError(f"count for {label!r} exceeds 64-bit range")
-        order = sorted(range(len(labels)), key=labels.__getitem__)
-        self._labels = tuple(map(labels.__getitem__, order))
-        self._counts = np.array(values, dtype=np.int64)[order]
-        self._counts.flags.writeable = False
+        values = np.array(values, dtype=np.int64)
+        values.flags.writeable = False
+        self._columns = (labels, values)
+        self._sorted = None
 
     @classmethod
     def coerce(cls, value: "Histogram" | Mapping[str, int]) -> "Histogram":
         return value if isinstance(value, cls) else cls(value)
 
     @property
+    def columns(self) -> tuple[tuple[str, ...], np.ndarray]:
+        """The labels and their read-only int64 counts, in an unspecified order
+        that is the same for both: input order until the sorted view is built,
+        sorted order after.  For callers whose result does not depend on order."""
+        return self._columns
+
+    def _view(self) -> tuple[tuple[str, ...], np.ndarray]:
+        """The sorted view, built on first use; the input-order columns give
+        way to it."""
+        view = self._sorted
+        if view is None:
+            labels, counts = self._columns
+            order = sorted(range(len(labels)), key=labels.__getitem__)
+            counts = counts[order]
+            counts.flags.writeable = False
+            view = self._columns = self._sorted = (tuple(map(labels.__getitem__, order)), counts)
+        return view
+
+    @property
     def counts(self) -> np.ndarray:
         """The counts in sorted label order, as a read-only int64 array."""
-        return self._counts
+        return self._view()[1]
 
     def items(self) -> list[tuple[str, int]]:
-        return list(zip(self._labels, self._counts.tolist()))
+        labels, counts = self._view()
+        return list(zip(labels, counts.tolist()))
 
     def labels(self) -> list[str]:
-        return list(self._labels)
+        return list(self._view()[0])
 
     def get(self, label: str, default: int = 0) -> int:
-        i = bisect.bisect_left(self._labels, label) if isinstance(label, str) else len(self)
-        return int(self._counts[i]) if i < len(self) and self._labels[i] == label else default
+        labels, counts = self._view()
+        i = bisect.bisect_left(labels, label) if isinstance(label, str) else len(labels)
+        return int(counts[i]) if i < len(labels) and labels[i] == label else default
 
     def __getitem__(self, label: str) -> int:
         if label not in self:
@@ -206,14 +234,15 @@ class Histogram:
         return self.get(label, None) is not None
 
     def __len__(self) -> int:
-        return len(self._labels)
+        return len(self._columns[0])
 
     def __iter__(self):
-        return iter(self._labels)
+        return iter(self._view()[0])
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Histogram):
-            return self._labels == other._labels and np.array_equal(self._counts, other._counts)
+            (labels, counts), (other_labels, other_counts) = self._view(), other._view()
+            return labels == other_labels and np.array_equal(counts, other_counts)
         return NotImplemented
 
     def __repr__(self) -> str:
@@ -351,7 +380,7 @@ def sample_laplace(
     check_positive("scale", scale)
     if size is None:
         return laplace_quantile(rng.uniform(), scale)
-    return _quantile_block(lambda u: _map_array(laplace_quantile, u, scale), rng, size)
+    return _quantile_block(lambda u: _laplace_quantiles(u, scale), rng, size)
 
 
 def sample_gaussian(
@@ -373,7 +402,7 @@ def sample_gumbel(
     check_positive("beta", beta)
     if size is None:
         return gumbel_quantile(rng.uniform(), beta)
-    return _quantile_block(lambda u: _map_array(gumbel_quantile, u, beta), rng, size)
+    return _quantile_block(lambda u: _gumbel_quantiles(u, beta), rng, size)
 
 
 #: Uniforms turned into noise per step of a block draw, so the Python floats
@@ -390,8 +419,8 @@ def _quantile_block(
     """transform over the next prod(size) uniforms of rng, in row-major
     order and in steps of _BLOCK_STEP: element i is the draw the i-th single
     call would make, provided transform agrees with the scalar quantile bit
-    for bit (``gaussian_quantiles``, or a scalar quantile mapped by
-    ``_map_array``)."""
+    for bit (``gaussian_quantiles``, ``_laplace_quantiles`` or
+    ``_gumbel_quantiles``)."""
     out = np.empty(size)
     flat = out.reshape(-1)
     for start in range(0, flat.size, _BLOCK_STEP):
@@ -400,9 +429,25 @@ def _quantile_block(
     return out
 
 
-def _map_array(fn: Callable[..., float], x: np.ndarray, *args: float) -> np.ndarray:
-    """fn(v, *args) for every v of a flat array, one scalar call each."""
-    return np.fromiter(map(fn, x.tolist(), *map(repeat, args)), dtype=float, count=x.size)
+def _map_array(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """fn(v) for every v of a flat array, one scalar call each."""
+    return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
+
+
+# The block quantiles below are laplace_quantile and gumbel_quantile over a
+# flat array: the same IEEE operations in the same order, with math.log
+# mapped over the entries (see _normal_quantiles for why).
+
+
+def _laplace_quantiles(u: np.ndarray, scale: float) -> np.ndarray:
+    lower = u < 0.5
+    logs = _map_array(math.log, 2.0 * np.where(lower, u, 1.0 - u))
+    return np.where(lower, scale * logs, -scale * logs + 0.0)
+
+
+def _gumbel_quantiles(u: np.ndarray, beta: float) -> np.ndarray:
+    logs = map(math.log, map(operator.neg, map(math.log, u.tolist())))
+    return -beta * np.fromiter(logs, dtype=float, count=u.size) + 0.0
 
 
 _SQRT2 = math.sqrt(2.0)

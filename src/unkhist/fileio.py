@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import errno
+import io
 import json
 import math
 import os
@@ -63,22 +64,51 @@ def open_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
 
 
 def parse_histogram_csv(path: str | Path) -> Histogram:
-    """Read `label,count` rows into a Histogram: one pass collects both columns,
+    """Read `label,count` rows into a Histogram: one read collects both columns,
     and any failed check reads the file again row by row to name the line."""
-    labels, raw_counts = [], []
     try:
-        with open_text(path, newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            for label, raw_count in filter(None, reader):  # skips blank lines
-                labels.append(label)
-                raw_counts.append(raw_count)
-        digits = "".join(raw_counts)
-        if header == _HEADER and digits.isascii() and digits.isdigit():
-            return Histogram(labels, map(int, raw_counts))
+        with open(path, "rb") as handle:
+            columns = _csv_columns(handle.read())
+        if columns is not None:
+            labels, raw_counts = columns
+            digits = "".join(raw_counts)
+            if digits.isascii() and digits.isdigit():
+                return Histogram(labels, map(int, raw_counts))
     except (ValueError, csv.Error):  # IngestionError and UnicodeDecodeError included
         pass
     return _parse_histogram_rows(path)
+
+
+_HEADER_LINE = b"label,count\n"
+#: Every byte but the two separators, for bytes.translate to delete.
+_NOT_SEPARATORS = bytes(range(256)).translate(None, b",\n")
+
+
+def _csv_columns(data: bytes) -> tuple[list[str], list[str]] | None:
+    """The label and count columns of a CSV file's bytes, as csv.reader
+    splits them with blank lines skipped, or None for a header other than
+    `label,count`.  A row of other than two fields raises ValueError.
+
+    Outside quotes, CRLF and LF end a record alike, so a file with no quote
+    has its CRLFs folded to LF.  If it then holds no CR, its first line is
+    the header and each line holds one comma and ends in LF, the text is
+    split at once.  Any other file goes through csv.reader."""
+    if b'"' not in data:
+        data = data.replace(b"\r\n", b"\n")
+        if b"\r" not in data and data.startswith(_HEADER_LINE) and data.endswith(b"\n"):
+            separators = data.translate(None, _NOT_SEPARATORS)
+            if separators == b",\n" * (len(separators) // 2):
+                # The header's two fields lead, the empty text after the last LF trails.
+                fields = data.decode("utf-8").replace("\n", ",").split(",")
+                return fields[2:-1:2], fields[3::2]
+    reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+    if next(reader, None) != _HEADER:
+        return None
+    labels, raw_counts = [], []
+    for label, raw_count in filter(None, reader):  # skips blank lines
+        labels.append(label)
+        raw_counts.append(raw_count)
+    return labels, raw_counts
 
 
 def _parse_histogram_rows(path: str | Path) -> Histogram:

@@ -66,15 +66,16 @@ def truncate_topk(h: Histogram, kbar: int) -> TruncatedHistogram:
     """
     h = Histogram.coerce(h)
     kbar = check_int("kbar", kbar)
-    counts = h.counts
-    ranked, next_count = np.arange(len(counts)), 0
+    labels, counts = h.columns
+    ranked, next_count = range(len(counts)), 0
     if len(counts) > kbar:
         # Only counts at or above the kbar-th largest can make the cut.
         part = np.partition(counts, (-kbar - 1, -kbar))
-        ranked, next_count = np.flatnonzero(counts >= part[-kbar]), int(part[-kbar - 1])
-    # Labels are in sorted order, so a stable sort keeps tied counts in label order.
+        ranked, next_count = np.flatnonzero(counts >= part[-kbar]).tolist(), int(part[-kbar - 1])
+    # Sorted by label, then stably by count: the (-count, label) order, whatever
+    # the order of the columns, and only the candidates are sorted.
+    ranked = np.array(sorted(ranked, key=labels.__getitem__), dtype=np.intp)
     ranked = ranked[np.argsort(-counts[ranked], kind="stable")][:kbar].tolist()
-    labels = h.labels()
     top = [(labels[i], count) for i, count in zip(ranked, counts[ranked].tolist())]
     top += [(padding_label(j), 0) for j in range(1, kbar - len(top) + 1)]
     return TruncatedHistogram(top=tuple(top), next_count=next_count)

@@ -164,6 +164,23 @@ class TestReportFiles:
         assert out.read_text(encoding="utf-8") == "old report\n"
         assert sorted(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize("where", ["unkhist.cli.parse_histogram_csv", "unkhist.fileio.os.replace"])
+    def test_out_of_memory_exits_3_leaving_no_file(
+        self, hist_csv, tmp_path, monkeypatch, capsys, where
+    ):
+        # Raised while parsing the input, or inside the temp file's write.
+        def exhausted(*args):
+            raise MemoryError
+
+        out = tmp_path / "r.json"
+        before = sorted(tmp_path.iterdir())
+        monkeypatch.setattr(where, exhausted)
+        assert self.release_to(hist_csv, out) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: out of memory running release\n"
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_unwritable_file_is_not_replaced(self, hist_csv, tmp_path, monkeypatch, capsys):
         out = tmp_path / "r.json"
         out.write_text("old report\n", encoding="utf-8")

@@ -35,6 +35,20 @@ EULER_GAMMA = 0.57721566490153286
 PI2_OVER_6 = 1.6449340668482264
 
 
+#: Every Histogram accessor whose result depends on the sorted view.
+ORDERED_ACCESSORS = {
+    "counts": lambda h: h.counts.tolist(),
+    "items": lambda h: h.items(),
+    "labels": lambda h: h.labels(),
+    "iter": lambda h: list(h),
+    "get": lambda h: [h.get(label, -1) for label in ("fig", "grape", 3)],
+    "getitem": lambda h: h["apple"],
+    "in": lambda h: ["fig" in h, "grape" in h],
+    "eq": lambda h: h == Histogram({"fig": 0, "pear": 1, "apple": 3}),
+    "repr": lambda h: repr(h),
+}
+
+
 class TestLabels:
     def test_reserved_family(self):
         assert is_reserved_label(BOTTOM)
@@ -104,6 +118,25 @@ class TestLabels:
         empty = Histogram()
         assert (len(empty), empty.items(), empty.counts.tolist()) == (0, [], [])
         assert empty == Histogram({}) == Histogram([], [])
+
+    @pytest.mark.parametrize("first", ORDERED_ACCESSORS)
+    def test_sorted_view_is_built_on_first_use(self, first):
+        # Whichever accessor comes first builds the view, and every accessor
+        # gives what it gives on a histogram whose view was built before.
+        def every_accessor(h):
+            return [accessor(h) for accessor in ORDERED_ACCESSORS.values()]
+
+        lazy = Histogram(["pear", "fig", "apple"], [1, 0, 3])
+        built = Histogram({"apple": 3, "fig": 0, "pear": 1})
+        built.counts
+        assert (lazy._sorted, len(lazy)) == (None, 3)
+        assert lazy.columns[0] == ("pear", "fig", "apple")
+        assert lazy.columns[1].tolist() == [1, 0, 3]
+        assert ORDERED_ACCESSORS[first](lazy) == ORDERED_ACCESSORS[first](built)
+        assert lazy._sorted is not None
+        assert lazy.columns[0] == ("apple", "fig", "pear")
+        assert every_accessor(lazy) == every_accessor(built)
+        assert lazy == built and repr(lazy) == repr(built)
 
 
 class TestSensitivityBound:
@@ -304,3 +337,17 @@ def test_block_draws_are_repeated_single_draws(sampler, scale, monkeypatch):
     assert sampler(scale, RandomSource(5), (4, 0)).shape == (4, 0)
     with pytest.raises(ParameterError):
         sampler(0.0, RandomSource(5), (1, 1))
+
+
+@pytest.mark.parametrize(
+    "block, scalar",
+    [(core._laplace_quantiles, core.laplace_quantile), (core._gumbel_quantiles, core.gumbel_quantile)],
+)
+@pytest.mark.parametrize("scale", [1.3, 1e-320, 1e300])
+def test_block_quantiles_match_the_scalar_bits_at_the_edges(block, scalar, scale):
+    # The branch point, its neighbours and the extreme uniforms; tobytes also
+    # tells 0.0 from -0.0 (u = 0.5, or an underflowing product).
+    u = [2.0**-53, 1e-300, 0.25, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 1 - 2.0**-53]
+    u += RandomSource(9).uniforms(64).tolist()
+    expected = np.array([scalar(x, scale) for x in u])
+    assert block(np.array(u), scale).tobytes() == expected.tobytes()

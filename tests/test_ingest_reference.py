@@ -6,8 +6,10 @@
 array-backed ``Histogram`` must accept exactly the entries the dict-backed
 one accepted and raise the identical error for the rest; the one-pass CSV
 parser must return an equal histogram or raise the identical error, naming
-the same physical line.  ``truncate_topk`` must pick what a full sort by
-(-count, label) picks.
+the same physical line, whether it splits the file at once or runs
+csv.reader over it.  ``truncate_topk`` must pick what a full sort by
+(-count, label) picks, from the input-order columns, so that ``topk`` and
+``gumbel-topk`` never build the sorted view.
 """
 
 import contextlib
@@ -20,9 +22,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unkhist.cli import main
-from unkhist.core import MAX_COUNT, Histogram, IngestionError, padding_label, validate_label
+from unkhist.core import (
+    MAX_COUNT,
+    Histogram,
+    IngestionError,
+    RandomSource,
+    SensitivityBound,
+    padding_label,
+    validate_label,
+)
 from unkhist.fileio import open_text, parse_histogram_csv
-from unkhist.topk import truncate_topk
+from unkhist.gumbel import release_gumbel_topk
+from unkhist.topk import release_topk, truncate_topk
 
 
 def _validate_count(label, count):
@@ -219,6 +230,73 @@ def test_overflowing_count_names_its_line(tmp_path):
     assert outcome(parse_histogram_csv, path) == ("ok", [("a", MAX_COUNT), ("b", 1)])
 
 
+# Characters the split scan must treat as csv.reader does: the two separators,
+# CR alone and in CRLF, the quote, and characters that str.splitlines (but
+# not csv.reader) takes for line breaks.  csv.reader refuses NUL before
+# Python 3.11, and there the reference cannot judge it.
+_NUL = ["\x00"] if list(csv.reader(["a\x00"])) == [["a\x00"]] else []
+SCAN_TOKENS = ["a", "é", "1", ",", "\n", "\r", "\r\n", '"', *_NUL, "\x0b", "\x0c", "\x1c",
+               "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]  # fmt: skip
+scan_tokens = st.sampled_from(SCAN_TOKENS)
+scan_fields = st.lists(scan_tokens, max_size=3).map("".join)
+scan_rows = st.tuples(
+    scan_fields | st.sampled_from(["a", "b", "é", "c1"]),
+    scan_fields | st.sampled_from(["0", "1", "12"]),
+    st.sampled_from(["\n", "\n", "\r\n", "\r", "\n\n", ""]),
+).map(lambda row: f"{row[0]},{row[1]}{row[2]}")
+scan_heads = st.sampled_from(
+    ["label,count\n", "label,count\n", "label,count\r\n", "label,count", "label,count\r",
+     "\ufefflabel,count\n", '"label",count\n', "label,count,\n", "count,label\n", "\n", ""]
+)  # fmt: skip
+
+
+@settings(max_examples=500, deadline=None)
+@given(head=scan_heads, body=st.lists(scan_rows | scan_tokens, max_size=8).map("".join))
+def test_split_scan_matches_the_reference(head, body, tmp_path_factory):
+    path = tmp_path_factory.mktemp("csv") / "h.csv"
+    path.write_bytes((head + body).encode("utf-8"))
+    assert_parses_like_reference(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "label,count",
+        "label,count\n",
+        "label,count\r\n",
+        "\ufefflabel,count\na,1\n",
+        "label,count\n\na,1\n\n\nb,2\n\n",
+        "label,count\r\n\r\na,1\r\n",
+        "label,count\na,1\nb,2",
+        "label,count\na,1\rb,2\r",
+        "label,count\na,1\r\nb,2\n",
+        'label,count\n"a,1",2\nb,3\n',
+        "label,count\na\x0bb,1\n\x85,2\n\u2028\u2029,3\n\x1c\x1d\x1e,4\n",
+        "label,count\na,1\x0c\n",
+        "label,count\na,\nb,1\n",
+        "label,count\n,1\n",
+    ],
+    ids=["empty", "header-only-no-newline", "header-only", "header-only-crlf", "bom",
+         "blank-lines", "blank-lines-crlf", "no-final-newline", "lone-cr", "mixed-ends",
+         "quoted", "splitlines-breaks", "form-feed-in-count", "empty-count", "empty-label"],
+)  # fmt: skip
+def test_split_scan_edge_files(tmp_path, text):
+    path = tmp_path / "h.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert_parses_like_reference(path)
+
+
+def test_separator_check_is_exact_not_a_comma_count(tmp_path):
+    # Two rows, two commas, three line ends: a count of either alone would pass.
+    path = tmp_path / "h.csv"
+    path.write_bytes(b"label,count\nx\n1,y,2\n")
+    assert outcome(parse_histogram_csv, path) == (
+        IngestionError, f"{path}: line 2: expected 2 fields, got 1"
+    )
+    assert_parses_like_reference(path)
+
+
 # ---- top-kbar ----------------------------------------------------------------
 
 
@@ -262,3 +340,35 @@ def test_truncate_topk_edge_cases(counts):
     h = Histogram(counts)
     for kbar in sorted({1, 2, 3, 4, max(len(h) - 1, 1), len(h) or 1, len(h) + 1, len(h) + 5}):
         assert_truncation_matches(h, kbar)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    entries=st.dictionaries(
+        st.text(alphabet="abcxyz", min_size=1, max_size=3), top_counts, max_size=12
+    ).map(lambda counts: list(counts.items())).flatmap(st.permutations),
+    kbar=st.integers(1, 14),
+)
+def test_truncate_topk_does_not_depend_on_insertion_order(entries, kbar):
+    h = Histogram(entries)
+    assert truncate_topk(h, kbar) == truncate_topk(Histogram(sorted(entries)), kbar)
+    assert h._sorted is None  # the input-order columns sufficed
+    assert_truncation_matches(h, kbar)
+
+
+@pytest.mark.parametrize("mechanism", ["topk", "gumbel-topk"])
+def test_topk_mechanisms_never_build_the_sorted_view(mechanism):
+    labels = [f"x{i:05d}" for i in range(10**4)]
+    counts = [1 + (i * 7919) % 60 for i in range(10**4)]
+
+    def run(h):
+        if mechanism == "topk":
+            return release_topk(h, 50, SensitivityBound(1, 1), 1.0, 1e-6, RandomSource(3))
+        return release_gumbel_topk(h, 5, 50, 1, 1.0, 1e-6, RandomSource(3))
+
+    lazy = Histogram(labels[::-1], counts[::-1])
+    built = Histogram(labels, counts)
+    built.items()
+    assert built._sorted is not None
+    assert run(lazy) == run(built)
+    assert lazy._sorted is None
