@@ -114,13 +114,14 @@ def _csv_columns(data: bytes) -> tuple[list[str], list[str]] | None:
 def _parse_histogram_rows(path: str | Path) -> Histogram:
     """parse_histogram_csv row by row: the first offending row raises, naming its line."""
     counts: dict[str, int] = {}
+    header = None
     with open_text(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != _HEADER:
-            raise IngestionError(f"{path}: line 1: expected header 'label,count', got {header!r}")
-        for row in filter(None, reader):
-            try:
+        try:
+            header = next(reader, None)
+            if header != _HEADER:
+                raise IngestionError(f"expected header 'label,count', got {header!r}")
+            for row in filter(None, reader):
                 if len(row) != 2:
                     raise IngestionError(f"expected 2 fields, got {len(row)}")
                 label, raw_count = row
@@ -134,9 +135,11 @@ def _parse_histogram_rows(path: str | Path) -> Histogram:
                 counts[label] = int(raw_count)
                 if counts[label] > MAX_COUNT:
                     raise IngestionError(f"count for {label!r} exceeds 64-bit range")
-            except IngestionError as exc:
-                # The physical line the record ends on: a quoted label may span lines.
-                raise IngestionError(f"{path}: line {reader.line_num}: {exc}") from None
+        except (IngestionError, csv.Error) as exc:
+            # A fault in the header is on line 1; any other is on the physical
+            # line its record ends on, as a quoted label may span lines.
+            line = reader.line_num if header == _HEADER else 1
+            raise IngestionError(f"{path}: line {line}: {exc}") from None
     return Histogram(counts)
 
 
@@ -295,9 +298,10 @@ def write_report_json(
 
 def _replace_file(path: str | Path, text: str) -> None:
     """Write text to path as open(path, "w") would, but through a temp file in
-    the same directory renamed over it: a failed write leaves any existing
-    file unchanged and no temp file behind, and its OSError names path.  A
-    path that names no regular file, such as /dev/stdout, is written in place."""
+    the same directory, synced to disk and renamed over it: a failed write
+    leaves any existing file unchanged and no temp file behind, and its
+    OSError names path.  A path that names no regular file, such as
+    /dev/stdout, is written in place."""
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -313,6 +317,8 @@ def _replace_file(path: str | Path, text: str) -> None:
         try:
             with open(fd, "w", encoding="utf-8") as handle:
                 handle.write(text)
+                handle.flush()
+                os.fsync(handle.fileno())
             if os.path.exists(target):
                 shutil.copymode(target, tmp)
             os.replace(tmp, target)

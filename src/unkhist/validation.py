@@ -5,6 +5,10 @@ how often a mechanism emits an outcome its neighbor could never produce
 (which must stay below delta), and compares sampled ranked-list mechanisms
 against exact enumerated distributions via total variation and Renyi
 divergence.
+
+The `validate` suites' delta-event checks are rows of one table,
+_DELTA_EVENT_CHECKS; one loop in run_suite runs each row on its boundary
+pair and compares the estimate with _delta_event_oracle, the exact value.
 """
 
 from __future__ import annotations
@@ -186,32 +190,19 @@ def make_boundary_neighbors(
       ties everything and the tie-break evicts the lexicographically last label.
     - stream: a burst of l0 fresh labels at one round; the neighbor's round is empty.
     """
-    if mechanism == "alg1":
+    if mechanism in ("alg1", "topk"):
         check_sensitivity(sens)
-        floor = int(sens.linf)
-        if floor != sens.linf or floor < 1:
-            raise ParameterError("alg1 boundary pairs need an integer linf >= 1")
-        vanish = _letters(sens.l0)
-        anchor = {} if anchor_count is None else {"z": anchor_count}
-        base = Histogram({label: floor for label in vanish} | anchor)
-        neighbor = Histogram(anchor)
-        pair = NeighborPair(
-            kind="histogram",
-            base=base,
-            neighbor=neighbor,
-            description=(
-                f"removing one user deletes {len(vanish)} labels at count exactly {floor}"
-            ),
-        )
-        validate_neighbor_pair(pair, sens)
-        return pair
-
-    if mechanism == "topk":
-        check_sensitivity(sens)
-        check_int("kbar", kbar)
         gap = int(sens.linf)
         if gap != sens.linf or gap < 1:
-            raise ParameterError("topk boundary pairs need an integer linf >= 1")
+            raise ParameterError(f"{mechanism} boundary pairs need an integer linf >= 1")
+    if mechanism == "alg1":
+        vanish = _letters(sens.l0)
+        anchor = {} if anchor_count is None else {"z": anchor_count}
+        base = Histogram({label: gap for label in vanish} | anchor)
+        neighbor = Histogram(anchor)
+        description = f"removing one user deletes {len(vanish)} labels at count exactly {gap}"
+    elif mechanism == "topk":
+        check_int("kbar", kbar)
         m = min(kbar, sens.l0)
         boundary = _letters(m, start=1)
         filler_count = 100 if anchor_count is None else anchor_count
@@ -220,37 +211,22 @@ def make_boundary_neighbors(
             raise ParameterError("anchor_count must exceed count + linf")
         base = Histogram({lab: count + gap for lab in boundary} | {"a": count} | fillers)
         neighbor = Histogram({lab: count for lab in boundary} | {"a": count} | fillers)
-        pair = NeighborPair(
-            kind="histogram",
-            base=base,
-            neighbor=neighbor,
-            description=(
-                f"one user holds the last {m} top labels exactly {gap} above the "
-                f"(kbar+1)-th count; without it the tie-break evicts {boundary[-1]!r}"
-            ),
+        description = (
+            f"one user holds the last {m} top labels exactly {gap} above the "
+            f"(kbar+1)-th count; without it the tie-break evicts {boundary[-1]!r}"
         )
-        validate_neighbor_pair(pair, sens)
-        return pair
-
-    if mechanism == "gumbel":
+    elif mechanism == "gumbel":
         check_int("kbar", kbar)
         check_int("count", count, 2)
         tied = _letters(kbar, start=1)
         base = Histogram({lab: count for lab in tied} | {"a": count - 1})
         neighbor = Histogram({lab: count - 1 for lab in tied} | {"a": count - 1})
-        pair = NeighborPair(
-            kind="histogram",
-            base=base,
-            neighbor=neighbor,
-            description=(
-                f"one user lifts {kbar} tied top labels one above the runner-up; "
-                f"without it the tie-break evicts {tied[-1]!r}"
-            ),
+        description = (
+            f"one user lifts {kbar} tied top labels one above the runner-up; "
+            f"without it the tie-break evicts {tied[-1]!r}"
         )
-        validate_neighbor_pair(pair, SensitivityBound(l0=math.inf, linf=1))
-        return pair
-
-    if mechanism == "stream":
+        sens = SensitivityBound(l0=math.inf, linf=1)  # one user moves every count by one
+    elif mechanism == "stream":
         check_sensitivity(sens)
         check_int("horizon", horizon)
         if check_int("debut_round", debut_round) > horizon:
@@ -261,19 +237,21 @@ def make_boundary_neighbors(
             for r in range(1, horizon + 1)
         )
         neighbor = tuple(StreamEvent(r, ()) for r in range(1, horizon + 1))
-        pair = NeighborPair(
-            kind="stream",
-            base=base,
-            neighbor=neighbor,
-            description=(
-                f"{len(fresh)} fresh labels debut at round {debut_round} and never recur; "
-                "the neighboring stream's event is empty"
-            ),
+        description = (
+            f"{len(fresh)} fresh labels debut at round {debut_round} and never recur; "
+            "the neighboring stream's event is empty"
         )
-        validate_neighbor_pair(pair, sens)
-        return pair
+    else:
+        raise ParameterError(f"unknown boundary mechanism {mechanism!r}")
 
-    raise ParameterError(f"unknown boundary mechanism {mechanism!r}")
+    pair = NeighborPair(
+        kind="stream" if mechanism == "stream" else "histogram",
+        base=base,
+        neighbor=neighbor,
+        description=description,
+    )
+    validate_neighbor_pair(pair, sens)
+    return pair
 
 
 def _delta_event_setup(
@@ -452,7 +430,7 @@ def sample_gumbel_topk_outcomes(
     trunc = truncate_topk(h, kbar)
     candidates = [(label, count) for label, count in trunc.top if count > 0]
     n = len(candidates)
-    if k > kbar:
+    if check_int("k", k) > kbar:
         raise ParameterError("k must not exceed kbar")
     if n == 0:
         return {(BOTTOM,): 1.0}
@@ -526,30 +504,55 @@ _SUITE_DELTA = 0.05
 DEFAULT_DELTA_EVENT_TRIALS = 10**5
 DEFAULT_DISTANCE_TRIALS = 10**6
 
+_UNIT = SensitivityBound(l0=1, linf=1)
 
-def _tolerance(expected: float, trials: int) -> float:
-    return max(5.0 * math.sqrt(expected * (1.0 - expected) / trials), 1e-6)
+#: The delta-event checks: each row's check name, the mechanism (and suite)
+#: it runs, the rng.child token its trials draw from, and the MechanismConfig
+#: fields beyond epsilon 1 and delta _SUITE_DELTA, which also size its
+#: boundary pair.
+_DELTA_EVENT_CHECKS = [
+    ("alg1-laplace-delta-event", "alg1", "laplace", dict(sens=_UNIT, noise="laplace")),
+    ("alg1-gaussian-delta-event", "alg1", "gaussian", dict(sens=_UNIT, noise="gaussian")),
+    ("topk-delta-event", "topk", "topk", dict(sens=_UNIT, kbar=1)),
+    ("gumbel-delta-event", "gumbel", "delta", dict(kbar=1, k=1, l0_for_threshold=1)),
+    ("stream-debut-delta-event", "stream", "stream", dict(sens=_UNIT, horizon=7, debut_round=7)),
+]
 
 
-def _delta_event_check(
+def _delta_event_oracle(config: MechanismConfig) -> float:
+    """The exact probability of the delta-event on the config's boundary pair.
+
+    alg1 and topk are calibrated so that it is delta; Gumbel's threshold
+    makes it delta / (delta + 1).  The stream's debut label, at count 1, is
+    released when its count plus the noise of active_node_count(debut_round)
+    nodes clears the threshold: a normal tail.
+    """
+    if config.mechanism == "gumbel":
+        return config.delta / (config.delta + 1.0)
+    if config.mechanism == "stream":
+        counter = CounterConfig.from_privacy(
+            config.horizon, config.sens.l0, config.epsilon, config.delta, seed=0
+        )
+        spread = math.sqrt(active_node_count(config.debut_round)) * counter.sigma
+        return 1.0 - normal_cdf((counter.threshold - 1.0) / spread)
+    return config.delta
+
+
+def _check(
     name: str,
-    pair: NeighborPair,
-    config: MechanismConfig,
+    passed: bool,
+    point: float,
+    upper: float,
     expected: float,
+    tolerance: float,
     trials: int,
-    rng: RandomSource,
 ) -> dict:
-    estimate = estimate_delta_event(pair, config, trials, rng)
-    tolerance = _tolerance(expected, trials)
-    passed = (
-        abs(estimate.point - expected) <= tolerance
-        and estimate.upper <= 1.2 * config.delta
-    )
+    """One row of a suite report."""
     return {
         "name": name,
         "passed": passed,
-        "point": estimate.point,
-        "upper": estimate.upper,
+        "point": point,
+        "upper": upper,
         "expected": expected,
         "tolerance": tolerance,
         "trials": trials,
@@ -567,53 +570,31 @@ def run_suite(suite: str, trials: int | None, seed: int) -> dict:
     event_trials = trials if trials is not None else DEFAULT_DELTA_EVENT_TRIALS
     distance_trials = trials if trials is not None else DEFAULT_DISTANCE_TRIALS
     rng = RandomSource(seed)
-    delta = _SUITE_DELTA
     checks: list[dict] = []
 
-    if suite == "alg1":
-        sens = SensitivityBound(l0=1, linf=1)
-        pair = make_boundary_neighbors("alg1", sens)
-        for noise in ("laplace", "gaussian"):
-            config = MechanismConfig(
-                mechanism="alg1", epsilon=1.0, delta=delta, sens=sens, noise=noise
-            )
-            checks.append(
-                _delta_event_check(
-                    f"alg1-{noise}-delta-event",
-                    pair,
-                    config,
-                    delta,
-                    event_trials,
-                    rng.child(noise),
-                )
-            )
-    elif suite == "topk":
-        sens = SensitivityBound(l0=1, linf=1)
-        pair = make_boundary_neighbors("topk", sens, kbar=1)
-        config = MechanismConfig(
-            mechanism="topk", epsilon=1.0, delta=delta, sens=sens, kbar=1
+    for name, mechanism, token, fields in _DELTA_EVENT_CHECKS:
+        if mechanism != suite:
+            continue
+        config = MechanismConfig(mechanism, epsilon=1.0, delta=_SUITE_DELTA, **fields)
+        pair = make_boundary_neighbors(
+            mechanism,
+            config.sens,
+            kbar=config.kbar,
+            horizon=config.horizon,
+            debut_round=config.debut_round,
+        )
+        estimate = estimate_delta_event(pair, config, event_trials, rng.child(token))
+        expected = _delta_event_oracle(config)
+        tolerance = max(5.0 * math.sqrt(expected * (1.0 - expected) / event_trials), 1e-6)
+        passed = (
+            abs(estimate.point - expected) <= tolerance
+            and estimate.upper <= 1.2 * config.delta
         )
         checks.append(
-            _delta_event_check(
-                "topk-delta-event", pair, config, delta, event_trials, rng.child("topk")
-            )
+            _check(name, passed, estimate.point, estimate.upper, expected, tolerance, event_trials)
         )
-    elif suite == "gumbel":
-        pair = make_boundary_neighbors("gumbel", kbar=1)
-        config = MechanismConfig(
-            mechanism="gumbel",
-            epsilon=1.0,
-            delta=delta,
-            kbar=1,
-            k=1,
-            l0_for_threshold=1,
-        )
-        expected = delta / (delta + 1.0)
-        checks.append(
-            _delta_event_check(
-                "gumbel-delta-event", pair, config, expected, event_trials, rng.child("delta")
-            )
-        )
+
+    if suite == "gumbel":
         h = Histogram({"a": 3, "b": 2, "c": 1})
         exact = exact_expmech_topk_distribution(h, 2, 1.0)
         empirical = sample_gumbel_topk_outcomes(
@@ -621,44 +602,7 @@ def run_suite(suite: str, trials: int | None, seed: int) -> dict:
         )
         tv = tv_distance(empirical, exact)
         bound = max(0.01, 3.0 * math.sqrt(len(exact) / (4.0 * distance_trials)))
-        checks.append(
-            {
-                "name": "gumbel-expmech-tv",
-                "passed": tv < bound,
-                "point": tv,
-                "upper": tv,
-                "expected": 0.0,
-                "tolerance": bound,
-                "trials": distance_trials,
-            }
-        )
-    elif suite == "stream":
-        sens = SensitivityBound(l0=1, linf=1)
-        horizon, debut = 7, 7
-        pair = make_boundary_neighbors(
-            "stream", sens, horizon=horizon, debut_round=debut
-        )
-        config = MechanismConfig(
-            mechanism="stream",
-            epsilon=1.0,
-            delta=delta,
-            sens=sens,
-            horizon=horizon,
-            debut_round=debut,
-        )
-        counter_config = CounterConfig.from_privacy(horizon, 1, 1.0, delta, seed=0)
-        spread = math.sqrt(active_node_count(debut)) * counter_config.sigma
-        expected = 1.0 - normal_cdf((counter_config.threshold - 1.0) / spread)
-        checks.append(
-            _delta_event_check(
-                "stream-debut-delta-event",
-                pair,
-                config,
-                expected,
-                event_trials,
-                rng.child("stream"),
-            )
-        )
+        checks.append(_check("gumbel-expmech-tv", tv < bound, tv, tv, 0.0, bound, distance_trials))
     elif suite == "renyi":
         for epsilon in (0.5, 1.0, 2.0):
             base = Histogram({"a": 4, "b": 3, "c": 2})
@@ -673,17 +617,8 @@ def run_suite(suite: str, trials: int | None, seed: int) -> dict:
                     estimate_renyi_divergence(q, p, lam) - lam * rho,
                 )
                 worst = max(worst, gap)
-            checks.append(
-                {
-                    "name": f"renyi-budget-eps-{epsilon}",
-                    "passed": worst <= 1e-12,
-                    "point": worst,
-                    "upper": worst,
-                    "expected": 0.0,
-                    "tolerance": 1e-12,
-                    "trials": 0,
-                }
-            )
+            name = f"renyi-budget-eps-{epsilon}"
+            checks.append(_check(name, worst <= 1e-12, worst, worst, 0.0, 1e-12, 0))
 
     return {
         "suite": suite,

@@ -1,6 +1,7 @@
 """CSV/JSON formats and the command-line surface."""
 
 import contextlib
+import csv
 import errno
 import hashlib
 import io
@@ -84,6 +85,20 @@ class TestParseHistogramCsv:
         )  # fmt: skip
         assert code == 2
         assert "line 4" in capsys.readouterr().err
+
+    def test_csv_reader_error_exits_2_naming_the_line(self, tmp_path, capsys):
+        # csv.reader refuses a quoted field longer than csv.field_size_limit();
+        # the same label unquoted takes the split scan and is accepted.
+        label = "x" * (csv.field_size_limit() + 1)
+        path = write(tmp_path / "h.csv", f'label,count\na,1\n"{label}",3\n')
+        out = tmp_path / "r.json"
+        code = main(
+            ["release", "--noise", "laplace", "--epsilon", "1", "--delta", "0.05",
+             "--l0", "1", "--linf", "1", "--in", path, "--seed", "1", "--out", str(out)]
+        )  # fmt: skip
+        assert code == 2
+        assert f"{path}: line 3: field larger than field limit" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_header(self, tmp_path):
         path = write(tmp_path / "h.csv", "name,value\na,3\n")
@@ -180,6 +195,26 @@ class TestReportFiles:
         assert captured.err == "error: out of memory running release\n"
         assert captured.out == ""
         assert sorted(tmp_path.iterdir()) == before
+
+    def test_report_is_synced_before_the_rename(self, hist_csv, tmp_path, monkeypatch):
+        # The temp file's bytes reach the disk before the rename exposes it.
+        calls = []
+        fsync, replace = os.fsync, os.replace
+
+        def synced(fd):
+            calls.append(("fsync", os.fstat(fd).st_size))
+            fsync(fd)
+
+        def renamed(src, dst):
+            calls.append(("replace", os.path.getsize(src)))
+            replace(src, dst)
+
+        monkeypatch.setattr("unkhist.fileio.os.fsync", synced)
+        monkeypatch.setattr("unkhist.fileio.os.replace", renamed)
+        out = tmp_path / "r.json"
+        assert self.release_to(hist_csv, out) == 0
+        size = out.stat().st_size
+        assert calls == [("fsync", size), ("replace", size)]
 
     def test_unwritable_file_is_not_replaced(self, hist_csv, tmp_path, monkeypatch, capsys):
         out = tmp_path / "r.json"
@@ -695,3 +730,30 @@ def test_histogram_output_matches_golden_digest(tmp_path, case):
     )  # fmt: skip
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of `unkhist validate --suite S --trials 20000 --seed N`, computed
+# before the suites became rows of one table in validation.py.  A report
+# depends on the mechanisms' noise, the boundary pairs and the exact oracles,
+# so a change to any of them must show here.
+VALIDATE_GOLDEN = {
+    ("alg1", 0): "9a10579f64640576454ac90935907e70f1f88e8aa94fdf809fc9e4bf5cdfdb58",
+    ("topk", 0): "6528b28f9e9e35693f40416b0b567815485f703f37a0058b800b93c841dd70c0",
+    ("gumbel", 0): "5bf2ebe79c1ff850c58a97721e904001bac9ea169d8a6dcc62d7889032d3c559",
+    ("stream", 0): "fd8118d35c4a77b1e9e7ac9e1690ee7a297223b2a27a5fdde85eb593d81d36b1",
+    ("renyi", 0): "b1b7d85a3ab6c29447a32975f87afe7550fd8fe452fd25763bd0c13f52aa44dd",
+    ("alg1", 7): "6a3eb8b006519f18b0f0c39118f2d10a5f43ee6a374f4753b2c2c2a639671fe0",
+    ("topk", 7): "7c3fd2258e64f0cc961a902fbeda2064572e1e8eb4e7ff24ba961b95477b444c",
+    ("gumbel", 7): "025b35c36caa7a27ac5d2d0d2b9a3fdbcd2b4054c9cda04477a446e48c4dfe79",
+    ("stream", 7): "4c3316b515d67eb2a4558c90efd75198316f8846c144aa10a8c5e037d86570ec",
+    ("renyi", 7): "4206b48b9b5899f14f608537ab9ed73ec3fcb6ce381d5f384e089b53238dd3c0",
+}
+
+
+@pytest.mark.parametrize("suite, seed", sorted(VALIDATE_GOLDEN))
+def test_validate_report_matches_golden_digest(tmp_path, suite, seed):
+    out = tmp_path / "suite.json"
+    code = main(["validate", "--suite", suite, "--trials", "20000", "--seed", str(seed),
+                 "--report", str(out)])  # fmt: skip
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VALIDATE_GOLDEN[suite, seed]

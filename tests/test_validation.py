@@ -368,6 +368,12 @@ class TestBatchSampler:
         with pytest.raises(ParameterError, match="epsilon"):
             sample_gumbel_topk_outcomes({"a": 1}, 1, 1, 0.0, 100, RandomSource(0))
 
+    @pytest.mark.parametrize("k", [0, -1, 1.5, True])
+    def test_bad_k_is_parameter_error(self, k):
+        # Not a count of ranks: refused by name before any draw, not run as 0 or 1.
+        with pytest.raises(ParameterError, match="k must be an integer >= 1"):
+            sample_gumbel_topk_outcomes({"a": 3, "b": 2}, k, 2, 1.0, 100, RandomSource(0))
+
     def test_frequencies_normalized(self):
         outcomes = sample_gumbel_topk_outcomes(
             {"a": 3, "b": 2, "c": 2, "d": 1}, 2, 4, 1.0, 10**5, RandomSource(2)
