@@ -136,40 +136,48 @@ def validate_label(label: object) -> str:
 
 class Histogram:
     """Finite map from label to non-negative integer count, built from a mapping,
-    from (label, count) pairs, or from a label and a count column.
+    from (label, count) pairs, or from a label column and a count column: ints,
+    or a 1-d int64 array, kept as it is if read-only and owning its data.
 
-    Every entry is checked on construction.  The labels and a read-only int64
-    count array are kept in input order; the sorted view (labels in sorted
-    order, counts in the same order) is built once, on the first call that
-    depends on order: ``counts``, ``items``, ``labels``, ``get``, ``[]``,
-    ``in``, iteration, ``==`` and ``repr``.  Iteration is in sorted label
-    order so that seeded mechanism runs are reproducible.  ``columns`` hands
-    order-free callers, such as top-k selection, the entries without the sort.
+    Every entry is checked on construction.  ``columns`` gives the labels and
+    read-only int64 counts in input order.  The sort permutation and ``counts``,
+    in sorted label order, are built on first use; the labels are gathered in
+    sorted order only for ``items``, ``labels``, ``get``, ``[]``, ``in``,
+    iteration, ``==`` and ``repr``; ``labels_at`` takes a few by position.
+    Iteration is in sorted label order so that seeded mechanism runs are
+    reproducible.
     """
 
-    __slots__ = ("_columns", "_sorted")
+    __slots__ = ("_columns", "_sorted", "_sorted_labels")
 
     def __init__(self, counts: Mapping[str, int] | Iterable = (), values: Iterable | None = None):
         if values is None:
             pairs = list(counts.items() if isinstance(counts, Mapping) else counts)
             labels, values = tuple([label for label, _ in pairs]), [count for _, count in pairs]
         else:
-            labels, values = tuple(counts), list(values)
+            labels = tuple(counts)
+            if not (isinstance(values, np.ndarray) and values.dtype == np.int64 and values.ndim == 1):
+                values = list(values)
             if len(labels) != len(values):
                 raise ParameterError(f"{len(labels)} labels but {len(values)} counts")
+        column = isinstance(values, np.ndarray)
         # Whole-column checks; where one fails, per-entry checks raise for the first
         # invalid entry in input order, or pass (str or int subclasses, inner "⊥").
         if not (
             set(map(type, labels)) <= {str}
-            and set(map(type, values)) <= {int}
             and all(labels)
             and RESERVED_LABEL_PREFIX not in "".join(labels)
             and len(set(labels)) == len(labels)
-            and min(values, default=0) >= 0
-            and max(values, default=0) <= MAX_COUNT
+            and (
+                values.min(initial=0) >= 0
+                if column
+                else set(map(type, values)) <= {int}
+                and min(values, default=0) >= 0
+                and max(values, default=0) <= MAX_COUNT
+            )
         ):
             seen = set()
-            for label, count in zip(labels, values):
+            for label, count in zip(labels, values.tolist() if column else values):
                 validate_label(label)
                 if label in seen:
                     raise IngestionError(f"duplicate label {label!r}")
@@ -180,10 +188,11 @@ class Histogram:
                     raise IngestionError(f"count for {label!r} must be non-negative, got {count}")
                 if count > MAX_COUNT:
                     raise IngestionError(f"count for {label!r} exceeds 64-bit range")
-        values = np.array(values, dtype=np.int64)
-        values.flags.writeable = False
+        if not (column and values.flags.owndata and not values.flags.writeable):
+            values = np.array(values, dtype=np.int64)  # a copy the caller cannot change
+            values.flags.writeable = False
         self._columns = (labels, values)
-        self._sorted = None
+        self._sorted = self._sorted_labels = None
 
     @classmethod
     def coerce(cls, value: "Histogram" | Mapping[str, int]) -> "Histogram":
@@ -191,22 +200,29 @@ class Histogram:
 
     @property
     def columns(self) -> tuple[tuple[str, ...], np.ndarray]:
-        """The labels and their read-only int64 counts, in an unspecified order
-        that is the same for both: input order until the sorted view is built,
-        sorted order after.  For callers whose result does not depend on order."""
+        """The labels and their read-only int64 counts, in input order."""
         return self._columns
 
-    def _view(self) -> tuple[tuple[str, ...], np.ndarray]:
-        """The sorted view, built on first use; the input-order columns give
-        way to it."""
+    def _view(self) -> tuple[np.ndarray, np.ndarray]:
+        """The permutation that sorts the labels and the counts in that order."""
         view = self._sorted
         if view is None:
             labels, counts = self._columns
-            order = sorted(range(len(labels)), key=labels.__getitem__)
+            order = np.array(sorted(range(len(labels)), key=labels.__getitem__), dtype=np.intp)
             counts = counts[order]
             counts.flags.writeable = False
-            view = self._columns = self._sorted = (tuple(map(labels.__getitem__, order)), counts)
+            view = self._sorted = (order, counts)
         return view
+
+    def _labels(self) -> tuple[str, ...]:
+        """Every label in sorted order, gathered on first use."""
+        if self._sorted_labels is None:
+            self._sorted_labels = tuple(self.labels_at(slice(None)))
+        return self._sorted_labels
+
+    def labels_at(self, positions: np.ndarray | slice) -> list[str]:
+        """The labels at these positions of sorted order, without gathering the rest."""
+        return list(map(self._columns[0].__getitem__, self._view()[0][positions].tolist()))
 
     @property
     def counts(self) -> np.ndarray:
@@ -214,16 +230,15 @@ class Histogram:
         return self._view()[1]
 
     def items(self) -> list[tuple[str, int]]:
-        labels, counts = self._view()
-        return list(zip(labels, counts.tolist()))
+        return list(zip(self._labels(), self.counts.tolist()))
 
     def labels(self) -> list[str]:
-        return list(self._view()[0])
+        return list(self._labels())
 
     def get(self, label: str, default: int = 0) -> int:
-        labels, counts = self._view()
+        labels = self._labels()
         i = bisect.bisect_left(labels, label) if isinstance(label, str) else len(labels)
-        return int(counts[i]) if i < len(labels) and labels[i] == label else default
+        return int(self.counts[i]) if i < len(labels) and labels[i] == label else default
 
     def __getitem__(self, label: str) -> int:
         if label not in self:
@@ -237,12 +252,11 @@ class Histogram:
         return len(self._columns[0])
 
     def __iter__(self):
-        return iter(self._view()[0])
+        return iter(self._labels())
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Histogram):
-            (labels, counts), (other_labels, other_counts) = self._view(), other._view()
-            return labels == other_labels and np.array_equal(counts, other_counts)
+            return self._labels() == other._labels() and np.array_equal(self.counts, other.counts)
         return NotImplemented
 
     def __repr__(self) -> str:

@@ -22,6 +22,8 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, TextIO
 
+import numpy as np
+
 from .accountant import CdpBudget
 from .core import MAX_COUNT, Histogram, IngestionError, ParameterError, validate_label
 from .gumbel import MECHANISM_TAG as GUMBEL_TAG, RankedList
@@ -73,10 +75,22 @@ def parse_histogram_csv(path: str | Path) -> Histogram:
             labels, raw_counts = columns
             digits = "".join(raw_counts)
             if digits.isascii() and digits.isdigit():
-                return Histogram(labels, map(int, raw_counts))
+                return Histogram(labels, _count_column(raw_counts))
     except (ValueError, csv.Error):  # IngestionError and UnicodeDecodeError included
         pass
     return _parse_histogram_rows(path)
+
+
+def _count_column(raw_counts: list[str]) -> np.ndarray | list[int]:
+    """Fields of ASCII digits as an int64 array in one numpy call.  numpy clamps
+    a value past the int64 range, so a column that reaches 10**18, like one
+    with an empty field, goes through int()."""
+    if all(raw_counts):
+        counts = np.fromstring(",".join(raw_counts).encode(), np.int64, sep=",")
+        if counts.max(initial=0) < 10**18:
+            counts.flags.writeable = False  # for Histogram to keep without a copy
+            return counts
+    return list(map(int, raw_counts))
 
 
 _HEADER_LINE = b"label,count\n"

@@ -92,6 +92,24 @@ def release_batch(
     rng would draw and release.
     """
     h = Histogram.coerce(h)
+    overrides = (min_count, scale_override, threshold_override)
+    noisy, kept, threshold = _noisy_counts(h, sens, noise, epsilon, delta, rng, trials, *overrides)
+    return h.labels(), noisy, kept, threshold
+
+
+def _noisy_counts(
+    h: Histogram,
+    sens: SensitivityBound,
+    noise: str,
+    epsilon: float,
+    delta: float,
+    rng: RandomSource,
+    trials: int,
+    min_count: int,
+    scale_override: float | None,
+    threshold_override: float | None,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """release_batch's checks and draws, without the labels."""
     sens = check_sensitivity(sens)
     eps = check_positive("epsilon", epsilon)
     d = check_probability("delta", delta)
@@ -109,13 +127,13 @@ def release_batch(
 
     below = np.flatnonzero(h.counts < min_count)
     if below.size:
-        label, count = h.items()[below[0]]
+        label, count = h.labels_at(below[:1])[0], int(h.counts[below[0]])
         raise IngestionError(f"count for {label!r} is {count}, below the ingestion floor {min_count}")
     counts = h.counts.astype(float)
     sampler = sample_laplace if noise == "laplace" else sample_gaussian
     shape = (trials, len(counts))
     noisy = counts + (sampler(scale, rng, shape) if scale > 0.0 else np.zeros(shape))
-    return h.labels(), noisy, noisy > threshold, threshold
+    return noisy, noisy > threshold, threshold
 
 
 def release(
@@ -136,28 +154,19 @@ def release(
     spends (delta, l0 * epsilon^2 / 2) regardless of what survives.  Entries
     must have count >= min_count (default 1: only positive-count items are
     accepted; raise the floor for histograms truncated at a known value).
-    Draws are made in sorted label order.
+    Draws are made in sorted label order; only survivors' labels are looked up.
 
     scale_override and threshold_override are test hooks; scale 0 makes the
     release a deterministic count-above-threshold filter.
     """
-    labels, noisy, kept, threshold = release_batch(
-        h,
-        sens,
-        noise,
-        epsilon,
-        delta,
-        rng,
-        1,
-        min_count=min_count,
-        scale_override=scale_override,
-        threshold_override=threshold_override,
-    )
-    survivors = np.flatnonzero(kept[0]).tolist()
+    h = Histogram.coerce(h)
+    overrides = (min_count, scale_override, threshold_override)
+    noisy, kept, threshold = _noisy_counts(h, sens, noise, epsilon, delta, rng, 1, *overrides)
+    survivors = np.flatnonzero(kept[0])
     eps = float(epsilon)
     return ReleaseReport(
         mechanism=_TAGS[noise],
-        released=dict(zip([labels[i] for i in survivors], noisy[0, survivors].tolist())),
+        released=dict(zip(h.labels_at(survivors), noisy[0, survivors].tolist())),
         threshold=threshold,
         budget=CdpBudget(delta=float(delta), rho=sens.l0 * eps * eps / 2.0),
     )

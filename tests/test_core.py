@@ -123,19 +123,26 @@ class TestLabels:
     def test_sorted_view_is_built_on_first_use(self, first):
         # Whichever accessor comes first builds the view, and every accessor
         # gives what it gives on a histogram whose view was built before.
+        # Only ``counts`` leaves the labels ungathered, and the columns stay
+        # in input order throughout.
         def every_accessor(h):
             return [accessor(h) for accessor in ORDERED_ACCESSORS.values()]
+
+        def assert_input_order(h):
+            assert h.columns[0] == ("pear", "fig", "apple")
+            assert h.columns[1].tolist() == [1, 0, 3]
 
         lazy = Histogram(["pear", "fig", "apple"], [1, 0, 3])
         built = Histogram({"apple": 3, "fig": 0, "pear": 1})
         built.counts
         assert (lazy._sorted, len(lazy)) == (None, 3)
-        assert lazy.columns[0] == ("pear", "fig", "apple")
-        assert lazy.columns[1].tolist() == [1, 0, 3]
+        assert_input_order(lazy)
         assert ORDERED_ACCESSORS[first](lazy) == ORDERED_ACCESSORS[first](built)
         assert lazy._sorted is not None
-        assert lazy.columns[0] == ("apple", "fig", "pear")
+        assert (lazy._sorted_labels is None) == (first == "counts")
+        assert_input_order(lazy)
         assert every_accessor(lazy) == every_accessor(built)
+        assert_input_order(lazy)
         assert lazy == built and repr(lazy) == repr(built)
 
 

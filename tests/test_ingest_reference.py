@@ -7,9 +7,10 @@ array-backed ``Histogram`` must accept exactly the entries the dict-backed
 one accepted and raise the identical error for the rest; the one-pass CSV
 parser must return an equal histogram or raise the identical error, naming
 the same physical line, whether it splits the file at once or runs
-csv.reader over it.  ``truncate_topk`` must pick what a full sort by
-(-count, label) picks, from the input-order columns, so that ``topk`` and
-``gumbel-topk`` never build the sorted view.
+csv.reader over it, and whether numpy or int() converts its counts.
+``truncate_topk`` must pick what a full sort by (-count, label) picks, from
+the input-order columns, so that ``topk`` and ``gumbel-topk`` never build
+the sorted view, and ``release`` must look up only its survivors' labels.
 """
 
 import contextlib
@@ -17,6 +18,7 @@ import csv
 import io
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +35,7 @@ from unkhist.core import (
 )
 from unkhist.fileio import open_text, parse_histogram_csv
 from unkhist.gumbel import release_gumbel_topk
+from unkhist.release import release
 from unkhist.topk import release_topk, truncate_topk
 
 
@@ -134,8 +137,8 @@ class Count(int):
 
 entry_labels = st.sampled_from(["a", "b", "c", "é", "", "⊥", "⊥1", "a⊥", Label("b"), 7, None])
 entry_counts = st.sampled_from(
-    [0, 1, 2, 40, MAX_COUNT, MAX_COUNT + 1, 2**64, -1, -(2**63) - 1, True, False, 1.5, 2.0,
-     "3", None, Count(5)]
+    [0, 1, 2, 40, MAX_COUNT, MAX_COUNT + 1, 2**64, -1, -(2**63), -(2**63) - 1, True, False,
+     1.5, 2.0, "3", None, Count(5)]
 )  # fmt: skip
 
 
@@ -145,18 +148,43 @@ def test_histogram_accepts_and_rejects_what_the_dict_one_did(entries):
     expected = outcome(DictHistogram, entries)
     assert outcome(Histogram, entries) == expected
     assert outcome(Histogram, dict(entries)) == outcome(DictHistogram, dict(entries))
-    labels = [label for label, _ in entries]
-    assert outcome(Histogram, labels, [count for _, count in entries]) == expected
+    labels, counts = [label for label, _ in entries], [count for _, count in entries]
+    assert outcome(Histogram, labels, counts) == expected
+    as_int64 = all(type(count) is int and -(2**63) <= count <= MAX_COUNT for count in counts)
+    if as_int64:
+        assert outcome(Histogram, labels, np.array(counts, dtype=np.int64)) == expected
     if expected[0] == "ok":
         assert repr(Histogram(entries)) == repr(DictHistogram(entries))
+        if as_int64:
+            assert Histogram(labels, np.array(counts, dtype=np.int64)) == Histogram(entries)
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        np.array([3, 1], dtype=np.uint64),
+        np.array([3, 1], dtype=np.int32),
+        np.array([3.0, 1.0]),
+        np.array([[3], [1]], dtype=np.int64),
+    ],
+    ids=["uint64", "int32", "float", "int64-2d"],
+)
+def test_other_count_arrays_are_refused_entry_by_entry(counts):
+    # Only a 1-d int64 array is taken as a column; any other array's entries
+    # are checked one at a time, as the dict-backed Histogram checked them.
+    expected = outcome(DictHistogram, list(zip(["b", "a"], counts)))
+    assert expected[0] is IngestionError
+    assert outcome(Histogram, ["b", "a"], counts) == expected
 
 
 # ---- CSV parser --------------------------------------------------------------
 
 CSV_LABELS = ["a", "b", "café", "a b", "", "⊥", "⊥1", "x⊥", '"q,1"', '"m\nl"', '"m\r\nl"',
               '""', '"a"']  # fmt: skip
+# Up to 18 digits numpy converts the count column exactly; longer fields take int().
 CSV_COUNTS = ["0", "3", "007", "-1", "+3", "1.5", "٣", "²", "", " 4", str(2**63),
-              str(MAX_COUNT), "9" * 30]  # fmt: skip
+              str(MAX_COUNT), "9" * 30, "9" * 18, "0" * 18 + "7", str(10**18),
+              "0" * 30 + "1"]  # fmt: skip
 csv_labels = st.sampled_from(CSV_LABELS)
 csv_counts = st.sampled_from(CSV_COUNTS)
 good_rows = st.tuples(
@@ -372,3 +400,21 @@ def test_topk_mechanisms_never_build_the_sorted_view(mechanism):
     assert built._sorted is not None
     assert run(lazy) == run(built)
     assert lazy._sorted is None
+
+
+@pytest.mark.parametrize("noise", ["gaussian", "laplace"])
+def test_release_never_gathers_the_sorted_labels(noise):
+    labels = [f"x{i:05d}" for i in range(10**4)]
+    counts = [1 + (i * 7919) % 60 for i in range(10**4)]
+
+    def run(h):
+        return release(h, SensitivityBound(1, 1), noise, 1.0, 1e-6, RandomSource(3))
+
+    lazy = Histogram(labels[::-1], counts[::-1])
+    built = Histogram(labels, counts)
+    built.items()
+    assert built._sorted_labels is not None
+    report = run(lazy)
+    assert report == run(built)
+    assert 0 < len(report.released) < len(labels)
+    assert lazy._sorted is not None and lazy._sorted_labels is None
