@@ -93,8 +93,10 @@ def _cmd_gumbel_topk(args) -> int:
     return 0
 
 
-def _read_stream_events(path: str) -> list[tuple[int, StreamEvent]]:
-    """Each event of an NDJSON file with the line it sits on."""
+def _read_stream_events(config: CounterConfig, path: str) -> list[StreamEvent]:
+    """The events of an NDJSON file, each checked as it is read: the first
+    line that is not an event the counter takes (out of order, past the
+    horizon, over l0) is named, before any later line is parsed."""
     events = []
     with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -112,36 +114,29 @@ def _read_stream_events(path: str) -> list[tuple[int, StreamEvent]]:
             if not isinstance(payload["items"], list):
                 raise IngestionError(f"{path}: line {lineno}: items must be a list")
             try:
-                events.append((lineno, StreamEvent(payload["round"], payload["items"])))
+                event = StreamEvent(payload["round"], payload["items"])
+                events.append(check_event(config, len(events) + 1, event))
             except ParameterError as exc:
                 raise IngestionError(f"{path}: line {lineno}: {exc}") from None
     return events
 
 
 def _cmd_stream(args) -> int:
-    events = _read_stream_events(args.infile)
     config = CounterConfig.from_privacy(
         args.horizon, args.l0, args.epsilon, args.delta, args.seed
     )
+    events = _read_stream_events(config, args.infile)
     header = stream_header_payload(
         **_report_meta(args, "horizon", "l0", "epsilon", "delta"),
         threshold_public=config.threshold,
         budget=config.budget,
     )
-    write_report_json(header, args.out, _snapshots(config, args.infile, events))
+    write_report_json(header, args.out, _snapshots(config, events))
     return 0
 
 
-def _snapshots(config: CounterConfig, path: str, events: list[tuple[int, StreamEvent]]):
-    """The counter's snapshot after each event.  Every event is checked
-    first, in order, so an event the counter would refuse (out of order,
-    past the horizon, over l0) is named by its line before any is counted."""
-    for expected, (lineno, event) in enumerate(events, start=1):
-        try:
-            check_event(config, expected, event)
-        except ParameterError as exc:
-            raise IngestionError(f"{path}: line {lineno}: {exc}") from None
-    events = [event for _, event in events]
+def _snapshots(config: CounterConfig, events: list[StreamEvent]):
+    """The counter's snapshot after each of the checked events."""
     if len(set().union(*(event.items for event in events))) < SWEEP_MIN_LABELS:
         # observe refuses every round but the next, so snapshot k is round k.
         snapshots = enumerate(map(Counter(config).observe, events), start=1)

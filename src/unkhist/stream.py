@@ -37,6 +37,25 @@ arrival, and a round is the same operations on whole columns.  The sweep
 draws noise per window of rounds, so its state is O(labels * (window +
 log L)); ``counter_batch`` adds a leading trials axis to the sums and the
 noise.
+
+``counter_sweep`` runs the exact transform only on noise that can show.
+Most labels never come near the threshold, so each window's draws go
+through ``core.gaussian_screen``, a cheap numpy transform within
+``core.SCREEN_ERROR * (sigma + |screen|)`` of the exact one.  A label whose
+screened total exceeds ``core.screen_cut`` (the threshold less a margin
+that bounds how far a screened total of at most depth draws and horizon
+counts can stray from the exact one; its derivation is in ``screen_cut``)
+is promoted: its stack is rebuilt bit for bit from the uniforms of its
+active nodes, which the sweep keeps, and its noise is exact from then on.
+No total reaches a snapshot before its label is exact, and below the cut no
+exact total can clear the threshold, so the snapshots stay Counter's bit
+for bit.  Once most labels are promoted, the sweep promotes the rest and
+transforms every later draw exactly, since promotions then cost more than
+the screen saves.  ``Counter`` and ``counter_batch`` transform every draw
+exactly.
+The sweep's run time now depends on how many labels come near the
+threshold: like the input size, that is operator information, and it never
+goes into a report.
 """
 
 from __future__ import annotations
@@ -61,9 +80,12 @@ from .core import (
     check_probability,
     check_real,
     check_threshold,
+    gaussian_quantile,
     gaussian_quantiles,
+    gaussian_screen,
     normal_upper_quantile,
     sample_gaussian,
+    screen_cut,
     standard_normal_quantile,
     validate_label,
 )
@@ -360,13 +382,15 @@ SWEEP_WINDOW = 32
 SWEEP_MIN_LABELS = 16
 
 #: draws(new, sizes): the next sizes[i] node noises of the i-th label in order
-#: of arrival, in its draw order, concatenated label after label; ``new`` are
-#: the labels that arrived in this window, the last len(new) of them.
+#: of arrival (or, to be screened, their uniforms), in its draw order,
+#: concatenated label after label; ``new`` are the labels that arrived in
+#: this window, the last len(new) of them.
 Draws = Callable[[list[str], list[int]], np.ndarray]
 
 
-def _sweep(config: CounterConfig, events: Iterable[StreamEvent], draws: Draws, window: int,
-           lead: tuple[int, ...] = ()) -> Iterator[tuple[list[str], np.ndarray]]:
+def _sweep(config: CounterConfig, events: Iterable[StreamEvent], window: int,
+           draws: Draws | None = None, lead: tuple[int, ...] = ()
+           ) -> Iterator[tuple[list[str], np.ndarray]]:
     """Counter.observe for every label at once: after each event, the labels
     in order of arrival and their [*lead, labels] running totals.
 
@@ -375,12 +399,38 @@ def _sweep(config: CounterConfig, events: Iterable[StreamEvent], draws: Draws, w
     array of running sums.  Each event is checked as it is taken, before any
     later one is.  Noise is drawn once per window of events, and each sum
     takes the float64 additions the scalar stack takes.
+
+    Without draws, the noise is Counter's, from each label's child stream
+    of RandomSource(seed) (``_child_draws``), and at a finite sigma it is
+    screened: a row runs on ``gaussian_screen`` noise until its total
+    exceeds the cut.  Then it is promoted (``_promote``): its sums are
+    rebuilt from the uniforms of its active nodes, and its noise is exact
+    from then on.  For that the sweep keeps the window's uniforms and, in a
+    [labels, depth] array, the uniforms of the nodes active when the window
+    began.  A row's total is exact once it exceeds the cut, and below the
+    cut no exact total clears the threshold.
+
+    A promotion costs as much as a few hundred exact draws (tens of
+    microseconds, a child stream's worth of Python), so the screen pays only
+    while most labels stay below the cut.  Once most rows are promoted at the
+    end of a window, the sweep promotes the rest there and then and
+    transforms every later draw exactly, as it does without a cut: a stream
+    whose labels mostly clear the threshold then costs about what it cost
+    with no screen at all.
     """
     depth = config.depth
+    sigma = config.sigma
+    cut = None
+    if draws is None:
+        draws, cut = _child_draws(config)
+    screening = cut is not None  # until most rows are promoted
     labels: list[str] = []
+    debuts: list[int] = []
     index: dict[str, int] = {}
     counts = np.zeros((0, depth), dtype=np.int64)
     sums = np.zeros((*lead, 0, depth + 1))
+    cuts = np.zeros(0)  # while screening: each row's cut, +inf once it is promoted
+    nodes = np.zeros((0, depth))  # while screening: the active nodes' uniforms
     events = iter(events)
     taken = 0
     while True:
@@ -391,14 +441,16 @@ def _sweep(config: CounterConfig, events: Iterable[StreamEvent], draws: Draws, w
         if not batch:
             return
         first, last = batch[0].round, batch[-1].round
+        width = len(batch)
         old = len(labels)
         predating: list[int] = []  # of the new labels
-        sizes = [len(batch)] * old  # one node per round
+        sizes = [width] * old  # one node per round
         active = []  # labels seen through each event
         for event in batch:
             for label in sorted(event.items.difference(index)):
                 index[label] = len(labels)
                 labels.append(label)
+                debuts.append(event.round)
                 predating.append(event.round.bit_count() - 1)
                 sizes.append(predating[-1] + last - event.round + 1)
             active.append(len(labels))
@@ -406,15 +458,37 @@ def _sweep(config: CounterConfig, events: Iterable[StreamEvent], draws: Draws, w
         if new:
             counts = np.concatenate((counts, np.zeros((new, depth), dtype=np.int64)))
             sums = np.concatenate((sums, np.zeros((*lead, new, depth + 1))), axis=-2)
-        drawn = draws(labels[old:], sizes)
-        noise = np.empty((*lead, len(labels), len(batch)))  # [..., label, round - first]
-        noise[..., :old, :] = drawn[..., : old * len(batch)].reshape(*lead, old, len(batch))
-        stop = old * len(batch)
-        for j, (before, size) in enumerate(zip(predating, sizes[old:]), start=old):
-            start, stop = stop, stop + size
-            # The nodes of the debut round left of its newest one, summed left to right.
-            sums[..., j, 1 : before + 1] = np.cumsum(drawn[..., start : start + before], axis=-1)
-            noise[..., j, len(batch) - size + before :] = drawn[..., start + before : stop]
+            if screening:
+                cuts = np.concatenate((cuts, np.full(new, cut)))
+                nodes = np.concatenate((nodes, np.zeros((new, depth))))
+        uniforms = drawn = draws(labels[old:], sizes)
+        if screening:
+            drawn = _screened_noise(uniforms, cuts[:old] == math.inf, width, sigma)
+            # Row j's uniform for round r of the window is uniforms[at[j] + r].
+            at = np.arange(old) * width - first
+        elif cut is not None:  # the draws are uniforms, no longer screened
+            drawn = gaussian_quantiles(uniforms, sigma, out=uniforms)
+        noise = np.empty((*lead, len(labels), width))  # [..., label, round - first]
+        noise[..., :old, :] = drawn[..., : old * width].reshape(*lead, old, width)
+        if new:
+            # The new labels' draws follow the old ones', label after label: first
+            # the nodes of its debut round left of its newest one, then one a round
+            # from its debut on, which end its noise row.
+            before, size = np.array(predating), np.array(sizes[old:])
+            start = old * width + np.cumsum(size) - size
+            rounds = size - before
+            row = np.repeat(np.arange(old, len(labels)), rounds)
+            step = np.arange(row.size) - np.repeat(np.cumsum(rounds) - rounds, rounds)
+            source = np.repeat(start + before, rounds) + step
+            column = np.repeat(width - rounds, rounds) + step
+            noise[..., row, column] = drawn[..., source]
+            for i in range(max(predating)):  # the debut round's older nodes, left to right
+                has = np.flatnonzero(before > i)
+                sums[..., old + has, i + 1] = sums[..., old + has, i] + drawn[..., start[has] + i]
+                if screening:
+                    nodes[old + has, i] = uniforms[start[has] + i]
+            if screening:
+                at = np.concatenate((at, start + before - np.array(debuts[old:])))
         del drawn  # so that the rounds, and the next window's draws, do not keep it
         for event, n in zip(batch, active):
             r = event.round
@@ -425,29 +499,104 @@ def _sweep(config: CounterConfig, events: Iterable[StreamEvent], draws: Draws, w
             total = sums[..., :n, low] + (count + noise[..., :n, r - first])
             counts[:n, low] = count
             sums[..., :n, low + 1] = total
+            if screening:
+                rising = np.flatnonzero(total > cuts[:n])
+                if rising.size:
+                    cuts[rising] = math.inf
+                    _promote(rising, r, debuts, nodes, (uniforms, at, first, last), sigma,
+                             counts, sums, noise)  # fmt: skip
+                    total[rising] = sums[rising, low + 1]
             yield labels, total
+        if screening:  # the window's nodes still active, for the rows that hold them
+            for i, e in enumerate(_node_ends(last)):
+                if e >= first:
+                    n = active[e - first]
+                    nodes[:n, i] = uniforms[at[:n] + e]
+            rest = np.flatnonzero(cuts < math.inf)
+            if 2 * rest.size < len(labels):  # most rows are promoted: see below
+                _promote(rest, last, debuts, nodes, (uniforms, at, first, last), sigma,
+                         counts, sums, noise)  # fmt: skip
+                screening = False
+        del uniforms, noise  # so that the next window's draws do not meet them
 
 
-def _child_draws(config: CounterConfig) -> Draws:
-    """Each label's node noises from its child stream of RandomSource(seed), as
-    Counter draws them: one uniforms call per label per window, one block
-    Gaussian transform over them."""
+def _node_ends(r: int) -> list[int]:
+    """The last round of each node active at round r, leftmost first."""
+    return [(m + 1) << level for level, m in dyadic_nodes(r)]
+
+
+def _promote(rows: np.ndarray, r: int, debuts: list[int], nodes: np.ndarray,
+             window_draws: tuple[np.ndarray, np.ndarray, int, int], sigma: float,
+             counts: np.ndarray, sums: np.ndarray, noise: np.ndarray) -> None:
+    """Make the rows exact at round r: their sums through the round's newest
+    node and their noise for the window's later rounds.
+
+    window_draws are the window's uniforms, the offset of each row's round
+    in them, and the window's first and last round.  Active node i ends at
+    round e: from the window on, its uniform is the row's for round e, and
+    before it, or before the label's debut round, it is ``nodes[j, i]``.  A
+    promotion transforms at most depth + window draws, so they go through
+    the scalar ``gaussian_quantile`` (under a microsecond a draw) rather
+    than a block call (some 60 microseconds whatever its size).
+    """
+    uniforms, at, first, last = window_draws
+    ends = _node_ends(r)
+    picks: list[float] = []
+    for j in rows.tolist():
+        a, since, held = int(at[j]), max(first, debuts[j]), nodes[j].tolist()
+        window = uniforms[a + since : a + last + 1].tolist()  # rounds since..last
+        picks.extend(window[e - since] if e >= since else held[i] for i, e in enumerate(ends))
+        picks.extend(window[r + 1 - since :])
+    z = np.array([gaussian_quantile(u, sigma) for u in picks])
+    z = z.reshape(rows.size, len(ends) + last - r)
+    low = len(ends) - 1
+    sums[rows, 1 : low + 2] = np.cumsum(counts[rows, : low + 1] + z[:, : low + 1], axis=1)
+    noise[rows, r + 1 - first :] = z[:, low + 1 :]
+
+
+def _screened_noise(uniforms: np.ndarray, promoted: np.ndarray, width: int,
+                    sigma: float) -> np.ndarray:
+    """A window's noise from its uniforms, laid out as ``Draws`` lays them
+    out: ``gaussian_quantiles`` on the promoted rows, which hold width draws
+    each and come first, ``gaussian_screen`` elsewhere.
+
+    The screen runs over the whole block, promoted rows too, and their exact
+    noise then replaces it: gathering the other rows would copy nearly the
+    whole window, and the screen costs a tenth of the exact transform.
+    """
+    noise = gaussian_screen(uniforms, sigma)
+    if promoted.any():
+        rows = np.flatnonzero(promoted)
+        grid = noise[: promoted.size * width].reshape(-1, width)
+        grid[rows] = gaussian_quantiles(uniforms[: grid.size].reshape(-1, width)[rows], sigma)
+    return noise
+
+
+def _child_draws(config: CounterConfig) -> tuple[Draws, float | None]:
+    """Each label's node draws from its child stream of RandomSource(seed),
+    as Counter draws them, one block per window filled label by label in
+    place, and the cut ``_sweep`` screens them against.
+
+    At a finite sigma the draws are the uniforms themselves, for ``_sweep``
+    to screen.  A total sums at most depth node noises, and its counts total
+    at most the horizon; ``core.screen_cut`` turns that into the cut.  At
+    sigma 0 or infinity the draws are the noise and the cut is None.
+    """
     master = RandomSource(config.seed)
     sigma = config.sigma
+    screened = 0.0 < sigma < math.inf
     sources: list[RandomSource] = []
 
     def draws(new: list[str], sizes: list[int]) -> np.ndarray:
         if not sigma > 0.0:
             return np.zeros(sum(sizes))
         sources.extend(map(master.child, new))
-        uniforms = np.empty(sum(sizes))
-        stop = 0
-        for source, k in zip(sources, sizes):
-            start, stop = stop, stop + k
-            uniforms[start:stop] = source.uniforms(k)
-        return gaussian_quantiles(uniforms, sigma, out=uniforms)
+        uniforms = RandomSource.fill(sources, sizes, np.empty(sum(sizes)))
+        return uniforms if screened else gaussian_quantiles(uniforms, sigma, out=uniforms)
 
-    return draws
+    if not screened:
+        return draws, None
+    return draws, screen_cut(config.threshold, sigma, config.depth, float(config.horizon))
 
 
 def counter_sweep(config: CounterConfig,
@@ -456,11 +605,12 @@ def counter_sweep(config: CounterConfig,
     bit for bit, from one array sweep over all labels.
 
     Events are checked in order as observe checks them, each before any later
-    event is taken; a refused event raises observe's ParameterError.
+    event is taken; a refused event raises observe's ParameterError.  At a
+    finite sigma, most noise is screened rather than transformed exactly
+    (see ``_sweep``).
     """
     threshold = config.threshold
-    snapshots = _sweep(config, events, _child_draws(config), SWEEP_WINDOW)
-    for r, (labels, totals) in enumerate(snapshots, start=1):
+    for r, (labels, totals) in enumerate(_sweep(config, events, SWEEP_WINDOW), start=1):
         hits = np.flatnonzero(totals > threshold)
         yield r, dict(zip(map(labels.__getitem__, hits.tolist()), totals[hits].tolist()))
 
@@ -485,6 +635,6 @@ def counter_batch(config: CounterConfig, events: Sequence[StreamEvent], rng: Ran
         return sample_gaussian(config.sigma, rng, shape) if config.sigma > 0.0 else np.zeros(shape)
 
     labels, totals = [], np.zeros((trials, 0))
-    for labels, totals in _sweep(config, events, draws, max(len(events), 1), (trials,)):
+    for labels, totals in _sweep(config, events, max(len(events), 1), draws, (trials,)):
         pass
     return labels, totals, totals > config.threshold

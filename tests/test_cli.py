@@ -692,6 +692,21 @@ def test_stream_names_the_line_of_a_refused_event_past_a_window(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("path", STREAM_PATHS)
+def test_stream_names_a_refused_event_before_a_later_bad_line(tmp_path, capsys, monkeypatch, path):
+    # Each event is checked as it is read: the refused round on line 2 is
+    # named, not the broken JSON on line 4.
+    monkeypatch.setattr(cli, "SWEEP_MIN_LABELS", STREAM_PATHS[path])
+    events, out = tmp_path / "ev.ndjson", tmp_path / "out.ndjson"
+    events.write_text('{"round":1,"items":["a"]}\n{"round":3,"items":[]}\n'
+                      '{"round":3,"items":["b"]}\n{"round":4,\n', encoding="utf-8")  # fmt: skip
+    code = main(["stream", "--horizon", "8", "--epsilon", "1", "--delta", "0.05",
+                 "--l0", "2", "--in", str(events), "--out", str(out), "--seed", "1"])  # fmt: skip
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {events}: line 2: expected round 2, got 3\n"
+    assert not out.exists()
+
+
 # SHA-256 of each histogram mechanism's report on the fixture below (seed 7,
 # epsilon 1, delta 0.05), computed before the argument checks moved into
 # core and estimate_delta_event became one trial loop.  A change that alters

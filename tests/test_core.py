@@ -211,6 +211,60 @@ class TestRandomSource:
         assert block.uniforms(3).tolist() == [0.25, 0.5, 0.75]
         assert block.uniform() == single.uniform() == 0.125
 
+    def test_uniforms_into_out(self):
+        out = np.empty(17)
+        assert RandomSource(3).uniforms(17, out=out) is out
+        assert out.tolist() == RandomSource(3).uniforms(17).tolist()
+        with pytest.raises(ParameterError):
+            RandomSource(3).uniforms(16, out=out)
+
+    def test_block_fill_redraws_a_zero_as_per_label_calls_do(self):
+        class Gen:  # a generator whose stream holds exact zeros
+            def __init__(self, values):
+                self.values = list(values)
+
+            def random(self, size=None, out=None):
+                n = size if out is None else out.size
+                taken, self.values = self.values[:n], self.values[n:]
+                if out is None:
+                    return np.array(taken)
+                out[:] = taken
+                return out
+
+        streams = [[0.5, 0.25, 0.75, 0.125], [0.3, 0.0, 0.6, 0.9, 0.45, 0.15], [0.2, 0.4, 0.8]]
+        sizes = [3, 4, 2]
+
+        def sources():
+            made = [RandomSource(0) for _ in streams]
+            for source, values in zip(made, streams):
+                source._gen = Gen(values)
+            return made
+
+        per_label, block = sources(), sources()
+        calls = np.concatenate([source.uniforms(k) for source, k in zip(per_label, sizes)])
+        filled = RandomSource.fill(block, sizes, np.empty(sum(sizes)))
+        # The zero in the second label's segment is dropped and its next draw
+        # appended; the other segments are as drawn.
+        assert filled.tolist() == calls.tolist() == [0.5, 0.25, 0.75, 0.3, 0.6, 0.9, 0.45, 0.2, 0.4]
+        assert [s.uniform() for s in block] == [s.uniform() for s in per_label] == [0.125, 0.15, 0.8]
+
+    def test_block_fill_is_per_label_uniforms(self):
+        sizes = [5, 0, 32, 1]
+        per_label = [RandomSource(4).child(i) for i in range(4)]
+        block = [RandomSource(4).child(i) for i in range(4)]
+        calls = np.concatenate([source.uniforms(k) for source, k in zip(per_label, sizes)])
+        assert RandomSource.fill(block, sizes, np.empty(sum(sizes))).tolist() == calls.tolist()
+
+    def test_replay_feeds_a_sampler_the_given_uniforms(self):
+        u = RandomSource(6).uniforms(70_000)  # over one block step of the samplers
+        assert core.sample_gaussian(2.0, core.Replay(u), (70_000,)).tolist() == \
+            core.sample_gaussian(2.0, RandomSource(6), (70_000,)).tolist()
+        replay = core.Replay(u[:5])
+        assert replay.uniforms(3).tolist() == u[:3].tolist()
+        with pytest.raises(ParameterError):
+            replay.uniforms(3)
+        assert replay.uniforms(2).tolist() == u[3:5].tolist()
+
     @pytest.mark.parametrize("seed", ["7", 1.5, 2**64])
     def test_bad_seed(self, seed):
         with pytest.raises(ParameterError):
