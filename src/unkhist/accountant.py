@@ -82,10 +82,15 @@ def laplace_pure_dp(l1_sensitivity: float, scale: float) -> DpBudget:
 
 
 def gaussian_cdp(l2_sensitivity: float, sigma: float) -> CdpBudget:
-    """Gaussian noise of deviation sigma on an l2-sensitivity-D statistic is D^2/(2 sigma^2)-zCDP."""
+    """Gaussian noise of deviation sigma on an l2-sensitivity-D statistic is D^2/(2 sigma^2)-zCDP;
+    a sigma whose square underflows, or a ratio that overflows, leaves no finite rho."""
     l2 = check_positive("l2_sensitivity", l2_sensitivity)
     s = check_positive("sigma", sigma)
-    return CdpBudget(delta=0.0, rho=l2 * l2 / (2.0 * s * s))
+    denominator = 2.0 * s * s
+    rho = l2 * l2 / denominator if denominator > 0.0 else math.inf
+    if rho == math.inf:
+        raise ParameterError(f"l2_sensitivity = {l2!r} and sigma = {s!r} give no finite rho")
+    return CdpBudget(delta=0.0, rho=rho)
 
 
 def expmech_cdp(epsilon: float) -> CdpBudget:

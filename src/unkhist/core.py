@@ -26,7 +26,6 @@ __all__ = [
     "MAX_COUNT",
     "is_reserved_label",
     "validate_label",
-    "padding_label",
     "Histogram",
     "SensitivityBound",
     "RandomSource",
@@ -62,7 +61,7 @@ def check_int(name: str, value: object, minimum: int = 1) -> int:
 
 def check_l0(name: str, value: object) -> int:
     """An integer >= 1 within the float range, as the threshold and budget
-    arithmetic that takes an l0 sensitivity needs."""
+    arithmetic that takes an l0 sensitivity, or a list length k, needs."""
     limit = sys.float_info.max
     if check_int(name, value) > limit:
         raise ParameterError(f"{name} must be at most {limit!r}, got a {value.bit_length()}-bit integer")
@@ -73,14 +72,24 @@ def check_positive(name: str, value: object) -> float:
     """A real (not a bool) that is positive and finite."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 < value < math.inf:
         raise ParameterError(f"{name} must be a positive finite real, got {value!r}")
-    return float(value)
+    return _as_float(name, value)
 
 
 def check_real(name: str, value: object, minimum: float = 0.0) -> float:
     """A real (not a bool) >= minimum: NaN fails, infinity passes."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not value >= minimum:
         raise ParameterError(f"{name} must be a real >= {minimum}, got {value!r}")
-    return float(value)
+    return _as_float(name, value)
+
+
+def _as_float(name: str, value: int | float) -> float:
+    """float(value) for a checked real: an int beyond the float range, which
+    passes the range tests, is refused by name, as check_l0 refuses it."""
+    try:
+        return float(value)
+    except OverflowError:
+        limit = sys.float_info.max
+        raise ParameterError(f"{name} must be at most {limit!r}, got a {value.bit_length()}-bit integer") from None
 
 
 def check_probability(name: str, value: object, *, allow_zero: bool = False) -> float:
@@ -105,8 +114,8 @@ def check_threshold(threshold: float, epsilon: float, delta: float) -> float:
     return threshold
 
 
-#: Reserved sentinel marker; "⊥" terminates ranked lists, "⊥1", "⊥2", ... pad
-#: truncated histograms.  User labels must never start with it.
+#: Reserved sentinel marker: "⊥" closes a ranked list shorter than k.  User
+#: labels must never start with it.
 RESERVED_LABEL_PREFIX = "⊥"
 BOTTOM = RESERVED_LABEL_PREFIX
 
@@ -116,11 +125,6 @@ MAX_COUNT = 2**63 - 1
 
 def is_reserved_label(label: str) -> bool:
     return label.startswith(RESERVED_LABEL_PREFIX)
-
-
-def padding_label(index: int) -> str:
-    """The index-th sentinel used to pad truncated histograms (1-based)."""
-    return f"{RESERVED_LABEL_PREFIX}{index}"
 
 
 def validate_label(label: object) -> str:

@@ -345,7 +345,7 @@ def _replace_file(path: str | Path, text: str) -> None:
 
 def read_budget(path: str | Path) -> CdpBudget:
     """Pull the spent budget out of a report file (single JSON or NDJSON header)."""
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         text = handle.read()
     try:
         payload = json.loads(text)

@@ -27,11 +27,12 @@ from .core import (
     check_threshold,
     sample_gumbel,
 )
-from .topk import truncate_topk
+from .topk import above_noisy_threshold, truncate_topk
 
 __all__ = [
     "RankedList",
     "gumbel_threshold",
+    "gumbel_candidates",
     "select_gumbel",
     "release_gumbel_topk_batch",
     "release_gumbel_topk",
@@ -71,6 +72,19 @@ def gumbel_threshold(l0_for_threshold: int, epsilon: float, delta: float) -> flo
     return check_threshold(1.0 + math.log(l0 / d) / eps, eps, d)
 
 
+def gumbel_candidates(h: Histogram, k: int, kbar: int) -> tuple[list[str], np.ndarray, int]:
+    """The entries Gumbel selection ranks for a list of k labels: the positive
+    counts among the top kbar, as their labels and float counts in truncated
+    order, and the (kbar+1)-th count the threshold is centred on."""
+    check_l0("k", k)
+    trunc = truncate_topk(h, kbar)
+    if k > kbar:
+        raise ParameterError("k must not exceed kbar")
+    top = [(label, count) for label, count in trunc.top if count > 0]
+    counts = np.array([count for _, count in top], dtype=float)
+    return [label for label, _ in top], counts, trunc.next_count
+
+
 def select_gumbel(
     counts: np.ndarray,
     labels: Sequence[str],
@@ -82,24 +96,19 @@ def select_gumbel(
     """The selection rule, one row per trial, over noise [trials, 1 + n]
     whose column 0 is the threshold draw and the rest one per candidate.
 
-    Candidates whose noisy count counts + noise[:, 1:] clears the row's
-    noisy threshold cut + noise[:, 0] (threshold_override replaces it) are
-    ranked by (-noisy count, label).  Returns ``order``, [trials, min(k, n)]
+    Candidates that clear the row's noisy threshold (above_noisy_threshold)
+    are ranked by (-noisy count, label).  Returns ``order``, [trials, min(k, n)]
     candidate indices in rank order, and ``taken``, [trials] how many of
     them are released: row i's ranked list is labels[order[i, :taken[i]]],
     closed by the bottom marker when taken[i] < k.
     """
-    noisy = counts + noise[:, 1:]
-    if threshold_override is None:
-        noisy_threshold = cut + noise[:, :1]
-    else:
-        noisy_threshold = float(threshold_override)
-    surviving = noisy > noisy_threshold
+    noisy, surviving = above_noisy_threshold(counts, noise, cut, threshold_override)
     ranks = np.empty(len(labels), dtype=np.int64)
     ranks[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(len(labels))
     keys = (np.broadcast_to(ranks, noisy.shape), np.where(surviving, -noisy, np.inf))
-    order = np.lexsort(keys, axis=1)[:, :k]
-    taken = np.minimum(surviving.sum(axis=1), k)
+    width = min(k, len(labels))
+    order = np.lexsort(keys, axis=1)[:, :width]
+    taken = np.minimum(surviving.sum(axis=1), width)
     return order, taken
 
 
@@ -121,26 +130,12 @@ def release_gumbel_topk_batch(
     Row i is what the i-th of ``trials`` consecutive ``release_gumbel_topk``
     calls on rng would draw and release.
     """
-    h = Histogram.coerce(h)
-    check_int("k", k)
-    check_int("kbar", kbar)
-    if k > kbar:
-        raise ParameterError("k must not exceed kbar")
-    l0 = check_l0("l0_for_threshold", l0_for_threshold)
-    eps = check_positive("epsilon", epsilon)
-    d = check_probability("delta", delta)
+    labels, counts, next_count = gumbel_candidates(h, k, kbar)
+    threshold = gumbel_threshold(l0_for_threshold, epsilon, delta)
     check_int("trials", trials)
 
-    beta = 1.0 / eps
-    threshold = gumbel_threshold(l0, eps, d)
-    trunc = truncate_topk(h, kbar)
-    candidates = [(label, count) for label, count in trunc.top if count > 0]
-    labels = [label for label, _ in candidates]
-    counts = np.array([count for _, count in candidates], dtype=float)
-    z = sample_gumbel(beta, rng, (trials, 1 + len(labels)))
-    order, taken = select_gumbel(
-        counts, labels, z, threshold + trunc.next_count, k, threshold_override
-    )
+    z = sample_gumbel(1.0 / float(epsilon), rng, (trials, 1 + len(labels)))
+    order, taken = select_gumbel(counts, labels, z, threshold + next_count, k, threshold_override)
     return labels, order, taken
 
 
@@ -166,15 +161,7 @@ def release_gumbel_topk(
     (-inf disables thresholding entirely).
     """
     labels, order, taken = release_gumbel_topk_batch(
-        h,
-        k,
-        kbar,
-        l0_for_threshold,
-        epsilon,
-        delta,
-        rng,
-        1,
-        threshold_override=threshold_override,
+        h, k, kbar, l0_for_threshold, epsilon, delta, rng, 1, threshold_override=threshold_override
     )
     items = [labels[i] for i in order[0, : taken[0]].tolist()]
     if len(items) < k:

@@ -41,6 +41,7 @@ __all__ = [
     "threshold_gaussian",
     "release_batch",
     "release",
+    "release_budget",
 ]
 
 
@@ -119,18 +120,15 @@ def _calibrate(
 ) -> tuple[float, float]:
     """The checks release and release_batch share, and the noise scale and
     threshold they draw and compare with."""
-    sens = check_sensitivity(sens)
-    eps = check_positive("epsilon", epsilon)
-    d = check_probability("delta", delta)
-    check_int("min_count", min_count)
-    check_int("trials", trials)
     if noise not in ("laplace", "gaussian"):
         raise ParameterError(f"noise must be 'laplace' or 'gaussian', got {noise!r}")
+    threshold = _THRESHOLDS[noise](sens, epsilon, delta)
+    check_int("min_count", min_count)
+    check_int("trials", trials)
 
-    scale = sens.linf / eps
+    scale = sens.linf / float(epsilon)
     if scale_override is not None:
         scale = check_real("scale_override", scale_override)
-    threshold = _THRESHOLDS[noise](sens, eps, d)
     if threshold_override is not None:
         threshold = float(threshold_override)
 
@@ -181,13 +179,19 @@ def release(
         noisy = h.counts.astype(float)
         survivors = np.flatnonzero(noisy > threshold)
         noisy = noisy[survivors]
-    eps = float(epsilon)
     return ReleaseReport(
         mechanism=_TAGS[noise],
         released=dict(zip(h.labels_at(survivors), noisy.tolist())),
         threshold=threshold,
-        budget=CdpBudget(delta=float(delta), rho=sens.l0 * eps * eps / 2.0),
+        budget=release_budget(sens, epsilon, delta),
     )
+
+
+def release_budget(sens: SensitivityBound, epsilon: float, delta: float) -> CdpBudget:
+    """(delta, l0 * epsilon^2 / 2), what a release or a top-kbar release
+    spends whatever survives, for arguments its threshold has checked."""
+    eps = float(epsilon)
+    return CdpBudget(delta=float(delta), rho=sens.l0 * eps * eps / 2.0)
 
 
 #: Entries per step of _noisy_above, whose screen keeps a dozen temporaries.

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accountant import CdpBudget
 from .core import (
     Histogram,
     ParameterError,
@@ -24,12 +23,10 @@ from .core import (
     check_real,
     check_sensitivity,
     check_threshold,
-    is_reserved_label,
     normal_upper_quantile,
-    padding_label,
     sample_gaussian,
 )
-from .release import ReleaseReport
+from .release import ReleaseReport, release_budget
 
 __all__ = [
     "TruncatedHistogram",
@@ -44,7 +41,7 @@ MECHANISM_TAG = "topk-gaussian"
 
 @dataclass(frozen=True)
 class TruncatedHistogram:
-    """The kbar largest entries (sentinel-padded) plus the (kbar+1)-th count."""
+    """At most kbar largest entries plus the (kbar+1)-th count (0 if there is none)."""
 
     top: tuple[tuple[str, int], ...]
     next_count: int
@@ -61,8 +58,9 @@ class TruncatedHistogram:
 def truncate_topk(h: Histogram, kbar: int) -> TruncatedHistogram:
     """Select the kbar largest counts (ties broken by label order) and the next count.
 
-    Histograms with fewer than kbar entries are padded with zero-count
-    sentinels so the output shape never reveals the input size.
+    A histogram with at most kbar entries gives them all, and next count 0.
+    Nothing is padded: the mechanisms release only labels of the input, so
+    a short list changes no report, only the number of draws a call makes.
     """
     h = Histogram.coerce(h)
     kbar = check_int("kbar", kbar)
@@ -77,7 +75,6 @@ def truncate_topk(h: Histogram, kbar: int) -> TruncatedHistogram:
     ranked = np.array(sorted(ranked, key=labels.__getitem__), dtype=np.intp)
     ranked = ranked[np.argsort(-counts[ranked], kind="stable")][:kbar].tolist()
     top = [(labels[i], count) for i, count in zip(ranked, counts[ranked].tolist())]
-    top += [(padding_label(j), 0) for j in range(1, kbar - len(top) + 1)]
     return TruncatedHistogram(top=tuple(top), next_count=next_count)
 
 
@@ -95,6 +92,20 @@ def topk_threshold(sens: SensitivityBound, epsilon: float, delta: float) -> floa
     return check_threshold(sens.linf + math.sqrt(2.0) * (sens.linf / eps) * z, eps, d)
 
 
+def above_noisy_threshold(
+    counts: np.ndarray, noise: np.ndarray, cut: float, threshold_override: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The noisy counts counts + noise[:, 1:], one row per trial, and which of
+    them exceed the row's noisy threshold cut + noise[:, 0].
+
+    Column 0 of noise is the threshold draw, the rest one per count.
+    threshold_override replaces the noisy threshold.
+    """
+    noisy = counts + noise[:, 1:]
+    threshold = cut + noise[:, :1] if threshold_override is None else float(threshold_override)
+    return noisy, noisy > threshold
+
+
 def release_topk_batch(
     h: Histogram,
     kbar: int,
@@ -109,35 +120,24 @@ def release_topk_batch(
 ) -> tuple[TruncatedHistogram, np.ndarray, np.ndarray, float]:
     """``trials`` runs of ``release_topk`` on consecutive draws of rng, as arrays.
 
-    Returns the truncated histogram, the [trials, kbar] noisy counts of its
-    top entries, which of them are released, and the public T.  Row i is
-    what the i-th of ``trials`` consecutive ``release_topk`` calls on rng
-    would draw and release.
+    Returns the truncated histogram, the [trials, len(top)] noisy counts of
+    its top entries, which of them are released, and the public T.  Each
+    row draws the threshold, then one value per top entry: row i is what
+    the i-th of ``trials`` consecutive ``release_topk`` calls on rng would
+    draw and release.
     """
-    h = Histogram.coerce(h)
-    kbar = check_int("kbar", kbar)
-    sens = check_sensitivity(sens)
-    eps = check_positive("epsilon", epsilon)
-    d = check_probability("delta", delta)
+    trunc = truncate_topk(h, kbar)
+    threshold = topk_threshold(sens, epsilon, delta)
     check_int("trials", trials)
-
-    sigma = sens.linf / eps
+    sigma = sens.linf / float(epsilon)
     if sigma_override is not None:
         sigma = check_real("sigma_override", sigma_override)
 
-    trunc = truncate_topk(h, kbar)
-    threshold = topk_threshold(sens, eps, d)
     counts = np.array([count for _, count in trunc.top], dtype=float)
-    real = np.array([not is_reserved_label(label) for label, _ in trunc.top], dtype=bool)
-    # Column 0 is the threshold draw, then one per top entry.
-    shape = (trials, 1 + kbar)
+    shape = (trials, 1 + len(counts))
     z = sample_gaussian(sigma, rng, shape) if sigma > 0.0 else np.zeros(shape)
-    noisy = counts + z[:, 1:]
-    if threshold_override is None:
-        noisy_threshold = threshold + trunc.next_count + z[:, :1]
-    else:
-        noisy_threshold = float(threshold_override)
-    return trunc, noisy, (noisy > noisy_threshold) & real, threshold
+    noisy, kept = above_noisy_threshold(counts, z, threshold + trunc.next_count, threshold_override)
+    return trunc, noisy, kept, threshold
 
 
 def release_topk(
@@ -154,29 +154,19 @@ def release_topk(
     """Release noisy counts from the top-kbar entries that clear a noisy threshold.
 
     Draw order is fixed for reproducibility: the threshold Gaussian first,
-    then one per top entry in list order (sentinels included).  Sentinels are
-    never emitted, and the report records only the public T: the realized
-    noisy threshold depends on the unreleased (kbar+1)-th count.
+    then one per top entry in list order, at most kbar of them.  The report
+    records only the public T: the realized noisy threshold depends on the
+    unreleased (kbar+1)-th count.
 
     sigma_override and threshold_override are test hooks; threshold_override
     replaces the noisy threshold the counts are compared against.
     """
-    trunc, noisy, kept, threshold = release_topk_batch(
-        h,
-        kbar,
-        sens,
-        epsilon,
-        delta,
-        rng,
-        1,
-        sigma_override=sigma_override,
-        threshold_override=threshold_override,
-    )
+    hooks = {"sigma_override": sigma_override, "threshold_override": threshold_override}
+    trunc, noisy, kept, threshold = release_topk_batch(h, kbar, sens, epsilon, delta, rng, 1, **hooks)
     survivors = np.flatnonzero(kept[0]).tolist()
-    eps = float(epsilon)
     return ReleaseReport(
         mechanism=MECHANISM_TAG,
         released=dict(zip([trunc.top[i][0] for i in survivors], noisy[0, survivors].tolist())),
         threshold=threshold,
-        budget=CdpBudget(delta=float(delta), rho=sens.l0 * eps * eps / 2.0),
+        budget=release_budget(sens, epsilon, delta),
     )

@@ -31,13 +31,13 @@ from .core import (
     check_int,
     check_positive,
     check_sensitivity,
-    is_reserved_label,
     normal_cdf,
 )
 # release, release_topk and release_gumbel_topk stay bound here for
 # perfbench/tracing.py, which wraps these names; the estimators run the
 # *_batch forms.
 from .gumbel import (  # noqa: F401
+    gumbel_candidates,
     gumbel_threshold,
     release_gumbel_topk,
     release_gumbel_topk_batch,
@@ -302,7 +302,6 @@ def _delta_event_setup(
 
         return frozenset(neighbor.labels()), runs
 
-    trunc = truncate_topk(neighbor, config.kbar)
     if mech == "topk":
 
         def runs(rng: RandomSource, n: int) -> tuple[list[str], np.ndarray]:
@@ -318,7 +317,7 @@ def _delta_event_setup(
             )
             return [label for label, _ in base_trunc.top], released
 
-        return frozenset(lab for lab, _ in trunc.top if not is_reserved_label(lab)), runs
+        return frozenset(label for label, _ in truncate_topk(neighbor, config.kbar).top), runs
 
     k = config.k if config.k is not None else config.kbar
 
@@ -339,7 +338,7 @@ def _delta_event_setup(
         np.put_along_axis(released, order, ranked, axis=1)
         return labels, released
 
-    return frozenset(lab for lab, c in trunc.top if c > 0), runs
+    return frozenset(gumbel_candidates(neighbor, k, config.kbar)[0]), runs
 
 
 def estimate_delta_event(
@@ -421,28 +420,22 @@ def sample_gumbel_topk_outcomes(
     """Empirical distribution of ranked outputs over many one-shot runs.
 
     Ranks through release_gumbel_topk's selection kernel, with the same
-    candidates (positive top-kbar counts) and noisy threshold, but maps
+    candidates (gumbel_candidates) and noisy threshold, but maps
     numpy's vectorised Gumbel transform over one uniform block, for the
     10^6-trial distance checks.
     """
-    h = Histogram.coerce(h)
     check_int("trials", trials)
-    trunc = truncate_topk(h, kbar)
-    candidates = [(label, count) for label, count in trunc.top if count > 0]
-    n = len(candidates)
-    if check_int("k", k) > kbar:
-        raise ParameterError("k must not exceed kbar")
+    labels, counts, next_count = gumbel_candidates(h, k, kbar)
+    n = len(labels)
     if n == 0:
         return {(BOTTOM,): 1.0}
     width = min(k, n)
     if (n + 1) ** width > 2**63:
         raise ParameterError("too many ranked outcomes to tabulate")
 
-    cut = gumbel_threshold(l0_for_threshold, epsilon, delta) + trunc.next_count
+    cut = gumbel_threshold(l0_for_threshold, epsilon, delta) + next_count
     u = rng.uniforms(trials * (n + 1)).reshape(trials, n + 1)
     noise = -(1.0 / epsilon) * np.log(-np.log(u))
-    labels = [label for label, _ in candidates]
-    counts = np.array([count for _, count in candidates], dtype=float)
     order, taken = select_gumbel(
         counts, labels, noise, cut, k, -math.inf if threshold_disabled else None
     )

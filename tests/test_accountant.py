@@ -1,6 +1,7 @@
 """Budget arithmetic: closed forms, conversions, and composition."""
 
 import math
+import re
 
 import pytest
 from hypothesis import assume, given
@@ -71,6 +72,24 @@ class TestGaussianCdp:
     def test_errors(self):
         with pytest.raises(ParameterError):
             gaussian_cdp(1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "l2,sigma", [(1.0, 1e-300), (1e-200, 1e-200), (1.0, 1e-160), (1e200, 1.0)]
+    )
+    def test_no_finite_rho_is_refused_by_name(self, l2, sigma):
+        # 2 * sigma^2 underflows to 0 in the first two, the ratio overflows in the others.
+        message = f"l2_sensitivity = {l2!r} and sigma = {sigma!r} give no finite rho"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            gaussian_cdp(l2, sigma)
+
+    @given(
+        st.floats(min_value=5e-324, max_value=1e308),
+        st.floats(min_value=5e-324, max_value=1e308),
+    )
+    def test_every_finite_rho_is_the_formula(self, l2, sigma):
+        denominator = 2.0 * sigma * sigma
+        assume(denominator > 0.0 and math.isfinite(l2 * l2 / denominator))
+        assert gaussian_cdp(l2, sigma).rho == l2 * l2 / denominator
 
 
 class TestExpmechCdp:

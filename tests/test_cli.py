@@ -10,6 +10,7 @@ import math
 import os
 import re
 import stat
+import time
 from pathlib import Path
 
 import pytest
@@ -265,6 +266,20 @@ class TestReportFiles:
         with pytest.raises(IngestionError):
             read_budget(path)
 
+    @pytest.mark.parametrize(
+        "data,line",
+        [(b'\xff\xfe{"budget":{"rho":0.5,"delta":0.0}}\n', 1),
+         (b'{"budget":{"rho":0.5,"delta":0.0}}\n{"round":1,"items":["\xff"]}\n', 2)],
+    )  # fmt: skip
+    def test_read_budget_not_utf8_names_file_and_line(self, tmp_path, capsys, data, line):
+        path = tmp_path / "r.json"
+        path.write_bytes(data)
+        message = f"{path}: line {line}: not valid UTF-8 text"
+        with pytest.raises(IngestionError, match=f"^{re.escape(message)}$"):
+            read_budget(path)
+        assert main(["account", "compose", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 @pytest.fixture
 def hist_csv(tmp_path):
@@ -282,6 +297,11 @@ def events_ndjson(tmp_path):
 
 
 class TestMain:
+    def test_account_gaussian_cdp_without_a_finite_rho_exits_2(self, capsys):
+        assert main(["account", "gaussian-cdp", "--l2", "1", "--sigma", "1e-300"]) == 2
+        message = "l2_sensitivity = 1.0 and sigma = 1e-300 give no finite rho"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_account_cdp_to_dp_prints_epsilon(self, capsys):
         code = main(
             ["account", "cdp-to-dp", "--rho", "0.5", "--delta", "0", "--delta-prime", "1e-6"]
@@ -506,6 +526,36 @@ def test_l0_beyond_the_float_range_exits_2(case, hist_csv, events_ndjson, tmp_pa
     assert code == 2
     assert "l0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["topk", "--linf", "1"], ["gumbel-topk", "--k", "2"]])
+def test_topk_cost_follows_the_input_not_kbar(command, tmp_path):
+    # Only the input's entries are drawn for: a kbar of 10^6 or 10^11 over two
+    # labels costs what kbar 2 does and gives the same report but for its
+    # params.  10^6 goes first, so a cost that follows kbar fails it in about
+    # a second, before 10^11 can exhaust memory.
+    path = write(tmp_path / "two.csv", "label,count\napple,9\nbanana,5\n")
+
+    def report(kbar, seed):
+        out = tmp_path / "report.json"
+        argv = command + ["--kbar", str(kbar), "--epsilon", "1", "--delta", "0.05", "--l0", "1",
+                          "--in", path, "--out", str(out), "--seed", str(seed)]  # fmt: skip
+        start = time.perf_counter()
+        assert main(argv) == 0
+        elapsed = time.perf_counter() - start
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        assert payload["params"].pop("kbar") == kbar
+        return payload, elapsed
+
+    released = set()
+    for seed in range(5):
+        narrow = report(2, seed)[0]
+        for kbar in (10**6, 10**11):
+            wide, elapsed = report(kbar, seed)
+            assert elapsed < 0.5
+            assert wide == narrow
+        released.update(item["label"] for item in narrow["items"])
+    assert {"apple", "banana"} <= released
 
 
 # Input lines whose third holds a byte that is not UTF-8 or, in its place,

@@ -19,7 +19,6 @@ from unkhist.core import (
     laplace_inverse_cdf,
     normal_cdf,
     normal_inverse_cdf,
-    padding_label,
     sample_gaussian,
     sample_gumbel,
     sample_laplace,
@@ -52,8 +51,7 @@ ORDERED_ACCESSORS = {
 class TestLabels:
     def test_reserved_family(self):
         assert is_reserved_label(BOTTOM)
-        assert is_reserved_label(padding_label(1))
-        assert padding_label(2) == "⊥2"
+        assert is_reserved_label("⊥2")
         assert not is_reserved_label("apple")
 
     def test_histogram_rejects_reserved_and_empty(self):
@@ -159,6 +157,26 @@ class TestSensitivityBound:
     def test_invalid(self, l0, linf):
         with pytest.raises(ParameterError):
             SensitivityBound(l0=l0, linf=linf)
+
+    @pytest.mark.parametrize("l0,linf,name", [(10**400, 1, "l0"), (1, 10**400, "linf")])
+    def test_int_beyond_the_float_range(self, l0, linf, name):
+        with pytest.raises(ParameterError, match=f"^{name} must be at most .*, got a 1329-bit integer$"):
+            SensitivityBound(l0=l0, linf=linf)
+
+
+class TestCheckers:
+    @pytest.mark.parametrize("check", [core.check_positive, core.check_real, core.check_l0])
+    def test_int_beyond_the_float_range_is_refused_by_name(self, check):
+        with pytest.raises(ParameterError, match="^x must be at most 1.7976931348623157e[+]308, "):
+            check("x", 10**400)
+        with pytest.raises(ParameterError, match="^x must be at most"):
+            check("x", 2**1024)
+
+    @pytest.mark.parametrize("check", [core.check_positive, core.check_real])
+    def test_largest_ints_that_convert_pass(self, check):
+        # 2**1024 - 2**970 rounds up to 2**1024; anything below it rounds to the largest float.
+        for value in (2**1023, 2**1024 - 2**970 - 1):
+            assert float(check("x", value)) == float(value)
 
 
 class TestRandomSource:

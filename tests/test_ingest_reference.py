@@ -30,7 +30,6 @@ from unkhist.core import (
     IngestionError,
     RandomSource,
     SensitivityBound,
-    padding_label,
     validate_label,
 )
 from unkhist.fileio import open_text, parse_histogram_csv
@@ -330,8 +329,7 @@ def test_separator_check_is_exact_not_a_comma_count(tmp_path):
 
 def reference_truncate(h, kbar):
     ranked = sorted(h.items(), key=lambda item: (-item[1], item[0]))
-    top = ranked[:kbar] + [(padding_label(j), 0) for j in range(1, kbar - len(h) + 1)]
-    return tuple(top), ranked[kbar][1] if len(ranked) > kbar else 0
+    return tuple(ranked[:kbar]), ranked[kbar][1] if len(ranked) > kbar else 0
 
 
 def assert_truncation_matches(h, kbar):

@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from unkhist.accountant import CdpBudget
@@ -14,7 +15,13 @@ from unkhist.core import (
     SensitivityBound,
     is_reserved_label,
 )
-from unkhist.topk import TruncatedHistogram, release_topk, topk_threshold, truncate_topk
+from unkhist.topk import (
+    TruncatedHistogram,
+    release_topk,
+    release_topk_batch,
+    topk_threshold,
+    truncate_topk,
+)
 
 # mpmath (50 digits).
 T_TOPK_05 = 3.3261743073533482  # 1 + sqrt(2)*PhiInv(0.95)
@@ -47,9 +54,9 @@ class TestTruncateTopk:
         assert trunc.top == (("a", 5), ("b", 3))
         assert trunc.next_count == 1
 
-    def test_padding(self):
+    def test_short_histogram_is_not_padded(self):
         trunc = truncate_topk(Histogram({"a": 5}), 3)
-        assert trunc.top == (("a", 5), ("⊥1", 0), ("⊥2", 0))
+        assert trunc.top == (("a", 5),)
         assert trunc.next_count == 0
 
     def test_tie_break_matches_a_valid_selection(self):
@@ -59,9 +66,14 @@ class TestTruncateTopk:
         assert trunc.next_count == 2
         assert {label for label, _ in trunc.top} in brute_force_valid_topk_sets(h, 2)
 
-    def test_empty_histogram_pads_fully(self):
+    def test_empty_histogram_gives_no_entries(self):
         trunc = truncate_topk(Histogram(), 2)
-        assert trunc.top == (("⊥1", 0), ("⊥2", 0))
+        assert trunc.top == ()
+        assert trunc.next_count == 0
+
+    def test_kbar_far_beyond_the_input(self):
+        trunc = truncate_topk(Histogram({"a": 5, "b": 3}), 10**11)
+        assert trunc.top == (("a", 5), ("b", 3))
         assert trunc.next_count == 0
 
     def test_invariant_enforcement(self):
@@ -101,6 +113,23 @@ class TestReleaseTopk:
         )
         assert set(report.released) == {"a"}
         assert not any(is_reserved_label(label) for label in report.released)
+
+    def test_draws_the_threshold_and_one_per_entry(self):
+        # Two entries under kbar 10^11: three draws, and the next uniform is the fourth.
+        rng = RandomSource(5)
+        release_topk({"a": 9, "b": 4}, 10**11, UNIT, 1.0, 0.05, rng)
+        reference = RandomSource(5)
+        reference.uniforms(3)
+        assert rng.uniform() == reference.uniform()
+
+    def test_batch_over_a_short_histogram_is_as_wide_as_its_entries(self):
+        h = Histogram({"a": 5, "b": 3})
+        trunc, noisy, kept, _ = release_topk_batch(h, 7, UNIT, 1.0, 0.05, RandomSource(0), 6)
+        assert noisy.shape == kept.shape == (6, 2)
+        rng = RandomSource(0)
+        for i in range(6):
+            released = release_topk(h, 7, UNIT, 1.0, 0.05, rng).released
+            assert released == {trunc.top[j][0]: noisy[i, j] for j in np.flatnonzero(kept[i])}
 
     def test_at_most_kbar_real_labels(self):
         h = {f"w{i}": 50 + i for i in range(8)}
