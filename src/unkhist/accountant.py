@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable
 
-from .core import ParameterError, check_positive, check_probability, check_real
+from .core import ParameterError, check_finite, check_positive, check_probability, check_real
 
 __all__ = [
     "CdpBudget",
@@ -78,32 +79,37 @@ def laplace_pure_dp(l1_sensitivity: float, scale: float) -> DpBudget:
     """Laplace noise of scale b on an l1-sensitivity-D statistic is (D/b)-DP."""
     l1 = check_positive("l1_sensitivity", l1_sensitivity)
     b = check_positive("scale", scale)
-    return DpBudget(epsilon=l1 / b, delta=0.0)
+    return DpBudget(epsilon=check_finite("epsilon", l1 / b, l1_sensitivity=l1, scale=b), delta=0.0)
 
 
 def gaussian_cdp(l2_sensitivity: float, sigma: float) -> CdpBudget:
     """Gaussian noise of deviation sigma on an l2-sensitivity-D statistic is D^2/(2 sigma^2)-zCDP;
-    a sigma whose square underflows, or a ratio that overflows, leaves no finite rho."""
+    where a square under- or overflows, rho is the exact ratio rounded once, if finite."""
     l2 = check_positive("l2_sensitivity", l2_sensitivity)
     s = check_positive("sigma", sigma)
     denominator = 2.0 * s * s
     rho = l2 * l2 / denominator if denominator > 0.0 else math.inf
-    if rho == math.inf:
-        raise ParameterError(f"l2_sensitivity = {l2!r} and sigma = {s!r} give no finite rho")
-    return CdpBudget(delta=0.0, rho=rho)
+    if not math.isfinite(rho):
+        try:
+            rho = float(Fraction(l2) ** 2 / (2 * Fraction(s) ** 2))
+        except OverflowError:  # past the float range: refused below
+            pass
+    return CdpBudget(delta=0.0, rho=check_finite("rho", rho, l2_sensitivity=l2, sigma=s))
 
 
 def expmech_cdp(epsilon: float) -> CdpBudget:
     """The exponential mechanism at privacy loss epsilon is eps^2/8-zCDP (bounded range)."""
     eps = check_positive("epsilon", epsilon)
-    return CdpBudget(delta=0.0, rho=eps * eps / 8.0)
+    return CdpBudget(delta=0.0, rho=check_finite("rho", eps * eps / 8.0, epsilon=eps))
 
 
 def dp_to_cdp(budget: DpBudget) -> CdpBudget:
     """(eps, delta)-DP implies delta-approximate eps^2/2-zCDP."""
     if not isinstance(budget, DpBudget):
         raise ParameterError(f"expected a DpBudget, got {budget!r}")
-    return CdpBudget(delta=budget.delta, rho=budget.epsilon**2 / 2.0)
+    # A float power raises OverflowError past the float range, here from epsilon = 2^512 on.
+    rho = budget.epsilon**2 / 2.0 if budget.epsilon < 2.0**512 else math.inf
+    return CdpBudget(delta=budget.delta, rho=check_finite("rho", rho, epsilon=budget.epsilon))
 
 
 def cdp_to_dp(budget: CdpBudget, delta_prime: float) -> DpBudget:
@@ -116,7 +122,10 @@ def cdp_to_dp(budget: CdpBudget, delta_prime: float) -> DpBudget:
         raise ParameterError(
             f"delta + delta_prime = {total_delta} leaves no usable guarantee"
         )
-    epsilon = budget.rho + 2.0 * math.sqrt(budget.rho * math.log(1.0 / dp))
+    inverse = 1.0 / dp  # ln(1/d') is -ln(d') where 1/d' overflows
+    tail = math.log(inverse) if inverse < math.inf else -math.log(dp)
+    epsilon = budget.rho + 2.0 * math.sqrt(budget.rho * tail)
+    epsilon = check_finite("epsilon", epsilon, rho=budget.rho, delta_prime=dp)
     return DpBudget(epsilon=epsilon, delta=total_delta)
 
 

@@ -55,7 +55,7 @@ class IngestionError(ParameterError):
 def check_int(name: str, value: object, minimum: int = 1) -> int:
     """An integer (not a bool) >= minimum."""
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        raise ParameterError(f"{name} must be an integer >= {minimum}, got {_shown(value)}")
     return value
 
 
@@ -64,21 +64,21 @@ def check_l0(name: str, value: object) -> int:
     arithmetic that takes an l0 sensitivity, or a list length k, needs."""
     limit = sys.float_info.max
     if check_int(name, value) > limit:
-        raise ParameterError(f"{name} must be at most {limit!r}, got a {value.bit_length()}-bit integer")
+        raise ParameterError(f"{name} must be at most {limit!r}, got {_bits(value)}")
     return value
 
 
 def check_positive(name: str, value: object) -> float:
     """A real (not a bool) that is positive and finite."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 < value < math.inf:
-        raise ParameterError(f"{name} must be a positive finite real, got {value!r}")
+        raise ParameterError(f"{name} must be a positive finite real, got {_shown(value)}")
     return _as_float(name, value)
 
 
 def check_real(name: str, value: object, minimum: float = 0.0) -> float:
     """A real (not a bool) >= minimum: NaN fails, infinity passes."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not value >= minimum:
-        raise ParameterError(f"{name} must be a real >= {minimum}, got {value!r}")
+        raise ParameterError(f"{name} must be a real >= {minimum}, got {_shown(value)}")
     return _as_float(name, value)
 
 
@@ -89,7 +89,8 @@ def _as_float(name: str, value: int | float) -> float:
         return float(value)
     except OverflowError:
         limit = sys.float_info.max
-        raise ParameterError(f"{name} must be at most {limit!r}, got a {value.bit_length()}-bit integer") from None
+        side = f"at most {limit!r}" if value > 0 else f"at least {-limit!r}"
+        raise ParameterError(f"{name} must be {side}, got {_bits(value)}") from None
 
 
 def check_probability(name: str, value: object, *, allow_zero: bool = False) -> float:
@@ -99,19 +100,30 @@ def check_probability(name: str, value: object, *, allow_zero: bool = False) -> 
         0.0 <= value < 1.0 if allow_zero else 0.0 < value < 1.0
     ):
         interval = "[0, 1)" if allow_zero else "(0, 1)"
-        raise ParameterError(f"{name} must be a real in {interval}, got {value!r}")
+        raise ParameterError(f"{name} must be a real in {interval}, got {_shown(value)}")
     return float(value)
 
 
-def check_threshold(threshold: float, epsilon: float, delta: float) -> float:
-    """A threshold calibrated from (epsilon, delta), which must come out finite:
-    a delta whose tail ratio over- or underflows, or an epsilon whose noise
-    scale overflows, leaves none."""
-    if not math.isfinite(threshold):
-        raise ParameterError(
-            f"epsilon = {epsilon!r} and delta = {delta!r} give no finite threshold"
-        )
-    return threshold
+def check_finite(what: str, value: float, **arguments: object) -> float:
+    """value, a threshold or budget figure formed from the named arguments,
+    if it is finite: one that over- or underflowed is refused by naming them."""
+    if not math.isfinite(value):
+        named = [f"{name} = {_shown(argument)}" for name, argument in arguments.items()]
+        listed = " and ".join([", ".join(named[:-1]), named[-1]] if len(named) > 2 else named)
+        raise ParameterError(f"{listed} give{'s' if len(named) == 1 else ''} no finite {what}")
+    return value
+
+
+def _shown(value: object) -> str:
+    """repr(value), or the size of an int too long for repr to print."""
+    try:
+        return repr(value)
+    except ValueError:
+        return _bits(value)
+
+
+def _bits(value: int) -> str:
+    return f"a {'negative ' if value < 0 else ''}{value.bit_length()}-bit integer"
 
 
 #: Reserved sentinel marker: "⊥" closes a ranked list shorter than k.  User
@@ -190,7 +202,7 @@ class Histogram:
                 if isinstance(count, bool) or not isinstance(count, int):
                     raise IngestionError(f"count for {label!r} must be an integer, got {count!r}")
                 if count < 0:
-                    raise IngestionError(f"count for {label!r} must be non-negative, got {count}")
+                    raise IngestionError(f"count for {label!r} must be non-negative, got {_shown(count)}")
                 if count > MAX_COUNT:
                     raise IngestionError(f"count for {label!r} exceeds 64-bit range")
         if not (column and values.flags.owndata and not values.flags.writeable):

@@ -20,11 +20,11 @@ from .core import (
     Histogram,
     ParameterError,
     RandomSource,
+    check_finite,
     check_int,
     check_l0,
     check_positive,
     check_probability,
-    check_threshold,
     sample_gumbel,
 )
 from .topk import above_noisy_threshold, truncate_topk
@@ -69,7 +69,7 @@ def gumbel_threshold(l0_for_threshold: int, epsilon: float, delta: float) -> flo
     l0 = check_l0("l0_for_threshold", l0_for_threshold)
     eps = check_positive("epsilon", epsilon)
     d = check_probability("delta", delta)
-    return check_threshold(1.0 + math.log(l0 / d) / eps, eps, d)
+    return check_finite("threshold", 1.0 + math.log(l0 / d) / eps, epsilon=eps, delta=d)
 
 
 def gumbel_candidates(h: Histogram, k: int, kbar: int) -> tuple[list[str], np.ndarray, int]:
@@ -160,11 +160,13 @@ def release_gumbel_topk(
     threshold_override is a test hook replacing the noisy threshold
     (-inf disables thresholding entirely).
     """
+    eps, d = check_positive("epsilon", epsilon), check_probability("delta", delta)
+    rho = check_finite("rho", check_l0("k", k) * eps * eps / 8.0, k=k, epsilon=eps)
+    budget = CdpBudget(delta=d, rho=rho)  # formed before any draw
     labels, order, taken = release_gumbel_topk_batch(
         h, k, kbar, l0_for_threshold, epsilon, delta, rng, 1, threshold_override=threshold_override
     )
     items = [labels[i] for i in order[0, : taken[0]].tolist()]
     if len(items) < k:
         items.append(BOTTOM)
-    eps = float(epsilon)
-    return RankedList(items=tuple(items)), CdpBudget(delta=float(delta), rho=k * eps * eps / 8.0)
+    return RankedList(items=tuple(items)), budget

@@ -19,6 +19,7 @@ from .core import (
     ParameterError,
     RandomSource,
     SensitivityBound,
+    check_finite,
     check_int,
     check_positive,
     check_probability,
@@ -26,7 +27,6 @@ from .core import (
     check_sensitivity,
     MAX_DRAW,
     Replay,
-    check_threshold,
     gaussian_screen,
     laplace_screen,
     normal_upper_quantile,
@@ -61,7 +61,7 @@ def threshold_laplace(sens: SensitivityBound, epsilon: float, delta: float) -> f
     eps = check_positive("epsilon", epsilon)
     d = check_probability("delta", delta)
     tail = math.log(sens.l0 / (2.0 * d))
-    return check_threshold(sens.linf + (sens.linf / eps) * tail, eps, d)
+    return check_finite("threshold", sens.linf + (sens.linf / eps) * tail, epsilon=eps, delta=d)
 
 
 def threshold_gaussian(sens: SensitivityBound, epsilon: float, delta: float) -> float:
@@ -70,7 +70,7 @@ def threshold_gaussian(sens: SensitivityBound, epsilon: float, delta: float) -> 
     eps = check_positive("epsilon", epsilon)
     d = check_probability("delta", delta)
     z = normal_upper_quantile(d / sens.l0)
-    return check_threshold(sens.linf + (sens.linf / eps) * z, eps, d)
+    return check_finite("threshold", sens.linf + (sens.linf / eps) * z, epsilon=eps, delta=d)
 
 
 _TAGS = {"laplace": "unknown-domain-laplace", "gaussian": "unknown-domain-gaussian"}
@@ -89,54 +89,74 @@ def release_batch(
     min_count: int = 1,
     scale_override: float | None = None,
     threshold_override: float | None = None,
-) -> tuple[list[str], np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """``trials`` runs of ``release`` on consecutive draws of rng, as arrays.
 
-    Returns the labels in sorted order, the [trials, n] noisy counts, which
-    of them are released, and the threshold they were compared against.
-    Row i is what the i-th of ``trials`` consecutive ``release`` calls on
-    rng would draw and release.
+    Returns which entries each run released, a [trials, n] mask over the
+    entries in sorted label order (``h.labels()``, or ``h.labels_at`` for a
+    few), their noisy counts in row-major order, and the threshold they
+    cleared.  Row i is what the i-th of ``trials`` consecutive ``release``
+    calls on rng would release.  Draws are made row by row, in sorted label
+    order within a row, in steps of _SCREEN_STEP that may span rows.
+
+    Only the draws that can show are transformed exactly, by the sampler
+    from a ``core.Replay`` of their uniforms, so the mask and the values are
+    those of exact draws, bit for bit.  A count that clears the threshold by
+    more than MAX_DRAW * scale is above it whatever its draw, so its draw
+    goes to the sampler unscreened.  Every other draw is screened, and goes
+    to the sampler only if its screened noisy count exceeds ``screen_cut``
+    for one draw and the step's largest such count.
     """
     h = Histogram.coerce(h)
-    scale, threshold = _calibrate(h, sens, noise, epsilon, delta, min_count, trials,
-                                  scale_override, threshold_override)  # fmt: skip
-    counts = h.counts.astype(float)
-    sampler = sample_laplace if noise == "laplace" else sample_gaussian
-    shape = (trials, len(counts))
-    noisy = counts + (sampler(scale, rng, shape) if scale > 0.0 else np.zeros(shape))
-    return h.labels(), noisy, noisy > threshold, threshold
-
-
-def _calibrate(
-    h: Histogram,
-    sens: SensitivityBound,
-    noise: str,
-    epsilon: float,
-    delta: float,
-    min_count: int,
-    trials: int,
-    scale_override: float | None,
-    threshold_override: float | None,
-) -> tuple[float, float]:
-    """The checks release and release_batch share, and the noise scale and
-    threshold they draw and compare with."""
     if noise not in ("laplace", "gaussian"):
         raise ParameterError(f"noise must be 'laplace' or 'gaussian', got {noise!r}")
     threshold = _THRESHOLDS[noise](sens, epsilon, delta)
     check_int("min_count", min_count)
     check_int("trials", trials)
-
     scale = sens.linf / float(epsilon)
     if scale_override is not None:
         scale = check_real("scale_override", scale_override)
     if threshold_override is not None:
         threshold = float(threshold_override)
-
-    below = np.flatnonzero(h.counts < min_count)
+    counts = h.counts
+    below = np.flatnonzero(counts < min_count)
     if below.size:
-        label, count = h.labels_at(below[:1])[0], int(h.counts[below[0]])
+        label, count = h.labels_at(below[:1])[0], int(counts[below[0]])
         raise IngestionError(f"count for {label!r} is {count}, below the ingestion floor {min_count}")
-    return scale, threshold
+
+    n = counts.size
+    kept = np.zeros((trials, n), dtype=bool)
+    if scale == 0.0:
+        counts = counts.astype(float)
+        kept[:] = counts > threshold
+        return kept, np.tile(counts[kept[0]], trials), threshold
+    if noise == "laplace":
+        sampler, screen, name = sample_laplace, laplace_screen, "scale"
+    else:
+        sampler, screen, name = sample_gaussian, gaussian_screen, "sigma"
+    check_positive(name, scale)
+    flat, values = kept.reshape(-1), [np.zeros(0)]
+    block = np.empty(min(flat.size, _SCREEN_STEP))
+    for start in range(0, flat.size, _SCREEN_STEP):
+        size = min(_SCREEN_STEP, flat.size - start)
+        u = rng.uniforms(size, out=block[:size])
+        at = start % n  # a step that spans rows gathers its counts
+        c = (counts[at : at + size] if at + size <= n else counts[np.arange(at, at + size) % n]).astype(float)
+        seen = c > threshold + MAX_DRAW * scale
+        rest = np.flatnonzero(~seen)
+        cut = screen_cut(threshold, scale, 1, c[rest].max(initial=0.0))
+        seen[rest[c[rest] + screen(u[rest], scale) > cut]] = True
+        seen = np.flatnonzero(seen)
+        if seen.size:
+            noisy = c[seen] + sampler(scale, Replay(u[seen]), seen.shape)
+            above = noisy > threshold
+            flat[seen[above] + start] = True
+            values.append(noisy[above])
+    return kept, np.concatenate(values), threshold
+
+
+#: Draws per step of release_batch, whose screen keeps a dozen temporaries.
+_SCREEN_STEP = 2**14
 
 
 def release(
@@ -157,79 +177,28 @@ def release(
     spends (delta, l0 * epsilon^2 / 2) regardless of what survives.  Entries
     must have count >= min_count (default 1: only positive-count items are
     accepted; raise the floor for histograms truncated at a known value).
-    Draws are made in sorted label order; only survivors' labels are looked up.
-
-    Only the draws that can show are transformed exactly (``_noisy_above``):
-    an entry's draw is screened unless its count clears T by more than any
-    draw, and made exact if its screened noisy count comes within
-    ``core.screen_cut``'s margin of T.  The released values are those of
-    ``release_batch`` bit for bit; only the run time depends on how many
-    draws land near T, which, like the input size, is operator information
-    and never part of the report.
+    The run is row 0 of ``release_batch``, which draws in sorted label order
+    and transforms exactly only the draws that can show; only survivors'
+    labels are looked up.  The run time depends on how many draws land near
+    T: like the input size, operator information, never part of the report.
 
     scale_override and threshold_override are test hooks; scale 0 makes the
     release a deterministic count-above-threshold filter.
     """
     h = Histogram.coerce(h)
-    scale, threshold = _calibrate(h, sens, noise, epsilon, delta, min_count, 1,
-                                  scale_override, threshold_override)  # fmt: skip
-    if scale > 0.0:
-        survivors, noisy = _noisy_above(h.counts, noise, scale, rng, threshold)
-    else:
-        noisy = h.counts.astype(float)
-        survivors = np.flatnonzero(noisy > threshold)
-        noisy = noisy[survivors]
-    return ReleaseReport(
-        mechanism=_TAGS[noise],
-        released=dict(zip(h.labels_at(survivors), noisy.tolist())),
-        threshold=threshold,
-        budget=release_budget(sens, epsilon, delta),
-    )
+    budget = release_budget(sens, epsilon, delta)
+    kept, values, threshold = release_batch(
+        h, sens, noise, epsilon, delta, rng, 1, min_count=min_count,
+        scale_override=scale_override, threshold_override=threshold_override,
+    )  # fmt: skip
+    released = dict(zip(h.labels_at(np.flatnonzero(kept[0])), values.tolist()))
+    return ReleaseReport(mechanism=_TAGS[noise], released=released, threshold=threshold, budget=budget)
 
 
 def release_budget(sens: SensitivityBound, epsilon: float, delta: float) -> CdpBudget:
     """(delta, l0 * epsilon^2 / 2), what a release or a top-kbar release
-    spends whatever survives, for arguments its threshold has checked."""
-    eps = float(epsilon)
-    return CdpBudget(delta=float(delta), rho=sens.l0 * eps * eps / 2.0)
-
-
-#: Entries per step of _noisy_above, whose screen keeps a dozen temporaries.
-_SCREEN_STEP = 2**14
-
-
-def _noisy_above(
-    counts: np.ndarray, noise: str, scale: float, rng: RandomSource, threshold: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Where counts + sample_<noise>(scale, rng, counts.shape) exceeds the
-    threshold, and the noisy counts there, bit for bit, for a flat array of
-    counts.  The scale is checked as the sampler checks it.
-
-    Only the draws that can show reach the sampler, which transforms them
-    exactly from a ``core.Replay`` of their uniforms.  A count that clears
-    the threshold by more than MAX_DRAW * scale is above it whatever its
-    draw, so its draw goes to the sampler unscreened.  Every other draw is
-    screened, and goes to the sampler only if its screened noisy count
-    exceeds ``screen_cut`` for one draw and the largest such count.
-    """
-    if noise == "laplace":
-        sampler, screen, name = sample_laplace, laplace_screen, "scale"
-    else:
-        sampler, screen, name = sample_gaussian, gaussian_screen, "sigma"
-    check_positive(name, scale)
-    positions, values = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
-    block = np.empty(min(counts.size, _SCREEN_STEP))
-    for start in range(0, counts.size, _SCREEN_STEP):
-        c = counts[start : start + _SCREEN_STEP].astype(float)
-        u = rng.uniforms(c.size, out=block[: c.size])
-        seen = c > threshold + MAX_DRAW * scale
-        rest = np.flatnonzero(~seen)
-        cut = screen_cut(threshold, scale, 1, c[rest].max(initial=0.0))
-        seen[rest[c[rest] + screen(u[rest], scale) > cut]] = True
-        seen = np.flatnonzero(seen)
-        if seen.size:
-            noisy = c[seen] + sampler(scale, Replay(u[seen]), seen.shape)
-            kept = noisy > threshold
-            positions.append(seen[kept] + start)
-            values.append(noisy[kept])
-    return np.concatenate(positions), np.concatenate(values)
+    spends whatever survives, refused by name if rho overflows."""
+    l0 = check_sensitivity(sens).l0
+    eps = check_positive("epsilon", epsilon)
+    d = check_probability("delta", delta)
+    return CdpBudget(delta=d, rho=check_finite("rho", l0 * eps * eps / 2.0, l0=l0, epsilon=eps))

@@ -76,10 +76,10 @@ from .core import (
     RandomSource,
     check_int,
     check_l0,
+    check_finite,
     check_positive,
     check_probability,
     check_real,
-    check_threshold,
     gaussian_quantile,
     gaussian_quantiles,
     gaussian_screen,
@@ -185,8 +185,11 @@ class CounterConfig:
         depth = horizon.bit_length()
         sigma = 1.0 / epsilon
         z = normal_upper_quantile(ratio)
-        threshold = check_threshold(1.0 + sigma * math.sqrt(depth + 1.0) * z, epsilon, delta)
-        budget = CdpBudget(delta=float(delta), rho=l0 * depth * epsilon * epsilon / 2.0)
+        threshold = 1.0 + sigma * math.sqrt(depth + 1.0) * z
+        threshold = check_finite("threshold", threshold, epsilon=epsilon, delta=delta)
+        rho = l0 * depth * epsilon * epsilon / 2.0
+        rho = check_finite("rho", rho, l0=l0, horizon=horizon, epsilon=epsilon)
+        budget = CdpBudget(delta=float(delta), rho=rho)
         return cls(
             horizon=horizon,
             l0=l0,

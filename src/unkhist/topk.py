@@ -17,12 +17,12 @@ from .core import (
     ParameterError,
     RandomSource,
     SensitivityBound,
+    check_finite,
     check_int,
     check_positive,
     check_probability,
     check_real,
     check_sensitivity,
-    check_threshold,
     normal_upper_quantile,
     sample_gaussian,
 )
@@ -89,7 +89,8 @@ def topk_threshold(sens: SensitivityBound, epsilon: float, delta: float) -> floa
     eps = check_positive("epsilon", epsilon)
     d = check_probability("delta", delta)
     z = normal_upper_quantile(d / sens.l0)
-    return check_threshold(sens.linf + math.sqrt(2.0) * (sens.linf / eps) * z, eps, d)
+    threshold = sens.linf + math.sqrt(2.0) * (sens.linf / eps) * z
+    return check_finite("threshold", threshold, epsilon=eps, delta=d)
 
 
 def above_noisy_threshold(
@@ -161,6 +162,7 @@ def release_topk(
     sigma_override and threshold_override are test hooks; threshold_override
     replaces the noisy threshold the counts are compared against.
     """
+    budget = release_budget(sens, epsilon, delta)
     hooks = {"sigma_override": sigma_override, "threshold_override": threshold_override}
     trunc, noisy, kept, threshold = release_topk_batch(h, kbar, sens, epsilon, delta, rng, 1, **hooks)
     survivors = np.flatnonzero(kept[0]).tolist()
@@ -168,5 +170,5 @@ def release_topk(
         mechanism=MECHANISM_TAG,
         released=dict(zip([trunc.top[i][0] for i in survivors], noisy[0, survivors].tolist())),
         threshold=threshold,
-        budget=release_budget(sens, epsilon, delta),
+        budget=budget,
     )

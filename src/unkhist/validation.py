@@ -288,7 +288,7 @@ def _delta_event_setup(
     if mech == "alg1":
 
         def runs(rng: RandomSource, n: int) -> tuple[list[str], np.ndarray]:
-            labels, _, released, _ = release_batch(
+            released, _, _ = release_batch(
                 base,
                 config.sens,
                 config.noise,
@@ -298,7 +298,7 @@ def _delta_event_setup(
                 n,
                 threshold_override=config.threshold_override,
             )
-            return labels, released
+            return base.labels(), released
 
         return frozenset(neighbor.labels()), runs
 
@@ -512,6 +512,15 @@ _DELTA_EVENT_CHECKS = [
 ]
 
 
+def _delta_event_case(mechanism: str, fields: dict) -> tuple[NeighborPair, MechanismConfig]:
+    """A _DELTA_EVENT_CHECKS row's boundary pair and MechanismConfig."""
+    config = MechanismConfig(mechanism, epsilon=1.0, delta=_SUITE_DELTA, **fields)
+    pair = make_boundary_neighbors(
+        mechanism, config.sens, kbar=config.kbar, horizon=config.horizon, debut_round=config.debut_round
+    )
+    return pair, config
+
+
 def _delta_event_oracle(config: MechanismConfig) -> float:
     """The exact probability of the delta-event on the config's boundary pair.
 
@@ -568,14 +577,7 @@ def run_suite(suite: str, trials: int | None, seed: int) -> dict:
     for name, mechanism, token, fields in _DELTA_EVENT_CHECKS:
         if mechanism != suite:
             continue
-        config = MechanismConfig(mechanism, epsilon=1.0, delta=_SUITE_DELTA, **fields)
-        pair = make_boundary_neighbors(
-            mechanism,
-            config.sens,
-            kbar=config.kbar,
-            horizon=config.horizon,
-            debut_round=config.debut_round,
-        )
+        pair, config = _delta_event_case(mechanism, fields)
         estimate = estimate_delta_event(pair, config, event_trials, rng.child(token))
         expected = _delta_event_oracle(config)
         tolerance = max(5.0 * math.sqrt(expected * (1.0 - expected) / event_trials), 1e-6)

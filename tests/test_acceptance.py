@@ -29,11 +29,11 @@ from unkhist.release import threshold_gaussian, threshold_laplace
 from unkhist.stream import Counter, CounterConfig, StreamEvent, active_node_count
 from unkhist.topk import topk_threshold
 from unkhist.validation import (
-    MechanismConfig,
+    _DELTA_EVENT_CHECKS,
+    _delta_event_case,
     estimate_delta_event,
     estimate_renyi_divergence,
     exact_expmech_topk_distribution,
-    make_boundary_neighbors,
     sample_gumbel_topk_outcomes,
     tv_distance,
 )
@@ -166,51 +166,29 @@ def test_criterion_3_composition_comparison():
 # Exact differentiating-outcome rates at delta = 0.05 (mpmath, 50 digits):
 # alg1 both noise laws and topk sit exactly at delta for l0 = 1; gumbel's
 # logistic tail is delta/(1+delta); the stream debut tail is
-# 1 - Phi(sqrt((depth+1)/popcount(7)) * PhiInv(1 - delta/7)).
+# 1 - Phi(sqrt((depth+1)/popcount(7)) * PhiInv(1 - delta/7)).  Each case is
+# its rng.child token, the row of validation._DELTA_EVENT_CHECKS it runs (the
+# checks `validate` makes) and the rate.
 DELTA_EVENT_CASES = [
-    ("alg1-laplace", 0.05),
-    ("alg1-gaussian", 0.05),
-    ("topk", 0.05),
-    ("gumbel", 0.047619047619047616),
-    ("stream", 0.0023345856078238433),
+    ("alg1-laplace", "alg1-laplace-delta-event", 0.05),
+    ("alg1-gaussian", "alg1-gaussian-delta-event", 0.05),
+    ("topk", "topk-delta-event", 0.05),
+    ("gumbel", "gumbel-delta-event", 0.047619047619047616),
+    ("stream", "stream-debut-delta-event", 0.0023345856078238433),
 ]
 
 
 def test_criterion_4_delta_event_bounds():
     """Monte-Carlo differentiating frequency vs exact tails, Wilson <= 0.06."""
-    delta = 0.05
     trials = 10**5
     rng = RandomSource(20240604)
+    rows = {check: (mechanism, fields) for check, mechanism, _, fields in _DELTA_EVENT_CHECKS}
     start = time.perf_counter()
     lines = []
     ok = True
-    for name, oracle in DELTA_EVENT_CASES:
-        if name.startswith("alg1"):
-            sens = SensitivityBound(1, 1)
-            pair = make_boundary_neighbors("alg1", sens)
-            config = MechanismConfig(
-                mechanism="alg1", epsilon=1.0, delta=delta, sens=sens,
-                noise=name.split("-")[1],
-            )
-        elif name == "topk":
-            sens = SensitivityBound(1, 1)
-            pair = make_boundary_neighbors("topk", sens, kbar=1)
-            config = MechanismConfig(
-                mechanism="topk", epsilon=1.0, delta=delta, sens=sens, kbar=1
-            )
-        elif name == "gumbel":
-            pair = make_boundary_neighbors("gumbel", kbar=1)
-            config = MechanismConfig(
-                mechanism="gumbel", epsilon=1.0, delta=delta, kbar=1, k=1,
-                l0_for_threshold=1,
-            )
-        else:
-            sens = SensitivityBound(1, 1)
-            pair = make_boundary_neighbors("stream", sens, horizon=7, debut_round=7)
-            config = MechanismConfig(
-                mechanism="stream", epsilon=1.0, delta=delta, sens=sens,
-                horizon=7, debut_round=7,
-            )
+    for name, check, oracle in DELTA_EVENT_CASES:
+        pair, config = _delta_event_case(*rows[check])
+        assert config.epsilon == 1.0 and config.delta == 0.05
         estimate = estimate_delta_event(pair, config, trials, rng.child(name))
         case_ok = abs(estimate.point - oracle) <= 0.004 and estimate.upper <= 0.06
         ok = ok and case_ok

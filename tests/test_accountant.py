@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given
@@ -73,14 +74,35 @@ class TestGaussianCdp:
         with pytest.raises(ParameterError):
             gaussian_cdp(1.0, 0.0)
 
-    @pytest.mark.parametrize(
-        "l2,sigma", [(1.0, 1e-300), (1e-200, 1e-200), (1.0, 1e-160), (1e200, 1.0)]
-    )
+    @pytest.mark.parametrize("l2,sigma", [(1.0, 1e-300), (1.0, 1e-160), (1e200, 1.0)])
     def test_no_finite_rho_is_refused_by_name(self, l2, sigma):
-        # 2 * sigma^2 underflows to 0 in the first two, the ratio overflows in the others.
+        # 2 * sigma^2 underflows to 0 in the first, the ratio overflows in the others.
         message = f"l2_sensitivity = {l2!r} and sigma = {sigma!r} give no finite rho"
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             gaussian_cdp(l2, sigma)
+
+    @pytest.mark.parametrize(
+        "l2,sigma,rho",
+        [(1e-200, 1e-200, 0.5), (1e200, 1e200, 0.5), (2e-200, 1e-200, 2.0), (1e160, 1e10, 5e299)],
+    )
+    def test_true_rho_where_the_formula_gives_none(self, l2, sigma, rho):
+        # 2 * sigma^2 underflows to 0 in the first and third; l2^2 overflows in the others.
+        assert gaussian_cdp(l2, sigma).rho == rho
+
+    @given(
+        st.floats(min_value=5e-324, max_value=1e308),
+        st.floats(min_value=5e-324, max_value=1e308),
+    )
+    def test_without_the_formula_rho_is_the_exact_ratio_or_refused(self, l2, sigma):
+        denominator = 2.0 * sigma * sigma
+        assume(not (denominator > 0.0 and math.isfinite(l2 * l2 / denominator)))
+        try:
+            expected = float(Fraction(l2) ** 2 / (2 * Fraction(sigma) ** 2))  # rounded once
+        except OverflowError:
+            with pytest.raises(ParameterError, match="give no finite rho$"):
+                gaussian_cdp(l2, sigma)
+        else:
+            assert gaussian_cdp(l2, sigma).rho == expected
 
     @given(
         st.floats(min_value=5e-324, max_value=1e308),
@@ -101,6 +123,46 @@ class TestExpmechCdp:
     def test_beats_generic_conversion(self, eps):
         # eps^2/8 < eps^2/2 for every positive eps.
         assert expmech_cdp(eps).rho < dp_to_cdp(DpBudget(epsilon=eps, delta=0.0)).rho
+
+
+class TestBudgetsBeyondTheFloatRange:
+    @pytest.mark.parametrize(
+        "form,message",
+        [
+            (
+                lambda: laplace_pure_dp(1e300, 1e-300),
+                "l1_sensitivity = 1e+300 and scale = 1e-300 give no finite epsilon",
+            ),
+            (lambda: expmech_cdp(1e300), "epsilon = 1e+300 gives no finite rho"),
+            (lambda: dp_to_cdp(DpBudget(epsilon=1e300, delta=0.1)), "epsilon = 1e+300 gives no finite rho"),
+            (lambda: dp_to_cdp(DpBudget(epsilon=math.inf, delta=0.0)), "epsilon = inf gives no finite rho"),
+            (
+                lambda: cdp_to_dp(CdpBudget(delta=0.0, rho=1e307), 1e-300),
+                "rho = 1e+307 and delta_prime = 1e-300 give no finite epsilon",
+            ),
+        ],
+        ids=["laplace-dp", "expmech-cdp", "dp-to-cdp", "dp-to-cdp-inf", "cdp-to-dp"],
+    )
+    def test_refused_by_name(self, form, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            form()
+
+    def test_largest_finite_budgets_keep_their_formulas(self):
+        eps = 1e154
+        assert expmech_cdp(eps).rho == eps * eps / 8.0
+        assert dp_to_cdp(DpBudget(epsilon=eps, delta=0.0)).rho == eps**2 / 2.0
+        # The largest epsilon whose square is a float, and the smallest whose is not.
+        eps = math.nextafter(2.0**512, 0.0)
+        assert dp_to_cdp(DpBudget(epsilon=eps, delta=0.0)).rho == eps**2 / 2.0
+        with pytest.raises(ParameterError, match="^epsilon = 1.3407807929942597e[+]154 gives no finite rho$"):
+            dp_to_cdp(DpBudget(epsilon=2.0**512, delta=0.0))
+        assert laplace_pure_dp(1e300, 1e-8).epsilon == 1e300 / 1e-8
+
+    def test_delta_prime_whose_inverse_overflows(self):
+        # 1 / 5e-324 overflows, but ln(1 / 5e-324) = 744.4 does not.
+        out = cdp_to_dp(CdpBudget(delta=0.0, rho=1.0), 5e-324)
+        assert out.epsilon == 1.0 + 2.0 * math.sqrt(-math.log(5e-324))
+        assert cdp_to_dp(CdpBudget(delta=0.0, rho=1.0), 1e-300).epsilon < out.epsilon
 
 
 class TestConversions:

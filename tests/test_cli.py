@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from unkhist import cli
 from unkhist.accountant import CdpBudget, compose
 from unkhist.cli import main
-from unkhist.core import Histogram, IngestionError, ParameterError
+from unkhist.core import Histogram, IngestionError, ParameterError, RandomSource
 from unkhist.fileio import (
     canonical_json,
     parse_histogram_csv,
@@ -526,6 +526,44 @@ def test_l0_beyond_the_float_range_exits_2(case, hist_csv, events_ndjson, tmp_pa
     assert code == 2
     assert "l0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", RELEASE_ARGV)
+def test_epsilon_without_a_finite_rho_exits_2_before_any_draw(
+    case, hist_csv, events_ndjson, tmp_path, capsys, monkeypatch
+):
+    # rho = l0 eps^2 / 2 (k eps^2 / 8 for gumbel-topk, l0 depth eps^2 / 2 for
+    # the stream) overflows, while the threshold stays finite.
+    def drew(*args):
+        raise AssertionError("noise was drawn")
+
+    monkeypatch.setattr(RandomSource, "uniform", drew)
+    monkeypatch.setattr(RandomSource, "uniforms", drew)
+    monkeypatch.setattr(RandomSource, "fill", staticmethod(drew))
+    source = events_ndjson if case == "stream" else hist_csv
+    out = tmp_path / "report"
+    code = main(RELEASE_ARGV[case] + ["--epsilon", "1e300", "--delta", "0.05", "--in", source,
+                                      "--seed", "3", "--out", str(out)])  # fmt: skip
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(" and epsilon = 1e+300 give no finite rho\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["expmech-cdp", "--epsilon", "1e300"], "epsilon = 1e+300 gives no finite rho"),
+        (["dp-to-cdp", "--epsilon", "1e300", "--delta", "0.1"], "epsilon = 1e+300 gives no finite rho"),
+        (
+            ["laplace-dp", "--l1", "1e300", "--scale", "1e-300"],
+            "l1_sensitivity = 1e+300 and scale = 1e-300 give no finite epsilon",
+        ),
+    ],
+)
+def test_account_without_a_finite_budget_exits_2(argv, message, capsys):
+    assert main(["account", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command", [["topk", "--linf", "1"], ["gumbel-topk", "--k", "2"]])

@@ -1,6 +1,7 @@
 """Domain types, samplers, and normal special functions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -171,6 +172,49 @@ class TestCheckers:
             check("x", 10**400)
         with pytest.raises(ParameterError, match="^x must be at most"):
             check("x", 2**1024)
+
+    @pytest.mark.parametrize(
+        "check,sign",
+        [
+            (core.check_int, -1),
+            (core.check_l0, 1),
+            (core.check_positive, -1),
+            (core.check_real, -1),
+            (core.check_probability, 1),
+        ],
+    )
+    def test_int_too_long_to_print_is_refused_by_name(self, check, sign):
+        # repr refuses an int of more than 4300 digits; the message gives its size.
+        shown = "negative " if sign < 0 else ""
+        with pytest.raises(ParameterError, match=f"^x must .*, got a {shown}16610-bit integer$"):
+            check("x", sign * 10**5000)
+
+    def test_negative_int_beyond_the_float_range_is_refused_by_name(self):
+        message = "x must be at least -1.7976931348623157e+308, got a negative 1329-bit integer"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            core.check_real("x", -(10**400), -math.inf)
+
+    def test_histogram_count_too_long_to_print_is_refused_by_name(self):
+        message = "count for 'a' must be non-negative, got a negative 16610-bit integer"
+        with pytest.raises(IngestionError, match=f"^{re.escape(message)}$"):
+            Histogram({"a": -(10**5000)})
+
+    @pytest.mark.parametrize(
+        "arguments,message",
+        [
+            ({"epsilon": 1e300}, "epsilon = 1e+300 gives no finite rho"),
+            ({"epsilon": 1.0, "delta": 0.5}, "epsilon = 1.0 and delta = 0.5 give no finite rho"),
+            (
+                {"l0": 3, "horizon": 2, "epsilon": 1e300},
+                "l0 = 3, horizon = 2 and epsilon = 1e+300 give no finite rho",
+            ),
+        ],
+    )
+    def test_check_finite_names_the_arguments(self, arguments, message):
+        assert core.check_finite("rho", 0.5, **arguments) == 0.5
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+                core.check_finite("rho", value, **arguments)
 
     @pytest.mark.parametrize("check", [core.check_positive, core.check_real])
     def test_largest_ints_that_convert_pass(self, check):

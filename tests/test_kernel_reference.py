@@ -5,7 +5,9 @@ The reference functions are the earlier bodies of ``release``,
 in a Python loop.  Each mechanism must equal its loop exactly; the Gumbel
 mechanism must also equal its selection kernel applied to the noise row the
 loop drew.  Run as a batch, row i of ``*_batch`` must be the i-th of
-consecutive single runs on one source.
+consecutive single runs on one source; consecutive ``release`` runs must
+be the rows of one exact noise block, counts + sample_<noise>(scale, rng,
+(trials, n)).
 """
 
 import math
@@ -31,7 +33,7 @@ from unkhist.gumbel import (
     release_gumbel_topk_batch,
     select_gumbel,
 )
-from unkhist.release import release, release_batch
+from unkhist.release import release
 from unkhist.topk import release_topk, release_topk_batch, truncate_topk
 
 SAMPLERS = {"laplace": sample_laplace, "gaussian": sample_gaussian}
@@ -127,11 +129,10 @@ def test_release_is_its_per_draw_loop(
 
     rng = RandomSource(seed)
     runs = [release(h, sens, noise, epsilon, delta, rng, **hooks).released for _ in range(BATCH)]
-    names, noisy, kept, _ = release_batch(
-        h, sens, noise, epsilon, delta, RandomSource(seed), BATCH, **hooks
-    )
+    shape = (BATCH, len(h))
+    noisy = h.counts + (SAMPLERS[noise](scale, RandomSource(seed), shape) if scale > 0.0 else np.zeros(shape))
     assert runs == [
-        {names[j]: noisy[i, j] for j in np.flatnonzero(kept[i])} for i in range(BATCH)
+        {label: v for label, v in zip(h.labels(), row) if v > report.threshold} for row in noisy.tolist()
     ]
 
 

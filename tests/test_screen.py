@@ -1,12 +1,14 @@
 """The screens against the exact transforms, and the mechanisms that use them.
 
-``release`` and ``counter_sweep`` run the exact, bit-for-bit transform only
-on the draws that can show: a cheap screen (``core.gaussian_screen``,
-``core.laplace_screen``) decides which, and a draw whose screened value
-comes within ``core.screen_cut``'s margin of the threshold is made exact.
-The screens must stay far inside their stated bound, and the mechanisms
-must release exactly what the fully exact paths release, also when the
-threshold sits on an exact noisy value or one float either side of it.
+``release_batch`` (and so ``release``, its row 0) and ``counter_sweep`` run
+the exact, bit-for-bit transform only on the draws that can show: a cheap
+screen (``core.gaussian_screen``, ``core.laplace_screen``) decides which,
+and a draw whose screened value comes within ``core.screen_cut``'s margin
+of the threshold is made exact.  The screens must stay far inside their
+stated bound, and the mechanisms must release exactly what the fully exact
+paths release, also when the threshold sits on an exact noisy value or one
+float either side of it, and consecutive ``release`` calls must be the
+rows of one ``release_batch``.
 """
 
 import dataclasses
@@ -26,6 +28,7 @@ from unkhist import stream as stream_module
 from unkhist.core import (
     SCREEN_ERROR,
     Histogram,
+    IngestionError,
     RandomSource,
     SensitivityBound,
     gaussian_quantiles,
@@ -100,13 +103,33 @@ def test_cut_at_infinite_thresholds():
 SENS = SensitivityBound(l0=1, linf=1)
 
 
+def exact_rows(h, noise, seed, threshold, scale=None, trials=1):
+    """What trials consecutive releases give with every draw exact: the
+    entries of counts + sample_<noise>(scale, RandomSource(seed), (trials, n))
+    above the threshold, one dict per row."""
+    sampler = core.sample_laplace if noise == "laplace" else core.sample_gaussian
+    scale = SENS.linf / 1.0 if scale is None else scale
+    noisy = h.counts + sampler(scale, RandomSource(seed), (trials, len(h)))
+    return [dict(zip(np.array(h.labels())[row > threshold].tolist(), row[row > threshold].tolist()))
+            for row in noisy]  # fmt: skip
+
+
 def exact_release(h, noise, seed, threshold, scale=None):
-    """What release gives, from release_batch, whose every draw is exact."""
-    labels, noisy, kept, _ = release_batch(
-        h, SENS, noise, 1.0, 1e-6, RandomSource(seed), 1,
-        scale_override=scale, threshold_override=threshold,
-    )  # fmt: skip
-    return {labels[j]: float(noisy[0, j]) for j in np.flatnonzero(kept[0])}
+    """What release gives with every draw exact."""
+    return exact_rows(h, noise, seed, threshold, scale)[0]
+
+
+def batch_rows(h, noise, seed, trials, **hooks):
+    """release_batch's runs, one dict of released labels and values per row."""
+    kept, values, _ = release_batch(h, SENS, noise, 1.0, 1e-6, RandomSource(seed), trials, **hooks)
+    rows = np.split(values, np.cumsum(kept.sum(axis=1))[:-1])
+    return [dict(zip(h.labels_at(np.flatnonzero(k)), v.tolist())) for k, v in zip(kept, rows)]
+
+
+def single_runs(h, noise, seed, trials, **hooks):
+    """trials consecutive release calls on one source."""
+    rng = RandomSource(seed)
+    return [release(h, SENS, noise, 1.0, 1e-6, rng, **hooks).released for _ in range(trials)]
 
 
 @pytest.mark.parametrize("noise", ["laplace", "gaussian"])
@@ -148,6 +171,60 @@ def test_release_matches_the_exact_path_at_any_threshold(counts, noise, scale, s
     report = release(h, SENS, noise, 1.0, 1e-6, RandomSource(seed),
                      scale_override=scale, threshold_override=threshold)  # fmt: skip
     assert repr(report.released) == repr(exact_release(h, noise, seed, threshold, scale))
+
+
+@pytest.mark.parametrize("noise", ["laplace", "gaussian"])
+def test_release_is_row_i_of_release_batch_near_the_threshold(noise):
+    # Thresholds on an exact noisy value of each row, and one float either side.
+    h = Histogram({f"n{i:03d}": 1 + i % 7 for i in range(300)})
+    trials, seed = 3, 12
+    every = exact_rows(h, noise, seed, -math.inf, trials=trials)
+    for row in every:
+        value = sorted(row.values())[len(row) // 2]
+        for threshold in (np.nextafter(value, -math.inf), value, np.nextafter(value, math.inf)):
+            hooks = {"threshold_override": float(threshold)}
+            rows = batch_rows(h, noise, seed, trials, **hooks)
+            assert repr(rows) == repr(single_runs(h, noise, seed, trials, **hooks))
+            assert repr(rows) == repr(exact_rows(h, noise, seed, float(threshold), trials=trials))
+
+
+@pytest.mark.parametrize("noise", ["laplace", "gaussian"])
+def test_release_is_row_i_of_release_batch_across_a_step(noise):
+    # 4 rows of 5000 draws: the first screening step ends inside row 3.
+    h = Histogram({f"t{i:04d}": 1 + (i % 53 == 0) * 40 for i in range(5000)})
+    trials, seed = 4, 21
+    assert trials * len(h) > release_module._SCREEN_STEP and release_module._SCREEN_STEP % len(h)
+    rows = batch_rows(h, noise, seed, trials)
+    assert all(rows) and repr(rows) == repr(single_runs(h, noise, seed, trials))
+    threshold = release(h, SENS, noise, 1.0, 1e-6, RandomSource(seed)).threshold
+    assert repr(rows) == repr(exact_rows(h, noise, seed, threshold, trials=trials))
+
+
+@pytest.mark.parametrize("noise", ["laplace", "gaussian"])
+@pytest.mark.parametrize(
+    "hooks",
+    [
+        {"scale_override": 0.0},
+        {"scale_override": 0.0, "threshold_override": 3.0},
+        {"threshold_override": -math.inf},
+        {"threshold_override": math.inf},
+        {"min_count": 5},
+    ],
+)
+def test_release_is_row_i_of_release_batch_at_the_hooks(noise, hooks):
+    h = Histogram({f"h{i:02d}": 5 + i % 4 for i in range(40)})
+    rows = batch_rows(h, noise, 8, 3, **hooks)
+    assert repr(rows) == repr(single_runs(h, noise, 8, 3, **hooks))
+    default = release(h, SENS, noise, 1.0, 1e-6, RandomSource(8)).threshold
+    threshold = hooks.get("threshold_override", default)
+    if "scale_override" in hooks:
+        assert rows == [{label: float(count) for label, count in h.items() if count > threshold}] * 3
+    else:
+        assert repr(rows) == repr(exact_rows(h, noise, 8, threshold, trials=3))
+    with pytest.raises(IngestionError, match="below the ingestion floor 6$"):
+        batch_rows(h, noise, 8, 3, **{**hooks, "min_count": 6})
+    with pytest.raises(IngestionError, match="below the ingestion floor 6$"):
+        single_runs(h, noise, 8, 3, **{**hooks, "min_count": 6})
 
 
 @pytest.mark.parametrize("noise", ["laplace", "gaussian"])
