@@ -150,7 +150,8 @@ def compose(budgets: Iterable[CdpBudget]) -> CdpBudget:
     """Sequential composition: rhos add, deltas fold as 1 - prod(1 - delta_i).
 
     Summands are sorted before folding so any permutation of the input
-    produces the bit-identical result.
+    produces the bit-identical result.  Budgets whose rhos sum past the float
+    range are refused by name.
     """
     items = list(budgets)
     if not items:
@@ -158,8 +159,11 @@ def compose(budgets: Iterable[CdpBudget]) -> CdpBudget:
     for b in items:
         if not isinstance(b, CdpBudget):
             raise ParameterError(f"compose expects CdpBudget values, got {b!r}")
-    rho = math.fsum(sorted(b.rho for b in items))
+    try:
+        rho = math.fsum(sorted(b.rho for b in items))
+    except OverflowError:  # a partial sum passed the float range
+        rho = math.inf
     survival = 1.0
     for delta in sorted(b.delta for b in items):
         survival *= 1.0 - delta
-    return CdpBudget(delta=1.0 - survival, rho=rho)
+    return CdpBudget(delta=1.0 - survival, rho=check_finite("rho", rho, budgets=items))

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 parameter or input error, 3 I/O error or out of
 memory.  Results go to the output file (or standard output, only when no
-file is given); diagnostics go to standard error.
+file is given); diagnostics go to standard error.  `main` registers every
+subcommand but fills in the arguments of the invoked one only.
 """
 
 from __future__ import annotations
@@ -170,7 +171,28 @@ def _add_common_release_flags(parser, *, with_linf: bool) -> None:
     parser.add_argument("--seed", type=int, required=True, help="root seed")
 
 
-def build_parser() -> argparse.ArgumentParser:
+#: Each `account` action: its help, its required float flags and the budget they give.
+_ACCOUNT_ACTIONS = {
+    "laplace-dp": ("pure DP of the Laplace mechanism", ["--l1", "--scale"],
+                   lambda args: laplace_pure_dp(args.l1, args.scale)),
+    "gaussian-cdp": ("zCDP of the Gaussian mechanism", ["--l2", "--sigma"],
+                     lambda args: gaussian_cdp(args.l2, args.sigma)),
+    "expmech-cdp": ("zCDP of the exponential mechanism", ["--epsilon"],
+                    lambda args: expmech_cdp(args.epsilon)),
+    "dp-to-cdp": ("convert (epsilon, delta)-DP to zCDP", ["--epsilon", "--delta"],
+                  lambda args: dp_to_cdp(DpBudget(epsilon=args.epsilon, delta=args.delta))),
+    "cdp-to-dp": ("convert zCDP to (epsilon, delta)-DP", ["--rho", "--delta", "--delta-prime"],
+                  lambda args: cdp_to_dp(CdpBudget(args.delta, args.rho), args.delta_prime)),
+    "optimize": ("best delta split for a DP target", ["--rho", "--delta", "--total-delta"],
+                 lambda args: cdp_to_dp_optimize(CdpBudget(args.delta, args.rho), args.total_delta)),
+    "compose": ("compose budgets from report files", [],
+                lambda args: compose([read_budget(path) for path in args.reports])),
+}  # fmt: skip
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser.  Every subcommand is registered with its help, but only
+    `command` is given its arguments; all are when it is None or unknown."""
     parser = argparse.ArgumentParser(
         prog="unkhist",
         description="Differentially private release of histograms over unknown domains.",
@@ -178,93 +200,71 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    fill_all = command not in ("release", "topk", "gumbel-topk", "stream", "account", "validate")
 
-    p = sub.add_parser("release", help="thresholded noisy histogram release", allow_abbrev=False)
-    p.add_argument("--noise", choices=("laplace", "gaussian"), required=True)
-    _add_common_release_flags(p, with_linf=True)
-    p.add_argument("--min-count", type=int, default=1, help="ingestion floor (default 1)")
-    p.set_defaults(handler=_cmd_release)
+    def add(name: str, help: str):
+        """The registered subcommand's parser if it is to be filled in, else None."""
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        return p if fill_all or name == command else None
 
-    p = sub.add_parser("topk", help="release from the top-kbar truncated histogram", allow_abbrev=False)
-    p.add_argument("--kbar", type=int, required=True, help="available top entries")
-    _add_common_release_flags(p, with_linf=True)
-    p.set_defaults(handler=_cmd_topk)
+    if p := add("release", "thresholded noisy histogram release"):
+        p.add_argument("--noise", choices=("laplace", "gaussian"), required=True)
+        _add_common_release_flags(p, with_linf=True)
+        p.add_argument("--min-count", type=int, default=1, help="ingestion floor (default 1)")
+        p.set_defaults(handler=_cmd_release)
 
-    p = sub.add_parser("gumbel-topk", help="one-shot ranked top-k, no counts", allow_abbrev=False)
-    p.add_argument("--k", type=int, required=True, help="list length to release")
-    p.add_argument("--kbar", type=int, required=True, help="available top entries")
-    _add_common_release_flags(p, with_linf=False)
-    p.set_defaults(handler=_cmd_gumbel_topk)
+    if p := add("topk", "release from the top-kbar truncated histogram"):
+        p.add_argument("--kbar", type=int, required=True, help="available top entries")
+        _add_common_release_flags(p, with_linf=True)
+        p.set_defaults(handler=_cmd_topk)
 
-    p = sub.add_parser("stream", help="continual counter over NDJSON events", allow_abbrev=False)
-    p.add_argument("--horizon", type=int, required=True, help="maximum stream length")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--l0", type=int, required=True, help="items one event can carry")
-    p.add_argument("--in", dest="infile", required=True, help="NDJSON event file")
-    p.add_argument("--out", default=None, help="snapshot NDJSON path (default: stdout)")
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(handler=_cmd_stream)
+    if p := add("gumbel-topk", "one-shot ranked top-k, no counts"):
+        p.add_argument("--k", type=int, required=True, help="list length to release")
+        p.add_argument("--kbar", type=int, required=True, help="available top entries")
+        _add_common_release_flags(p, with_linf=False)
+        p.set_defaults(handler=_cmd_gumbel_topk)
 
-    p = sub.add_parser("account", help="budget arithmetic", allow_abbrev=False)
-    actions = p.add_subparsers(dest="action", required=True, metavar="action")
+    if p := add("stream", "continual counter over NDJSON events"):
+        p.add_argument("--horizon", type=int, required=True, help="maximum stream length")
+        p.add_argument("--epsilon", type=float, required=True)
+        p.add_argument("--delta", type=float, required=True)
+        p.add_argument("--l0", type=int, required=True, help="items one event can carry")
+        p.add_argument("--in", dest="infile", required=True, help="NDJSON event file")
+        p.add_argument("--out", default=None, help="snapshot NDJSON path (default: stdout)")
+        p.add_argument("--seed", type=int, required=True)
+        p.set_defaults(handler=_cmd_stream)
 
-    a = actions.add_parser("laplace-dp", help="pure DP of the Laplace mechanism", allow_abbrev=False)
-    a.add_argument("--l1", type=float, required=True)
-    a.add_argument("--scale", type=float, required=True)
-    a.set_defaults(budget=lambda args: laplace_pure_dp(args.l1, args.scale))
+    if p := add("account", "budget arithmetic"):
+        actions = p.add_subparsers(dest="action", required=True, metavar="action")
+        for name, (action_help, flags, budget) in _ACCOUNT_ACTIONS.items():
+            a = actions.add_parser(name, help=action_help, allow_abbrev=False)
+            for flag in flags:
+                a.add_argument(flag, type=float, required=True)
+            if name == "compose":
+                a.add_argument("reports", nargs="+", help="report JSON files")
+            a.set_defaults(budget=budget)
+        p.set_defaults(handler=_cmd_account)
 
-    a = actions.add_parser("gaussian-cdp", help="zCDP of the Gaussian mechanism", allow_abbrev=False)
-    a.add_argument("--l2", type=float, required=True)
-    a.add_argument("--sigma", type=float, required=True)
-    a.set_defaults(budget=lambda args: gaussian_cdp(args.l2, args.sigma))
-
-    a = actions.add_parser("expmech-cdp", help="zCDP of the exponential mechanism", allow_abbrev=False)
-    a.add_argument("--epsilon", type=float, required=True)
-    a.set_defaults(budget=lambda args: expmech_cdp(args.epsilon))
-
-    a = actions.add_parser("dp-to-cdp", help="convert (epsilon, delta)-DP to zCDP", allow_abbrev=False)
-    a.add_argument("--epsilon", type=float, required=True)
-    a.add_argument("--delta", type=float, required=True)
-    a.set_defaults(budget=lambda args: dp_to_cdp(DpBudget(epsilon=args.epsilon, delta=args.delta)))
-
-    a = actions.add_parser("cdp-to-dp", help="convert zCDP to (epsilon, delta)-DP", allow_abbrev=False)
-    a.add_argument("--rho", type=float, required=True)
-    a.add_argument("--delta", type=float, required=True)
-    a.add_argument("--delta-prime", type=float, required=True)
-    a.set_defaults(budget=lambda args: cdp_to_dp(CdpBudget(args.delta, args.rho), args.delta_prime))
-
-    a = actions.add_parser("optimize", help="best delta split for a DP target", allow_abbrev=False)
-    a.add_argument("--rho", type=float, required=True)
-    a.add_argument("--delta", type=float, required=True)
-    a.add_argument("--total-delta", type=float, required=True)
-    a.set_defaults(
-        budget=lambda args: cdp_to_dp_optimize(CdpBudget(args.delta, args.rho), args.total_delta)
-    )
-
-    a = actions.add_parser("compose", help="compose budgets from report files", allow_abbrev=False)
-    a.add_argument("reports", nargs="+", help="report JSON files")
-    a.set_defaults(budget=lambda args: compose([read_budget(path) for path in args.reports]))
-
-    p.set_defaults(handler=_cmd_account)
-
-    p = sub.add_parser("validate", help="run a statistical validation suite", allow_abbrev=False)
-    p.add_argument("--suite", choices=SUITES, required=True)
-    p.add_argument(
-        "--trials",
-        type=int,
-        default=None,
-        help="override the per-check defaults (1e5 frequency, 1e6 distance)",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--report", default=None, help="report JSON path (default: stdout)")
-    p.set_defaults(handler=_cmd_validate)
+    if p := add("validate", "run a statistical validation suite"):
+        p.add_argument("--suite", choices=SUITES, required=True)
+        p.add_argument(
+            "--trials",
+            type=int,
+            default=None,
+            help="override the per-check defaults (1e5 frequency, 1e6 distance)",
+        )
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--report", default=None, help="report JSON path (default: stdout)")
+        p.set_defaults(handler=_cmd_validate)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    # The top-level parser has no option that takes a value, so the first
+    # entry that is not an option names the subcommand.
+    words = sys.argv[1:] if argv is None else argv
+    parser = build_parser(next((word for word in words if not word.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -2,7 +2,8 @@
 
 Report JSON is canonical (keys sorted, floats printed with 17 significant
 digits) so identical runs produce byte-identical files.  This module alone
-knows the report layout and writes every report.
+knows the report layout and writes every report.  An item list is written by
+one % call: int and fractional float columns raw, others value by value.
 """
 
 from __future__ import annotations
@@ -183,15 +184,12 @@ def _encode_dict(obj: Mapping) -> str:
     return "{" + ",".join([f"{_encode_str(k)}:{canonical_json(obj[k])}" for k in sorted(obj)]) + "}"
 
 
-def _encode_column(values: list) -> list[str]:
-    types = set(map(type, values))
-    encoder = _ENCODERS.get(types.pop()) if len(types) == 1 else None
-    return list(map(encoder or canonical_json, values))
-
-
 def _encode_list(items: list | tuple) -> str:
     """A JSON array.  Plain dicts that share their text keys, such as a report's
-    items, are encoded column by column through one row template."""
+    items, are written by one % call: a row template, repeated per row, takes a
+    column of exact ints raw under %d, exact floats raw under %.17g when all are
+    finite and none is integral (which needs a ".0"), and any other column
+    encoded value by value under %s."""
     if (
         items
         and set(map(type, items)) == {dict}
@@ -199,13 +197,31 @@ def _encode_list(items: list | tuple) -> str:
         and set(map(len, items)) == {len(items[0])}
     ):
         keys = sorted(items[0])
+        formats, columns = [], []
         try:
-            columns = [_encode_column(list(map(itemgetter(key), items))) for key in keys]
+            for key in keys:
+                column = list(map(itemgetter(key), items))
+                types = set(map(type, column))
+                kind = types.pop() if len(types) == 1 else None
+                if kind is int:
+                    formats.append("%d")
+                elif (
+                    kind is float
+                    and math.isfinite(sum(column))  # so is each value; overflow only costs speed
+                    and not any(map(float.is_integer, column))
+                ):
+                    formats.append("%.17g")
+                else:
+                    formats.append("%s")
+                    column = list(map(_ENCODERS.get(kind) or canonical_json, column))
+                columns.append(column)
         except (KeyError, ParameterError):
             pass  # a row lacks a key, or a value fails: raise in row order below
         else:
-            template = "{" + ",".join(f"{_encode_str(k).replace('%', '%%')}:%s" for k in keys) + "}"
-            return "[" + ",".join(map(template.__mod__, zip(*columns))) + "]"
+            row = ",".join([f"{_encode_str(k).replace('%', '%%')}:{f}" for k, f in zip(keys, formats)])
+            # From a list: tuple(iterator) resizes, and resized tuples pile up on free lists.
+            values = tuple([*chain.from_iterable(zip(*columns))])
+            return "[" + ",".join(["{" + row + "}"] * len(items)) % values + "]"
     return "[" + ",".join(map(canonical_json, items)) + "]"
 
 

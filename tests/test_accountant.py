@@ -277,6 +277,31 @@ class TestCompose:
         assert out.delta >= max(deltas) - 1e-15
         assert out.delta <= min(1.0, sum(deltas)) + 1e-15
 
+    def test_rhos_summing_past_the_float_range_are_refused_by_name(self):
+        budgets = [CdpBudget(delta=0.1, rho=1e308), CdpBudget(delta=0.1, rho=1e308)]
+        message = f"budgets = {budgets!r} gives no finite rho"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            compose(budgets)
+
+    @given(
+        st.lists(
+            st.floats(min_value=0.0) | st.sampled_from([1e308, 1.7976931348623157e308, 0.0]),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_finite_rho_keeps_the_fsum_bits(self, rhos):
+        budgets = [CdpBudget(delta=0.0, rho=rho) for rho in rhos]
+        try:
+            expected = math.fsum(sorted(rhos))
+        except OverflowError:
+            expected = math.inf
+        if math.isfinite(expected):
+            assert compose(budgets).rho.hex() == expected.hex()
+        else:
+            with pytest.raises(ParameterError, match="no finite rho$"):
+                compose(budgets)
+
     def test_regrouping_agrees(self):
         budgets = [CdpBudget(delta=d, rho=r) for d, r in [(0.01, 0.2), (0.03, 0.5), (0.2, 1.0)]]
         grouped = compose([compose(budgets[:2]), budgets[2]])

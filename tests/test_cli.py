@@ -440,6 +440,16 @@ class TestMain:
         assert math.isfinite(thresholds[1])
         assert thresholds[1] > thresholds[0]
 
+    def test_account_compose_past_the_float_range_exits_2(self, tmp_path, capsys):
+        paths = [
+            write(tmp_path / name, '{"budget": {"delta": 0.1, "rho": 1e308}}\n')
+            for name in ("a.json", "b.json")
+        ]
+        assert main(["account", "compose", *paths]) == 2
+        budget = CdpBudget(delta=0.1, rho=1e308)
+        message = f"budgets = {[budget, budget]!r} gives no finite rho"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_account_compose_reproduces_report_budgets(self, hist_csv, tmp_path, capsys):
         paths = []
         budgets = []
@@ -860,3 +870,58 @@ def test_validate_report_matches_golden_digest(tmp_path, suite, seed):
                  "--report", str(out)])  # fmt: skip
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == VALIDATE_GOLDEN[suite, seed]
+
+
+# One valid argv for each subcommand and each account action.
+VALID_ARGVS = [
+    ["release", "--noise", "laplace", "--epsilon", "1", "--delta", "0.05", "--l0", "2",
+     "--linf", "1", "--in", "h.csv", "--seed", "3"],
+    ["topk", "--kbar", "4", "--epsilon", "1", "--delta", "0.05", "--l0", "1", "--linf", "1",
+     "--in", "h.csv", "--out", "r.json", "--seed", "3"],
+    ["gumbel-topk", "--k", "2", "--kbar", "4", "--epsilon", "1", "--delta", "0.05", "--l0", "1",
+     "--in", "h.csv", "--seed", "3"],
+    ["stream", "--horizon", "64", "--epsilon", "1", "--delta", "0.05", "--l0", "3",
+     "--in", "e.ndjson", "--seed", "7"],
+    ["validate", "--suite", "alg1", "--trials", "100"],
+    ["account", "laplace-dp", "--l1", "1", "--scale", "2"],
+    ["account", "gaussian-cdp", "--l2", "1", "--sigma", "2"],
+    ["account", "expmech-cdp", "--epsilon", "1"],
+    ["account", "dp-to-cdp", "--epsilon", "1", "--delta", "0.1"],
+    ["account", "cdp-to-dp", "--rho", "0.5", "--delta", "0", "--delta-prime", "1e-6"],
+    ["account", "optimize", "--rho", "0.5", "--delta", "0.1", "--total-delta", "0.2"],
+    ["account", "compose", "a.json", "b.json"],
+]  # fmt: skip
+
+
+def _help(parser, words):
+    """What `words --help` prints: the format_help() of the subparser they name."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+        parser.parse_args([*words, "--help"])
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("argv", VALID_ARGVS, ids=lambda argv: " ".join(argv[:2]))
+def test_parser_of_the_invoked_subcommand_parses_as_the_full_one(argv):
+    words = argv[:2] if argv[0] == "account" else argv[:1]
+    assert cli.build_parser(argv[0]).parse_args(argv) == cli.build_parser().parse_args(argv)
+    assert _help(cli.build_parser(argv[0]), words) == _help(cli.build_parser(), words)
+    assert _help(cli.build_parser(argv[0]), []) == _help(cli.build_parser(), [])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["nosuch"], ["--version"], ["release", "--help"], ["account", "compose"],
+     ["--help"], ["account", "--help"], ["release"]],
+)  # fmt: skip
+def test_main_answers_as_with_the_full_parser(argv, monkeypatch, capsys):
+    answer = (main(argv), *capsys.readouterr())
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+    assert (main(argv), *capsys.readouterr()) == answer
+
+
+def test_main_reads_the_subcommand_from_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["unkhist", "account", "expmech-cdp", "--epsilon", "2"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out) == {"delta": 0.0, "rho": 0.5}

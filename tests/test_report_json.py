@@ -2,8 +2,9 @@
 
 ``reference_canonical_json`` is the earlier ``fileio.canonical_json``: one
 ``json.dumps`` per key and string, ``isinstance`` checks on every value.  The
-exact-type dispatch and the column-wise row template must give the same text
-for every value, or raise the same ParameterError with the same message.
+exact-type dispatch and the one-call row template for item lists must give the
+same text for every value, or raise the same ParameterError with the same
+message.
 """
 
 import enum
@@ -172,6 +173,44 @@ def test_matches_the_recursive_reference(value):
 @given(rows=row_lists(scalars))
 def test_item_lists_match_the_recursive_reference(rows):
     assert_encodes_like_reference({"items": rows})
+
+
+# Item columns: each draws from one strategy, so that most columns share one
+# type and take the raw %d or %.17g path, or fall back to encoding per value.
+FLOAT_EDGES = [0.0, -0.0, 1.0, -3.0, 0.5, 1e16, 1e17, 2.0**53 + 2, 5e-324, -1e-310,
+               2.2250738585072014e-308, 1.7976931348623157e308, math.nan, math.inf, -math.inf]  # fmt: skip
+fractions = st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: not v.is_integer())
+item_floats = st.floats() | st.sampled_from(FLOAT_EDGES)
+item_ints = st.integers() | st.integers(-(2**70), 2**70) | st.sampled_from([2**63, -(2**63) - 1])
+item_scalars = [fractions | st.sampled_from([0.5, 5e-324, -1e-310]), item_floats, item_ints,
+                item_ints | st.booleans(), st.booleans(), texts, st.none()]  # fmt: skip
+item_kinds = item_scalars + [
+    st.lists(st.one_of(item_scalars), max_size=3),
+    st.one_of(item_scalars) | st.lists(st.one_of(item_scalars), max_size=2),
+]
+item_keys = keys | st.sampled_from(["%", "%s", "%d", "%%", "%(x)s", "%.17g", "noisy_count"])
+
+
+# 0-50 dicts with the same keys; the column of a key draws from one kind.
+item_lists = st.lists(
+    st.tuples(item_keys, st.integers(0, len(item_kinds) - 1)), max_size=4, unique_by=lambda kv: kv[0]
+).flatmap(
+    lambda spec: st.lists(
+        st.fixed_dictionaries({key: item_kinds[kind] for key, kind in spec}), max_size=50
+    )
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(items=item_lists)
+def test_shared_key_item_lists_match_the_recursive_reference(items):
+    assert_encodes_like_reference(items)
+
+
+def test_integral_floats_alone_get_a_point_zero():
+    items = [{"n": 1.0}, {"n": 0.5}, {"n": -3.0}, {"n": 1e17}, {"n": 2.5e-8}]
+    text = '[{"n":1.0},{"n":0.5},{"n":-3.0},{"n":1e+17},{"n":2.4999999999999999e-08}]'
+    assert canonical_json(items) == reference_canonical_json(items) == text
 
 
 @pytest.mark.parametrize(
