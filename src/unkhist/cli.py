@@ -3,7 +3,9 @@
 Exit codes: 0 success, 2 parameter or input error, 3 I/O error or out of
 memory.  Results go to the output file (or standard output, only when no
 file is given); diagnostics go to standard error.  `main` registers every
-subcommand but fills in the arguments of the invoked one only.
+subcommand but fills in the arguments of the invoked one only.  `stream`
+reads its event file lazily, as its report is built, and leaves the choice
+of counter to `stream.snapshots`.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Iterator
 
 from . import __version__
 from .accountant import (
@@ -39,7 +42,7 @@ from .fileio import (  # noqa: F401
 )
 from .gumbel import gumbel_threshold, release_gumbel_topk
 from .release import release
-from .stream import SWEEP_MIN_LABELS, Counter, CounterConfig, StreamEvent, check_event, counter_sweep
+from .stream import CounterConfig, StreamEvent, check_event, snapshots
 from .topk import release_topk
 from .validation import SUITES, run_suite
 
@@ -94,11 +97,11 @@ def _cmd_gumbel_topk(args) -> int:
     return 0
 
 
-def _read_stream_events(config: CounterConfig, path: str) -> list[StreamEvent]:
-    """The events of an NDJSON file, each checked as it is read: the first
-    line that is not an event the counter takes (out of order, past the
-    horizon, over l0) is named, before any later line is parsed."""
-    events = []
+def _read_stream_events(config: CounterConfig, path: str) -> Iterator[StreamEvent]:
+    """The events of an NDJSON file, read lazily, each checked as it is read:
+    the first line that is not an event the counter takes (out of order, past
+    the horizon, over l0) is named, before any later line is parsed."""
+    taken = 0
     with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -114,37 +117,28 @@ def _read_stream_events(config: CounterConfig, path: str) -> list[StreamEvent]:
                 )
             if not isinstance(payload["items"], list):
                 raise IngestionError(f"{path}: line {lineno}: items must be a list")
+            taken += 1
             try:
-                event = StreamEvent(payload["round"], payload["items"])
-                events.append(check_event(config, len(events) + 1, event))
+                event = check_event(config, taken, StreamEvent(payload["round"], payload["items"]))
             except ParameterError as exc:
                 raise IngestionError(f"{path}: line {lineno}: {exc}") from None
-    return events
+            yield event
 
 
 def _cmd_stream(args) -> int:
     config = CounterConfig.from_privacy(
         args.horizon, args.l0, args.epsilon, args.delta, args.seed
     )
-    events = _read_stream_events(config, args.infile)
     header = stream_header_payload(
         **_report_meta(args, "horizon", "l0", "epsilon", "delta"),
         threshold_public=config.threshold,
         budget=config.budget,
     )
-    write_report_json(header, args.out, _snapshots(config, events))
+    # Lazy: the file is read, and the counter run, as the report is built.
+    events = _read_stream_events(config, args.infile)
+    rows = (snapshot_payload(r, released) for r, released in snapshots(config, events))
+    write_report_json(header, args.out, rows)
     return 0
-
-
-def _snapshots(config: CounterConfig, events: list[StreamEvent]):
-    """The counter's snapshot after each of the checked events."""
-    if len(set().union(*(event.items for event in events))) < SWEEP_MIN_LABELS:
-        # observe refuses every round but the next, so snapshot k is round k.
-        snapshots = enumerate(map(Counter(config).observe, events), start=1)
-    else:
-        snapshots = counter_sweep(config, events)
-    for round, released in snapshots:
-        yield snapshot_payload(round, released)
 
 
 def _cmd_account(args) -> int:
@@ -168,7 +162,7 @@ def _add_common_release_flags(parser, *, with_linf: bool) -> None:
         )
     parser.add_argument("--in", dest="infile", required=True, help="input histogram CSV")
     parser.add_argument("--out", default=None, help="report path (default: stdout)")
-    parser.add_argument("--seed", type=int, required=True, help="root seed")
+    parser.add_argument("--seed", type=int, required=True, help="root seed, in [0, 2**64)")
 
 
 #: Each `account` action: its help, its required float flags and the budget they give.
@@ -231,7 +225,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--l0", type=int, required=True, help="items one event can carry")
         p.add_argument("--in", dest="infile", required=True, help="NDJSON event file")
         p.add_argument("--out", default=None, help="snapshot NDJSON path (default: stdout)")
-        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--seed", type=int, required=True, help="root seed, in [0, 2**64)")
         p.set_defaults(handler=_cmd_stream)
 
     if p := add("account", "budget arithmetic"):
@@ -253,7 +247,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             default=None,
             help="override the per-check defaults (1e5 frequency, 1e6 distance)",
         )
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0, help="root seed, in [0, 2**64) (default 0)")
         p.add_argument("--report", default=None, help="report JSON path (default: stdout)")
         p.set_defaults(handler=_cmd_validate)
 

@@ -311,14 +311,13 @@ def check_sensitivity(sens: object) -> SensitivityBound:
     return sens
 
 
-_SEED_MASK = 0xFFFF_FFFF_FFFF_FFFF
-
-
 def _token_entropy(token: object) -> int:
     if isinstance(token, bool):
         raise ParameterError("child-stream tokens must be ints or strings")
     if isinstance(token, int):
-        return token & _SEED_MASK
+        if not 0 <= token < 2**64:
+            raise ParameterError(f"int child-stream tokens must lie in [0, 2**64), got {_shown(token)}")
+        return token
     if isinstance(token, str):
         digest = hashlib.sha256(token.encode("utf-8")).digest()
         return int.from_bytes(digest[:16], "big")
@@ -331,16 +330,17 @@ class RandomSource:
     The same seed and the same call sequence reproduce the same draws
     bit-for-bit.  ``child(*tokens)`` derives an independent substream keyed
     by the tokens, for per-label or per-trial noise that stays reproducible
-    regardless of how sibling streams are consumed.
+    regardless of how sibling streams are consumed.  A seed, like an int
+    token, lies in [0, 2**64) and keys the stream with all its bits.
     """
 
     __slots__ = ("_entropy", "_gen")
 
     def __init__(self, seed: int, *, _entropy: tuple[int, ...] | None = None):
         if _entropy is None:
-            if check_int("seed", seed, -(2**63)) >= 2**64:
+            if check_int("seed", seed, 0) >= 2**64:
                 raise ParameterError("seed must fit in 64 bits")
-            _entropy = (seed & _SEED_MASK,)
+            _entropy = (seed,)
         self._entropy = _entropy
         self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(_entropy)))
 

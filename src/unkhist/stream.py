@@ -29,14 +29,14 @@ of the nodes that predate it.
 
 Two implementations share this layout.  ``Counter`` is the scalar,
 incremental one: one ``observe`` per event, a Python loop over its labels'
-lists.  ``counter_sweep`` (the CLI's, from SWEEP_MIN_LABELS labels on) and
-``counter_batch`` (the delta-event Monte Carlo's) run one array sweep over
-a whole event list instead: the lists are the rows of one int64 [labels,
-depth] array and one float64 [labels, depth + 1] array, labels in order of
-arrival, and a round is the same operations on whole columns.  The sweep
-draws noise per window of rounds, so its state is O(labels * (window +
-log L)); ``counter_batch`` adds a leading trials axis to the sums and the
-noise.
+lists.  ``counter_sweep`` and ``counter_batch`` (the delta-event Monte
+Carlo's) run one array sweep over the events instead: the lists are the
+rows of one int64 [labels, depth] array and one float64 [labels, depth + 1]
+array, labels in order of arrival, and a round is the same operations on
+whole columns.  The sweep draws noise per window of rounds, so its state is
+O(labels * (window + log L)); ``counter_batch`` adds a leading trials axis
+to the sums and the noise.  ``snapshots``, which ``unkhist stream`` runs,
+picks Counter or the sweep for a stream as it reads it (SWEEP_MIN_LABELS).
 
 ``counter_sweep`` runs the exact transform only on noise that can show.
 Most labels never come near the threshold, so each window's draws go
@@ -64,7 +64,7 @@ import math
 from bisect import insort
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -99,6 +99,7 @@ __all__ = [
     "counter_batch",
     "counter_sweep",
     "dyadic_nodes",
+    "snapshots",
 ]
 
 MECHANISM_TAG = "continual-counter"
@@ -376,9 +377,9 @@ class Counter:
 #: benchmark's peak RSS rose 0.3 MiB above the per-label Counter's.
 SWEEP_WINDOW = 32
 
-#: Labels a whole stream must hold for ``unkhist stream`` to run the sweep
-#: rather than Counter.observe; both give the same bytes.  The sweep costs
-#: some ten numpy calls per round whatever the label count, Counter about a
+#: Labels a stream must hold for ``snapshots`` to run the sweep rather than
+#: Counter.observe; both give the same values.  The sweep costs some ten
+#: numpy calls per round whatever the label count, Counter about a
 #: microsecond per label per round: on 4096-round CLI streams of 0-3 items a
 #: round the sweep took 1.7x Counter's time with one label, 1.1x with ten,
 #: the same with twelve and 0.95x with sixteen (x86-64, numpy 2.4).
@@ -391,8 +392,8 @@ SWEEP_MIN_LABELS = 16
 Draws = Callable[[list[str], list[int]], np.ndarray]
 
 
-def _sweep(config: CounterConfig, events: Iterable[StreamEvent], window: int,
-           draws: Draws | None = None, lead: tuple[int, ...] = ()
+def _sweep(config: CounterConfig, events: Iterable[StreamEvent], window: int, draws: Draws,
+           cut: float | None, lead: tuple[int, ...] = ()
            ) -> Iterator[tuple[list[str], np.ndarray]]:
     """Counter.observe for every label at once: after each event, the labels
     in order of arrival and their [*lead, labels] running totals.
@@ -403,8 +404,8 @@ def _sweep(config: CounterConfig, events: Iterable[StreamEvent], window: int,
     later one is.  Noise is drawn once per window of events, and each sum
     takes the float64 additions the scalar stack takes.
 
-    Without draws, the noise is Counter's, from each label's child stream
-    of RandomSource(seed) (``_child_draws``), and at a finite sigma it is
+    The caller gives the noise (``counter_sweep`` Counter's, from
+    ``_child_draws``).  With a cut, the draws are uniforms and the noise is
     screened: a row runs on ``gaussian_screen`` noise until its total
     exceeds the cut.  Then it is promoted (``_promote``): its sums are
     rebuilt from the uniforms of its active nodes, and its noise is exact
@@ -423,9 +424,6 @@ def _sweep(config: CounterConfig, events: Iterable[StreamEvent], window: int,
     """
     depth = config.depth
     sigma = config.sigma
-    cut = None
-    if draws is None:
-        draws, cut = _child_draws(config)
     screening = cut is not None  # until most rows are promoted
     labels: list[str] = []
     debuts: list[int] = []
@@ -613,9 +611,29 @@ def counter_sweep(config: CounterConfig,
     (see ``_sweep``).
     """
     threshold = config.threshold
-    for r, (labels, totals) in enumerate(_sweep(config, events, SWEEP_WINDOW), start=1):
+    sweep = _sweep(config, events, SWEEP_WINDOW, *_child_draws(config))
+    for r, (labels, totals) in enumerate(sweep, start=1):
         hits = np.flatnonzero(totals > threshold)
         yield r, dict(zip(map(labels.__getitem__, hits.tolist()), totals[hits].tolist()))
+
+
+def snapshots(config: CounterConfig,
+              events: Iterable[StreamEvent]) -> Iterator[tuple[int, dict[str, float]]]:
+    """What ``counter_sweep`` yields: from the sweep once SWEEP_MIN_LABELS
+    labels have arrived, which then takes the events held so far and the
+    rest, and from ``Counter.observe`` if the stream ends first.  Each event
+    is checked as it is taken, before any later one is."""
+    events = iter(events)
+    held: list[StreamEvent] = []
+    labels: set[str] = set()
+    for event in events:
+        held.append(check_event(config, len(held) + 1, event))
+        labels.update(event.items)
+        if len(labels) >= SWEEP_MIN_LABELS:
+            yield from counter_sweep(config, chain(held, events))
+            return
+    # observe refuses every round but the next, so snapshot k is round k.
+    yield from enumerate(map(Counter(config).observe, held), start=1)
 
 
 def counter_batch(config: CounterConfig, events: Sequence[StreamEvent], rng: RandomSource,
@@ -638,6 +656,6 @@ def counter_batch(config: CounterConfig, events: Sequence[StreamEvent], rng: Ran
         return sample_gaussian(config.sigma, rng, shape) if config.sigma > 0.0 else np.zeros(shape)
 
     labels, totals = [], np.zeros((trials, 0))
-    for labels, totals in _sweep(config, events, max(len(events), 1), draws, (trials,)):
+    for labels, totals in _sweep(config, events, max(len(events), 1), draws, None, (trials,)):
         pass
     return labels, totals, totals > config.threshold

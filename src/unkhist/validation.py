@@ -8,7 +8,9 @@ divergence.
 
 The `validate` suites' delta-event checks are rows of one table,
 _DELTA_EVENT_CHECKS; one loop in run_suite runs each row on its boundary
-pair and compares the estimate with _delta_event_oracle, the exact value.
+pair and compares the estimate with the exact value.  The runs and the
+exact value come from a second table, _DELTA_EVENT_KERNELS, with one row
+per mechanism, which calls the mechanism's own batch kernel.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import dataclasses
 import math
 import string
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from functools import partial
+from typing import Mapping
 
 import numpy as np
 
@@ -254,91 +257,93 @@ def make_boundary_neighbors(
     return pair
 
 
-def _delta_event_setup(
-    pair: NeighborPair, config: MechanismConfig
-) -> tuple[frozenset[str], Callable[[RandomSource, int], tuple[list[str], np.ndarray]]]:
-    """The labels the neighbor could ever emit (anything else is
-    differentiating) and runs(rng, n) -> (labels, released) for the next n
-    trials on the base input, where released[i, j] says whether the call's
-    i-th run released labels[j].  Each call draws its n runs from rng, so
+def _stream_counter(config: MechanismConfig) -> CounterConfig:
+    """The stream row's CounterConfig; its seed is unused, as counter_batch
+    draws from the rng it is given."""
+    if config.debut_round is None:
+        raise ParameterError("stream delta events need debut_round")
+    l0 = check_sensitivity(config.sens).l0
+    counter = CounterConfig.from_privacy(config.horizon, l0, config.epsilon, config.delta, 0)
+    if config.threshold_override is None:
+        return counter
+    return dataclasses.replace(counter, threshold=config.threshold_override)
+
+
+def _gumbel_k(config: MechanismConfig) -> int:
+    return config.k if config.k is not None else config.kbar
+
+
+def _alg1_runs(base, config: MechanismConfig, rng: RandomSource, n: int) -> tuple[list[str], np.ndarray]:
+    base = Histogram.coerce(base)
+    released, _, _ = release_batch(base, config.sens, config.noise, config.epsilon, config.delta, rng, n,
+                                   threshold_override=config.threshold_override)
+    return base.labels(), released
+
+
+def _topk_runs(base, config: MechanismConfig, rng: RandomSource, n: int) -> tuple[list[str], np.ndarray]:
+    trunc, _, released, _ = release_topk_batch(base, config.kbar, config.sens, config.epsilon, config.delta,
+                                               rng, n, threshold_override=config.threshold_override)
+    return [label for label, _ in trunc.top], released
+
+
+def _gumbel_runs(base, config: MechanismConfig, rng: RandomSource, n: int) -> tuple[list[str], np.ndarray]:
+    labels, order, taken = release_gumbel_topk_batch(
+        base, _gumbel_k(config), config.kbar, config.l0_for_threshold, config.epsilon, config.delta, rng, n,
+        threshold_override=config.threshold_override,
+    )
+    released = np.zeros((n, len(labels)), dtype=bool)
+    np.put_along_axis(released, order, np.arange(order.shape[1]) < taken[:, None], axis=1)
+    return labels, released
+
+
+def _stream_runs(base, config: MechanismConfig, rng: RandomSource, n: int) -> tuple[list[str], np.ndarray]:
+    labels, _, released = counter_batch(_stream_counter(config), base[: config.debut_round], rng, n)
+    return labels, released
+
+
+def _stream_feasible(neighbor, config: MechanismConfig) -> frozenset[str]:
+    _stream_counter(config)  # refuses a config the runs cannot take, before any run
+    return frozenset().union(*(event.items for event in neighbor))
+
+
+def _stream_oracle(config: MechanismConfig) -> float:
+    """The debut label, at count 1, is released when its count plus the noise
+    of active_node_count(debut_round) nodes clears the threshold."""
+    counter = _stream_counter(config)
+    spread = math.sqrt(active_node_count(config.debut_round)) * counter.sigma
+    return 1.0 - normal_cdf((counter.threshold - 1.0) / spread)
+
+
+#: Each mechanism's delta-event kernel: the pair kind it runs on, the labels
+#: the neighbor input can ever release, as feasible(neighbor, config),
+#: runs(base, config, rng, n) -> (labels, released) for the next n trials on
+#: the base input, where released[i, j] says whether the i-th run released
+#: labels[j], and oracle(config), the exact probability of the delta event
+#: on the boundary pair: alg1 and topk are calibrated so that it is delta,
+#: Gumbel's threshold makes it delta / (delta + 1), and the stream's is a
+#: normal tail.  Each row calls its mechanism's own batch kernel.
+_DELTA_EVENT_KERNELS = {
+    "alg1": ("histogram", lambda h, c: frozenset(Histogram.coerce(h).labels()), _alg1_runs,
+             lambda c: c.delta),
+    "topk": ("histogram", lambda h, c: frozenset(dict(truncate_topk(h, c.kbar).top)), _topk_runs,
+             lambda c: c.delta),
+    "gumbel": ("histogram", lambda h, c: frozenset(gumbel_candidates(h, _gumbel_k(c), c.kbar)[0]),
+               _gumbel_runs, lambda c: c.delta / (c.delta + 1.0)),
+    "stream": ("stream", _stream_feasible, _stream_runs, _stream_oracle),
+}
+
+
+def _delta_event_setup(pair: NeighborPair, config: MechanismConfig) -> tuple[frozenset[str], partial]:
+    """The mechanism's feasible labels and runs(rng, n) on the pair, from its
+    row of _DELTA_EVENT_KERNELS.  Each call draws its n runs from rng, so
     consecutive calls make the runs one call for their total would."""
     mech = config.mechanism
-    if mech not in ("alg1", "topk", "gumbel", "stream"):
+    if mech not in _DELTA_EVENT_KERNELS:
         raise ParameterError(f"unknown mechanism {mech!r}")
-    if (pair.kind == "stream") != (mech == "stream"):
+    kind, feasible, runs, _ = _DELTA_EVENT_KERNELS[mech]
+    if pair.kind != kind:
         raise ParameterError(f"{mech} delta events cannot run on a {pair.kind} pair")
-
-    if mech == "stream":
-        if config.debut_round is None:
-            raise ParameterError("stream delta events need debut_round")
-        l0 = check_sensitivity(config.sens).l0
-        template = CounterConfig.from_privacy(config.horizon, l0, config.epsilon, config.delta, 0)
-        if config.threshold_override is not None:
-            template = dataclasses.replace(template, threshold=config.threshold_override)
-        events = pair.base[: config.debut_round]
-
-        def runs(rng: RandomSource, n: int) -> tuple[list[str], np.ndarray]:
-            labels, _, released = counter_batch(template, events, rng, n)
-            return labels, released
-
-        return frozenset().union(*(event.items for event in pair.neighbor)), runs
-
-    base = Histogram.coerce(pair.base)
-    neighbor = Histogram.coerce(pair.neighbor)
-    if mech == "alg1":
-
-        def runs(rng: RandomSource, n: int) -> tuple[list[str], np.ndarray]:
-            released, _, _ = release_batch(
-                base,
-                config.sens,
-                config.noise,
-                config.epsilon,
-                config.delta,
-                rng,
-                n,
-                threshold_override=config.threshold_override,
-            )
-            return base.labels(), released
-
-        return frozenset(neighbor.labels()), runs
-
-    if mech == "topk":
-
-        def runs(rng: RandomSource, n: int) -> tuple[list[str], np.ndarray]:
-            base_trunc, _, released, _ = release_topk_batch(
-                base,
-                config.kbar,
-                config.sens,
-                config.epsilon,
-                config.delta,
-                rng,
-                n,
-                threshold_override=config.threshold_override,
-            )
-            return [label for label, _ in base_trunc.top], released
-
-        return frozenset(label for label, _ in truncate_topk(neighbor, config.kbar).top), runs
-
-    k = config.k if config.k is not None else config.kbar
-
-    def runs(rng: RandomSource, n: int) -> tuple[list[str], np.ndarray]:
-        labels, order, taken = release_gumbel_topk_batch(
-            base,
-            k,
-            config.kbar,
-            config.l0_for_threshold,
-            config.epsilon,
-            config.delta,
-            rng,
-            n,
-            threshold_override=config.threshold_override,
-        )
-        released = np.zeros((n, len(labels)), dtype=bool)
-        ranked = np.arange(order.shape[1]) < taken[:, None]
-        np.put_along_axis(released, order, ranked, axis=1)
-        return labels, released
-
-    return frozenset(gumbel_candidates(neighbor, k, config.kbar)[0]), runs
+    return feasible(pair.neighbor, config), partial(runs, pair.base, config)
 
 
 def estimate_delta_event(
@@ -521,25 +526,6 @@ def _delta_event_case(mechanism: str, fields: dict) -> tuple[NeighborPair, Mecha
     return pair, config
 
 
-def _delta_event_oracle(config: MechanismConfig) -> float:
-    """The exact probability of the delta-event on the config's boundary pair.
-
-    alg1 and topk are calibrated so that it is delta; Gumbel's threshold
-    makes it delta / (delta + 1).  The stream's debut label, at count 1, is
-    released when its count plus the noise of active_node_count(debut_round)
-    nodes clears the threshold: a normal tail.
-    """
-    if config.mechanism == "gumbel":
-        return config.delta / (config.delta + 1.0)
-    if config.mechanism == "stream":
-        counter = CounterConfig.from_privacy(
-            config.horizon, config.sens.l0, config.epsilon, config.delta, seed=0
-        )
-        spread = math.sqrt(active_node_count(config.debut_round)) * counter.sigma
-        return 1.0 - normal_cdf((counter.threshold - 1.0) / spread)
-    return config.delta
-
-
 def _check(
     name: str,
     passed: bool,
@@ -579,7 +565,7 @@ def run_suite(suite: str, trials: int | None, seed: int) -> dict:
             continue
         pair, config = _delta_event_case(mechanism, fields)
         estimate = estimate_delta_event(pair, config, event_trials, rng.child(token))
-        expected = _delta_event_oracle(config)
+        expected = _DELTA_EVENT_KERNELS[mechanism][3](config)  # the row's oracle
         tolerance = max(5.0 * math.sqrt(expected * (1.0 - expected) / event_trials), 1e-6)
         passed = (
             abs(estimate.point - expected) <= tolerance

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unkhist import cli
+from unkhist import cli, stream
 from unkhist.accountant import CdpBudget, compose
 from unkhist.cli import main
 from unkhist.core import Histogram, IngestionError, ParameterError, RandomSource
@@ -363,6 +363,35 @@ class TestMain:
             ]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("out", [None, "snap.ndjson"])
+    def test_stream_missing_input_is_io_error_and_writes_nothing(self, tmp_path, capsys, out):
+        # The event file is read lazily, as the report is built; the report
+        # is still built whole before anything is written.
+        argv = ["stream", "--horizon", "4", "--epsilon", "1", "--delta", "0.01", "--l0", "2",
+                "--in", str(tmp_path / "does-not-exist.ndjson"), "--seed", "5"]  # fmt: skip
+        if out is not None:
+            argv += ["--out", str(tmp_path / out)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("I/O error: ") and "does-not-exist.ndjson" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["release", "validate"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_is_exit_two(self, hist_csv, tmp_path, capsys, command, seed):
+        # A seed keys the noise with its own bits: -1 would alias 2**64 - 1.
+        out = tmp_path / "r.json"
+        if command == "release":
+            argv = ["release", "--noise", "gaussian", "--epsilon", "1", "--delta", "1e-6",
+                    "--l0", "1", "--linf", "1", "--in", hist_csv, "--out", str(out)]  # fmt: skip
+        else:
+            argv = ["validate", "--suite", "renyi", "--report", str(out)]
+        assert main([*argv, "--seed", seed]) == 2
+        err = capsys.readouterr().err
+        assert "seed" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_bad_parameter_is_exit_two(self, hist_csv, capsys):
         code = main(
@@ -721,8 +750,9 @@ def test_long_stream_output_matches_golden_digest(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == STREAM_LONG_SHA256
 
 
-# SWEEP_MIN_LABELS below which unkhist stream runs Counter.observe, set so
-# that every stream takes one path: 0 for the array sweep, 10**9 for Counter.
+# SWEEP_MIN_LABELS below which stream.snapshots, which unkhist stream runs,
+# runs Counter.observe, set so that every stream takes one path: 0 for the
+# array sweep, 10**9 for Counter.
 STREAM_PATHS = {"sweep": 0, "counter": 10**9}
 
 
@@ -740,7 +770,7 @@ STREAM_PATHS = {"sweep": 0, "counter": 10**9}
 def test_stream_digests_hold_on_either_path(tmp_path, monkeypatch, path, source, argv, digest):
     # The golden stream has 6 labels and takes Counter, the long one 30 and
     # takes the sweep; each must give the same bytes on the other path.
-    monkeypatch.setattr(cli, "SWEEP_MIN_LABELS", STREAM_PATHS[path])
+    monkeypatch.setattr(stream, "SWEEP_MIN_LABELS", STREAM_PATHS[path])
     out = tmp_path / "snapshots.ndjson"
     code = main(["stream", *argv, "--delta", "0.05", "--in", str(source), "--out", str(out)])
     assert code == 0
@@ -755,7 +785,7 @@ def test_stream_sweeps_from_sweep_min_labels_on(tmp_path, monkeypatch, labels):
         calls.append(config)
         return counter_sweep(config, events)
 
-    monkeypatch.setattr(cli, "counter_sweep", counted)
+    monkeypatch.setattr(stream, "counter_sweep", counted)
     events, out = tmp_path / "ev.ndjson", tmp_path / "out.ndjson"
     lines = [json.dumps({"round": r, "items": [f"l{r % labels}"]}) for r in range(1, 65)]
     events.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -779,7 +809,7 @@ def test_stream_names_the_line_of_a_refused_event_past_a_window(
 ):
     # The sweep takes events a window at a time; on either path the line
     # named is the refused event's, and no report is written.
-    monkeypatch.setattr(cli, "SWEEP_MIN_LABELS", STREAM_PATHS[path])
+    monkeypatch.setattr(stream, "SWEEP_MIN_LABELS", STREAM_PATHS[path])
     good = [json.dumps({"round": r, "items": ["a", "b"] if r % 3 else ["a"]}) for r in range(1, 101)]
     events, out = tmp_path / "ev.ndjson", tmp_path / "out.ndjson"
     events.write_text("\n".join(good + [line] + good[:20]) + "\n", encoding="utf-8")
@@ -794,7 +824,7 @@ def test_stream_names_the_line_of_a_refused_event_past_a_window(
 def test_stream_names_a_refused_event_before_a_later_bad_line(tmp_path, capsys, monkeypatch, path):
     # Each event is checked as it is read: the refused round on line 2 is
     # named, not the broken JSON on line 4.
-    monkeypatch.setattr(cli, "SWEEP_MIN_LABELS", STREAM_PATHS[path])
+    monkeypatch.setattr(stream, "SWEEP_MIN_LABELS", STREAM_PATHS[path])
     events, out = tmp_path / "ev.ndjson", tmp_path / "out.ndjson"
     events.write_text('{"round":1,"items":["a"]}\n{"round":3,"items":[]}\n'
                       '{"round":3,"items":["b"]}\n{"round":4,\n', encoding="utf-8")  # fmt: skip

@@ -61,6 +61,12 @@ class TestLabels:
         with pytest.raises(IngestionError):
             Histogram({"": 1})
 
+    def test_histogram_equality_is_not_defined_against_other_types(self):
+        h = Histogram({"a": 1})
+        assert h.__eq__({"a": 1}) is NotImplemented
+        assert h != {"a": 1} and h != [("a", 1)] and h != "a"
+        assert h == Histogram([("a", 1)])
+
     def test_histogram_rejects_bad_counts(self):
         with pytest.raises(IngestionError):
             Histogram({"a": -1})
@@ -331,6 +337,28 @@ class TestRandomSource:
     def test_bad_seed(self, seed):
         with pytest.raises(ParameterError):
             RandomSource(seed)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**63), -(10**5000)], ids=["-1", "-2**63", "-10**5000"])
+    def test_negative_seed_is_refused_by_name(self, seed):
+        # Masked to 64 bits, -1 would give the noise of 2**64 - 1.
+        with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
+            RandomSource(seed)
+
+    def test_every_64_bit_seed_keeps_its_bits(self):
+        top = RandomSource(2**64 - 1)
+        assert top.uniforms(4).tolist() != RandomSource(0).uniforms(4).tolist()
+        assert RandomSource(2**63).uniforms(4).tolist() == RandomSource(2**63).uniforms(4).tolist()
+
+    @pytest.mark.parametrize("token", [-1, 2**64, -(10**5000)], ids=["-1", "2**64", "-10**5000"])
+    def test_int_token_outside_64_bits_is_refused(self, token):
+        with pytest.raises(ParameterError, match=r"lie in \[0, 2\*\*64\)"):
+            RandomSource(9).child(token)
+
+    def test_int_tokens_at_the_64_bit_edges_are_distinct(self):
+        root = RandomSource(9)
+        edges = [root.child(t).uniform() for t in (0, 1, 2**63, 2**64 - 1)]
+        assert len(set(edges)) == 4
+        assert root.child(2**64 - 1).uniform() == edges[-1]
 
 
 class TestLaplace:

@@ -6,14 +6,17 @@ import tracemalloc
 import pytest
 
 from unkhist.accountant import CdpBudget
+from unkhist import stream
 from unkhist.core import ParameterError, RandomSource
 from unkhist.stream import (
+    SWEEP_MIN_LABELS,
     Counter,
     CounterConfig,
     StreamEvent,
     active_node_count,
     counter_sweep,
     dyadic_nodes,
+    snapshots,
 )
 
 # mpmath (50 digits): 1 + 2*PhiInv(0.99).
@@ -66,6 +69,10 @@ class TestCounterConfig:
         config = CounterConfig.from_privacy(1, 1, 1.0, 0.5, seed=0)
         assert config.threshold == pytest.approx(1.0, abs=1e-12)
         assert config.budget == CdpBudget(delta=0.5, rho=0.5)
+
+    def test_counter_reports_its_config_budget(self):
+        config = CounterConfig.from_privacy(7, 2, 1.0, 0.07, seed=1)
+        assert Counter(config).budget is config.budget
 
     def test_long_horizon_budget(self):
         config = CounterConfig.from_privacy(1024, 2, 0.5, 1e-6, seed=0)
@@ -232,3 +239,68 @@ def test_sweep_memory_stays_windowed():
         tracemalloc.stop()
     assert rounds == horizon
     assert peak < full / 4
+
+
+class Pulls:
+    """An event iterator that records how many events have been pulled."""
+
+    def __init__(self, events):
+        self.events = list(events)
+        self.pulled = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        if self.pulled == len(self.events):
+            raise StopIteration
+        self.pulled += 1
+        return self.events[self.pulled - 1]
+
+
+def one_label_a_round(labels, rounds):
+    """Round r carries label l{r % labels}: the labels-th distinct label arrives in round labels."""
+    return [StreamEvent(r, {f"l{r % labels}"}) for r in range(1, rounds + 1)]
+
+
+def test_snapshots_choose_the_sweep_at_the_event_that_brings_its_label(monkeypatch):
+    # Only the events through the SWEEP_MIN_LABELS-th label are held: the
+    # sweep is chosen before any later event is pulled, and then takes the
+    # held events and the rest, giving Counter's snapshots.
+    config = CounterConfig.from_privacy(64, 1, 1.0, 0.05, seed=3)
+    events = Pulls(one_label_a_round(40, 64))
+    seen = []
+
+    def sweep(config, rest):
+        seen.append(events.pulled)
+        return counter_sweep(config, rest)
+
+    monkeypatch.setattr(stream, "counter_sweep", sweep)
+    rows = snapshots(config, events)
+    assert events.pulled == 0  # nothing is read before the first snapshot is asked for
+    first = next(rows)
+    assert seen == [SWEEP_MIN_LABELS]
+    counter = Counter(config)
+    expected = [(e.round, counter.observe(e)) for e in events.events]
+    assert [first, *rows] == expected and events.pulled == 64
+
+
+@pytest.mark.parametrize("labels", [3, 40])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (StreamEvent(31, ()), "expected round 30, got 31"),
+        (StreamEvent(30, {"x", "y"}), "more than l0 = 1"),
+        ({"round": 30, "items": ["x"]}, "expected a StreamEvent"),
+    ],
+    ids=["round", "l0", "type"],
+)
+def test_snapshots_raise_at_a_refused_event_before_pulling_more(labels, bad, message):
+    # The 29 events before the refused one hold 3 labels (Counter) or 29
+    # (the sweep, chosen at event 16, which takes events a window at a time).
+    config = CounterConfig.from_privacy(64, 1, 1.0, 0.05, seed=3)
+    good = one_label_a_round(labels, 64)
+    events = Pulls(good[:29] + [bad] + good[30:])
+    with pytest.raises(ParameterError, match=message):
+        list(snapshots(config, events))
+    assert events.pulled == 30

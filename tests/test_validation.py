@@ -1,6 +1,8 @@
 """Harness machinery: boundary pairs, delta-event estimation, exact oracles."""
 
+import dataclasses
 import math
+import re
 
 import pytest
 
@@ -265,6 +267,41 @@ class TestDeltaEvents:
         monkeypatch.setattr(validation, "DELTA_EVENT_BATCH", 3001)
         assert estimate_delta_event(pair, config, 10**4, RandomSource(9)) == whole
         assert 0.0 < whole.point < 1.0
+
+    @pytest.mark.parametrize("threshold, point", [(-math.inf, 1.0), (math.inf, 0.0)])
+    def test_stream_threshold_hook(self, threshold, point):
+        # Below -inf every debut label is released, so every run is a hit;
+        # above +inf none is.
+        pair, config = _stream_case()
+        config = dataclasses.replace(config, threshold_override=threshold)
+        assert estimate_delta_event(pair, config, 10**4, RandomSource(3)).point == point
+
+    def test_every_checked_mechanism_has_one_kernel_row(self):
+        checked = {mechanism for _, mechanism, _, _ in validation._DELTA_EVENT_CHECKS}
+        assert checked == set(validation._DELTA_EVENT_KERNELS) == set(BOUNDARY_CASES)
+        for mechanism, (kind, _, _, oracle) in validation._DELTA_EVENT_KERNELS.items():
+            pair, config = BOUNDARY_CASES[mechanism]()
+            assert pair.kind == kind
+            assert 0.0 < oracle(config) <= config.delta
+            feasible, runs = validation._delta_event_setup(pair, config)
+            labels, released = runs(RandomSource(0), 3)
+            assert released.shape == (3, len(labels)) and released.dtype == bool
+            assert set(labels) - feasible  # the base can release what the neighbor cannot
+
+    @pytest.mark.parametrize(
+        "case, changes, message",
+        [
+            ("alg1", {"mechanism": "nosuch"}, "unknown mechanism 'nosuch'"),
+            ("stream", {"mechanism": "alg1"}, "alg1 delta events cannot run on a stream pair"),
+            ("alg1", {"mechanism": "stream"}, "stream delta events cannot run on a histogram pair"),
+            ("stream", {"debut_round": None}, "stream delta events need debut_round"),
+            ("stream", {"sens": None}, "expected a SensitivityBound"),
+        ],
+    )
+    def test_setup_errors(self, case, changes, message):
+        pair, config = BOUNDARY_CASES[case]()
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            validation._delta_event_setup(pair, dataclasses.replace(config, **changes))
 
     def test_estimate_invariants(self):
         estimate = DeltaEstimate(point=0.01, upper=0.02, trials=10**4)
