@@ -527,9 +527,11 @@ def _laplace_quantiles(
     """The Laplace quantile over an array, with log if given (a screen) and
     math.log mapped over the entries if not (bit for bit)."""
     log = partial(_map_array, math.log) if log is None else log
-    lower = u < 0.5
-    logs = log(2.0 * np.minimum(u, 1.0 - u))  # u where lower, 1 - u elsewhere
-    return np.where(lower, scale * logs, -scale * logs + 0.0)
+    x = log(2.0 * np.minimum(u, 1.0 - u))  # u below the median, 1 - u from it
+    x *= scale
+    # scale * log below the median and -scale * log + 0.0 from it: the bits of
+    # the product, < 0 off the median and +0.0 on it, signed as u - 0.5.
+    return np.copysign(x, u - 0.5, out=x)
 
 
 def _gumbel_quantiles(u: np.ndarray, beta: float) -> np.ndarray:
@@ -654,10 +656,10 @@ def _normal_quantiles(p: np.ndarray) -> np.ndarray:
     exp differ from ``math``'s in the last bit on some draws and some CPUs,
     so those three are the ``math`` functions mapped over the entries.
     """
-    upper, p, x = _acklam(p, partial(_map_array, math.log))
+    folded, x = _acklam(p, partial(_map_array, math.log))
     step = x > -37.4
     everywhere = step.all()
-    xs, ps = (x, p) if everywhere else (x[step], p[step])
+    xs, ps = (x, folded) if everywhere else (x[step], folded[step])
     err = 0.5 * _map_array(math.erfc, -xs / _SQRT2) - ps
     u = err * _SQRT_2PI * _map_array(math.exp, 0.5 * xs * xs)
     xs = xs - u / (1.0 + 0.5 * xs * u)
@@ -665,18 +667,18 @@ def _normal_quantiles(p: np.ndarray) -> np.ndarray:
         x = xs
     else:
         x[step] = xs
-    return np.where(upper, -x, x + 0.0)
+    # -x above the median and x + 0.0 elsewhere: x is < 0 off the median and
+    # +0.0 on it (tests/test_gaussian_block.py checks the floats either side).
+    return np.copysign(x, p - 0.5, out=x)
 
 
 def _acklam(
     p: np.ndarray, log: Callable[[np.ndarray], np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Acklam's rational estimate of standard_normal_quantile over an array,
-    before the Halley step: which entries lie above the median, the mirrored
-    p in (0, 0.5], and the lower-half estimate x <= 0, with log taken on the
-    tail entries."""
-    upper = p > 0.5
-    p = np.minimum(p, 1.0 - p)  # 1 - p where upper, p elsewhere
+    before the Halley step: the mirrored p in (0, 0.5] and the lower-half
+    estimate x <= 0, with log taken on the tail entries."""
+    p = np.minimum(p, 1.0 - p)  # 1 - p above the median, p elsewhere
     a, b = _ICDF_A, _ICDF_B
     q = p - 0.5
     r = q * q
@@ -699,7 +701,7 @@ def _acklam(
         x[tail] = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
             (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
         )
-    return upper, p, x
+    return p, x
 
 
 # Screens.  A mechanism that shows a draw only once its noisy value clears a
@@ -732,7 +734,7 @@ def gaussian_screen(u: np.ndarray, sigma: float) -> np.ndarray:
     flat, p = out.reshape(-1), u.reshape(-1)
     for start in range(0, p.size, _GAUSSIAN_STEP):
         step = p[start : start + _GAUSSIAN_STEP]
-        x = _acklam(step, np.log)[2]
+        x = _acklam(step, np.log)[1]
         # -x above the median, where x <= 0.
         flat[start : start + step.size] = np.copysign(x, step - 0.5, out=x)
     out *= sigma

@@ -2,8 +2,10 @@
 
 Report JSON is canonical (keys sorted, floats printed with 17 significant
 digits) so identical runs produce byte-identical files.  This module alone
-knows the report layout and writes every report.  An item list is written by
-one % call: int and fractional float columns raw, others value by value.
+knows the report layout and writes every report.  A report's item list is
+kept as its columns, a label column and a rank or noisy-count column, and
+written from them by one % call: a payload that holds one is for
+canonical_json and write_report_json, not for json.dumps.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ import secrets
 import shutil
 import sys
 from contextlib import contextmanager
+from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -185,44 +187,36 @@ def _encode_dict(obj: Mapping) -> str:
 
 
 def _encode_list(items: list | tuple) -> str:
-    """A JSON array.  Plain dicts that share their text keys, such as a report's
-    items, are written by one % call: a row template, repeated per row, takes a
-    column of exact ints raw under %d, exact floats raw under %.17g when all are
-    finite and none is integral (which needs a ".0"), and any other column
-    encoded value by value under %s."""
-    if (
-        items
-        and set(map(type, items)) == {dict}
-        and set(map(type, items[0])) == {str}
-        and set(map(len, items)) == {len(items[0])}
-    ):
-        keys = sorted(items[0])
-        formats, columns = [], []
-        try:
-            for key in keys:
-                column = list(map(itemgetter(key), items))
-                types = set(map(type, column))
-                kind = types.pop() if len(types) == 1 else None
-                if kind is int:
-                    formats.append("%d")
-                elif (
-                    kind is float
-                    and math.isfinite(sum(column))  # so is each value; overflow only costs speed
-                    and not any(map(float.is_integer, column))
-                ):
-                    formats.append("%.17g")
-                else:
-                    formats.append("%s")
-                    column = list(map(_ENCODERS.get(kind) or canonical_json, column))
-                columns.append(column)
-        except (KeyError, ParameterError):
-            pass  # a row lacks a key, or a value fails: raise in row order below
-        else:
-            row = ",".join([f"{_encode_str(k).replace('%', '%%')}:{f}" for k, f in zip(keys, formats)])
-            # From a list: tuple(iterator) resizes, and resized tuples pile up on free lists.
-            values = tuple([*chain.from_iterable(zip(*columns))])
-            return "[" + ",".join(["{" + row + "}"] * len(items)) % values + "]"
     return "[" + ",".join(map(canonical_json, items)) + "]"
+
+
+@dataclass(slots=True)
+class _Items:
+    """A report's item list as its columns: item i is {"label": labels[i],
+    key: values[i]}, with key sorting after "label".  values is a range for
+    int ranks, or a list of floats."""
+
+    labels: Sequence[str]
+    key: str
+    values: range | list[float]
+
+
+def _encode_items(items: _Items) -> str:
+    """The item list, by one % call over a repeated row template: labels
+    through _encode_str, ranks raw under %d, floats raw under %.17g when all
+    are finite and none is integral (which needs a ".0"), and through
+    _encode_float otherwise, which raises at the first non-finite value."""
+    values = items.values
+    if type(values) is range:
+        form = "%d"
+    elif math.isfinite(sum(values)) and not any(map(float.is_integer, values)):
+        form = "%.17g"  # a finite sum: so is each value; overflow only costs speed
+    else:
+        form, values = "%s", list(map(_encode_float, values))
+    row = f'{{"label":%s,"{items.key}":{form}}}'
+    # From a list: tuple(iterator) resizes, and resized tuples pile up on free lists.
+    cells = tuple([*chain.from_iterable(zip(map(_encode_str, items.labels), values))])
+    return "[" + ",".join([row] * len(items.labels)) % cells + "]"
 
 
 _ENCODERS = {
@@ -234,6 +228,7 @@ _ENCODERS = {
     dict: _encode_dict,
     list: _encode_list,
     tuple: _encode_list,
+    _Items: _encode_items,
 }
 
 
@@ -272,10 +267,10 @@ def _report_header(
     }
 
 
-def _noisy_items(released: Mapping[str, float]) -> list[dict]:
-    return [
-        {"label": label, "noisy_count": float(noisy)} for label, noisy in sorted(released.items())
-    ]
+def _noisy_items(released: Mapping[str, float]) -> _Items:
+    """The released labels in sorted order, each with its value as a float."""
+    labels = sorted(released)
+    return _Items(labels, "noisy_count", list(map(float, map(released.__getitem__, labels))))
 
 
 def release_report_payload(report: ReleaseReport, *, params: dict, seed: int) -> dict:
@@ -291,12 +286,8 @@ def ranked_report_payload(
     seed: int,
     threshold_public: float,
 ) -> dict:
-    return _report_header(GUMBEL_TAG, params, seed, threshold_public, budget) | {
-        "items": [
-            {"rank": position + 1, "label": label}
-            for position, label in enumerate(ranked.items)
-        ],
-    }
+    items = _Items(ranked.items, "rank", range(1, len(ranked.items) + 1))
+    return _report_header(GUMBEL_TAG, params, seed, threshold_public, budget) | {"items": items}
 
 
 def stream_header_payload(
@@ -363,13 +354,14 @@ def read_budget(path: str | Path) -> CdpBudget:
     """Pull the spent budget out of a report file (single JSON or NDJSON header)."""
     with open_text(path) as handle:
         text = handle.read()
+    # ValueError: not JSON, or a number of too many digits; RecursionError: too deep.
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):
         first_line = text.splitlines()[0] if text.splitlines() else ""
         try:
             payload = json.loads(first_line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise IngestionError(f"{path}: not a report JSON file: {exc}") from None
     if not isinstance(payload, dict) or "budget" not in payload:
         raise IngestionError(f"{path}: report carries no budget record")

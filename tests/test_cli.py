@@ -280,6 +280,24 @@ class TestReportFiles:
         assert main(["account", "compose", str(path)]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    # The second form sends the parse to the NDJSON fallback, on the first line.
+    @pytest.mark.parametrize("rest", ["", '\n{"round":1,"items":[]}\n'], ids=["json", "ndjson"])
+    @pytest.mark.parametrize(
+        "head",
+        ["[" * 200_000, '{"budget": {"delta": 0.1, "rho": 1' + "0" * 5000 + "}}"],
+        ids=["deep", "digits"],
+    )
+    def test_read_budget_too_deep_or_too_many_digits_exits_2(self, tmp_path, capsys, head, rest):
+        # json.loads raises RecursionError on the first and ValueError (past
+        # the int digit limit) on the second, not JSONDecodeError.
+        path = write(tmp_path / "r.json", head + rest)
+        prefix = f"{path}: not a report JSON file: "
+        with pytest.raises(IngestionError, match=f"^{re.escape(prefix)}"):
+            read_budget(path)
+        assert main(["account", "compose", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {prefix}") and err.count("\n") == 1
+
 
 @pytest.fixture
 def hist_csv(tmp_path):

@@ -118,3 +118,24 @@ def test_hundred_thousand_draws_go_through_math(monkeypatch):
     tail = int((np.minimum(u, 1.0 - u) < TAIL).sum())
     assert 0 < tail < u.size
     assert calls == {"log": tail, "erfc": u.size, "exp": u.size}
+
+
+def test_signs_either_side_of_the_median():
+    # The block transforms give each draw the sign of p - 0.5, which matches
+    # the scalar -x above the median and x + 0.0 below it only if x < 0 off
+    # the median and +0.0 on it.  Near p = 0.5, where the Halley step moves x
+    # by about as much as x itself, check that on p = 0.5 and the 2000 floats
+    # either side of it.
+    below, above = [0.5], [0.5]
+    for _ in range(2000):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], 1.0))
+    p = np.array(below[:0:-1] + above)
+    for sigma in (1.0, 0.7):
+        block = gaussian_quantiles(p, sigma)
+        assert_bit_equal(block, scalar(p, sigma))
+        assert (block[:2000] < 0).all() and (block[2001:] > 0).all()
+        assert math.copysign(1.0, block[2000]) == 1.0 and block[2000] == 0.0
+    for scale in (1.3, 1e-320):  # the second underflows to signed zeros
+        expected = np.array([core.laplace_quantile(x, scale) for x in p.tolist()])
+        assert_bit_equal(core._laplace_quantiles(p, scale), expected)

@@ -2,8 +2,9 @@
 
 ``reference_canonical_json`` is the earlier ``fileio.canonical_json``: one
 ``json.dumps`` per key and string, ``isinstance`` checks on every value.  The
-exact-type dispatch and the one-call row template for item lists must give the
-same text for every value, or raise the same ParameterError with the same
+exact-type dispatch, and the column writer that puts a report's item list in
+one % call, must give the same text as the reference gives for the same items
+written as a list of dicts, or raise the same ParameterError with the same
 message.
 """
 
@@ -18,8 +19,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unkhist import fileio
+from unkhist.accountant import CdpBudget
+from unkhist.cli import main
 from unkhist.core import Histogram, ParameterError, RandomSource, SensitivityBound
-from unkhist.fileio import canonical_json, release_report_payload
+from unkhist.fileio import (
+    canonical_json,
+    ranked_report_payload,
+    release_report_payload,
+    snapshot_payload,
+)
+from unkhist.gumbel import RankedList
 from unkhist.release import release
 
 
@@ -175,8 +185,8 @@ def test_item_lists_match_the_recursive_reference(rows):
     assert_encodes_like_reference({"items": rows})
 
 
-# Item columns: each draws from one strategy, so that most columns share one
-# type and take the raw %d or %.17g path, or fall back to encoding per value.
+# Lists of dicts that share their keys, as hand-built payloads and `validate`
+# checks hold them: each column draws from one strategy, one scalar type or mixed.
 FLOAT_EDGES = [0.0, -0.0, 1.0, -3.0, 0.5, 1e16, 1e17, 2.0**53 + 2, 5e-324, -1e-310,
                2.2250738585072014e-308, 1.7976931348623157e308, math.nan, math.inf, -math.inf]  # fmt: skip
 fractions = st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: not v.is_integer())
@@ -243,6 +253,11 @@ def test_edge_cases_match_the_reference(value):
     assert_encodes_like_reference(value)
 
 
+def noisy_dicts(released):
+    """A released mapping's items as the list of dicts the column writer replaces."""
+    return [{"label": label, "noisy_count": float(v)} for label, v in sorted(released.items())]
+
+
 def test_release_payload_of_ten_thousand_items_is_byte_equal():
     labels = [f"w{i:05d}" for i in range(9_990)] + [f"café{i}" for i in range(5)]
     labels += [f"\U0001f600{i}" for i in range(5)]
@@ -251,5 +266,85 @@ def test_release_payload_of_ten_thousand_items_is_byte_equal():
     assert len(report.released) == 10_000
     payload = release_report_payload(report, params={"noise": "gaussian"}, seed=11)
     text = canonical_json(payload)
-    assert text == reference_canonical_json(payload)
+    assert text == reference_canonical_json(payload | {"items": noisy_dicts(report.released)})
     assert len(json.loads(text)["items"]) == 10_000
+
+
+# Labels: printf and JSON metacharacters, control characters, non-BMP text,
+# lone surrogates and long text.
+LONG_TEXT = ["x" * 5000, "%s\"" * 700, "\U0001f600" * 1000]
+item_labels = (
+    texts
+    | st.text(st.characters(categories=["Cc"]), max_size=4)
+    | st.text(st.characters(min_codepoint=0x10000), max_size=3)
+    | st.sampled_from(LONG_TEXT)
+)
+VALUE_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+               1.0, -3.0, 1e17, 0.5, 2.5e-8, math.nan, math.inf, -math.inf]  # fmt: skip
+# Mostly fractional, so that most columns take the raw %.17g path; an integral
+# or non-finite value sends the column value by value.
+item_values = (
+    st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: not v.is_integer())
+    | st.floats()
+    | st.sampled_from(VALUE_EDGES)
+)
+released_maps = st.dictionaries(item_labels, item_values | item_values.map(np.float64), max_size=40)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(released=released_maps)
+def test_noisy_columns_match_the_dict_list(released):
+    expected = {"round": 3, "items": noisy_dicts(released)}
+    assert outcome(canonical_json, snapshot_payload(3, released)) == outcome(
+        reference_canonical_json, expected
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(labels=st.lists(item_labels, unique=True, max_size=40))
+def test_ranked_columns_match_the_dict_list(labels):
+    payload = ranked_report_payload(
+        RankedList(tuple(labels)), CdpBudget(1e-6, 0.5), params={"k": 3}, seed=4, threshold_public=2.5
+    )
+    ranked = [{"rank": rank, "label": label} for rank, label in enumerate(labels, start=1)]
+    assert canonical_json(payload) == reference_canonical_json(payload | {"items": ranked})
+
+
+@pytest.mark.parametrize(
+    "released",
+    [
+        {},
+        {"a": -0.0, "b": 0.0},
+        {"a": 5e-324, "b": 1.7976931348623157e308, "c": -1.7976931348623157e308},
+        {"a": 0.5, "b": 2.0, "c": 2.5e-8, "d": 1e17},  # integral floats among fractional ones
+        {"a": np.float64(0.1), "b": np.float64(3.0), "c": 0.25},
+        # The first non-finite value in label order is named, whatever the
+        # mapping's own order.
+        {"b": math.inf, "a": 1.5, "c": math.nan},
+        {"z": -math.inf, "y": math.nan},
+        {"b": np.float64(math.nan), "a": np.float64(-math.inf)},
+        {"b": 1e308, "a": 1e308},  # the sum overflows, each value is finite
+    ],
+)
+def test_noisy_column_edge_values(released):
+    expected = {"round": 1, "items": noisy_dicts(released)}
+    assert outcome(canonical_json, snapshot_payload(1, released)) == outcome(
+        reference_canonical_json, expected
+    )
+
+
+def test_gumbel_topk_of_thousands_is_written_in_a_few_calls(tmp_path, monkeypatch):
+    # A ranked list of 5000 items goes out as one % call: canonical_json is
+    # entered for the payload and its header values, not once per item.
+    path = tmp_path / "h.csv"
+    path.write_text("label,count\n" + "".join(f"w{i},{10**6 + i}\n" for i in range(6000)))
+    calls = []
+    encode = fileio.canonical_json
+    monkeypatch.setattr(fileio, "canonical_json", lambda obj: calls.append(obj) or encode(obj))
+    out = tmp_path / "r.json"
+    argv = ["gumbel-topk", "--k", "5000", "--kbar", "5500", "--epsilon", "1", "--delta", "1e-6",
+            "--l0", "1", "--in", str(path), "--out", str(out), "--seed", "2"]  # fmt: skip
+    assert main(argv) == 0
+    items = json.loads(out.read_text())["items"]
+    assert [item["rank"] for item in items] == list(range(1, 5001))
+    assert len(calls) < 50
