@@ -8,6 +8,7 @@ system, because composition in rho-space is exact and order-free.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -82,34 +83,42 @@ def laplace_pure_dp(l1_sensitivity: float, scale: float) -> DpBudget:
     return DpBudget(epsilon=check_finite("epsilon", l1 / b, l1_sensitivity=l1, scale=b), delta=0.0)
 
 
+def _ratio(square: float, denominator: float, exact: Fraction) -> float:
+    """square / denominator where both and the ratio are normal floats; else the
+    exact ratio rounded once (a subnormal square has lost bits), or inf past the float range."""
+    tiny = sys.float_info.min
+    rho = square / denominator if tiny <= denominator < math.inf else 0.0
+    if tiny <= square < math.inf and tiny <= rho < math.inf:
+        return rho
+    try:
+        return float(exact)
+    except OverflowError:  # refused by the caller
+        return math.inf
+
+
 def gaussian_cdp(l2_sensitivity: float, sigma: float) -> CdpBudget:
     """Gaussian noise of deviation sigma on an l2-sensitivity-D statistic is D^2/(2 sigma^2)-zCDP;
-    where a square under- or overflows, rho is the exact ratio rounded once, if finite."""
+    where a square leaves the normal float range, rho is the exact ratio rounded once, if finite."""
     l2 = check_positive("l2_sensitivity", l2_sensitivity)
     s = check_positive("sigma", sigma)
-    denominator = 2.0 * s * s
-    rho = l2 * l2 / denominator if denominator > 0.0 else math.inf
-    if not math.isfinite(rho):
-        try:
-            rho = float(Fraction(l2) ** 2 / (2 * Fraction(s) ** 2))
-        except OverflowError:  # past the float range: refused below
-            pass
+    rho = _ratio(l2 * l2, 2.0 * s * s, Fraction(l2) ** 2 / (2 * Fraction(s) ** 2))
     return CdpBudget(delta=0.0, rho=check_finite("rho", rho, l2_sensitivity=l2, sigma=s))
 
 
 def expmech_cdp(epsilon: float) -> CdpBudget:
     """The exponential mechanism at privacy loss epsilon is eps^2/8-zCDP (bounded range)."""
     eps = check_positive("epsilon", epsilon)
-    return CdpBudget(delta=0.0, rho=check_finite("rho", eps * eps / 8.0, epsilon=eps))
+    rho = _ratio(eps * eps, 8.0, Fraction(eps) ** 2 / 8)
+    return CdpBudget(delta=0.0, rho=check_finite("rho", rho, epsilon=eps))
 
 
 def dp_to_cdp(budget: DpBudget) -> CdpBudget:
     """(eps, delta)-DP implies delta-approximate eps^2/2-zCDP."""
     if not isinstance(budget, DpBudget):
         raise ParameterError(f"expected a DpBudget, got {budget!r}")
-    # A float power raises OverflowError past the float range, here from epsilon = 2^512 on.
-    rho = budget.epsilon**2 / 2.0 if budget.epsilon < 2.0**512 else math.inf
-    return CdpBudget(delta=budget.delta, rho=check_finite("rho", rho, epsilon=budget.epsilon))
+    eps = budget.epsilon  # eps**2 raises OverflowError past the float range, from 2^512 on
+    rho = _ratio(eps**2, 2.0, Fraction(eps) ** 2 / 2) if eps < 2.0**512 else math.inf
+    return CdpBudget(delta=budget.delta, rho=check_finite("rho", rho, epsilon=eps))
 
 
 def cdp_to_dp(budget: CdpBudget, delta_prime: float) -> DpBudget:

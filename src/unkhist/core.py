@@ -324,6 +324,52 @@ def _token_entropy(token: object) -> int:
     raise ParameterError(f"child-stream tokens must be ints or strings, got {type(token).__name__}")
 
 
+def _hashmix(v: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of v at multipliers k[:-1] (xored in) and k[1:]."""
+    v = (v ^ k[:-1]) * k[1:]
+    return v ^ v >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    v = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
+    return v ^ v >> 16
+
+
+def _multipliers(init: int, mult: int, n: int) -> np.ndarray:
+    """init * mult**i mod 2**32, i < n: the multipliers SeedSequence's hash steps through."""
+    return np.multiply.accumulate(np.array([init] + [mult] * (n - 1), dtype=np.uint32), dtype=np.uint32)
+
+
+def _seed_states(words: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(4, np.uint64)`` for the first
+    sizes[j] words of each row j of words: numpy's hash of a pool of 4 words,
+    on all rows at once and on every pool word the others do not feed."""
+    n = words.shape[1]
+    a = _multipliers(0x43B0D7E5, 0x931E8875, 4 * max(n, 4) + 1)
+    pool = np.zeros((len(words), 4), dtype=np.uint32)
+    pool[:, : min(n, 4)] = words[:, :4]  # the pool's share of the words, padded with 0
+    pool = _hashmix(pool, a[:5])
+    for src, dst in enumerate(np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])):
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src, None], a[4 + 3 * src : 8 + 3 * src]))
+    for i in range(4, n):  # each further word into the whole pool, in the rows that hold it
+        mixed = _mix(pool, _hashmix(words[:, i, None], a[4 * i : 4 * i + 5]))
+        pool = np.where(sizes[:, None] > i, mixed, pool)
+    state = _hashmix(np.concatenate((pool, pool), axis=1), _multipliers(0x8B51F9DD, 0x58F38DED, 9))
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64)
+
+
+class _SeedState:
+    """Seed words for PCG64, which asks for ``generate_state(4, np.uint64)``."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype: object = None) -> np.ndarray:
+        return self.words
+
+
 class RandomSource:
     """Deterministic stream of uniforms on the open interval (0, 1).
 
@@ -336,17 +382,35 @@ class RandomSource:
 
     __slots__ = ("_entropy", "_gen")
 
-    def __init__(self, seed: int, *, _entropy: tuple[int, ...] | None = None):
+    def __init__(self, seed: int, *, _entropy: tuple[int, ...] | None = None,
+                 _seed: _SeedState | None = None):
         if _entropy is None:
             if check_int("seed", seed, 0) >= 2**64:
                 raise ParameterError("seed must fit in 64 bits")
             _entropy = (seed,)
         self._entropy = _entropy
-        self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(_entropy)))
+        self._gen = np.random.Generator(np.random.PCG64(_seed or np.random.SeedSequence(_entropy)))
 
     def child(self, *tokens: int | str) -> "RandomSource":
         entropy = self._entropy + tuple(_token_entropy(t) for t in tokens)
         return RandomSource(0, _entropy=entropy)
+
+    def children(self, tokens: Iterable[int | str]) -> list["RandomSource"]:
+        """``[self.child(t) for t in tokens]``, draw for draw: many streams at
+        once, seeded by one numpy pass over all the tokens rather than one
+        SeedSequence each."""
+        # Registered on first use, as importing unkhist.cli loads no numpy.random.
+        np.random.bit_generator.ISeedSequence.register(_SeedState)
+        entropy = [_token_entropy(t) for t in tokens]  # each below 2**128
+        # An int in as many 32-bit words as it needs (at least one), low word
+        # first, as SeedSequence splits it; a row holds a token's padded to 4.
+        parent = b"".join(e.to_bytes(4 * ((e.bit_length() + 31) // 32 or 1), "little")
+                          for e in self._entropy)
+        words = b"".join(parent + e.to_bytes(16, "little") for e in entropy)
+        rows = np.frombuffer(words, "<u4").reshape(-1, len(parent) // 4 + 4)
+        sizes = np.array([(e.bit_length() + 31) // 32 or 1 for e in entropy]) + len(parent) // 4
+        states = zip(entropy, _seed_states(rows, sizes))
+        return [RandomSource(0, _entropy=self._entropy + (e,), _seed=_SeedState(s)) for e, s in states]
 
     def uniform(self) -> float:
         u = self._gen.random()

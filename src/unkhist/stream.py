@@ -31,9 +31,9 @@ Two implementations share this layout.  ``Counter`` is the scalar,
 incremental one: one ``observe`` per event, a Python loop over its labels'
 lists.  ``counter_sweep`` and ``counter_batch`` (the delta-event Monte
 Carlo's) run one array sweep over the events instead: the lists are the
-rows of one int64 [labels, depth] array and one float64 [labels, depth + 1]
-array, labels in order of arrival, and a round is the same operations on
-whole columns.  The sweep draws noise per window of rounds, so its state is
+columns of one int64 [depth, labels] array and one float64 [depth + 1,
+labels] array, labels in order of arrival, and a round reads and writes
+whole rows.  The sweep draws noise per window of rounds, so its state is
 O(labels * (window + log L)); ``counter_batch`` adds a leading trials axis
 to the sums and the noise.  ``snapshots``, which ``unkhist stream`` runs,
 picks Counter or the sweep for a stream as it reads it (SWEEP_MIN_LABELS).
@@ -202,7 +202,7 @@ class CounterConfig:
 
 
 class _LabelState(NamedTuple):
-    """One label's stack in the module docstring's layout: its row of the
+    """One label's stack in the module docstring's layout: its column of the
     sweep's arrays, as lists."""
 
     debut: int  # round of the label's first event
@@ -256,10 +256,10 @@ class Counter:
     them and reruns with the same seed and events reproduce bit-identical
     snapshots.
 
-    Per label the counter keeps the stack of the module docstring, its row
-    of the sweep's arrays, as two lists: ``depth`` node counts and ``depth +
-    1`` running sums, written in place at the round's stack index.  State is
-    O(labels * log L).
+    Per label the counter keeps the stack of the module docstring, its
+    column of the sweep's arrays, as two lists: ``depth`` node counts and
+    ``depth + 1`` running sums, written in place at the round's stack index.
+    State is O(labels * log L).
     """
 
     def __init__(self, config: CounterConfig, rng: RandomSource | None = None, *,
@@ -398,40 +398,40 @@ def _sweep(config: CounterConfig, events: Iterable[StreamEvent], window: int, dr
     """Counter.observe for every label at once: after each event, the labels
     in order of arrival and their [*lead, labels] running totals.
 
-    The stacks of the module docstring are the rows of one int64 [labels,
-    depth] array of node counts and one float64 [*lead, labels, depth + 1]
+    The stacks of the module docstring are the columns of one int64 [depth,
+    labels] array of node counts and one float64 [*lead, depth + 1, labels]
     array of running sums.  Each event is checked as it is taken, before any
-    later one is.  Noise is drawn once per window of events, and each sum
-    takes the float64 additions the scalar stack takes.
+    later one is.  Noise is drawn once per window of events, [*lead, width,
+    labels], and each sum takes the float64 additions the scalar stack takes.
 
     The caller gives the noise (``counter_sweep`` Counter's, from
     ``_child_draws``).  With a cut, the draws are uniforms and the noise is
-    screened: a row runs on ``gaussian_screen`` noise until its total
+    screened: a label runs on ``gaussian_screen`` noise until its total
     exceeds the cut.  Then it is promoted (``_promote``): its sums are
     rebuilt from the uniforms of its active nodes, and its noise is exact
     from then on.  For that the sweep keeps the window's uniforms and, in a
-    [labels, depth] array, the uniforms of the nodes active when the window
-    began.  A row's total is exact once it exceeds the cut, and below the
+    [depth, labels] array, the uniforms of the nodes active when the window
+    began.  A label's total is exact once it exceeds the cut, and below the
     cut no exact total clears the threshold.
 
     A promotion costs as much as a few hundred exact draws (tens of
     microseconds, a child stream's worth of Python), so the screen pays only
-    while most labels stay below the cut.  Once most rows are promoted at the
-    end of a window, the sweep promotes the rest there and then and
+    while most labels stay below the cut.  Once most labels are promoted at
+    the end of a window, the sweep promotes the rest there and then and
     transforms every later draw exactly, as it does without a cut: a stream
     whose labels mostly clear the threshold then costs about what it cost
     with no screen at all.
     """
     depth = config.depth
     sigma = config.sigma
-    screening = cut is not None  # until most rows are promoted
+    screening = cut is not None  # until most labels are promoted
     labels: list[str] = []
     debuts: list[int] = []
     index: dict[str, int] = {}
-    counts = np.zeros((0, depth), dtype=np.int64)
-    sums = np.zeros((*lead, 0, depth + 1))
-    cuts = np.zeros(0)  # while screening: each row's cut, +inf once it is promoted
-    nodes = np.zeros((0, depth))  # while screening: the active nodes' uniforms
+    counts = np.zeros((depth, 0), dtype=np.int64)
+    sums = np.zeros((*lead, depth + 1, 0))
+    cuts = np.zeros(0)  # while screening: each label's cut, +inf once it is promoted
+    nodes = np.zeros((depth, 0))  # while screening: the active nodes' uniforms
     events = iter(events)
     taken = 0
     while True:
@@ -457,37 +457,37 @@ def _sweep(config: CounterConfig, events: Iterable[StreamEvent], window: int, dr
             active.append(len(labels))
         new = len(labels) - old
         if new:
-            counts = np.concatenate((counts, np.zeros((new, depth), dtype=np.int64)))
-            sums = np.concatenate((sums, np.zeros((*lead, new, depth + 1))), axis=-2)
+            counts = np.concatenate((counts, np.zeros((depth, new), dtype=np.int64)), axis=1)
+            sums = np.concatenate((sums, np.zeros((*lead, depth + 1, new))), axis=-1)
             if screening:
                 cuts = np.concatenate((cuts, np.full(new, cut)))
-                nodes = np.concatenate((nodes, np.zeros((new, depth))))
+                nodes = np.concatenate((nodes, np.zeros((depth, new))), axis=1)
         uniforms = drawn = draws(labels[old:], sizes)
         if screening:
             drawn = _screened_noise(uniforms, cuts[:old] == math.inf, width, sigma)
-            # Row j's uniform for round r of the window is uniforms[at[j] + r].
+            # Label j's uniform for round r of the window is uniforms[at[j] + r].
             at = np.arange(old) * width - first
         elif cut is not None:  # the draws are uniforms, no longer screened
             drawn = gaussian_quantiles(uniforms, sigma, out=uniforms)
-        noise = np.empty((*lead, len(labels), width))  # [..., label, round - first]
-        noise[..., :old, :] = drawn[..., : old * width].reshape(*lead, old, width)
+        noise = np.empty((*lead, width, len(labels)))  # [..., round - first, label]
+        noise[..., :old] = drawn[..., : old * width].reshape(*lead, old, width).swapaxes(-1, -2)
         if new:
             # The new labels' draws follow the old ones', label after label: first
             # the nodes of its debut round left of its newest one, then one a round
-            # from its debut on, which end its noise row.
+            # from its debut on, which end its noise column.
             before, size = np.array(predating), np.array(sizes[old:])
             start = old * width + np.cumsum(size) - size
             rounds = size - before
-            row = np.repeat(np.arange(old, len(labels)), rounds)
-            step = np.arange(row.size) - np.repeat(np.cumsum(rounds) - rounds, rounds)
+            column = np.repeat(np.arange(old, len(labels)), rounds)
+            step = np.arange(column.size) - np.repeat(np.cumsum(rounds) - rounds, rounds)
             source = np.repeat(start + before, rounds) + step
-            column = np.repeat(width - rounds, rounds) + step
+            row = np.repeat(width - rounds, rounds) + step
             noise[..., row, column] = drawn[..., source]
             for i in range(max(predating)):  # the debut round's older nodes, left to right
                 has = np.flatnonzero(before > i)
-                sums[..., old + has, i + 1] = sums[..., old + has, i] + drawn[..., start[has] + i]
+                sums[..., i + 1, old + has] = sums[..., i, old + has] + drawn[..., start[has] + i]
                 if screening:
-                    nodes[old + has, i] = uniforms[start[has] + i]
+                    nodes[i, old + has] = uniforms[start[has] + i]
             if screening:
                 at = np.concatenate((at, start + before - np.array(debuts[old:])))
         del drawn  # so that the rounds, and the next window's draws, do not keep it
@@ -495,26 +495,26 @@ def _sweep(config: CounterConfig, events: Iterable[StreamEvent], window: int, dr
             r = event.round
             tz = _trailing_zeros(r)
             low = r.bit_count() - 1  # the newest node's stack index
-            count = counts[:n, low : low + tz].sum(1)
+            count = counts[low : low + tz, :n].sum(0)
             count[[index[label] for label in event.items]] += 1
-            total = sums[..., :n, low] + (count + noise[..., :n, r - first])
-            counts[:n, low] = count
-            sums[..., :n, low + 1] = total
+            total = sums[..., low, :n] + (count + noise[..., r - first, :n])
+            counts[low, :n] = count
+            sums[..., low + 1, :n] = total
             if screening:
                 rising = np.flatnonzero(total > cuts[:n])
                 if rising.size:
                     cuts[rising] = math.inf
                     _promote(rising, r, debuts, nodes, (uniforms, at, first, last), sigma,
                              counts, sums, noise)  # fmt: skip
-                    total[rising] = sums[rising, low + 1]
+                    total[rising] = sums[low + 1, rising]
             yield labels, total
-        if screening:  # the window's nodes still active, for the rows that hold them
+        if screening:  # the window's nodes still active, for the labels that hold them
             for i, e in enumerate(_node_ends(last)):
                 if e >= first:
                     n = active[e - first]
-                    nodes[:n, i] = uniforms[at[:n] + e]
+                    nodes[i, :n] = uniforms[at[:n] + e]
             rest = np.flatnonzero(cuts < math.inf)
-            if 2 * rest.size < len(labels):  # most rows are promoted: see below
+            if 2 * rest.size < len(labels):  # most labels are promoted: see below
                 _promote(rest, last, debuts, nodes, (uniforms, at, first, last), sigma,
                          counts, sums, noise)  # fmt: skip
                 screening = False
@@ -526,16 +526,16 @@ def _node_ends(r: int) -> list[int]:
     return [(m + 1) << level for level, m in dyadic_nodes(r)]
 
 
-def _promote(rows: np.ndarray, r: int, debuts: list[int], nodes: np.ndarray,
+def _promote(labels: np.ndarray, r: int, debuts: list[int], nodes: np.ndarray,
              window_draws: tuple[np.ndarray, np.ndarray, int, int], sigma: float,
              counts: np.ndarray, sums: np.ndarray, noise: np.ndarray) -> None:
-    """Make the rows exact at round r: their sums through the round's newest
+    """Make the labels exact at round r: their sums through the round's newest
     node and their noise for the window's later rounds.
 
-    window_draws are the window's uniforms, the offset of each row's round
+    window_draws are the window's uniforms, the offset of each label's round
     in them, and the window's first and last round.  Active node i ends at
-    round e: from the window on, its uniform is the row's for round e, and
-    before it, or before the label's debut round, it is ``nodes[j, i]``.  A
+    round e: from the window on, its uniform is the label's for round e, and
+    before it, or before the label's debut round, it is ``nodes[i, j]``.  A
     promotion transforms at most depth + window draws, so they go through
     the scalar ``gaussian_quantile`` (under a microsecond a draw) rather
     than a block call (some 60 microseconds whatever its size).
@@ -543,16 +543,16 @@ def _promote(rows: np.ndarray, r: int, debuts: list[int], nodes: np.ndarray,
     uniforms, at, first, last = window_draws
     ends = _node_ends(r)
     picks: list[float] = []
-    for j in rows.tolist():
-        a, since, held = int(at[j]), max(first, debuts[j]), nodes[j].tolist()
+    for j in labels.tolist():
+        a, since, held = int(at[j]), max(first, debuts[j]), nodes[:, j].tolist()
         window = uniforms[a + since : a + last + 1].tolist()  # rounds since..last
         picks.extend(window[e - since] if e >= since else held[i] for i, e in enumerate(ends))
         picks.extend(window[r + 1 - since :])
     z = np.array([gaussian_quantile(u, sigma) for u in picks])
-    z = z.reshape(rows.size, len(ends) + last - r)
+    z = z.reshape(labels.size, len(ends) + last - r).T  # [draw, label]
     low = len(ends) - 1
-    sums[rows, 1 : low + 2] = np.cumsum(counts[rows, : low + 1] + z[:, : low + 1], axis=1)
-    noise[rows, r + 1 - first :] = z[:, low + 1 :]
+    sums[1 : low + 2, labels] = np.cumsum(counts[: low + 1, labels] + z[: low + 1], axis=0)
+    noise[r + 1 - first :, labels] = z[low + 1 :]
 
 
 def _screened_noise(uniforms: np.ndarray, promoted: np.ndarray, width: int,
@@ -591,7 +591,7 @@ def _child_draws(config: CounterConfig) -> tuple[Draws, float | None]:
     def draws(new: list[str], sizes: list[int]) -> np.ndarray:
         if not sigma > 0.0:
             return np.zeros(sum(sizes))
-        sources.extend(map(master.child, new))
+        sources.extend(master.children(new))
         uniforms = RandomSource.fill(sources, sizes, np.empty(sum(sizes)))
         return uniforms if screened else gaussian_quantiles(uniforms, sigma, out=uniforms)
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,13 @@ from unkhist.accountant import (
     laplace_pure_dp,
 )
 from unkhist.core import ParameterError
+
+TINY = sys.float_info.min
+
+
+def normal(*values):
+    """Whether every value is a normal float: neither subnormal, 0 nor inf."""
+    return all(TINY <= v < math.inf for v in values)
 
 # mpmath (50 digits): 0.5 + 2*sqrt(0.5*ln(1e6)) and 0.125 + 2*sqrt(0.125*ln 20).
 EPS_RHO_HALF = 5.7565217697569320
@@ -94,8 +102,8 @@ class TestGaussianCdp:
         st.floats(min_value=5e-324, max_value=1e308),
     )
     def test_without_the_formula_rho_is_the_exact_ratio_or_refused(self, l2, sigma):
-        denominator = 2.0 * sigma * sigma
-        assume(not (denominator > 0.0 and math.isfinite(l2 * l2 / denominator)))
+        square, denominator = l2 * l2, 2.0 * sigma * sigma
+        assume(not (normal(square, denominator) and normal(square / denominator)))
         try:
             expected = float(Fraction(l2) ** 2 / (2 * Fraction(sigma) ** 2))  # rounded once
         except OverflowError:
@@ -104,14 +112,14 @@ class TestGaussianCdp:
         else:
             assert gaussian_cdp(l2, sigma).rho == expected
 
-    @given(
-        st.floats(min_value=5e-324, max_value=1e308),
-        st.floats(min_value=5e-324, max_value=1e308),
+    @given(  # squares in the normal range; the test above covers the rest
+        st.floats(min_value=1.5e-154, max_value=1.3e154),
+        st.floats(min_value=1.5e-154, max_value=1.3e154),
     )
-    def test_every_finite_rho_is_the_formula(self, l2, sigma):
-        denominator = 2.0 * sigma * sigma
-        assume(denominator > 0.0 and math.isfinite(l2 * l2 / denominator))
-        assert gaussian_cdp(l2, sigma).rho == l2 * l2 / denominator
+    def test_every_normal_rho_is_the_formula(self, l2, sigma):
+        square, denominator = l2 * l2, 2.0 * sigma * sigma
+        assume(normal(square, denominator) and normal(square / denominator))
+        assert gaussian_cdp(l2, sigma).rho == square / denominator
 
 
 class TestExpmechCdp:
@@ -123,6 +131,30 @@ class TestExpmechCdp:
     def test_beats_generic_conversion(self, eps):
         # eps^2/8 < eps^2/2 for every positive eps.
         assert expmech_cdp(eps).rho < dp_to_cdp(DpBudget(epsilon=eps, delta=0.0)).rho
+
+
+class TestSubnormalSquares:
+    # A square or ratio below the normal range has lost bits: rho is the
+    # exact ratio rounded once, not the float formula's result.
+    @pytest.mark.parametrize("l2,sigma", [(1e-161, 1e-11), (1e-160, 1.0), (1e-150, 1e-160), (1e-150, 1e10), (1.0, 1e160)])
+    def test_gaussian(self, l2, sigma):
+        exact = float(Fraction(l2) ** 2 / (2 * Fraction(sigma) ** 2))
+        assert gaussian_cdp(l2, sigma).rho == exact
+        if (l2, sigma) == (1e-161, 1e-11):  # the formula was 1.2% low here
+            assert l2 * l2 / (2.0 * sigma * sigma) < 0.99 * exact
+
+    @pytest.mark.parametrize("eps", [1e-161, 1e-155, 5e-324, math.ulp(0.0) * 3])
+    def test_expmech_and_dp_to_cdp(self, eps):
+        assert expmech_cdp(eps).rho == float(Fraction(eps) ** 2 / 8)
+        assert dp_to_cdp(DpBudget(epsilon=eps, delta=0.1)).rho == float(Fraction(eps) ** 2 / 2)
+
+    def test_expmech_was_a_third_low(self):
+        assert expmech_cdp(1e-161).rho == 1.48e-323 > 1e-161 * 1e-161 / 8.0
+
+    @given(st.floats(min_value=5e-324, max_value=1e-154))  # squares below the normal range
+    def test_small_epsilons_are_rounded_once(self, eps):
+        assert expmech_cdp(eps).rho == float(Fraction(eps) ** 2 / 8)
+        assert dp_to_cdp(DpBudget(epsilon=eps, delta=0.0)).rho == float(Fraction(eps) ** 2 / 2)
 
 
 class TestBudgetsBeyondTheFloatRange:

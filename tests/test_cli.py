@@ -10,6 +10,8 @@ import math
 import os
 import re
 import stat
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -426,6 +428,15 @@ class TestMain:
         assert "unkhist" in capsys.readouterr().out
         assert main(["--help"]) == 0
 
+    def test_import_loads_no_numpy_random(self):
+        # Every CLI launch pays for what importing unkhist.cli loads; numpy.random
+        # is loaded by the first RandomSource, when a command draws.
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        probe = "import sys, unkhist.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+        run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+        assert run.stdout.strip() == "[]"
+
     def test_stream_emits_header_and_snapshots(self, events_ndjson, tmp_path, capsys):
         out = tmp_path / "snap.ndjson"
         code = main(
@@ -754,6 +765,7 @@ def test_stream_output_matches_golden_digest(tmp_path):
 # mechanism tag.
 STREAM_LONG = Path(__file__).parent / "data" / "stream_long.ndjson"
 STREAM_LONG_SHA256 = "090fe4bb0c5f796beb1ac81cf0c9d556da6aca8de86bafaceb822929f2ba64f0"
+STREAM_LONG_TOP_SEED_SHA256 = "29cd548beaf7476ebfc02cd05938a8e4b355858f289b1b108b4f72642e3681f8"
 
 
 def test_long_stream_output_matches_golden_digest(tmp_path):
@@ -782,12 +794,15 @@ STREAM_PATHS = {"sweep": 0, "counter": 10**9}
          STREAM_GOLDEN_SHA256),
         (STREAM_LONG, ["--horizon", "512", "--epsilon", "2", "--l0", "3", "--seed", "11"],
          STREAM_LONG_SHA256),
+        (STREAM_LONG, ["--horizon", "512", "--epsilon", "2", "--l0", "3", "--seed", str(2**64 - 1)],
+         STREAM_LONG_TOP_SEED_SHA256),
     ],
-    ids=["golden", "long"],
+    ids=["golden", "long", "long-top-seed"],
 )  # fmt: skip
 def test_stream_digests_hold_on_either_path(tmp_path, monkeypatch, path, source, argv, digest):
     # The golden stream has 6 labels and takes Counter, the long one 30 and
-    # takes the sweep; each must give the same bytes on the other path.
+    # takes the sweep; each must give the same bytes on the other path.  At
+    # the largest seed the master's entropy is two words, not one.
     monkeypatch.setattr(stream, "SWEEP_MIN_LABELS", STREAM_PATHS[path])
     out = tmp_path / "snapshots.ndjson"
     code = main(["stream", *argv, "--delta", "0.05", "--in", str(source), "--out", str(out)])

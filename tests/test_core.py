@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unkhist import core
 from unkhist.core import (
@@ -359,6 +361,49 @@ class TestRandomSource:
         edges = [root.child(t).uniform() for t in (0, 1, 2**63, 2**64 - 1)]
         assert len(set(edges)) == 4
         assert root.child(2**64 - 1).uniform() == edges[-1]
+
+
+class TestChildren:
+    # Tokens whose entropy takes 1, 2 or 4 words, so that one call hashes
+    # entropy of several lengths: non-ASCII strings and the int edges.
+    TOKENS = ["a", "b", "label-17", "é", "日本語", "naïve café", "🙂", 0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32, 2**64 - 1], ids=["0", "7", "2**32", "2**64-1"])
+    def test_draws_are_child_draws(self, seed):
+        master = RandomSource(seed)
+        for token, source in zip(self.TOKENS, master.children(self.TOKENS), strict=True):
+            assert source.uniforms(9).tolist() == master.child(token).uniforms(9).tolist(), token
+
+    def test_children_of_a_child(self):
+        parent = RandomSource(2**64 - 1).child("日本語")
+        grand = [parent.child(t) for t in self.TOKENS]
+        for source, expected in zip(parent.children(self.TOKENS), grand, strict=True):
+            assert source.uniforms(5).tolist() == expected.uniforms(5).tolist()
+            assert source.children(["x", 3])[1].uniform() == expected.child(3).uniform()
+
+    def test_no_tokens(self):
+        assert RandomSource(3).children([]) == []
+
+    @pytest.mark.parametrize("token", [-1, 2**64, True, 1.5, b"a"], ids=["-1", "2**64", "True", "1.5", "bytes"])
+    def test_bad_token_is_refused_as_child_refuses_it(self, token):
+        with pytest.raises(ParameterError) as expected:
+            RandomSource(9).child(token)
+        with pytest.raises(ParameterError, match=f"^{re.escape(str(expected.value))}$"):
+            RandomSource(9).children(["a", token])
+
+    @given(st.lists(st.lists(st.integers(0, 2**128 - 1), min_size=1, max_size=7), min_size=1, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_seed_states_are_seed_sequence_states(self, entropies):
+        # Entropy of several lengths in one call: each row is zero-padded to
+        # the longest, and only its own words are hashed.  An int's words run
+        # low word first, as many as it needs, at least one.
+        split = [[n >> s & 0xFFFFFFFF for n in e for s in range(0, n.bit_length() or 1, 32)] for e in entropies]
+        words = np.zeros((len(split), max(map(len, split))), dtype=np.uint32)
+        for row, w in zip(words, split):
+            row[: len(w)] = w
+        states = core._seed_states(words, np.array([len(w) for w in split]))
+        expected = [np.random.SeedSequence(e).generate_state(4, np.uint64).tolist() for e in entropies]
+        assert states.tolist() == expected
 
 
 class TestLaplace:
