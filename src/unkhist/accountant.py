@@ -11,7 +11,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .core import ParameterError, check_finite, check_positive, check_probability, check_real
 
@@ -22,6 +22,7 @@ __all__ = [
     "laplace_pure_dp",
     "gaussian_cdp",
     "expmech_cdp",
+    "epsilon_squared_rho",
     "dp_to_cdp",
     "cdp_to_dp",
     "cdp_to_dp_optimize",
@@ -83,17 +84,24 @@ def laplace_pure_dp(l1_sensitivity: float, scale: float) -> DpBudget:
     return DpBudget(epsilon=check_finite("epsilon", l1 / b, l1_sensitivity=l1, scale=b), delta=0.0)
 
 
-def _ratio(square: float, denominator: float, exact: Fraction) -> float:
-    """square / denominator where both and the ratio are normal floats; else the
-    exact ratio rounded once (a subnormal square has lost bits), or inf past the float range."""
+def _ratio(square: float, denominator: float, exact: Callable[[], Fraction]) -> float:
+    """square / denominator where both and the ratio are normal floats; else the exact
+    ratio, exact(), rounded once (a subnormal square has lost bits), or inf past the float range."""
     tiny = sys.float_info.min
     rho = square / denominator if tiny <= denominator < math.inf else 0.0
     if tiny <= square < math.inf and tiny <= rho < math.inf:
         return rho
     try:
-        return float(exact)
-    except OverflowError:  # refused by the caller
+        return float(exact())
+    except OverflowError:  # refused by the caller; Fraction(inf) raises it too
         return math.inf
+
+
+def epsilon_squared_rho(count: int, epsilon: float, denominator: int) -> float:
+    """count * epsilon^2 / denominator, the rho of count mechanisms each epsilon^2/denominator-zCDP,
+    as ``_ratio`` rounds it; the Fraction, some microseconds a call, is formed only where used."""
+    return _ratio(count * epsilon * epsilon, float(denominator),
+                  lambda: count * Fraction(epsilon) ** 2 / denominator)
 
 
 def gaussian_cdp(l2_sensitivity: float, sigma: float) -> CdpBudget:
@@ -101,14 +109,14 @@ def gaussian_cdp(l2_sensitivity: float, sigma: float) -> CdpBudget:
     where a square leaves the normal float range, rho is the exact ratio rounded once, if finite."""
     l2 = check_positive("l2_sensitivity", l2_sensitivity)
     s = check_positive("sigma", sigma)
-    rho = _ratio(l2 * l2, 2.0 * s * s, Fraction(l2) ** 2 / (2 * Fraction(s) ** 2))
+    rho = _ratio(l2 * l2, 2.0 * s * s, lambda: Fraction(l2) ** 2 / (2 * Fraction(s) ** 2))
     return CdpBudget(delta=0.0, rho=check_finite("rho", rho, l2_sensitivity=l2, sigma=s))
 
 
 def expmech_cdp(epsilon: float) -> CdpBudget:
     """The exponential mechanism at privacy loss epsilon is eps^2/8-zCDP (bounded range)."""
     eps = check_positive("epsilon", epsilon)
-    rho = _ratio(eps * eps, 8.0, Fraction(eps) ** 2 / 8)
+    rho = epsilon_squared_rho(1, eps, 8)
     return CdpBudget(delta=0.0, rho=check_finite("rho", rho, epsilon=eps))
 
 
@@ -116,8 +124,8 @@ def dp_to_cdp(budget: DpBudget) -> CdpBudget:
     """(eps, delta)-DP implies delta-approximate eps^2/2-zCDP."""
     if not isinstance(budget, DpBudget):
         raise ParameterError(f"expected a DpBudget, got {budget!r}")
-    eps = budget.epsilon  # eps**2 raises OverflowError past the float range, from 2^512 on
-    rho = _ratio(eps**2, 2.0, Fraction(eps) ** 2 / 2) if eps < 2.0**512 else math.inf
+    eps = budget.epsilon
+    rho = epsilon_squared_rho(1, eps, 2)
     return CdpBudget(delta=budget.delta, rho=check_finite("rho", rho, epsilon=eps))
 
 

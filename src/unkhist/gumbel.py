@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .accountant import CdpBudget
+from .accountant import CdpBudget, epsilon_squared_rho
 from .core import (
     BOTTOM,
     Histogram,
@@ -161,7 +161,7 @@ def release_gumbel_topk(
     (-inf disables thresholding entirely).
     """
     eps, d = check_positive("epsilon", epsilon), check_probability("delta", delta)
-    rho = check_finite("rho", check_l0("k", k) * eps * eps / 8.0, k=k, epsilon=eps)
+    rho = check_finite("rho", epsilon_squared_rho(check_l0("k", k), eps, 8), k=k, epsilon=eps)
     budget = CdpBudget(delta=d, rho=rho)  # formed before any draw
     labels, order, taken = release_gumbel_topk_batch(
         h, k, kbar, l0_for_threshold, epsilon, delta, rng, 1, threshold_override=threshold_override

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accountant import CdpBudget
+from .accountant import CdpBudget, epsilon_squared_rho
 from .core import (
     Histogram,
     IngestionError,
@@ -201,4 +201,4 @@ def release_budget(sens: SensitivityBound, epsilon: float, delta: float) -> CdpB
     l0 = check_sensitivity(sens).l0
     eps = check_positive("epsilon", epsilon)
     d = check_probability("delta", delta)
-    return CdpBudget(delta=d, rho=check_finite("rho", l0 * eps * eps / 2.0, l0=l0, epsilon=eps))
+    return CdpBudget(delta=d, rho=check_finite("rho", epsilon_squared_rho(l0, eps, 2), l0=l0, epsilon=eps))

@@ -46,7 +46,8 @@ screened total exceeds ``core.screen_cut`` (the threshold less a margin
 that bounds how far a screened total of at most depth draws and horizon
 counts can stray from the exact one; its derivation is in ``screen_cut``)
 is promoted: its stack is rebuilt bit for bit from the uniforms of its
-active nodes, which the sweep keeps, and its noise is exact from then on.
+active nodes, drawn again from its child stream, and its noise is exact
+from then on.
 No total reaches a snapshot before its label is exact, and below the cut no
 exact total can clear the threshold, so the snapshots stay Counter's bit
 for bit.  Once most labels are promoted, the sweep promotes the rest and
@@ -69,7 +70,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .accountant import CdpBudget
+from .accountant import CdpBudget, epsilon_squared_rho
 from .core import (
     IngestionError,
     ParameterError,
@@ -115,14 +116,8 @@ def dyadic_nodes(round: int) -> tuple[tuple[int, int], ...]:
 
     Node (b, m) covers rounds m*2^b + 1 through (m+1)*2^b.
     """
-    check_int("round", round)
-    nodes = []
-    start = 0
-    for level in reversed(range(round.bit_length())):
-        if round >> level & 1:
-            nodes.append((level, start >> level))
-            start += 1 << level
-    return tuple(nodes)
+    levels = reversed(range(check_int("round", round).bit_length()))
+    return tuple((level, (round >> level) - 1) for level in levels if round >> level & 1)
 
 
 @dataclass(frozen=True)
@@ -176,7 +171,7 @@ class CounterConfig:
     def from_privacy(
         cls, horizon: int, l0: int, epsilon: float, delta: float, seed: int
     ) -> "CounterConfig":
-        check_positive("epsilon", epsilon)
+        eps = check_positive("epsilon", epsilon)
         check_probability("delta", delta)
         # Checked here as well as in __post_init__: both are used before it runs.
         check_int("horizon", horizon)
@@ -188,8 +183,8 @@ class CounterConfig:
         z = normal_upper_quantile(ratio)
         threshold = 1.0 + sigma * math.sqrt(depth + 1.0) * z
         threshold = check_finite("threshold", threshold, epsilon=epsilon, delta=delta)
-        rho = l0 * depth * epsilon * epsilon / 2.0
-        rho = check_finite("rho", rho, l0=l0, horizon=horizon, epsilon=epsilon)
+        rho = check_finite("rho", epsilon_squared_rho(l0 * depth, eps, 2), l0=l0, horizon=horizon,
+                           epsilon=epsilon)
         budget = CdpBudget(delta=float(delta), rho=rho)
         return cls(
             horizon=horizon,
@@ -391,9 +386,13 @@ SWEEP_MIN_LABELS = 16
 #: this window, the last len(new) of them.
 Draws = Callable[[list[str], list[int]], np.ndarray]
 
+#: (cut, replay): the screen's cut, and replay(label, n), the label's first n
+#: uniforms in its draw order, as ``Draws`` handed them out.
+Screen = tuple[float, Callable[[str, int], np.ndarray]]
+
 
 def _sweep(config: CounterConfig, events: Iterable[StreamEvent], window: int, draws: Draws,
-           cut: float | None, lead: tuple[int, ...] = ()
+           screen: Screen | None, lead: tuple[int, ...] = ()
            ) -> Iterator[tuple[list[str], np.ndarray]]:
     """Counter.observe for every label at once: after each event, the labels
     in order of arrival and their [*lead, labels] running totals.
@@ -405,33 +404,29 @@ def _sweep(config: CounterConfig, events: Iterable[StreamEvent], window: int, dr
     labels], and each sum takes the float64 additions the scalar stack takes.
 
     The caller gives the noise (``counter_sweep`` Counter's, from
-    ``_child_draws``).  With a cut, the draws are uniforms and the noise is
-    screened: a label runs on ``gaussian_screen`` noise until its total
-    exceeds the cut.  Then it is promoted (``_promote``): its sums are
-    rebuilt from the uniforms of its active nodes, and its noise is exact
-    from then on.  For that the sweep keeps the window's uniforms and, in a
-    [depth, labels] array, the uniforms of the nodes active when the window
-    began.  A label's total is exact once it exceeds the cut, and below the
-    cut no exact total clears the threshold.
+    ``_child_draws``).  With a screen, the draws are uniforms, and a label
+    runs on ``gaussian_screen`` noise until its total exceeds the cut.  Then
+    ``_promote`` makes its sums and later noise exact, from uniforms the
+    screen's replay draws again: the sweep keeps none past the window.
+    Below the cut no exact total clears the threshold.
 
     A promotion costs as much as a few hundred exact draws (tens of
-    microseconds, a child stream's worth of Python), so the screen pays only
-    while most labels stay below the cut.  Once most labels are promoted at
-    the end of a window, the sweep promotes the rest there and then and
-    transforms every later draw exactly, as it does without a cut: a stream
-    whose labels mostly clear the threshold then costs about what it cost
-    with no screen at all.
+    microseconds), so the screen pays only while most labels stay below the
+    cut.  Once most labels are promoted at the end of a window, the sweep
+    promotes the rest and transforms every later draw exactly, as it does
+    without a screen: a stream whose labels mostly clear the threshold then
+    costs about what it cost with no screen at all.
     """
     depth = config.depth
     sigma = config.sigma
-    screening = cut is not None  # until most labels are promoted
+    screening = screen is not None  # until most labels are promoted
+    cut, replay = screen or (math.inf, None)
     labels: list[str] = []
     debuts: list[int] = []
     index: dict[str, int] = {}
     counts = np.zeros((depth, 0), dtype=np.int64)
     sums = np.zeros((*lead, depth + 1, 0))
     cuts = np.zeros(0)  # while screening: each label's cut, +inf once it is promoted
-    nodes = np.zeros((depth, 0))  # while screening: the active nodes' uniforms
     events = iter(events)
     taken = 0
     while True:
@@ -444,7 +439,6 @@ def _sweep(config: CounterConfig, events: Iterable[StreamEvent], window: int, dr
         first, last = batch[0].round, batch[-1].round
         width = len(batch)
         old = len(labels)
-        predating: list[int] = []  # of the new labels
         sizes = [width] * old  # one node per round
         active = []  # labels seen through each event
         for event in batch:
@@ -452,8 +446,7 @@ def _sweep(config: CounterConfig, events: Iterable[StreamEvent], window: int, dr
                 index[label] = len(labels)
                 labels.append(label)
                 debuts.append(event.round)
-                predating.append(event.round.bit_count() - 1)
-                sizes.append(predating[-1] + last - event.round + 1)
+                sizes.append(event.round.bit_count() + last - event.round)  # older nodes, then one a round
             active.append(len(labels))
         new = len(labels) - old
         if new:
@@ -461,21 +454,19 @@ def _sweep(config: CounterConfig, events: Iterable[StreamEvent], window: int, dr
             sums = np.concatenate((sums, np.zeros((*lead, depth + 1, new))), axis=-1)
             if screening:
                 cuts = np.concatenate((cuts, np.full(new, cut)))
-                nodes = np.concatenate((nodes, np.zeros((depth, new))), axis=1)
-        uniforms = drawn = draws(labels[old:], sizes)
+        drawn = draws(labels[old:], sizes)
         if screening:
-            drawn = _screened_noise(uniforms, cuts[:old] == math.inf, width, sigma)
-            # Label j's uniform for round r of the window is uniforms[at[j] + r].
-            at = np.arange(old) * width - first
-        elif cut is not None:  # the draws are uniforms, no longer screened
-            drawn = gaussian_quantiles(uniforms, sigma, out=uniforms)
+            drawn = _screened_noise(drawn, cuts[:old] == math.inf, width, sigma)
+        elif screen is not None:  # the draws are uniforms, no longer screened
+            drawn = gaussian_quantiles(drawn, sigma, out=drawn)
         noise = np.empty((*lead, width, len(labels)))  # [..., round - first, label]
         noise[..., :old] = drawn[..., : old * width].reshape(*lead, old, width).swapaxes(-1, -2)
         if new:
             # The new labels' draws follow the old ones', label after label: first
             # the nodes of its debut round left of its newest one, then one a round
             # from its debut on, which end its noise column.
-            before, size = np.array(predating), np.array(sizes[old:])
+            before = np.array([d.bit_count() - 1 for d in debuts[old:]])
+            size = np.array(sizes[old:])
             start = old * width + np.cumsum(size) - size
             rounds = size - before
             column = np.repeat(np.arange(old, len(labels)), rounds)
@@ -483,13 +474,9 @@ def _sweep(config: CounterConfig, events: Iterable[StreamEvent], window: int, dr
             source = np.repeat(start + before, rounds) + step
             row = np.repeat(width - rounds, rounds) + step
             noise[..., row, column] = drawn[..., source]
-            for i in range(max(predating)):  # the debut round's older nodes, left to right
+            for i in range(before.max()):  # the debut round's older nodes, left to right
                 has = np.flatnonzero(before > i)
                 sums[..., i + 1, old + has] = sums[..., i, old + has] + drawn[..., start[has] + i]
-                if screening:
-                    nodes[i, old + has] = uniforms[start[has] + i]
-            if screening:
-                at = np.concatenate((at, start + before - np.array(debuts[old:])))
         del drawn  # so that the rounds, and the next window's draws, do not keep it
         for event, n in zip(batch, active):
             r = event.round
@@ -504,55 +491,44 @@ def _sweep(config: CounterConfig, events: Iterable[StreamEvent], window: int, dr
                 rising = np.flatnonzero(total > cuts[:n])
                 if rising.size:
                     cuts[rising] = math.inf
-                    _promote(rising, r, debuts, nodes, (uniforms, at, first, last), sigma,
-                             counts, sums, noise)  # fmt: skip
+                    _promote(rising, r, labels, debuts, replay, sigma, counts, sums, noise[r + 1 - first :])
                     total[rising] = sums[low + 1, rising]
             yield labels, total
-        if screening:  # the window's nodes still active, for the labels that hold them
-            for i, e in enumerate(_node_ends(last)):
-                if e >= first:
-                    n = active[e - first]
-                    nodes[i, :n] = uniforms[at[:n] + e]
+        if screening:
             rest = np.flatnonzero(cuts < math.inf)
             if 2 * rest.size < len(labels):  # most labels are promoted: see below
-                _promote(rest, last, debuts, nodes, (uniforms, at, first, last), sigma,
-                         counts, sums, noise)  # fmt: skip
+                _promote(rest, last, labels, debuts, replay, sigma, counts, sums, noise[width:])
                 screening = False
-        del uniforms, noise  # so that the next window's draws do not meet them
+        del noise  # so that the next window's draws do not meet it
 
 
-def _node_ends(r: int) -> list[int]:
-    """The last round of each node active at round r, leftmost first."""
-    return [(m + 1) << level for level, m in dyadic_nodes(r)]
+def _promote(rows: np.ndarray, r: int, labels: list[str], debuts: list[int],
+             replay: Callable[[str, int], np.ndarray], sigma: float,
+             counts: np.ndarray, sums: np.ndarray, later: np.ndarray) -> None:
+    """Make the labels at rows exact at round r: their sums through the
+    round's newest node, and ``later``, their noise for the window's later rounds.
 
-
-def _promote(labels: np.ndarray, r: int, debuts: list[int], nodes: np.ndarray,
-             window_draws: tuple[np.ndarray, np.ndarray, int, int], sigma: float,
-             counts: np.ndarray, sums: np.ndarray, noise: np.ndarray) -> None:
-    """Make the labels exact at round r: their sums through the round's newest
-    node and their noise for the window's later rounds.
-
-    window_draws are the window's uniforms, the offset of each label's round
-    in them, and the window's first and last round.  Active node i ends at
-    round e: from the window on, its uniform is the label's for round e, and
-    before it, or before the label's debut round, it is ``nodes[i, j]``.  A
-    promotion transforms at most depth + window draws, so they go through
-    the scalar ``gaussian_quantile`` (under a microsecond a draw) rather
-    than a block call (some 60 microseconds whatever its size).
+    A label that debuted in round d drew its popcount(d) - 1 predating nodes
+    first, then one a round, as ``Counter.node_noises`` orders them: active
+    node i, which ends at round e, is its draw for round e if e >= d and its
+    i-th draw otherwise.  A promotion transforms at most depth + window draws,
+    so they go through the scalar ``gaussian_quantile`` (under a microsecond a
+    draw) rather than a block call (some 60 microseconds whatever its size).
     """
-    uniforms, at, first, last = window_draws
-    ends = _node_ends(r)
+    ends = [(m + 1) << level for level, m in dyadic_nodes(r)]
+    last = r + len(later)
     picks: list[float] = []
-    for j in labels.tolist():
-        a, since, held = int(at[j]), max(first, debuts[j]), nodes[:, j].tolist()
-        window = uniforms[a + since : a + last + 1].tolist()  # rounds since..last
-        picks.extend(window[e - since] if e >= since else held[i] for i, e in enumerate(ends))
-        picks.extend(window[r + 1 - since :])
+    for j in rows.tolist():
+        d = debuts[j]
+        at = d.bit_count() - 1 - d  # round s's draw is u[at + s]
+        u = replay(labels[j], at + last + 1).tolist()
+        picks.extend(u[at + e] if e >= d else u[i] for i, e in enumerate(ends))
+        picks.extend(u[at + r + 1 :])
     z = np.array([gaussian_quantile(u, sigma) for u in picks])
-    z = z.reshape(labels.size, len(ends) + last - r).T  # [draw, label]
+    z = z.reshape(rows.size, len(ends) + last - r).T  # [draw, label]
     low = len(ends) - 1
-    sums[1 : low + 2, labels] = np.cumsum(counts[: low + 1, labels] + z[: low + 1], axis=0)
-    noise[r + 1 - first :, labels] = z[low + 1 :]
+    sums[1 : low + 2, rows] = np.cumsum(counts[: low + 1, rows] + z[: low + 1], axis=0)
+    later[:, rows] = z[low + 1 :]
 
 
 def _screened_noise(uniforms: np.ndarray, promoted: np.ndarray, width: int,
@@ -573,15 +549,18 @@ def _screened_noise(uniforms: np.ndarray, promoted: np.ndarray, width: int,
     return noise
 
 
-def _child_draws(config: CounterConfig) -> tuple[Draws, float | None]:
+def _child_draws(config: CounterConfig) -> tuple[Draws, Screen | None]:
     """Each label's node draws from its child stream of RandomSource(seed),
     as Counter draws them, one block per window filled label by label in
-    place, and the cut ``_sweep`` screens them against.
+    place, and the screen ``_sweep`` runs them through.
 
     At a finite sigma the draws are the uniforms themselves, for ``_sweep``
     to screen.  A total sums at most depth node noises, and its counts total
-    at most the horizon; ``core.screen_cut`` turns that into the cut.  At
-    sigma 0 or infinity the draws are the noise and the cut is None.
+    at most the horizon; ``core.screen_cut`` turns that into the cut.  The
+    replay draws a label's uniforms again from a fresh child stream: as
+    ``fill`` redraws a zero within its window, one ``uniforms`` call hands
+    out the same draws as the label's windows did.  At sigma 0 or infinity
+    the draws are the noise and there is no screen.
     """
     master = RandomSource(config.seed)
     sigma = config.sigma
@@ -597,7 +576,8 @@ def _child_draws(config: CounterConfig) -> tuple[Draws, float | None]:
 
     if not screened:
         return draws, None
-    return draws, screen_cut(config.threshold, sigma, config.depth, float(config.horizon))
+    cut = screen_cut(config.threshold, sigma, config.depth, float(config.horizon))
+    return draws, (cut, lambda label, n: master.child(label).uniforms(n))
 
 
 def counter_sweep(config: CounterConfig,

@@ -18,13 +18,14 @@ from __future__ import annotations
 import dataclasses
 import math
 import string
+import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import Mapping
 
 import numpy as np
 
-from .accountant import RenyiOrder
+from .accountant import RenyiOrder, expmech_cdp
 from .core import (
     BOTTOM,
     Histogram,
@@ -378,10 +379,12 @@ def estimate_delta_event(
 def exact_expmech_topk_distribution(
     h: Histogram, k: int, epsilon: float
 ) -> dict[tuple[str, ...], float]:
-    """Exact law of k sequential softmax selections without replacement.
+    """Exact law of k sequential softmax selections without replacement, less
+    the outcomes of probability 0.
 
-    Selection weights are exp(epsilon * count) with unit per-count sensitivity;
-    only small instances are enumerable.
+    Selection weights are exp(epsilon * count) with unit per-count sensitivity,
+    against the top count, or against the top count left in a stage whose weights
+    left sum below the normal range; only small instances are enumerable.
     """
     h = Histogram.coerce(h)
     n = len(h)
@@ -391,20 +394,27 @@ def exact_expmech_topk_distribution(
         raise ParameterError(f"k must not exceed the {n} items, got {k!r}")
     check_positive("epsilon", epsilon)
 
-    labels = h.labels()
-    top = max(count for _, count in h.items())
-    weights = {label: math.exp(epsilon * (count - top)) for label, count in h.items()}
+    def against_top(remaining: list[str]) -> dict[str, float]:
+        top = max(h[label] for label in remaining)
+        return {label: math.exp(epsilon * (h[label] - top)) for label in remaining}
 
+    labels = h.labels()
+    weights = against_top(labels)
     out: dict[tuple[str, ...], float] = {}
 
     def descend(prefix: tuple[str, ...], remaining: list[str], prob: float) -> None:
+        if prob == 0.0:
+            return
         if len(prefix) == k:
             out[prefix] = prob
             return
-        total = sum(weights[label] for label in remaining)
+        stage = weights
+        if sum(weights[label] for label in remaining) < sys.float_info.min:  # they underflowed
+            stage = against_top(remaining)
+        total = sum(stage[label] for label in remaining)
         for label in remaining:
             rest = [other for other in remaining if other != label]
-            descend(prefix + (label,), rest, prob * weights[label] / total)
+            descend(prefix + (label,), rest, prob * stage[label] / total)
 
     descend((), labels, 1.0)
     return out
@@ -590,7 +600,7 @@ def run_suite(suite: str, trials: int | None, seed: int) -> dict:
             neighbor = Histogram({"a": 3, "b": 3, "c": 2})
             p = exact_expmech_topk_distribution(base, 1, epsilon)
             q = exact_expmech_topk_distribution(neighbor, 1, epsilon)
-            rho = epsilon * epsilon / 8.0
+            rho = expmech_cdp(epsilon).rho
             worst = 0.0
             for lam in (1.5, 2.0, 4.0, 8.0):
                 gap = max(

@@ -21,7 +21,10 @@ from unkhist.accountant import (
     gaussian_cdp,
     laplace_pure_dp,
 )
-from unkhist.core import ParameterError
+from unkhist.core import Histogram, ParameterError, RandomSource, SensitivityBound
+from unkhist.gumbel import release_gumbel_topk
+from unkhist.release import release_budget
+from unkhist.stream import CounterConfig
 
 TINY = sys.float_info.min
 
@@ -157,6 +160,62 @@ class TestSubnormalSquares:
         assert dp_to_cdp(DpBudget(epsilon=eps, delta=0.0)).rho == float(Fraction(eps) ** 2 / 2)
 
 
+def gumbel_rho(k, eps):
+    _, budget = release_gumbel_topk(Histogram({"a": 1}), k, k, 1, eps, 0.01, RandomSource(0))
+    return budget.rho
+
+
+# Each mechanism budget: its epsilon's count and denominator, and its rho.
+EPSILON_BUDGETS = {
+    "expmech": (st.just(1), 8, lambda n, eps: expmech_cdp(eps).rho),
+    "dp-to-cdp": (st.just(1), 2, lambda n, eps: dp_to_cdp(DpBudget(epsilon=eps, delta=0.0)).rho),
+    "release": (st.integers(1, 2**60), 2, lambda n, eps: release_budget(SensitivityBound(n, 1.0), eps, 0.01).rho),
+    "gumbel-topk": (st.integers(1, 1000), 8, gumbel_rho),
+    # Horizon 512 has depth 10: l0 * 10 nodes.
+    "stream": (st.integers(1, 2**50).map(lambda l0: 10 * l0), 2,
+               lambda n, eps: CounterConfig.from_privacy(512, n // 10, eps, 0.01, 0).budget.rho),
+}
+
+
+class TestEpsilonBudgets:
+    # rho = count * eps^2 / denominator: the float formula where the square
+    # and the ratio are normal floats, and elsewhere the exact ratio rounded
+    # once, or refused by name if that is not finite.  rho is drawn near
+    # mantissa^2 * 4^half, so that many fall below the normal range or near
+    # its top.
+    @pytest.mark.parametrize("name", sorted(EPSILON_BUDGETS))
+    @given(
+        data=st.data(),
+        mantissa=st.floats(1.0, 2.0, exclude_max=True),
+        half=st.one_of(st.integers(-540, -505), st.integers(505, 515), st.integers(-550, 550)),
+    )
+    def test_rho_is_the_formula_or_rounded_once(self, name, data, mantissa, half):
+        counts, denominator, rho = EPSILON_BUDGETS[name]
+        n = data.draw(counts)
+        eps = math.ldexp(mantissa * math.sqrt(denominator / n), half)
+        square = n * eps * eps
+        if normal(square, square / denominator):
+            assert rho(n, eps) == square / denominator
+            return
+        try:
+            expected = float(n * Fraction(eps) ** 2 / denominator)
+        except OverflowError:
+            with pytest.raises(ParameterError, match="no finite rho$"):
+                rho(n, eps)
+        else:
+            assert rho(n, eps) == expected
+
+    def test_subnormal_squares_are_rounded_once(self):
+        sens = SensitivityBound(l0=3, linf=1)
+        assert release_budget(sens, 3e-162, 0.01).rho == float(3 * Fraction(3e-162) ** 2 / 2) == 1.5e-323
+        assert CounterConfig.from_privacy(512, 3, 3e-162, 0.01, 1).budget.rho == 1.33e-322
+
+    def test_dp_to_cdp_squares_without_pow(self):
+        # C pow misrounds 0.0397**2 on some libraries; the product is correctly rounded.
+        rho = dp_to_cdp(DpBudget(epsilon=0.0397, delta=0.0)).rho
+        assert rho == float(Fraction(0.0397) ** 2 / 2) == 0.0397 * 0.0397 / 2.0
+
+
 class TestBudgetsBeyondTheFloatRange:
     @pytest.mark.parametrize(
         "form,message",
@@ -183,11 +242,11 @@ class TestBudgetsBeyondTheFloatRange:
         eps = 1e154
         assert expmech_cdp(eps).rho == eps * eps / 8.0
         assert dp_to_cdp(DpBudget(epsilon=eps, delta=0.0)).rho == eps**2 / 2.0
-        # The largest epsilon whose square is a float, and the smallest whose is not.
+        # The largest epsilon whose square is a float, and the smallest whose is
+        # not: its rho, half the square, is still one, the exact ratio.
         eps = math.nextafter(2.0**512, 0.0)
         assert dp_to_cdp(DpBudget(epsilon=eps, delta=0.0)).rho == eps**2 / 2.0
-        with pytest.raises(ParameterError, match="^epsilon = 1.3407807929942597e[+]154 gives no finite rho$"):
-            dp_to_cdp(DpBudget(epsilon=2.0**512, delta=0.0))
+        assert dp_to_cdp(DpBudget(epsilon=2.0**512, delta=0.0)).rho == 2.0**1023
         assert laplace_pure_dp(1e300, 1e-8).epsilon == 1e300 / 1e-8
 
     def test_delta_prime_whose_inverse_overflows(self):

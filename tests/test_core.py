@@ -288,19 +288,20 @@ class TestRandomSource:
         with pytest.raises(ParameterError):
             RandomSource(3).uniforms(16, out=out)
 
+    class Gen:  # a generator whose stream holds exact zeros, for block calls
+        def __init__(self, values):
+            self.values = list(values)
+
+        def random(self, size=None, out=None):
+            n = size if out is None else out.size
+            taken, self.values = self.values[:n], self.values[n:]
+            if out is None:
+                return np.array(taken)
+            out[:] = taken
+            return out
+
     def test_block_fill_redraws_a_zero_as_per_label_calls_do(self):
-        class Gen:  # a generator whose stream holds exact zeros
-            def __init__(self, values):
-                self.values = list(values)
-
-            def random(self, size=None, out=None):
-                n = size if out is None else out.size
-                taken, self.values = self.values[:n], self.values[n:]
-                if out is None:
-                    return np.array(taken)
-                out[:] = taken
-                return out
-
+        Gen = self.Gen
         streams = [[0.5, 0.25, 0.75, 0.125], [0.3, 0.0, 0.6, 0.9, 0.45, 0.15], [0.2, 0.4, 0.8]]
         sizes = [3, 4, 2]
 
@@ -317,6 +318,16 @@ class TestRandomSource:
         # appended; the other segments are as drawn.
         assert filled.tolist() == calls.tolist() == [0.5, 0.25, 0.75, 0.3, 0.6, 0.9, 0.45, 0.2, 0.4]
         assert [s.uniform() for s in block] == [s.uniform() for s in per_label] == [0.125, 0.15, 0.8]
+
+    def test_fill_windows_are_one_uniforms_call(self):
+        # One source drawn as two fill windows, a zero in each: the windows
+        # together hand out what one uniforms call over all their draws does.
+        values = [0.5, 0.0, 0.25, 0.75, 0.0, 0.125, 0.3, 0.6]
+        windows, fresh = RandomSource(0), RandomSource(0)
+        windows._gen, fresh._gen = self.Gen(values), self.Gen(values)
+        drawn = [RandomSource.fill([windows], [3], np.empty(3)).tolist() for _ in range(2)]
+        assert drawn == [[0.5, 0.25, 0.75], [0.125, 0.3, 0.6]]
+        assert sum(drawn, []) == fresh.uniforms(6).tolist()
 
     def test_block_fill_is_per_label_uniforms(self):
         sizes = [5, 0, 32, 1]

@@ -327,6 +327,13 @@ class TestExactExpmech:
         dist = exact_expmech_topk_distribution({"a": 1003, "b": 1002}, 1, 1.0)
         assert dist[("a",)] == pytest.approx(math.exp(1) / (math.exp(1) + 1), rel=1e-12)
 
+    def test_underflowed_stage_is_weighed_by_its_own_top(self):
+        # After "a", the weights left, exp(-1000), underflow to 0: the second
+        # stage weighs "b" and "c" against each other.  Outcomes of
+        # probability 0 are left out.
+        dist = exact_expmech_topk_distribution({"a": 1000, "b": 0, "c": 0}, 2, 1.0)
+        assert dist == {("a", "b"): 0.5, ("a", "c"): 0.5}
+
     def test_instance_size_guard(self):
         big = {f"x{i}": i + 1 for i in range(9)}
         with pytest.raises(ParameterError):
