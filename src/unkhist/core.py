@@ -779,6 +779,10 @@ def _acklam(
 #   the estimate by about 1e-16 relative.  Near the median, where x -> 0, the
 #   Halley step moves x by up to about 1e-16 absolute: the scale term covers it.
 # - Laplace: the exact transform's operations, but for log's last bit.
+# - Gumbel: the exact transform's operations, but for the last bit of each of
+#   its two logs.  The inner log's relative error of about 2^-52 moves the
+#   outer log by as much, absolutely (the scale term), and the outer log's
+#   own last bit is relative to the screen (the |screen| term).
 # 2^-20 (9.5e-7) is over 800 times Acklam's bound; the tests hold the observed
 # error to a hundredth of it.  A screened value decides only which draws get
 # the exact transform: every value a caller sees or compares is exact.
@@ -786,9 +790,18 @@ def _acklam(
 #: The screens' error bound, relative to scale + |screen| (see above).
 SCREEN_ERROR = 2.0**-20
 #: A bound on |quantile| / scale for any RandomSource uniform, which lies in
-#: [2^-53, 1 - 2^-53]: Gaussian draws stay within 8.3 and Laplace draws
-#: within ln(2^52) = 36.04, and the screens within SCREEN_ERROR of those.
+#: [2^-53, 1 - 2^-53]: Gaussian draws stay within 8.3, Laplace draws within
+#: ln(2^52) = 36.04 and Gumbel draws within [-3.61, 36.74], and the screens
+#: within SCREEN_ERROR of those.
 MAX_DRAW = 37.0
+#: Draws below which a kernel draws its block through ``sample_*``, unscreened:
+#: the screen, its flag tests and the rows they send to the exact transform
+#: then cost more than they save.  One-row calls (x86-64, numpy 2.4) broke
+#: even at about 64 draws for a Laplace ``release_batch``, 150 for
+#: ``release_topk_batch``, 250 for ``release_gumbel_topk_batch`` and 400 for
+#: a Gaussian ``release_batch``; ``counter_batch``, which sweeps its flagged
+#: rows twice, at about 1000.
+SCREEN_FLOOR = 128
 
 
 def gaussian_screen(u: np.ndarray, sigma: float) -> np.ndarray:
@@ -811,26 +824,94 @@ def laplace_screen(u: np.ndarray, scale: float) -> np.ndarray:
     return _laplace_quantiles(u, scale, np.log)
 
 
+def gumbel_screen(u: np.ndarray, beta: float) -> np.ndarray:
+    """The Gumbel block quantile to within SCREEN_ERROR * (beta + |screen|)
+    per entry, with numpy's log."""
+    x = np.log(u)
+    np.negative(x, out=x)
+    np.log(x, out=x)
+    x *= -beta
+    return x
+
+
+#: Each screened law's sampler argument name, screen and exact block transform.
+_SCREENS = {
+    "gaussian": ("sigma", gaussian_screen, gaussian_quantiles),
+    "gumbel": ("beta", gumbel_screen, _gumbel_quantiles),
+}
+
+
+def below_screen_floor(draws: int) -> bool:
+    """Whether a block of this many draws is drawn unscreened (SCREEN_FLOOR)."""
+    return draws < SCREEN_FLOOR
+
+
+def screened_draws(
+    law: str, scale: float, rng: RandomSource, size: tuple[int, int],
+    sample: Callable[[float, RandomSource, tuple[int, int]], np.ndarray],
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray] | None]:
+    """The [trials, m] block ``sample(scale, rng, size)`` draws, screened, and
+    exact(rows), the exact draws of those rows, bit for bit what sample gives
+    them; law is sample's, "gaussian" or "gumbel".
+
+    The uniforms are drawn as ``_quantile_block`` draws them, in the same
+    steps and with the same zero redraws, so the source ends where it would.
+    The caller flags the rows whose decisions lie within ``screen_margin`` of
+    a screened value and asks for those alone.  Below SCREEN_FLOOR draws the
+    block is sample's own, and exact is None.
+    """
+    if below_screen_floor(size[0] * size[1]):
+        return sample(scale, rng, size), None
+    name, screen, transform = _SCREENS[law]
+    check_positive(name, scale)
+    u = np.empty(size)
+    flat = u.reshape(-1)
+    for start in range(0, flat.size, _BLOCK_STEP):
+        step = flat[start : start + _BLOCK_STEP]
+        rng.uniforms(step.size, out=step)
+    return screen(u, scale), lambda rows: transform(u[rows].reshape(-1), scale).reshape(rows.size, size[1])
+
+
+def flagged_rows(mask: np.ndarray) -> np.ndarray:
+    """The rows of a [trials, m] mask that hold a True, with repeats: one pass
+    over its flat entries, cheaper than a reduction along its short rows."""
+    return np.flatnonzero(mask) // max(mask.shape[1], 1)
+
+
+def screen_margin(scale: float, draws: int, count: float) -> float:
+    """How far a screened sum may stray from the same sum with exact draws.
+
+    The sum is a float64 sum, in a fixed order, of counts whose magnitudes
+    total at most ``count`` and of ``draws`` draws of this scale, each from a
+    RandomSource uniform.  Each draw is off by e <= SCREEN_ERROR * (1 +
+    MAX_DRAW) * scale, and the magnitudes of the n = 2 * draws terms, exact
+    or screened, total at most count + draws * MAX_DRAW * scale.  A float
+    sum of n terms is within gamma = (n - 1) u / (1 - (n - 1) u) times that
+    total of the terms' exact sum (u = 2^-53), so the two float sums differ
+    by at most draws * e + 2 * gamma * (count + draws * MAX_DRAW * scale);
+    the margin doubles that, which covers the rounding of its own
+    arithmetic.
+
+    Two noisy values of one draw each, x + z and y + w, compared as the
+    kernels compare them, are such a sum of two draws with count |x| + |y|:
+    if their screened values differ by more than the margin, their exact
+    values differ, and the same way.
+    """
+    n = 2 * draws
+    gamma = (n - 1) * 2.0**-53 / (1.0 - (n - 1) * 2.0**-53)
+    error = draws * SCREEN_ERROR * (1.0 + MAX_DRAW) * scale
+    return 2.0 * (error + 2.0 * gamma * (count + draws * MAX_DRAW * scale))
+
+
 def screen_cut(threshold: float, scale: float, draws: int, count: float) -> float:
     """The value above which a screened sum must be made exact.
 
     The sum is a float64 sum, in a fixed order, of non-negative counts
     totalling at most ``count`` and of ``draws`` draws of this scale, each
     from a RandomSource uniform.  If the sum with exact draws exceeds
-    threshold, the same sum with screened draws exceeds the cut.
-
-    Each draw is off by e <= SCREEN_ERROR * (1 + MAX_DRAW) * scale, and the
-    magnitudes of the n = 2 * draws terms, exact or screened, total at most
-    count + draws * MAX_DRAW * scale.  A float sum of n terms is within gamma
-    = (n - 1) u / (1 - (n - 1) u) times that total of the terms' exact sum
-    (u = 2^-53), so the two float sums differ by at most draws * e + 2 *
-    gamma * (count + draws * MAX_DRAW * scale); the margin doubles that,
-    which covers the rounding of its own arithmetic.  The cut is the float below threshold - margin, so
-    that rounding the difference cannot lift it.  A threshold of +inf gives
-    a cut no total reaches, and -inf a cut every total exceeds.
+    threshold, the same sum with screened draws exceeds the cut: the float
+    below threshold - ``screen_margin``, so that rounding the difference
+    cannot lift it.  A threshold of +inf gives a cut no total reaches, and
+    -inf a cut every total exceeds.
     """
-    n = 2 * draws
-    gamma = (n - 1) * 2.0**-53 / (1.0 - (n - 1) * 2.0**-53)
-    error = draws * SCREEN_ERROR * (1.0 + MAX_DRAW) * scale
-    margin = 2.0 * (error + 2.0 * gamma * (count + draws * MAX_DRAW * scale))
-    return math.nextafter(threshold - margin, -math.inf)
+    return math.nextafter(threshold - screen_margin(scale, draws, count), -math.inf)

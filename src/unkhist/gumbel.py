@@ -25,9 +25,11 @@ from .core import (
     check_l0,
     check_positive,
     check_probability,
+    flagged_rows,
     sample_gumbel,
+    screened_draws,
 )
-from .topk import above_noisy_threshold, truncate_topk
+from .topk import above_noisy_threshold, decision_margin, near_threshold, truncate_topk
 
 __all__ = [
     "RankedList",
@@ -102,14 +104,35 @@ def select_gumbel(
     them are released: row i's ranked list is labels[order[i, :taken[i]]],
     closed by the bottom marker when taken[i] < k.
     """
-    noisy, surviving = above_noisy_threshold(counts, noise, cut, threshold_override)
+    width = min(k, len(labels))
+    _, _, surviving, _, order = _ranked(counts, _label_ranks(labels), noise, cut, width, threshold_override)
+    return order[:, :width], np.minimum(surviving.sum(axis=1), width)
+
+
+def _label_ranks(labels: Sequence[str]) -> np.ndarray:
+    """Each label's position in sorted order: the ranking's tie-break."""
     ranks = np.empty(len(labels), dtype=np.int64)
     ranks[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(len(labels))
-    keys = (np.broadcast_to(ranks, noisy.shape), np.where(surviving, -noisy, np.inf))
-    width = min(k, len(labels))
-    order = np.lexsort(keys, axis=1)[:, :width]
-    taken = np.minimum(surviving.sum(axis=1), width)
-    return order, taken
+    return ranks
+
+
+def _ranked(
+    counts: np.ndarray,
+    ranks: np.ndarray,
+    noise: np.ndarray,
+    cut: float,
+    width: int,
+    threshold_override: float | None,
+) -> tuple[np.ndarray, np.ndarray | float, np.ndarray, np.ndarray, np.ndarray]:
+    """select_gumbel's ranking: above_noisy_threshold's noisy counts, their
+    thresholds and survivors, the sort key (-noisy for a survivor, NaN,
+    which sorts last, for the rest) and the first width + 1 candidates of
+    each row in rank order, survivors first, each part by label."""
+    noisy, surviving, threshold = above_noisy_threshold(counts, noise, cut, threshold_override)
+    key = np.where(surviving, noisy, np.nan)
+    np.negative(key, out=key)
+    order = np.lexsort((np.broadcast_to(ranks, noisy.shape), key), axis=1)[:, : width + 1]
+    return noisy, threshold, surviving, key, order
 
 
 def release_gumbel_topk_batch(
@@ -128,15 +151,31 @@ def release_gumbel_topk_batch(
     as the candidate labels and select_gumbel's (order, taken).
 
     Row i is what the i-th of ``trials`` consecutive ``release_gumbel_topk``
-    calls on rng would draw and release.
+    calls on rng would draw and release.  From SCREEN_FLOOR draws on, the
+    draws are screened (``core.screened_draws``), and a row is made exact if
+    a noisy count lies within ``topk.decision_margin`` of its threshold
+    (``topk.near_threshold``), or two adjacent survivors among the first
+    k + 1 ranked lie within it of each other.  The orders and counts taken
+    are those of exact draws, bit for bit; the noisy values are never
+    released.
     """
     labels, counts, next_count = gumbel_candidates(h, k, kbar)
     threshold = gumbel_threshold(l0_for_threshold, epsilon, delta)
     check_int("trials", trials)
 
-    z = sample_gumbel(1.0 / float(epsilon), rng, (trials, 1 + len(labels)))
-    order, taken = select_gumbel(counts, labels, z, threshold + next_count, k, threshold_override)
-    return labels, order, taken
+    beta = 1.0 / float(epsilon)
+    ranks, width, cut = _label_ranks(labels), min(k, len(labels)), threshold + next_count
+    z, exact = screened_draws("gumbel", beta, rng, (trials, 1 + len(labels)), sample_gumbel)
+    noisy, at, surviving, key, order = _ranked(counts, ranks, z, cut, width, threshold_override)
+    survivors = surviving.sum(axis=1)
+    if exact is not None:
+        margin = decision_margin(beta, counts, cut, threshold_override)
+        # Gaps between adjacent ranked keys: NaN unless both are survivors.
+        close = np.diff(np.take_along_axis(key, order, axis=1), axis=1) <= margin
+        rows = np.unique(np.concatenate((near_threshold(noisy, at, margin), flagged_rows(close))))
+        _, _, surviving, _, order[rows] = _ranked(counts, ranks, exact(rows), cut, width, threshold_override)
+        survivors[rows] = surviving.sum(axis=1)
+    return labels, order[:, :width], np.minimum(survivors, width)
 
 
 def release_gumbel_topk(

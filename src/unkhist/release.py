@@ -27,6 +27,7 @@ from .core import (
     check_sensitivity,
     MAX_DRAW,
     Replay,
+    below_screen_floor,
     gaussian_screen,
     laplace_screen,
     normal_upper_quantile,
@@ -99,7 +100,8 @@ def release_batch(
     calls on rng would release.  Draws are made row by row, in sorted label
     order within a row, in steps of _SCREEN_STEP that may span rows.
 
-    Only the draws that can show are transformed exactly, by the sampler
+    Below ``core.SCREEN_FLOOR`` draws the sampler draws them all.  From it
+    on, only the draws that can show are transformed exactly, by the sampler
     from a ``core.Replay`` of their uniforms, so the mask and the values are
     those of exact draws, bit for bit.  A count that clears the threshold by
     more than MAX_DRAW * scale is above it whatever its draw, so its draw
@@ -134,6 +136,10 @@ def release_batch(
         sampler, screen, name = sample_laplace, laplace_screen, "scale"
     else:
         sampler, screen, name = sample_gaussian, gaussian_screen, "sigma"
+    if below_screen_floor(kept.size):
+        noisy = counts + sampler(scale, rng, kept.shape)
+        kept = noisy > threshold
+        return kept, noisy[kept], threshold
     check_positive(name, scale)
     flat, values = kept.reshape(-1), [np.zeros(0)]
     block = np.empty(min(flat.size, _SCREEN_STEP))

@@ -52,8 +52,10 @@ No total reaches a snapshot before its label is exact, and below the cut no
 exact total can clear the threshold, so the snapshots stay Counter's bit
 for bit.  Once most labels are promoted, the sweep promotes the rest and
 transforms every later draw exactly, since promotions then cost more than
-the screen saves.  ``Counter`` and ``counter_batch`` transform every draw
-exactly.
+the screen saves.  ``Counter`` transforms every draw exactly.
+``counter_batch`` screens by row instead: a Monte-Carlo row whose screened
+totals all stay below the cut releases nothing, and the other rows are
+swept again with their exact noise.
 The sweep's run time now depends on how many labels come near the
 threshold: like the input size, that is operator information, and it never
 goes into a report.
@@ -81,12 +83,14 @@ from .core import (
     check_positive,
     check_probability,
     check_real,
+    flagged_rows,
     gaussian_quantile,
     gaussian_quantiles,
     gaussian_screen,
     normal_upper_quantile,
     sample_gaussian,
     screen_cut,
+    screened_draws,
     standard_normal_quantile,
     validate_label,
 )
@@ -628,14 +632,38 @@ def counter_batch(config: CounterConfig, events: Sequence[StreamEvent], rng: Ran
     axis adds the columns as a single run adds its draws.  Row i is the i-th
     of ``trials`` consecutive single runs on rng.  Every event is checked
     before any noise is drawn.
+
+    From SCREEN_FLOOR draws on, the block is screened (``core.screened_draws``)
+    and the rows with a total above ``core.screen_cut`` are swept again with
+    their exact noise.  The mask and the released totals are those of exact
+    draws, bit for bit; the other rows' totals are screened values.
     """
     check_int("trials", trials)
+    sigma = config.sigma
+    exact = None
 
     def draws(labels: list[str], sizes: list[int]) -> np.ndarray:
+        nonlocal exact
         shape = (trials, sum(sizes))  # one window, so every label is new
-        return sample_gaussian(config.sigma, rng, shape) if config.sigma > 0.0 else np.zeros(shape)
+        if not sigma > 0.0:
+            return np.zeros(shape)
+        noise, exact = screened_draws("gaussian", sigma, rng, shape, sample_gaussian)
+        return noise
 
+    labels, totals = _last_totals(config, events, draws, trials)
+    if exact is not None:
+        cut = screen_cut(config.threshold, sigma, config.depth, float(config.horizon))
+        rows = np.unique(flagged_rows(totals > cut))
+        noise = exact(rows)
+        totals[rows] = _last_totals(config, events, lambda *_: noise, rows.size)[1]
+    return labels, totals, totals > config.threshold
+
+
+def _last_totals(config: CounterConfig, events: Sequence[StreamEvent], draws: Draws,
+                 trials: int) -> tuple[list[str], np.ndarray]:
+    """The labels and their [trials, labels] totals after the last event, from
+    one sweep over the events in one window."""
     labels, totals = [], np.zeros((trials, 0))
     for labels, totals in _sweep(config, events, max(len(events), 1), draws, None, (trials,)):
         pass
-    return labels, totals, totals > config.threshold
+    return labels, totals

@@ -23,8 +23,11 @@ from .core import (
     check_probability,
     check_real,
     check_sensitivity,
+    flagged_rows,
     normal_upper_quantile,
     sample_gaussian,
+    screen_margin,
+    screened_draws,
 )
 from .release import ReleaseReport, release_budget
 
@@ -95,16 +98,37 @@ def topk_threshold(sens: SensitivityBound, epsilon: float, delta: float) -> floa
 
 def above_noisy_threshold(
     counts: np.ndarray, noise: np.ndarray, cut: float, threshold_override: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The noisy counts counts + noise[:, 1:], one row per trial, and which of
-    them exceed the row's noisy threshold cut + noise[:, 0].
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | float]:
+    """The noisy counts counts + noise[:, 1:], one row per trial, which of
+    them exceed the row's noisy threshold cut + noise[:, 0], and that
+    threshold, [trials, 1].
 
     Column 0 of noise is the threshold draw, the rest one per count.
     threshold_override replaces the noisy threshold.
     """
     noisy = counts + noise[:, 1:]
     threshold = cut + noise[:, :1] if threshold_override is None else float(threshold_override)
-    return noisy, noisy > threshold
+    return noisy, noisy > threshold, threshold
+
+
+def decision_margin(scale: float, counts: np.ndarray, cut: float,
+                    threshold_override: float | None = None) -> float:
+    """``core.screen_margin`` for comparing two of above_noisy_threshold's
+    values: two noisy counts, or one and its row's threshold.  An infinite
+    threshold_override adds nothing: it decides every comparison with it
+    (near_threshold)."""
+    threshold = cut if threshold_override is None else float(threshold_override)
+    count = 2.0 * counts.max(initial=0.0) + (abs(threshold) if math.isfinite(threshold) else 0.0)
+    return screen_margin(scale, 2, count)
+
+
+def near_threshold(noisy: np.ndarray, threshold: np.ndarray | float, margin: float) -> np.ndarray:
+    """The rows, with repeats, where a noisy count lies within margin of the
+    row's threshold (above_noisy_threshold's); none if it is an infinite
+    threshold_override."""
+    if np.ndim(threshold) == 0 and math.isinf(threshold):
+        return np.zeros(0, dtype=np.intp)
+    return flagged_rows(np.abs(noisy - threshold) <= margin)
 
 
 def release_topk_batch(
@@ -126,6 +150,13 @@ def release_topk_batch(
     row draws the threshold, then one value per top entry: row i is what
     the i-th of ``trials`` consecutive ``release_topk`` calls on rng would
     draw and release.
+
+    From SCREEN_FLOOR draws on, the draws are screened
+    (``core.screened_draws``), and a row is made exact if it releases an
+    entry or if a noisy count lies within ``decision_margin`` of its
+    threshold (near_threshold).  The mask and the released values are those
+    of exact draws, bit for bit; the unreleased noisy counts of the other
+    rows are screened values.
     """
     trunc = truncate_topk(h, kbar)
     threshold = topk_threshold(sens, epsilon, delta)
@@ -136,8 +167,17 @@ def release_topk_batch(
 
     counts = np.array([count for _, count in trunc.top], dtype=float)
     shape = (trials, 1 + len(counts))
-    z = sample_gaussian(sigma, rng, shape) if sigma > 0.0 else np.zeros(shape)
-    noisy, kept = above_noisy_threshold(counts, z, threshold + trunc.next_count, threshold_override)
+    cut = threshold + trunc.next_count
+    if sigma > 0.0:
+        z, exact = screened_draws("gaussian", sigma, rng, shape, sample_gaussian)
+    else:
+        z, exact = np.zeros(shape), None
+    if exact is not None:
+        noisy, kept, at = above_noisy_threshold(counts, z, cut, threshold_override)
+        margin = decision_margin(sigma, counts, cut, threshold_override)
+        rows = np.unique(np.concatenate((flagged_rows(kept), near_threshold(noisy, at, margin))))
+        z[rows] = exact(rows)
+    noisy, kept, _ = above_noisy_threshold(counts, z, cut, threshold_override)
     return trunc, noisy, kept, threshold
 
 

@@ -40,13 +40,7 @@ from .core import (
 # release, release_topk and release_gumbel_topk stay bound here for
 # perfbench/tracing.py, which wraps these names; the estimators run the
 # *_batch forms.
-from .gumbel import (  # noqa: F401
-    gumbel_candidates,
-    gumbel_threshold,
-    release_gumbel_topk,
-    release_gumbel_topk_batch,
-    select_gumbel,
-)
+from .gumbel import gumbel_candidates, release_gumbel_topk, release_gumbel_topk_batch  # noqa: F401
 from .release import release, release_batch  # noqa: F401
 from .stream import CounterConfig, StreamEvent, active_node_count, counter_batch
 from .topk import release_topk, release_topk_batch, truncate_topk  # noqa: F401
@@ -434,13 +428,12 @@ def sample_gumbel_topk_outcomes(
 ) -> dict[tuple[str, ...], float]:
     """Empirical distribution of ranked outputs over many one-shot runs.
 
-    Ranks through release_gumbel_topk's selection kernel, with the same
-    candidates (gumbel_candidates) and noisy threshold, but maps
-    numpy's vectorised Gumbel transform over one uniform block, for the
-    10^6-trial distance checks.
+    The runs are ``release_gumbel_topk_batch``'s, in batches of up to
+    DELTA_EVENT_BATCH trials, so the distance checks sample the transform
+    and selection rule the CLI runs, in bounded memory.
     """
     check_int("trials", trials)
-    labels, counts, next_count = gumbel_candidates(h, k, kbar)
+    labels = gumbel_candidates(h, k, kbar)[0]
     n = len(labels)
     if n == 0:
         return {(BOTTOM,): 1.0}
@@ -448,19 +441,19 @@ def sample_gumbel_topk_outcomes(
     if (n + 1) ** width > 2**63:
         raise ParameterError("too many ranked outcomes to tabulate")
 
-    cut = gumbel_threshold(l0_for_threshold, epsilon, delta) + next_count
-    u = rng.uniforms(trials * (n + 1)).reshape(trials, n + 1)
-    noise = -(1.0 / epsilon) * np.log(-np.log(u))
-    order, taken = select_gumbel(
-        counts, labels, noise, cut, k, -math.inf if threshold_disabled else None
-    )
-
+    override = -math.inf if threshold_disabled else None
     # Row i as the base-(n+1) number whose digits are its ranked candidates
     # plus one, padded with zeros after the last released one.
-    digits = np.where(np.arange(width) < taken[:, None], order + 1, 0)
-    codes = digits @ (n + 1) ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    places = (n + 1) ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    codes = []
+    for start in range(0, trials, DELTA_EVENT_BATCH):
+        _, order, taken = release_gumbel_topk_batch(
+            h, k, kbar, l0_for_threshold, epsilon, delta, rng, min(DELTA_EVENT_BATCH, trials - start),
+            threshold_override=override,
+        )
+        codes.append(np.where(np.arange(width) < taken[:, None], order + 1, 0) @ places)
     frequencies: dict[tuple[str, ...], float] = {}
-    unique, repeats = np.unique(codes, return_counts=True)
+    unique, repeats = np.unique(np.concatenate(codes), return_counts=True)
     for code, hits in zip(unique.tolist(), repeats.tolist()):
         ranked = []
         for _ in range(width):

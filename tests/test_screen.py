@@ -1,14 +1,17 @@
 """The screens against the exact transforms, and the mechanisms that use them.
 
-``release_batch`` (and so ``release``, its row 0) and ``counter_sweep`` run
+``release_batch`` (and so ``release``, its row 0), ``release_topk_batch``,
+``release_gumbel_topk_batch``, ``counter_batch`` and ``counter_sweep`` run
 the exact, bit-for-bit transform only on the draws that can show: a cheap
-screen (``core.gaussian_screen``, ``core.laplace_screen``) decides which,
-and a draw whose screened value comes within ``core.screen_cut``'s margin
-of the threshold is made exact.  The screens must stay far inside their
-stated bound, and the mechanisms must release exactly what the fully exact
-paths release, also when the threshold sits on an exact noisy value or one
-float either side of it, and consecutive ``release`` calls must be the
-rows of one ``release_batch``.
+screen (``core.gaussian_screen``, ``core.laplace_screen``,
+``core.gumbel_screen``) decides which, and a draw, or a Monte-Carlo row,
+whose decisions come within ``core.screen_margin`` of a screened value is
+made exact.  The screens must stay far inside their stated bound, and the
+mechanisms must release exactly what the fully exact paths release, also
+when the threshold sits on an exact noisy value or one float either side of
+it, and consecutive ``release`` calls must be the rows of one
+``release_batch``.  Blocks below ``core.SCREEN_FLOOR`` draws are not
+screened; the tests set the floor to 0 to screen small inputs too.
 """
 
 import dataclasses
@@ -33,16 +36,20 @@ from unkhist.core import (
     SensitivityBound,
     gaussian_quantiles,
     gaussian_screen,
+    gumbel_screen,
     laplace_screen,
 )
+from unkhist.gumbel import gumbel_candidates, gumbel_threshold, release_gumbel_topk_batch, select_gumbel
 from unkhist.release import release, release_batch
-from unkhist.stream import Counter, CounterConfig, StreamEvent, counter_sweep
+from unkhist.stream import Counter, CounterConfig, StreamEvent, counter_batch, counter_sweep
+from unkhist.topk import release_topk_batch, topk_threshold, truncate_topk
 
 release_module = importlib.import_module("unkhist.release")  # the package exports the function
 
 LAWS = {
     "gaussian": (gaussian_screen, gaussian_quantiles),
     "laplace": (laplace_screen, core._laplace_quantiles),
+    "gumbel": (gumbel_screen, core._gumbel_quantiles),
 }
 
 
@@ -83,6 +90,30 @@ def test_screens_on_a_million_draws():
 )
 def test_screens_within_a_hundredth_of_their_bound(p, scale):
     assert_within_a_hundredth(np.array(p), scale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.lists(
+        st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            st.floats(0.0, 1e-290, exclude_min=True),
+            # Near 1, -log(u) is tiny and the outer log large; near 1/e the
+            # outer log crosses 0, where its error is absolute.
+            st.floats(1.0 - 1e-9, 1.0, exclude_max=True),
+            st.floats(math.exp(-1.0) - 1e-9, math.exp(-1.0) + 1e-9),
+            st.sampled_from(EDGES),
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+    beta=st.floats(1e-3, 1e3),
+)
+def test_gumbel_screen_within_a_hundredth_of_its_bound(p, beta):
+    p = np.array(p)
+    error = np.abs(gumbel_screen(p, beta) - core._gumbel_quantiles(p, beta))
+    bound = SCREEN_ERROR * (beta + np.abs(gumbel_screen(p, beta)))
+    assert (error <= bound / 100).all(), (error / bound).max()
 
 
 def test_max_draw_bounds_every_uniform():
@@ -134,9 +165,10 @@ def single_runs(h, noise, seed, trials, **hooks):
 
 @pytest.mark.parametrize("noise", ["laplace", "gaussian"])
 @pytest.mark.parametrize("base", [1, 2**53 - 40, 2**60])
-def test_release_at_a_threshold_on_an_exact_noisy_count(noise, base):
+def test_release_at_a_threshold_on_an_exact_noisy_count(noise, base, monkeypatch):
     # Near 2^53 and 2^60, count + z rounds to a float grid as coarse as the
     # noise, so that many noisy counts tie.
+    monkeypatch.setattr(core, "SCREEN_FLOOR", 0)
     h = Histogram({f"l{i:02d}": base + i for i in range(60)})
     seed = 5
     every = exact_release(h, noise, seed, -math.inf)
@@ -168,9 +200,11 @@ def test_release_matches_the_exact_path_at_any_threshold(counts, noise, scale, s
     threshold = values[pick % len(values)]
     if side is not None:
         threshold = float(np.nextafter(threshold, side))
-    report = release(h, SENS, noise, 1.0, 1e-6, RandomSource(seed),
-                     scale_override=scale, threshold_override=threshold)  # fmt: skip
-    assert repr(report.released) == repr(exact_release(h, noise, seed, threshold, scale))
+    for floor in (0, core.SCREEN_FLOOR):  # screened, and as small inputs are drawn
+        with mock.patch.object(core, "SCREEN_FLOOR", floor):
+            report = release(h, SENS, noise, 1.0, 1e-6, RandomSource(seed),
+                             scale_override=scale, threshold_override=threshold)  # fmt: skip
+        assert repr(report.released) == repr(exact_release(h, noise, seed, threshold, scale))
 
 
 @pytest.mark.parametrize("noise", ["laplace", "gaussian"])
@@ -213,18 +247,20 @@ def test_release_is_row_i_of_release_batch_across_a_step(noise):
 )
 def test_release_is_row_i_of_release_batch_at_the_hooks(noise, hooks):
     h = Histogram({f"h{i:02d}": 5 + i % 4 for i in range(40)})
-    rows = batch_rows(h, noise, 8, 3, **hooks)
-    assert repr(rows) == repr(single_runs(h, noise, 8, 3, **hooks))
-    default = release(h, SENS, noise, 1.0, 1e-6, RandomSource(8)).threshold
-    threshold = hooks.get("threshold_override", default)
-    if "scale_override" in hooks:
-        assert rows == [{label: float(count) for label, count in h.items() if count > threshold}] * 3
-    else:
-        assert repr(rows) == repr(exact_rows(h, noise, 8, threshold, trials=3))
-    with pytest.raises(IngestionError, match="below the ingestion floor 6$"):
-        batch_rows(h, noise, 8, 3, **{**hooks, "min_count": 6})
-    with pytest.raises(IngestionError, match="below the ingestion floor 6$"):
-        single_runs(h, noise, 8, 3, **{**hooks, "min_count": 6})
+    for floor in (0, core.SCREEN_FLOOR):  # screened, and as small inputs are drawn
+        with mock.patch.object(core, "SCREEN_FLOOR", floor):
+            rows = batch_rows(h, noise, 8, 3, **hooks)
+            assert repr(rows) == repr(single_runs(h, noise, 8, 3, **hooks))
+            default = release(h, SENS, noise, 1.0, 1e-6, RandomSource(8)).threshold
+            threshold = hooks.get("threshold_override", default)
+            if "scale_override" in hooks:
+                assert rows == [{label: float(count) for label, count in h.items() if count > threshold}] * 3
+            else:
+                assert repr(rows) == repr(exact_rows(h, noise, 8, threshold, trials=3))
+            with pytest.raises(IngestionError, match="below the ingestion floor 6$"):
+                batch_rows(h, noise, 8, 3, **{**hooks, "min_count": 6})
+            with pytest.raises(IngestionError, match="below the ingestion floor 6$"):
+                single_runs(h, noise, 8, 3, **{**hooks, "min_count": 6})
 
 
 @pytest.mark.parametrize("noise", ["laplace", "gaussian"])
@@ -254,6 +290,162 @@ def test_release_transforms_the_draws_that_can_show(noise, monkeypatch):
     report = release(head, SENS, noise, 1.0, 1e-6, RandomSource(3))
     assert len(report.released) == len(head) == sum(exact_seen)
     assert sum(screen_seen) == 0
+
+
+def exact_topk(h, kbar, seed, trials, threshold):
+    """release_topk_batch's mask and noisy counts with every draw exact: the
+    counts plus sample_gaussian's block, against the noisy threshold (None)
+    or the threshold given."""
+    trunc = truncate_topk(h, kbar)
+    counts = np.array([count for _, count in trunc.top], dtype=float)
+    z = core.sample_gaussian(1.0, RandomSource(seed), (trials, 1 + len(counts)))
+    cut = topk_threshold(SENS, 1.0, 1e-6) + trunc.next_count
+    noisy = counts + z[:, 1:]
+    return noisy > (cut + z[:, :1] if threshold is None else threshold), noisy
+
+
+def thresholds_on(noisy):
+    """Some of the noisy values, each with the floats either side, and the
+    hooks' other thresholds: none (the noisy one) and +-inf.  Half are row
+    maxima, so that one value decides whether its row releases anything."""
+    values, tops = np.sort(noisy.ravel()), np.sort(noisy.max(axis=1))
+    picks = np.concatenate((values[:: max(len(values) // 4, 1)], tops[:: max(len(tops) // 4, 1)]))
+    on = [float(np.nextafter(v, side)) for v in picks for side in (-math.inf, v, math.inf)]
+    return on + [None, -math.inf, math.inf]
+
+
+@pytest.mark.parametrize("base", [1, 2**53 - 40, 2**60])
+def test_topk_batch_at_a_threshold_on_an_exact_noisy_count(base, monkeypatch):
+    monkeypatch.setattr(core, "SCREEN_FLOOR", 0)
+    h = Histogram({f"l{i:02d}": base + i for i in range(40)})
+    kbar, trials, seed = 30, 50, 5
+    for threshold in thresholds_on(exact_topk(h, kbar, seed, trials, -math.inf)[1]):
+        trunc, noisy, kept, _ = release_topk_batch(h, kbar, SENS, 1.0, 1e-6, RandomSource(seed), trials,
+                                                   threshold_override=threshold)  # fmt: skip
+        expected_kept, expected = exact_topk(h, kbar, seed, trials, threshold)
+        assert len(trunc.top) == kbar and kept.tolist() == expected_kept.tolist()
+        assert repr(noisy[kept].tolist()) == repr(expected[expected_kept].tolist())
+
+
+def exact_gumbel(h, k, kbar, seed, trials, threshold):
+    """release_gumbel_topk_batch's candidates, order and taken with every
+    draw exact: select_gumbel over sample_gumbel's block, and the noisy counts."""
+    labels, counts, next_count = gumbel_candidates(h, k, kbar)
+    z = core.sample_gumbel(1.0, RandomSource(seed), (trials, 1 + len(labels)))
+    cut = gumbel_threshold(1, 1.0, 0.05) + next_count
+    return labels, *select_gumbel(counts, labels, z, cut, k, threshold), counts + z[:, 1:]
+
+
+@pytest.mark.parametrize("base", [1, 2**53 - 40, 2**60])
+def test_gumbel_batch_at_a_threshold_on_an_exact_noisy_count(base, monkeypatch):
+    # Counts in threes, so that noisy counts come close in rank; near 2^53
+    # and 2^60 they tie.
+    monkeypatch.setattr(core, "SCREEN_FLOOR", 0)
+    h = Histogram({f"g{i:02d}": base + i // 3 for i in range(30)})
+    k, kbar, trials, seed = 6, 24, 40, 9
+    for threshold in thresholds_on(exact_gumbel(h, k, kbar, seed, trials, None)[3]):
+        labels, order, taken = release_gumbel_topk_batch(h, k, kbar, 1, 1.0, 0.05, RandomSource(seed), trials,
+                                                         threshold_override=threshold)  # fmt: skip
+        expected_labels, expected_order, expected_taken, _ = exact_gumbel(h, k, kbar, seed, trials, threshold)
+        assert labels == expected_labels
+        assert order.tolist() == expected_order.tolist() and taken.tolist() == expected_taken.tolist()
+
+
+def counted_exact_draws(monkeypatch):
+    """A list that each exact transform of screened_draws appends its draw count to."""
+    draws = []
+
+    def counted(transform):
+        def exact(u, scale, *args):
+            draws.append(u.size)
+            return transform(u, scale, *args)
+
+        return exact
+
+    for law, (name, screen, transform) in list(core._SCREENS.items()):
+        monkeypatch.setitem(core._SCREENS, law, (name, screen, counted(transform)))
+    return draws
+
+
+def test_gumbel_batch_ranks_near_ties_exactly(monkeypatch):
+    # Equal counts near 2^46, where the margin (about 0.2) is wide beside the
+    # float spacing (2^-6): many adjacent survivors come within it of each
+    # other without tying, and their exact draws decide their order.
+    monkeypatch.setattr(core, "SCREEN_FLOOR", 0)
+    exact = counted_exact_draws(monkeypatch)
+    h = Histogram({"a": 2**46, "b": 2**46, "c": 2**46})
+    trials = 2000
+    labels, order, taken = release_gumbel_topk_batch(h, 2, 3, 1, 1.0, 0.05, RandomSource(3), trials,
+                                                     threshold_override=-math.inf)  # fmt: skip
+    _, expected_order, expected_taken, _ = exact_gumbel(h, 2, 3, 3, trials, -math.inf)
+    assert order.tolist() == expected_order.tolist() and taken.tolist() == expected_taken.tolist()
+    assert len(exact) == 1 and 0 < exact[0] < 4 * trials / 2
+
+
+def exact_counter(config, events, seed, trials):
+    """counter_batch with every draw exact: below the floor, nothing is screened."""
+    with mock.patch.object(core, "SCREEN_FLOOR", math.inf):
+        return counter_batch(config, events, RandomSource(seed), trials)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    horizon=st.integers(1, 40),
+    seed=st.integers(0, 2**32),
+    pick=st.integers(0, 10**6),
+    side=st.sampled_from([-math.inf, None, math.inf]),
+)
+def test_counter_batch_at_a_threshold_on_an_exact_total(horizon, seed, pick, side):
+    events = small_stream(horizon, ["a", "b", "c", "d", "e", "f"], seed)
+    config = CounterConfig.from_privacy(horizon, 2, 1.0, 0.5, seed)
+    trials = 12
+    totals = exact_counter(dataclasses.replace(config, threshold=-math.inf), events, seed, trials)[1]
+    if not totals.size:
+        return
+    threshold = float(totals.ravel()[pick % totals.size])
+    if side is not None:
+        threshold = float(np.nextafter(threshold, side))
+    for threshold in (threshold, -math.inf, math.inf):
+        at = dataclasses.replace(config, threshold=threshold)
+        with mock.patch.object(core, "SCREEN_FLOOR", 0):
+            labels, totals, released = counter_batch(at, events, RandomSource(seed), trials)
+        expected_labels, expected, expected_released = exact_counter(at, events, seed, trials)
+        assert labels == expected_labels and released.tolist() == expected_released.tolist()
+        assert repr(totals[released].tolist()) == repr(expected[expected_released].tolist())
+
+
+@pytest.mark.parametrize("law", ["gaussian", "gumbel"])
+def test_blocks_below_the_floor_are_not_screened(law):
+    # Below the floor the sampler draws the block: the draws the screened
+    # path makes exact, leaving the source where it leaves it.
+    def refused(u, scale):
+        raise AssertionError("screened below the floor")
+
+    name, _, transform = core._SCREENS[law]
+    sample = core.sample_gaussian if law == "gaussian" else core.sample_gumbel
+    for size in [(1, 1), (3, 5), (1, core.SCREEN_FLOOR - 1)]:
+        rng, screened_rng = RandomSource(4), RandomSource(4)
+        with mock.patch.dict(core._SCREENS, {law: (name, refused, transform)}):
+            block, exact = core.screened_draws(law, 2.0, rng, size, sample)
+        assert exact is None and block.tobytes() == sample(2.0, RandomSource(4), size).tobytes()
+        with mock.patch.object(core, "SCREEN_FLOOR", 0):
+            _, exact = core.screened_draws(law, 2.0, screened_rng, size, sample)
+        assert exact(np.arange(size[0])).tobytes() == block.tobytes()
+        assert screened_rng.uniform() == rng.uniform()
+
+
+def test_kernels_transform_few_rows_exactly(monkeypatch):
+    # The validate suites' boundary pairs: about one run in twenty releases a
+    # label, and few others come near a decision.
+    exact = counted_exact_draws(monkeypatch)
+    trials = 20_000
+    release_topk_batch(Histogram({"b": 6, "a": 5}), 1, SENS, 1.0, 0.05, RandomSource(1), trials)
+    release_gumbel_topk_batch(Histogram({"b": 5, "a": 4}), 1, 1, 1, 1.0, 0.05, RandomSource(1), trials)
+    config = CounterConfig.from_privacy(7, 1, 1.0, 0.05, 0)
+    events = [StreamEvent(r, ["a"] if r == 7 else []) for r in range(1, 8)]
+    counter_batch(config, events, RandomSource(1), trials)
+    # Each block holds two draws a run (threshold and label), the stream's three.
+    assert len(exact) == 3 and all(0 < n <= 0.1 * m * trials for n, m in zip(exact, [2, 2, 3])), exact
 
 
 def small_stream(horizon, labels, seed):

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unkhist import core
 from unkhist import stream as stream_module
 from unkhist.accountant import CdpBudget
 from unkhist.core import ParameterError, RandomSource, sample_gaussian
@@ -172,48 +173,57 @@ def _noise_layout(events):
     trials=st.integers(1, 5),
 )
 def test_counter_batch_rows_match_hooked_counters(stream, sigma, threshold, seed, trials):
+    # The mask and the released totals are exact at any threshold; every
+    # total is exact at -inf, where each one is released.  The floor at 0
+    # screens even these small blocks.
     horizon, l0, events = stream
     config = _config(horizon, l0, sigma, threshold, seed)
-    labels, totals, released = counter_batch(config, events, RandomSource(seed), trials)
-
+    unmasked = dataclasses.replace(config, threshold=-math.inf)
     layout, draws = _noise_layout(events)
-    assert labels == list(layout)
-    assert totals.shape == released.shape == (trials, len(labels))
     shape = (trials, draws)
     block = sample_gaussian(sigma, RandomSource(seed), shape) if sigma else np.zeros(shape)
-    unmasked = dataclasses.replace(config, threshold=-math.inf)
-    for row, row_totals, row_released in zip(block.tolist(), totals, released):
-        feeds = {}
+    for floor in (0, core.SCREEN_FLOOR):
+        with mock.patch.object(core, "SCREEN_FLOOR", floor):
+            labels, totals, released = counter_batch(config, events, RandomSource(seed), trials)
+            _, every_totals, every_released = counter_batch(unmasked, events, RandomSource(seed), trials)
+        assert labels == list(layout)
+        assert totals.shape == released.shape == every_totals.shape == (trials, len(labels))
+        assert every_released.all()
+        for row, row_totals, row_released, row_every in zip(block.tolist(), totals, released, every_totals):
+            feeds = {}
 
-        def hook(label):
-            start, stop = layout[label]
-            feeds[label] = iter(row[start:stop])
-            return feeds[label].__next__
+            def hook(label):
+                start, stop = layout[label]
+                feeds[label] = iter(row[start:stop])
+                return feeds[label].__next__
 
-        scalar, every = Counter(config, noise=hook), Counter(unmasked, noise=hook)
-        for event in events:
-            snapshot, snapshot_all = scalar.observe(event), every.observe(event)
-        # Every label drew exactly its columns, in order.
-        assert all(next(feed, None) is None for feed in feeds.values())
-        assert repr(row_totals.tolist()) == repr([snapshot_all[label] for label in labels])
-        assert {label for label, hit in zip(labels, row_released) if hit} == set(snapshot)
-        assert repr(snapshot) == repr({label: snapshot_all[label] for label in snapshot})
+            scalar, every = Counter(config, noise=hook), Counter(unmasked, noise=hook)
+            for event in events:
+                snapshot, snapshot_all = scalar.observe(event), every.observe(event)
+            # Every label drew exactly its columns, in order.
+            assert all(next(feed, None) is None for feed in feeds.values())
+            assert repr(row_every.tolist()) == repr([snapshot_all[label] for label in labels])
+            hits = {label: total for label, total, hit in zip(labels, row_totals.tolist(), row_released) if hit}
+            assert repr(dict(sorted(hits.items()))) == repr(snapshot)
+            assert repr(snapshot) == repr({label: snapshot_all[label] for label in snapshot})
 
 
 @settings(max_examples=50, deadline=None)
 @given(stream=streams(), seed=st.integers(0, 2**32), trials=st.integers(1, 5))
 def test_counter_batch_is_consecutive_single_runs(stream, seed, trials):
+    # The released totals agree; at threshold -inf every total is released.
     horizon, l0, events = stream
     config = CounterConfig.from_privacy(horizon, l0, 1.0, 0.5, seed)
-    labels, totals, released = counter_batch(config, events, RandomSource(seed), trials)
-    rng = RandomSource(seed)
-    for row_totals, row_released in zip(totals, released):
-        single_labels, single_totals, single_released = counter_batch(config, events, rng, 1)
-        assert single_labels == labels
-        assert repr(single_totals[0].tolist()) == repr(row_totals.tolist())
-        assert single_released[0].tolist() == row_released.tolist()
-    # The batch drew what the single runs drew, and nothing more.
-    assert rng.uniform() == RandomSource(seed).uniforms(trials * _noise_layout(events)[1] + 1)[-1]
+    for config in (config, dataclasses.replace(config, threshold=-math.inf)):
+        labels, totals, released = counter_batch(config, events, RandomSource(seed), trials)
+        rng = RandomSource(seed)
+        for row_totals, row_released in zip(totals, released):
+            single_labels, single_totals, single_released = counter_batch(config, events, rng, 1)
+            assert single_labels == labels
+            assert single_released[0].tolist() == row_released.tolist()
+            assert repr(single_totals[0, row_released].tolist()) == repr(row_totals[row_released].tolist())
+        # The batch drew what the single runs drew, and nothing more.
+        assert rng.uniform() == RandomSource(seed).uniforms(trials * _noise_layout(events)[1] + 1)[-1]
 
 
 @settings(max_examples=150, deadline=None)
