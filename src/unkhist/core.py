@@ -461,26 +461,6 @@ class RandomSource:
         return u
 
 
-class Replay:
-    """Uniforms already drawn from a RandomSource, handed back in order by
-    ``uniforms`` as the source handed them out.  A block sampler given a
-    Replay for its rng transforms exactly these draws."""
-
-    __slots__ = ("_u", "_at")
-
-    def __init__(self, u: np.ndarray):
-        self._u = u
-        self._at = 0
-
-    def uniforms(self, n: int) -> np.ndarray:
-        start = self._at
-        stop = start + check_int("n", n, 0)
-        if stop > self._u.size:
-            raise ParameterError(f"{n} uniforms asked for, {self._u.size - start} left")
-        self._at = stop
-        return self._u[start:stop]
-
-
 def laplace_inverse_cdf(u: float, scale: float) -> float:
     """Quantile of Lap(scale): scale*ln(2u) below the median, -scale*ln(2(1-u)) above."""
     check_positive("scale", scale)
@@ -837,13 +817,30 @@ def gumbel_screen(u: np.ndarray, beta: float) -> np.ndarray:
 #: Each screened law's sampler argument name, screen and exact block transform.
 _SCREENS = {
     "gaussian": ("sigma", gaussian_screen, gaussian_quantiles),
+    "laplace": ("scale", laplace_screen, _laplace_quantiles),
     "gumbel": ("beta", gumbel_screen, _gumbel_quantiles),
 }
 
 
-def below_screen_floor(draws: int) -> bool:
-    """Whether a block of this many draws is drawn unscreened (SCREEN_FLOOR)."""
-    return draws < SCREEN_FLOOR
+def screen(law: str, scale: float, u: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """The screened draws of law ("gaussian", "laplace" or "gumbel") at this
+    scale from the uniforms u, and exact(index), the exact draws of
+    ``u[index]`` in its shape: bit for bit what ``sample_<law>`` makes of
+    those uniforms.  index is a row array of a [trials, m] block, or a mask
+    or flat positions for single draws.
+
+    The caller makes exact the draws, or the rows, whose decisions lie
+    within ``screen_margin`` of a screened value, and those alone; exact
+    holds u until it is dropped.
+    """
+    name, screened, transform = _SCREENS[law]
+    check_positive(name, scale)
+
+    def exact(index: np.ndarray) -> np.ndarray:
+        v = u[index]
+        return transform(v.reshape(-1), scale).reshape(v.shape)
+
+    return screened(u, scale), exact
 
 
 def screened_draws(
@@ -851,25 +848,20 @@ def screened_draws(
     sample: Callable[[float, RandomSource, tuple[int, int]], np.ndarray],
 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray] | None]:
     """The [trials, m] block ``sample(scale, rng, size)`` draws, screened, and
-    exact(rows), the exact draws of those rows, bit for bit what sample gives
-    them; law is sample's, "gaussian" or "gumbel".
+    ``screen``'s exact for its uniforms; law is sample's.
 
     The uniforms are drawn as ``_quantile_block`` draws them, in the same
     steps and with the same zero redraws, so the source ends where it would.
-    The caller flags the rows whose decisions lie within ``screen_margin`` of
-    a screened value and asks for those alone.  Below SCREEN_FLOOR draws the
-    block is sample's own, and exact is None.
+    Below SCREEN_FLOOR draws the block is sample's own, and exact is None.
     """
-    if below_screen_floor(size[0] * size[1]):
+    if size[0] * size[1] < SCREEN_FLOOR:
         return sample(scale, rng, size), None
-    name, screen, transform = _SCREENS[law]
-    check_positive(name, scale)
     u = np.empty(size)
     flat = u.reshape(-1)
     for start in range(0, flat.size, _BLOCK_STEP):
         step = flat[start : start + _BLOCK_STEP]
         rng.uniforms(step.size, out=step)
-    return screen(u, scale), lambda rows: transform(u[rows].reshape(-1), scale).reshape(rows.size, size[1])
+    return screen(law, scale, u)
 
 
 def flagged_rows(mask: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from .core import (
     sample_gumbel,
     screened_draws,
 )
-from .topk import above_noisy_threshold, decision_margin, near_threshold, truncate_topk
+from .topk import above_noisy_threshold, decision_margin, truncate_topk
 
 __all__ = [
     "RankedList",
@@ -153,11 +153,10 @@ def release_gumbel_topk_batch(
     Row i is what the i-th of ``trials`` consecutive ``release_gumbel_topk``
     calls on rng would draw and release.  From SCREEN_FLOOR draws on, the
     draws are screened (``core.screened_draws``), and a row is made exact if
-    a noisy count lies within ``topk.decision_margin`` of its threshold
-    (``topk.near_threshold``), or two adjacent survivors among the first
-    k + 1 ranked lie within it of each other.  The orders and counts taken
-    are those of exact draws, bit for bit; the noisy values are never
-    released.
+    a noisy count lies within ``topk.decision_margin`` of its threshold, or
+    two adjacent survivors among the first k + 1 ranked lie within it of
+    each other.  The orders and counts taken are those of exact draws, bit
+    for bit; the noisy values are never released.
     """
     labels, counts, next_count = gumbel_candidates(h, k, kbar)
     threshold = gumbel_threshold(l0_for_threshold, epsilon, delta)
@@ -172,7 +171,8 @@ def release_gumbel_topk_batch(
         margin = decision_margin(beta, counts, cut, threshold_override)
         # Gaps between adjacent ranked keys: NaN unless both are survivors.
         close = np.diff(np.take_along_axis(key, order, axis=1), axis=1) <= margin
-        rows = np.unique(np.concatenate((near_threshold(noisy, at, margin), flagged_rows(close))))
+        near = np.abs(noisy - at) <= margin  # none at an infinite threshold_override
+        rows = np.unique(np.concatenate((flagged_rows(near), flagged_rows(close))))
         _, _, surviving, _, order[rows] = _ranked(counts, ranks, exact(rows), cut, width, threshold_override)
         survivors[rows] = surviving.sum(axis=1)
     return labels, order[:, :width], np.minimum(survivors, width)

@@ -25,15 +25,11 @@ from .core import (
     check_probability,
     check_real,
     check_sensitivity,
-    MAX_DRAW,
-    Replay,
-    below_screen_floor,
-    gaussian_screen,
-    laplace_screen,
     normal_upper_quantile,
     sample_gaussian,
     sample_laplace,
     screen_cut,
+    screened_draws,
 )
 
 __all__ = [
@@ -97,17 +93,13 @@ def release_batch(
     entries in sorted label order (``h.labels()``, or ``h.labels_at`` for a
     few), their noisy counts in row-major order, and the threshold they
     cleared.  Row i is what the i-th of ``trials`` consecutive ``release``
-    calls on rng would release.  Draws are made row by row, in sorted label
-    order within a row, in steps of _SCREEN_STEP that may span rows.
+    calls on rng would release: the draws are made row by row, in sorted
+    label order within a row.
 
-    Below ``core.SCREEN_FLOOR`` draws the sampler draws them all.  From it
-    on, only the draws that can show are transformed exactly, by the sampler
-    from a ``core.Replay`` of their uniforms, so the mask and the values are
-    those of exact draws, bit for bit.  A count that clears the threshold by
-    more than MAX_DRAW * scale is above it whatever its draw, so its draw
-    goes to the sampler unscreened.  Every other draw is screened, and goes
-    to the sampler only if its screened noisy count exceeds ``screen_cut``
-    for one draw and the step's largest such count.
+    The block is drawn by ``core.screened_draws``, and a draw is made exact
+    if its screened noisy count exceeds ``screen_cut`` for one draw and the
+    largest count: the mask and the values are those of exact draws, bit
+    for bit.  Below ``core.SCREEN_FLOOR`` draws every draw is exact.
     """
     h = Histogram.coerce(h)
     if noise not in ("laplace", "gaussian"):
@@ -126,43 +118,18 @@ def release_batch(
         label, count = h.labels_at(below[:1])[0], int(counts[below[0]])
         raise IngestionError(f"count for {label!r} is {count}, below the ingestion floor {min_count}")
 
-    n = counts.size
-    kept = np.zeros((trials, n), dtype=bool)
+    c = counts.astype(float)
     if scale == 0.0:
-        counts = counts.astype(float)
-        kept[:] = counts > threshold
-        return kept, np.tile(counts[kept[0]], trials), threshold
-    if noise == "laplace":
-        sampler, screen, name = sample_laplace, laplace_screen, "scale"
-    else:
-        sampler, screen, name = sample_gaussian, gaussian_screen, "sigma"
-    if below_screen_floor(kept.size):
-        noisy = counts + sampler(scale, rng, kept.shape)
-        kept = noisy > threshold
-        return kept, noisy[kept], threshold
-    check_positive(name, scale)
-    flat, values = kept.reshape(-1), [np.zeros(0)]
-    block = np.empty(min(flat.size, _SCREEN_STEP))
-    for start in range(0, flat.size, _SCREEN_STEP):
-        size = min(_SCREEN_STEP, flat.size - start)
-        u = rng.uniforms(size, out=block[:size])
-        at = start % n  # a step that spans rows gathers its counts
-        c = (counts[at : at + size] if at + size <= n else counts[np.arange(at, at + size) % n]).astype(float)
-        seen = c > threshold + MAX_DRAW * scale
-        rest = np.flatnonzero(~seen)
-        cut = screen_cut(threshold, scale, 1, c[rest].max(initial=0.0))
-        seen[rest[c[rest] + screen(u[rest], scale) > cut]] = True
-        seen = np.flatnonzero(seen)
-        if seen.size:
-            noisy = c[seen] + sampler(scale, Replay(u[seen]), seen.shape)
-            above = noisy > threshold
-            flat[seen[above] + start] = True
-            values.append(noisy[above])
-    return kept, np.concatenate(values), threshold
-
-
-#: Draws per step of release_batch, whose screen keeps a dozen temporaries.
-_SCREEN_STEP = 2**14
+        kept = np.tile(c > threshold, (trials, 1))
+        return kept, np.tile(c[kept[0]], trials), threshold
+    sampler = sample_laplace if noise == "laplace" else sample_gaussian
+    noisy, exact = screened_draws(noise, scale, rng, (trials, c.size), sampler)
+    noisy += c  # screened, unless exact is None
+    if exact is not None:
+        seen = noisy > screen_cut(threshold, scale, 1, c.max(initial=0.0))
+        noisy[seen] = np.broadcast_to(c, seen.shape)[seen] + exact(seen)
+    kept = noisy > threshold
+    return kept, noisy[kept], threshold
 
 
 def release(
@@ -184,9 +151,10 @@ def release(
     must have count >= min_count (default 1: only positive-count items are
     accepted; raise the floor for histograms truncated at a known value).
     The run is row 0 of ``release_batch``, which draws in sorted label order
-    and transforms exactly only the draws that can show; only survivors'
-    labels are looked up.  The run time depends on how many draws land near
-    T: like the input size, operator information, never part of the report.
+    and transforms exactly only the draws that can show (``core.screen``);
+    only survivors' labels are looked up.  The run time depends on how many
+    draws land near T: like the input size, operator information, never
+    part of the report.
 
     scale_override and threshold_override are test hooks; scale 0 makes the
     release a deterministic count-above-threshold filter.

@@ -40,14 +40,14 @@ picks Counter or the sweep for a stream as it reads it (SWEEP_MIN_LABELS).
 
 ``counter_sweep`` runs the exact transform only on noise that can show.
 Most labels never come near the threshold, so each window's draws go
-through ``core.gaussian_screen``, a cheap numpy transform within
-``core.SCREEN_ERROR * (sigma + |screen|)`` of the exact one.  A label whose
-screened total exceeds ``core.screen_cut`` (the threshold less a margin
-that bounds how far a screened total of at most depth draws and horizon
-counts can stray from the exact one; its derivation is in ``screen_cut``)
-is promoted: its stack is rebuilt bit for bit from the uniforms of its
-active nodes, drawn again from its child stream, and its noise is exact
-from then on.
+through ``core.screen``, whose screened values lie within
+``core.SCREEN_ERROR * (sigma + |screen|)`` of the exact ones, and whose
+exact makes the promoted labels' draws exact.  A label whose screened total
+exceeds ``core.screen_cut`` (the threshold less a margin that bounds how
+far a screened total of at most depth draws and horizon counts can stray
+from the exact one; its derivation is in ``screen_cut``) is promoted: its
+stack is rebuilt bit for bit from the uniforms of its active nodes, drawn
+again from its child stream, and its noise is exact from then on.
 No total reaches a snapshot before its label is exact, and below the cut no
 exact total can clear the threshold, so the snapshots stay Counter's bit
 for bit.  Once most labels are promoted, the sweep promotes the rest and
@@ -86,9 +86,9 @@ from .core import (
     flagged_rows,
     gaussian_quantile,
     gaussian_quantiles,
-    gaussian_screen,
     normal_upper_quantile,
     sample_gaussian,
+    screen,
     screen_cut,
     screened_draws,
     standard_normal_quantile,
@@ -396,7 +396,7 @@ Screen = tuple[float, Callable[[str, int], np.ndarray]]
 
 
 def _sweep(config: CounterConfig, events: Iterable[StreamEvent], window: int, draws: Draws,
-           screen: Screen | None, lead: tuple[int, ...] = ()
+           screened: Screen | None, lead: tuple[int, ...] = ()
            ) -> Iterator[tuple[list[str], np.ndarray]]:
     """Counter.observe for every label at once: after each event, the labels
     in order of arrival and their [*lead, labels] running totals.
@@ -408,11 +408,13 @@ def _sweep(config: CounterConfig, events: Iterable[StreamEvent], window: int, dr
     labels], and each sum takes the float64 additions the scalar stack takes.
 
     The caller gives the noise (``counter_sweep`` Counter's, from
-    ``_child_draws``).  With a screen, the draws are uniforms, and a label
-    runs on ``gaussian_screen`` noise until its total exceeds the cut.  Then
-    ``_promote`` makes its sums and later noise exact, from uniforms the
-    screen's replay draws again: the sweep keeps none past the window.
-    Below the cut no exact total clears the threshold.
+    ``_child_draws``).  If screened, the draws are uniforms, which each
+    window runs through ``core.screen``, and a label runs on screened noise
+    until its total exceeds the cut.  Then ``_promote`` makes its sums and
+    later noise exact, from uniforms the replay draws again, and its draws
+    in later windows go through the screen's exact: the sweep keeps no
+    uniforms past the window.  Below the cut no exact total clears the
+    threshold.
 
     A promotion costs as much as a few hundred exact draws (tens of
     microseconds), so the screen pays only while most labels stay below the
@@ -423,8 +425,8 @@ def _sweep(config: CounterConfig, events: Iterable[StreamEvent], window: int, dr
     """
     depth = config.depth
     sigma = config.sigma
-    screening = screen is not None  # until most labels are promoted
-    cut, replay = screen or (math.inf, None)
+    screening = screened is not None  # until most labels are promoted
+    cut, replay = screened or (math.inf, None)
     labels: list[str] = []
     debuts: list[int] = []
     index: dict[str, int] = {}
@@ -460,8 +462,12 @@ def _sweep(config: CounterConfig, events: Iterable[StreamEvent], window: int, dr
                 cuts = np.concatenate((cuts, np.full(new, cut)))
         drawn = draws(labels[old:], sizes)
         if screening:
-            drawn = _screened_noise(drawn, cuts[:old] == math.inf, width, sigma)
-        elif screen is not None:  # the draws are uniforms, no longer screened
+            drawn, exact = screen("gaussian", sigma, drawn)
+            # The promoted labels' draws, width each: the old labels' come first.
+            promoted = np.flatnonzero(cuts[:old] == math.inf)[:, None] * width + np.arange(width)
+            drawn[promoted] = exact(promoted)
+            del exact  # and with it the window's uniforms
+        elif screened is not None:  # the draws are uniforms, no longer screened
             drawn = gaussian_quantiles(drawn, sigma, out=drawn)
         noise = np.empty((*lead, width, len(labels)))  # [..., round - first, label]
         noise[..., :old] = drawn[..., : old * width].reshape(*lead, old, width).swapaxes(-1, -2)
@@ -533,24 +539,6 @@ def _promote(rows: np.ndarray, r: int, labels: list[str], debuts: list[int],
     low = len(ends) - 1
     sums[1 : low + 2, rows] = np.cumsum(counts[: low + 1, rows] + z[: low + 1], axis=0)
     later[:, rows] = z[low + 1 :]
-
-
-def _screened_noise(uniforms: np.ndarray, promoted: np.ndarray, width: int,
-                    sigma: float) -> np.ndarray:
-    """A window's noise from its uniforms, laid out as ``Draws`` lays them
-    out: ``gaussian_quantiles`` on the promoted rows, which hold width draws
-    each and come first, ``gaussian_screen`` elsewhere.
-
-    The screen runs over the whole block, promoted rows too, and their exact
-    noise then replaces it: gathering the other rows would copy nearly the
-    whole window, and the screen costs a tenth of the exact transform.
-    """
-    noise = gaussian_screen(uniforms, sigma)
-    if promoted.any():
-        rows = np.flatnonzero(promoted)
-        grid = noise[: promoted.size * width].reshape(-1, width)
-        grid[rows] = gaussian_quantiles(uniforms[: grid.size].reshape(-1, width)[rows], sigma)
-    return noise
 
 
 def _child_draws(config: CounterConfig) -> tuple[Draws, Screen | None]:

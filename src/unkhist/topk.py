@@ -115,20 +115,11 @@ def decision_margin(scale: float, counts: np.ndarray, cut: float,
                     threshold_override: float | None = None) -> float:
     """``core.screen_margin`` for comparing two of above_noisy_threshold's
     values: two noisy counts, or one and its row's threshold.  An infinite
-    threshold_override adds nothing: it decides every comparison with it
-    (near_threshold)."""
+    threshold_override adds nothing: every noisy count lies infinitely far
+    from it."""
     threshold = cut if threshold_override is None else float(threshold_override)
     count = 2.0 * counts.max(initial=0.0) + (abs(threshold) if math.isfinite(threshold) else 0.0)
     return screen_margin(scale, 2, count)
-
-
-def near_threshold(noisy: np.ndarray, threshold: np.ndarray | float, margin: float) -> np.ndarray:
-    """The rows, with repeats, where a noisy count lies within margin of the
-    row's threshold (above_noisy_threshold's); none if it is an infinite
-    threshold_override."""
-    if np.ndim(threshold) == 0 and math.isinf(threshold):
-        return np.zeros(0, dtype=np.intp)
-    return flagged_rows(np.abs(noisy - threshold) <= margin)
 
 
 def release_topk_batch(
@@ -152,11 +143,11 @@ def release_topk_batch(
     draw and release.
 
     From SCREEN_FLOOR draws on, the draws are screened
-    (``core.screened_draws``), and a row is made exact if it releases an
-    entry or if a noisy count lies within ``decision_margin`` of its
-    threshold (near_threshold).  The mask and the released values are those
-    of exact draws, bit for bit; the unreleased noisy counts of the other
-    rows are screened values.
+    (``core.screened_draws``), and a row is made exact if a noisy count
+    exceeds its threshold less ``decision_margin``: if it releases an entry
+    or comes near to.  The mask and the released values are those of
+    exact draws, bit for bit; the unreleased noisy counts of the other rows
+    are screened values.
     """
     trunc = truncate_topk(h, kbar)
     threshold = topk_threshold(sens, epsilon, delta)
@@ -173,9 +164,9 @@ def release_topk_batch(
     else:
         z, exact = np.zeros(shape), None
     if exact is not None:
-        noisy, kept, at = above_noisy_threshold(counts, z, cut, threshold_override)
+        noisy, _, at = above_noisy_threshold(counts, z, cut, threshold_override)
         margin = decision_margin(sigma, counts, cut, threshold_override)
-        rows = np.unique(np.concatenate((flagged_rows(kept), near_threshold(noisy, at, margin))))
+        rows = np.unique(flagged_rows(noisy - at >= -margin))
         z[rows] = exact(rows)
     noisy, kept, _ = above_noisy_threshold(counts, z, cut, threshold_override)
     return trunc, noisy, kept, threshold

@@ -229,7 +229,7 @@ def make_boundary_neighbors(
         check_int("horizon", horizon)
         if check_int("debut_round", debut_round) > horizon:
             raise ParameterError("debut_round must lie within the horizon")
-        fresh = frozenset(string.ascii_lowercase[: sens.l0])
+        fresh = frozenset(_letters(sens.l0))
         base = tuple(
             StreamEvent(r, fresh if r == debut_round else ())
             for r in range(1, horizon + 1)

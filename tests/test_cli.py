@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unkhist import cli, stream
+from unkhist import cli, core, stream
 from unkhist.accountant import CdpBudget, compose
 from unkhist.cli import main
 from unkhist.core import Histogram, IngestionError, ParameterError, RandomSource
@@ -902,6 +902,51 @@ def test_histogram_output_matches_golden_digest(tmp_path, case):
     out = tmp_path / "report.json"
     code = main(
         argv + ["--epsilon", "1", "--delta", "0.05", "--in", str(HIST_GOLDEN),
+                "--out", str(out), "--seed", "7"]
+    )  # fmt: skip
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of each histogram mechanism's report on a histogram of 1500
+# labels (seed 7, epsilon 1, delta 0.05), computed before release_batch drew
+# through core.screened_draws.  Every block is past core.SCREEN_FLOOR, so the
+# one-shot CLI runs the screened kernels: the counts 1..101, about fifteen
+# labels each, tie in blocks and sit near each threshold (release's near 3
+# and 4, topk's near the 251st count plus 3.8).  CI writes the same file with
+# the same one-liner.  The same rule as above ties each digest to its tag.
+SCREENED_HIST_CASES = {
+    "release-laplace": (
+        ["release", "--noise", "laplace", "--l0", "2", "--linf", "1"],
+        "b641ee9c8df639f40215b07299fa0b7f2f699278f28c4459096d1a530e6e6012",
+    ),
+    "release-gaussian": (
+        ["release", "--noise", "gaussian", "--l0", "2", "--linf", "1"],
+        "0dbda0b9100bb945a53b19a8d700d84908a84cc9b76b6178f506ac84a9268f45",
+    ),
+    "topk": (
+        ["topk", "--kbar", "250", "--l0", "2", "--linf", "1"],
+        "7efdf0c01c328779163ae7e1fcabc3f3169d2e1301ac18ed7c83ec24e1d375a6",
+    ),
+    "gumbel-topk": (
+        ["gumbel-topk", "--k", "60", "--kbar", "250", "--l0", "2"],
+        "9ac378b765a9a8bd8cb2e5b8981501f3c5ec566409c56cda3e1b4177be374df6",
+    ),
+}
+
+
+@pytest.mark.parametrize("floor", [core.SCREEN_FLOOR, 10**9], ids=["screened", "unscreened"])
+@pytest.mark.parametrize("case", sorted(SCREENED_HIST_CASES))
+def test_screened_histogram_output_matches_golden_digest(tmp_path, monkeypatch, case, floor):
+    # Screened or every draw exact, the reports are the same bytes.
+    monkeypatch.setattr(core, "SCREEN_FLOOR", floor)
+    source = tmp_path / "screened.csv"
+    source.write_text("label,count\n" + "".join(f"s{i:04d},{i * 37 % 101 + 1}\n" for i in range(1500)),
+                      encoding="utf-8")  # fmt: skip
+    argv, digest = SCREENED_HIST_CASES[case]
+    out = tmp_path / "report.json"
+    code = main(
+        argv + ["--epsilon", "1", "--delta", "0.05", "--in", str(source),
                 "--out", str(out), "--seed", "7"]
     )  # fmt: skip
     assert code == 0

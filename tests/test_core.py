@@ -336,16 +336,6 @@ class TestRandomSource:
         calls = np.concatenate([source.uniforms(k) for source, k in zip(per_label, sizes)])
         assert RandomSource.fill(block, sizes, np.empty(sum(sizes))).tolist() == calls.tolist()
 
-    def test_replay_feeds_a_sampler_the_given_uniforms(self):
-        u = RandomSource(6).uniforms(70_000)  # over one block step of the samplers
-        assert core.sample_gaussian(2.0, core.Replay(u), (70_000,)).tolist() == \
-            core.sample_gaussian(2.0, RandomSource(6), (70_000,)).tolist()
-        replay = core.Replay(u[:5])
-        assert replay.uniforms(3).tolist() == u[:3].tolist()
-        with pytest.raises(ParameterError):
-            replay.uniforms(3)
-        assert replay.uniforms(2).tolist() == u[3:5].tolist()
-
     @pytest.mark.parametrize("seed", ["7", 1.5, 2**64])
     def test_bad_seed(self, seed):
         with pytest.raises(ParameterError):

@@ -2,21 +2,23 @@
 
 ``release_batch`` (and so ``release``, its row 0), ``release_topk_batch``,
 ``release_gumbel_topk_batch``, ``counter_batch`` and ``counter_sweep`` run
-the exact, bit-for-bit transform only on the draws that can show: a cheap
-screen (``core.gaussian_screen``, ``core.laplace_screen``,
-``core.gumbel_screen``) decides which, and a draw, or a Monte-Carlo row,
-whose decisions come within ``core.screen_margin`` of a screened value is
-made exact.  The screens must stay far inside their stated bound, and the
-mechanisms must release exactly what the fully exact paths release, also
-when the threshold sits on an exact noisy value or one float either side of
-it, and consecutive ``release`` calls must be the rows of one
-``release_batch``.  Blocks below ``core.SCREEN_FLOOR`` draws are not
+the exact, bit-for-bit transform only on the draws that can show, by one
+protocol: ``core.screen`` (through ``core.screened_draws`` for a block
+drawn from one source) turns uniforms into cheap screened draws, and its
+``exact`` makes exact the draws, or the Monte-Carlo rows, whose decisions
+come within ``core.screen_margin`` of a screened value.  Each law's screen
+and exact transform sit in ``core._SCREENS``, which the ``counted`` fixture
+wraps to count them.  The screens must stay far inside their stated bound,
+and the mechanisms must release exactly what the fully exact paths
+release, also when the threshold sits on an exact noisy value or one float
+either side of it, and consecutive ``release`` calls must be the rows of
+one ``release_batch``.  Blocks below ``core.SCREEN_FLOOR`` draws are not
 screened; the tests set the floor to 0 to screen small inputs too.
 """
 
 import dataclasses
-import importlib
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -34,23 +36,15 @@ from unkhist.core import (
     IngestionError,
     RandomSource,
     SensitivityBound,
-    gaussian_quantiles,
-    gaussian_screen,
     gumbel_screen,
-    laplace_screen,
 )
 from unkhist.gumbel import gumbel_candidates, gumbel_threshold, release_gumbel_topk_batch, select_gumbel
 from unkhist.release import release, release_batch
 from unkhist.stream import Counter, CounterConfig, StreamEvent, counter_batch, counter_sweep
 from unkhist.topk import release_topk_batch, topk_threshold, truncate_topk
 
-release_module = importlib.import_module("unkhist.release")  # the package exports the function
-
-LAWS = {
-    "gaussian": (gaussian_screen, gaussian_quantiles),
-    "laplace": (laplace_screen, core._laplace_quantiles),
-    "gumbel": (gumbel_screen, core._gumbel_quantiles),
-}
+LAWS = {law: (screen, exact) for law, (_, screen, exact) in core._SCREENS.items()}
+SAMPLERS = {"gaussian": core.sample_gaussian, "laplace": core.sample_laplace, "gumbel": core.sample_gumbel}
 
 
 def assert_within_a_hundredth(p, scale):
@@ -122,6 +116,51 @@ def test_max_draw_bounds_every_uniform():
     for screen, exact in LAWS.values():
         assert np.abs(exact(p, 1.0)).max() < core.MAX_DRAW
         assert np.abs(screen(p, 1.0)).max() < core.MAX_DRAW
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """The sizes of the blocks that each screen and each exact transform of
+    ``core._SCREENS``, which every screened path calls, is given, in
+    ``screened`` and ``exact``; and, for the stream sweep, the window
+    blocks ``RandomSource.fill`` draws (``filled``), its block transform of
+    the draws it no longer screens (in ``exact`` too) and its scalar
+    transforms of a promoted label's draws (``promoted``)."""
+    counts = SimpleNamespace(screened=[], exact=[], filled=[], promoted=[])
+
+    def counting(function, sizes):
+        def counted_function(u, *args, **kwargs):
+            sizes.append(np.size(u))
+            return function(u, *args, **kwargs)
+
+        return counted_function
+
+    for law, (name, screen, transform) in list(core._SCREENS.items()):
+        monkeypatch.setitem(core._SCREENS, law, (name, counting(screen, counts.screened),
+                                                 counting(transform, counts.exact)))  # fmt: skip
+    for name, sizes in [("gaussian_quantiles", counts.exact), ("gaussian_quantile", counts.promoted)]:
+        monkeypatch.setattr(stream_module, name, counting(getattr(stream_module, name), sizes))
+    fill = RandomSource.fill
+
+    def counted_fill(sources, sizes, out):
+        counts.filled.append(out.size)
+        return fill(sources, sizes, out)
+
+    monkeypatch.setattr(RandomSource, "fill", staticmethod(counted_fill))
+    return counts
+
+
+def test_exact_gives_the_samplers_draws():
+    # A block over one step of the samplers, made exact by rows and by a mask.
+    u = RandomSource(6).uniforms(70_000).reshape(7, 10_000)
+    mask = u < 0.3
+    rows = np.array([5, 0, 5])
+    for law, sample in SAMPLERS.items():
+        drawn = sample(2.0, RandomSource(6), u.shape)
+        _, exact = core.screen(law, 2.0, u)
+        assert exact(rows).tobytes() == drawn[rows].tobytes()
+        assert exact(mask).tobytes() == drawn[mask].tobytes()
+        assert exact(np.arange(u.shape[0])).tobytes() == drawn.tobytes()
 
 
 def test_cut_at_infinite_thresholds():
@@ -224,10 +263,10 @@ def test_release_is_row_i_of_release_batch_near_the_threshold(noise):
 
 @pytest.mark.parametrize("noise", ["laplace", "gaussian"])
 def test_release_is_row_i_of_release_batch_across_a_step(noise):
-    # 4 rows of 5000 draws: the first screening step ends inside row 3.
-    h = Histogram({f"t{i:04d}": 1 + (i % 53 == 0) * 40 for i in range(5000)})
+    # 4 rows of 20000 draws: the first step of uniforms ends inside row 3.
+    h = Histogram({f"t{i:05d}": 1 + (i % 53 == 0) * 40 for i in range(20_000)})
     trials, seed = 4, 21
-    assert trials * len(h) > release_module._SCREEN_STEP and release_module._SCREEN_STEP % len(h)
+    assert trials * len(h) > core._BLOCK_STEP and core._BLOCK_STEP % len(h)
     rows = batch_rows(h, noise, seed, trials)
     assert all(rows) and repr(rows) == repr(single_runs(h, noise, seed, trials))
     threshold = release(h, SENS, noise, 1.0, 1e-6, RandomSource(seed)).threshold
@@ -264,32 +303,18 @@ def test_release_is_row_i_of_release_batch_at_the_hooks(noise, hooks):
 
 
 @pytest.mark.parametrize("noise", ["laplace", "gaussian"])
-def test_release_transforms_the_draws_that_can_show(noise, monkeypatch):
-    sampler_name, screen_name = f"sample_{noise}", f"{noise}_screen"
-    sampler, screen = getattr(release_module, sampler_name), getattr(release_module, screen_name)
-    exact_seen, screen_seen = [], []
-
-    def counted_sampler(scale, rng, size):
-        exact_seen.append(math.prod(size))
-        return sampler(scale, rng, size)
-
-    def counted_screen(u, scale):
-        screen_seen.append(u.size)
-        return screen(u, scale)
-
-    monkeypatch.setattr(release_module, sampler_name, counted_sampler)
-    monkeypatch.setattr(release_module, screen_name, counted_screen)
+def test_release_transforms_the_draws_that_can_show(noise, counted):
     # A tail: most counts sit far below the threshold, and few survive.
     tail = Histogram({f"t{i:05d}": 1 + (i % 97 == 0) * 40 for i in range(20_000)})
     report = release(tail, SENS, noise, 1.0, 1e-6, RandomSource(3))
-    assert 0 < len(report.released) and sum(exact_seen) <= 0.1 * len(tail)
-    assert sum(screen_seen) == len(tail)
-    # A head: every count clears the threshold whatever its draw, and none is screened.
-    exact_seen.clear(), screen_seen.clear()
+    assert 0 < len(report.released) and 0 < sum(counted.exact) <= 0.1 * len(tail)
+    assert counted.screened == [len(tail)]
+    # A head: every count clears the threshold, and each draw is screened, then made exact, once.
+    counted.exact.clear(), counted.screened.clear()
     head = Histogram({f"h{i:04d}": 1000 + i for i in range(2000)})
     report = release(head, SENS, noise, 1.0, 1e-6, RandomSource(3))
-    assert len(report.released) == len(head) == sum(exact_seen)
-    assert sum(screen_seen) == 0
+    assert len(report.released) == len(head)
+    assert counted.screened == counted.exact == [len(head)]
 
 
 def exact_topk(h, kbar, seed, trials, threshold):
@@ -351,28 +376,12 @@ def test_gumbel_batch_at_a_threshold_on_an_exact_noisy_count(base, monkeypatch):
         assert order.tolist() == expected_order.tolist() and taken.tolist() == expected_taken.tolist()
 
 
-def counted_exact_draws(monkeypatch):
-    """A list that each exact transform of screened_draws appends its draw count to."""
-    draws = []
-
-    def counted(transform):
-        def exact(u, scale, *args):
-            draws.append(u.size)
-            return transform(u, scale, *args)
-
-        return exact
-
-    for law, (name, screen, transform) in list(core._SCREENS.items()):
-        monkeypatch.setitem(core._SCREENS, law, (name, screen, counted(transform)))
-    return draws
-
-
-def test_gumbel_batch_ranks_near_ties_exactly(monkeypatch):
+def test_gumbel_batch_ranks_near_ties_exactly(monkeypatch, counted):
     # Equal counts near 2^46, where the margin (about 0.2) is wide beside the
     # float spacing (2^-6): many adjacent survivors come within it of each
     # other without tying, and their exact draws decide their order.
     monkeypatch.setattr(core, "SCREEN_FLOOR", 0)
-    exact = counted_exact_draws(monkeypatch)
+    exact = counted.exact
     h = Histogram({"a": 2**46, "b": 2**46, "c": 2**46})
     trials = 2000
     labels, order, taken = release_gumbel_topk_batch(h, 2, 3, 1, 1.0, 0.05, RandomSource(3), trials,
@@ -414,7 +423,7 @@ def test_counter_batch_at_a_threshold_on_an_exact_total(horizon, seed, pick, sid
         assert repr(totals[released].tolist()) == repr(expected[expected_released].tolist())
 
 
-@pytest.mark.parametrize("law", ["gaussian", "gumbel"])
+@pytest.mark.parametrize("law", sorted(SAMPLERS))
 def test_blocks_below_the_floor_are_not_screened(law):
     # Below the floor the sampler draws the block: the draws the screened
     # path makes exact, leaving the source where it leaves it.
@@ -422,7 +431,7 @@ def test_blocks_below_the_floor_are_not_screened(law):
         raise AssertionError("screened below the floor")
 
     name, _, transform = core._SCREENS[law]
-    sample = core.sample_gaussian if law == "gaussian" else core.sample_gumbel
+    sample = SAMPLERS[law]
     for size in [(1, 1), (3, 5), (1, core.SCREEN_FLOOR - 1)]:
         rng, screened_rng = RandomSource(4), RandomSource(4)
         with mock.patch.dict(core._SCREENS, {law: (name, refused, transform)}):
@@ -434,10 +443,10 @@ def test_blocks_below_the_floor_are_not_screened(law):
         assert screened_rng.uniform() == rng.uniform()
 
 
-def test_kernels_transform_few_rows_exactly(monkeypatch):
+def test_kernels_transform_few_rows_exactly(counted):
     # The validate suites' boundary pairs: about one run in twenty releases a
     # label, and few others come near a decision.
-    exact = counted_exact_draws(monkeypatch)
+    exact = counted.exact
     trials = 20_000
     release_topk_batch(Histogram({"b": 6, "a": 5}), 1, SENS, 1.0, 0.05, RandomSource(1), trials)
     release_gumbel_topk_batch(Histogram({"b": 5, "a": 4}), 1, 1, 1, 1.0, 0.05, RandomSource(1), trials)
@@ -486,79 +495,45 @@ def test_sweep_at_a_threshold_on_an_exact_total(horizon, seed, window, pick, sid
         assert repr(dict(sorted(released.items()))) == repr(counter.observe(event))
 
 
-def test_sweep_transforms_few_draws_exactly(monkeypatch):
+def test_sweep_transforms_few_draws_exactly(counted):
     # 600 labels over 512 rounds: each of five comes every fifth round and
     # clears the threshold, the rest come once or twice and stay below it.
+    # The hot labels are promoted, and their draws in later windows made exact.
     cold = [f"c{i:03d}" for i in range(595)]
     hot = [f"h{i}" for i in range(5)]
     events = [StreamEvent(r, [hot[r % 5], cold[2 * r % 595], cold[(2 * r + 1) % 595]])
               for r in range(1, 513)]  # fmt: skip
     config = CounterConfig.from_privacy(512, 3, 1.0, 0.05, seed=8)
-    drawn, exact = [], []
-    fill, transform = RandomSource.fill, stream_module.gaussian_quantiles
-    scalar = stream_module.gaussian_quantile
-
-    def counted_fill(sources, sizes, out):
-        drawn.append(out.size)
-        return fill(sources, sizes, out)
-
-    def counted_transform(u, sigma, out=None):
-        exact.append(u.size)
-        return transform(u, sigma, out)
-
-    def counted_scalar(u, sigma):
-        exact.append(1)
-        return scalar(u, sigma)
-
-    monkeypatch.setattr(RandomSource, "fill", staticmethod(counted_fill))
-    monkeypatch.setattr(stream_module, "gaussian_quantiles", counted_transform)
-    monkeypatch.setattr(stream_module, "gaussian_quantile", counted_scalar)
     snapshots = list(counter_sweep(config, events))
     released = set().union(*(released for _, released in snapshots))
     assert len(set().union(*(event.items for event in events))) == 600
     assert released and released <= set(hot)
-    assert 0 < sum(exact) <= 0.1 * sum(drawn)
+    assert sum(counted.screened) == sum(counted.filled)
+    assert 0 < sum(counted.promoted) and 0 < sum(counted.exact)
+    assert sum(counted.exact) + sum(counted.promoted) <= 0.1 * sum(counted.filled)
     counter = Counter(config)
     assert all(repr(dict(sorted(s.items()))) == repr(counter.observe(event))
                for event, (_, s) in zip(events, snapshots))  # fmt: skip
 
 
-def test_sweep_promotes_the_labels_of_a_hot_stream(monkeypatch):
+def test_sweep_promotes_the_labels_of_a_hot_stream(counted):
     # 60 labels, each in most rounds and some arriving late, so that most
     # clear the threshold and are promoted at every stack height and window
     # position.  The sweep must still give Counter's snapshots bit for bit.
     # Once most labels are promoted it stops screening, so few draws are
-    # screened, and the block transform sees each draw at most once.
+    # screened, and the block transforms see each draw at most once.
     labels = [f"h{i:02d}" for i in range(60)]
     rng = np.random.default_rng(4)
     events = [StreamEvent(r, rng.choice(labels[: 20 + r // 4], size=12, replace=False).tolist())
               for r in range(1, 301)]  # fmt: skip
     config = CounterConfig.from_privacy(300, 12, 1.0, 0.5, seed=2)
-    drawn, screened, exact = [], [], []
-    fill, screen, transform = RandomSource.fill, stream_module.gaussian_screen, stream_module.gaussian_quantiles
-
-    def counted_fill(sources, sizes, out):
-        drawn.append(out.size)
-        return fill(sources, sizes, out)
-
-    def counted_screen(u, sigma):
-        screened.append(u.size)
-        return screen(u, sigma)
-
-    def counted_transform(u, sigma, out=None):
-        exact.append(u.size)
-        return transform(u, sigma, out)
-
-    monkeypatch.setattr(RandomSource, "fill", staticmethod(counted_fill))
-    monkeypatch.setattr(stream_module, "gaussian_screen", counted_screen)
-    monkeypatch.setattr(stream_module, "gaussian_quantiles", counted_transform)
     for window in (1, 5, 32):
-        drawn.clear(), screened.clear(), exact.clear()
+        counted.filled.clear(), counted.screened.clear(), counted.exact.clear()
         with mock.patch.object(stream_module, "SWEEP_WINDOW", window):
             snapshots = list(counter_sweep(config, events))
         counter = Counter(config)
         for event, (_, released) in zip(events, snapshots):
             assert repr(dict(sorted(released.items()))) == repr(counter.observe(event))
         assert len(snapshots[-1][1]) > 40
-        assert sum(screened) <= 0.1 * sum(drawn)
-        assert sum(drawn) / 2 < sum(exact) <= sum(drawn)
+        assert sum(counted.screened) <= 0.1 * sum(counted.filled)
+        assert sum(counted.filled) / 2 < sum(counted.exact) <= sum(counted.filled)

@@ -111,6 +111,18 @@ class TestBoundaryPairs:
         assert all(not event.items for event in pair.neighbor)
         validate_neighbor_pair(pair, sens)
 
+    @pytest.mark.parametrize("l0", [25, 26, 30])
+    def test_stream_pair_refuses_more_than_24_labels(self, l0):
+        # As alg1, topk and gumbel refuse them, rather than a shorter burst.
+        with pytest.raises(ParameterError, match="at most 24 varying labels"):
+            make_boundary_neighbors("stream", SensitivityBound(l0, 1), horizon=4, debut_round=2)
+
+    def test_stream_pair_of_24_labels(self):
+        sens = SensitivityBound(24, 1)
+        pair = make_boundary_neighbors("stream", sens, horizon=4, debut_round=2)
+        assert pair.base[1].items == frozenset("abcdefghijklmnopqrstuvwx")
+        validate_neighbor_pair(pair, sens)
+
     def test_unknown_tag(self):
         with pytest.raises(ParameterError):
             make_boundary_neighbors("mystery", SensitivityBound(1, 1))
