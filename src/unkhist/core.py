@@ -814,31 +814,44 @@ def gumbel_screen(u: np.ndarray, beta: float) -> np.ndarray:
     return x
 
 
-#: Each screened law's sampler argument name, screen and exact block transform.
+#: Each screened law's sampler argument name and screen.
 _SCREENS = {
-    "gaussian": ("sigma", gaussian_screen, gaussian_quantiles),
-    "laplace": ("scale", laplace_screen, _laplace_quantiles),
-    "gumbel": ("beta", gumbel_screen, _gumbel_quantiles),
+    "gaussian": ("sigma", gaussian_screen),
+    "laplace": ("scale", laplace_screen),
+    "gumbel": ("beta", gumbel_screen),
 }
 
 
-def screen(law: str, scale: float, u: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+class _Given:
+    """Uniforms already drawn, handed out in order by ``uniforms``: a sampler
+    given them for its rng draws exactly from them."""
+
+    def __init__(self, u: np.ndarray):
+        self._u, self._at = u, 0
+
+    def uniforms(self, n: int) -> np.ndarray:
+        self._at += n
+        return self._u[self._at - n : self._at]
+
+
+def screen(law: str, scale: float, u: np.ndarray,
+           sample: Callable[..., np.ndarray]) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
     """The screened draws of law ("gaussian", "laplace" or "gumbel") at this
     scale from the uniforms u, and exact(index), the exact draws of
-    ``u[index]`` in its shape: bit for bit what ``sample_<law>`` makes of
-    those uniforms.  index is a row array of a [trials, m] block, or a mask
-    or flat positions for single draws.
+    ``u[index]`` in its shape: what sample, the law's ``sample_<law>``, draws
+    from those uniforms.  index is a row array of a [trials, m] block, or a
+    mask or flat positions for single draws.
 
     The caller makes exact the draws, or the rows, whose decisions lie
     within ``screen_margin`` of a screened value, and those alone; exact
     holds u until it is dropped.
     """
-    name, screened, transform = _SCREENS[law]
+    name, screened = _SCREENS[law]
     check_positive(name, scale)
 
     def exact(index: np.ndarray) -> np.ndarray:
         v = u[index]
-        return transform(v.reshape(-1), scale).reshape(v.shape)
+        return sample(scale, _Given(v.reshape(-1)), v.shape)
 
     return screened(u, scale), exact
 
@@ -848,20 +861,15 @@ def screened_draws(
     sample: Callable[[float, RandomSource, tuple[int, int]], np.ndarray],
 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray] | None]:
     """The [trials, m] block ``sample(scale, rng, size)`` draws, screened, and
-    ``screen``'s exact for its uniforms; law is sample's.
+    ``screen``'s exact for its uniforms and sample; law is sample's.
 
-    The uniforms are drawn as ``_quantile_block`` draws them, in the same
-    steps and with the same zero redraws, so the source ends where it would.
-    Below SCREEN_FLOOR draws the block is sample's own, and exact is None.
+    The uniforms are those sample's ``_quantile_block`` transforms, so the
+    source ends where sample leaves it.  Below SCREEN_FLOOR draws the block
+    is sample's own, and exact is None.
     """
     if size[0] * size[1] < SCREEN_FLOOR:
         return sample(scale, rng, size), None
-    u = np.empty(size)
-    flat = u.reshape(-1)
-    for start in range(0, flat.size, _BLOCK_STEP):
-        step = flat[start : start + _BLOCK_STEP]
-        rng.uniforms(step.size, out=step)
-    return screen(law, scale, u)
+    return screen(law, scale, _quantile_block(lambda u: u, rng, size), sample)
 
 
 def flagged_rows(mask: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ import numpy as np
 
 from .accountant import CdpBudget, epsilon_squared_rho
 from .core import (
+    MAX_DRAW,
     Histogram,
     IngestionError,
     ParameterError,
@@ -98,8 +99,9 @@ def release_batch(
 
     The block is drawn by ``core.screened_draws``, and a draw is made exact
     if its screened noisy count exceeds ``screen_cut`` for one draw and the
-    largest count: the mask and the values are those of exact draws, bit
-    for bit.  Below ``core.SCREEN_FLOOR`` draws every draw is exact.
+    largest count a draw can keep below T: the mask and the values are
+    those of exact draws, bit for bit.  Below ``core.SCREEN_FLOOR`` draws
+    every draw is exact.
     """
     h = Histogram.coerce(h)
     if noise not in ("laplace", "gaussian"):
@@ -126,7 +128,8 @@ def release_batch(
     noisy, exact = screened_draws(noise, scale, rng, (trials, c.size), sampler)
     noisy += c  # screened, unless exact is None
     if exact is not None:
-        seen = noisy > screen_cut(threshold, scale, 1, c.max(initial=0.0))
+        largest = c[c <= threshold + MAX_DRAW * scale].max(initial=0.0)  # larger ones clear any cut
+        seen = noisy > screen_cut(threshold, scale, 1, largest)
         noisy[seen] = np.broadcast_to(c, seen.shape)[seen] + exact(seen)
     kept = noisy > threshold
     return kept, noisy[kept], threshold

@@ -462,7 +462,7 @@ def _sweep(config: CounterConfig, events: Iterable[StreamEvent], window: int, dr
                 cuts = np.concatenate((cuts, np.full(new, cut)))
         drawn = draws(labels[old:], sizes)
         if screening:
-            drawn, exact = screen("gaussian", sigma, drawn)
+            drawn, exact = screen("gaussian", sigma, drawn, sample_gaussian)
             # The promoted labels' draws, width each: the old labels' come first.
             promoted = np.flatnonzero(cuts[:old] == math.inf)[:, None] * width + np.arange(width)
             drawn[promoted] = exact(promoted)

@@ -6,14 +6,16 @@ the exact, bit-for-bit transform only on the draws that can show, by one
 protocol: ``core.screen`` (through ``core.screened_draws`` for a block
 drawn from one source) turns uniforms into cheap screened draws, and its
 ``exact`` makes exact the draws, or the Monte-Carlo rows, whose decisions
-come within ``core.screen_margin`` of a screened value.  Each law's screen
-and exact transform sit in ``core._SCREENS``, which the ``counted`` fixture
-wraps to count them.  The screens must stay far inside their stated bound,
-and the mechanisms must release exactly what the fully exact paths
-release, also when the threshold sits on an exact noisy value or one float
-either side of it, and consecutive ``release`` calls must be the rows of
-one ``release_batch``.  Blocks below ``core.SCREEN_FLOOR`` draws are not
-screened; the tests set the floor to 0 to screen small inputs too.
+come within ``core.screen_margin`` of a screened value, by handing their
+uniforms to the caller's sampler through ``core._Given``.  Each law's
+screen sits in ``core._SCREENS``; the ``counted`` fixture wraps those and
+``_Given`` to count the screened and the exact draws.  The screens must
+stay far inside their stated bound, and the mechanisms must release
+exactly what the fully exact paths release, also when the threshold sits
+on an exact noisy value or one float either side of it, and consecutive
+``release`` calls must be the rows of one ``release_batch``.  Blocks
+below ``core.SCREEN_FLOOR`` draws are not screened; the tests set the
+floor to 0 to screen small inputs too.
 """
 
 import dataclasses
@@ -43,7 +45,11 @@ from unkhist.release import release, release_batch
 from unkhist.stream import Counter, CounterConfig, StreamEvent, counter_batch, counter_sweep
 from unkhist.topk import release_topk_batch, topk_threshold, truncate_topk
 
-LAWS = {law: (screen, exact) for law, (_, screen, exact) in core._SCREENS.items()}
+LAWS = {
+    "gaussian": (core.gaussian_screen, core.gaussian_quantiles),
+    "laplace": (core.laplace_screen, core._laplace_quantiles),
+    "gumbel": (core.gumbel_screen, core._gumbel_quantiles),
+}
 SAMPLERS = {"gaussian": core.sample_gaussian, "laplace": core.sample_laplace, "gumbel": core.sample_gumbel}
 
 
@@ -120,12 +126,13 @@ def test_max_draw_bounds_every_uniform():
 
 @pytest.fixture
 def counted(monkeypatch):
-    """The sizes of the blocks that each screen and each exact transform of
-    ``core._SCREENS``, which every screened path calls, is given, in
-    ``screened`` and ``exact``; and, for the stream sweep, the window
-    blocks ``RandomSource.fill`` draws (``filled``), its block transform of
-    the draws it no longer screens (in ``exact`` too) and its scalar
-    transforms of a promoted label's draws (``promoted``)."""
+    """The sizes of the blocks that each screen of ``core._SCREENS`` is
+    given, in ``screened``, and of the blocks ``core._Given`` hands a sampler
+    to make exact, in ``exact``: every screened path goes through both; and,
+    for the stream sweep, the window blocks ``RandomSource.fill`` draws
+    (``filled``), its block transform of the draws it no longer screens (in
+    ``exact`` too) and its scalar transforms of a promoted label's draws
+    (``promoted``)."""
     counts = SimpleNamespace(screened=[], exact=[], filled=[], promoted=[])
 
     def counting(function, sizes):
@@ -135,9 +142,9 @@ def counted(monkeypatch):
 
         return counted_function
 
-    for law, (name, screen, transform) in list(core._SCREENS.items()):
-        monkeypatch.setitem(core._SCREENS, law, (name, counting(screen, counts.screened),
-                                                 counting(transform, counts.exact)))  # fmt: skip
+    for law, (name, screen) in list(core._SCREENS.items()):
+        monkeypatch.setitem(core._SCREENS, law, (name, counting(screen, counts.screened)))
+    monkeypatch.setattr(core, "_Given", counting(core._Given, counts.exact))
     for name, sizes in [("gaussian_quantiles", counts.exact), ("gaussian_quantile", counts.promoted)]:
         monkeypatch.setattr(stream_module, name, counting(getattr(stream_module, name), sizes))
     fill = RandomSource.fill
@@ -157,7 +164,7 @@ def test_exact_gives_the_samplers_draws():
     rows = np.array([5, 0, 5])
     for law, sample in SAMPLERS.items():
         drawn = sample(2.0, RandomSource(6), u.shape)
-        _, exact = core.screen(law, 2.0, u)
+        _, exact = core.screen(law, 2.0, u, sample)
         assert exact(rows).tobytes() == drawn[rows].tobytes()
         assert exact(mask).tobytes() == drawn[mask].tobytes()
         assert exact(np.arange(u.shape[0])).tobytes() == drawn.tobytes()
@@ -304,10 +311,14 @@ def test_release_is_row_i_of_release_batch_at_the_hooks(noise, hooks):
 
 @pytest.mark.parametrize("noise", ["laplace", "gaussian"])
 def test_release_transforms_the_draws_that_can_show(noise, counted):
-    # A tail: most counts sit far below the threshold, and few survive.
-    tail = Histogram({f"t{i:05d}": 1 + (i % 97 == 0) * 40 for i in range(20_000)})
+    # A tail: most counts sit far below the threshold, and few survive.  A
+    # count of 2^60 clears the threshold whatever its draw; taken into the
+    # cut's margin (about 4 * 2^-53 of it), it would lower the cut by about
+    # 500 and make nearly every tail draw exact.
+    tail = Histogram({"huge": 2**60, **{f"t{i:05d}": 1 + (i % 97 == 0) * 40 for i in range(20_000)}})
     report = release(tail, SENS, noise, 1.0, 1e-6, RandomSource(3))
-    assert 0 < len(report.released) and 0 < sum(counted.exact) <= 0.1 * len(tail)
+    assert "huge" in report.released and 0 < sum(counted.exact) <= 0.1 * len(tail)
+    assert repr(report.released) == repr(exact_rows(tail, noise, 3, report.threshold)[0])
     assert counted.screened == [len(tail)]
     # A head: every count clears the threshold, and each draw is screened, then made exact, once.
     counted.exact.clear(), counted.screened.clear()
@@ -430,11 +441,11 @@ def test_blocks_below_the_floor_are_not_screened(law):
     def refused(u, scale):
         raise AssertionError("screened below the floor")
 
-    name, _, transform = core._SCREENS[law]
+    name, _ = core._SCREENS[law]
     sample = SAMPLERS[law]
     for size in [(1, 1), (3, 5), (1, core.SCREEN_FLOOR - 1)]:
         rng, screened_rng = RandomSource(4), RandomSource(4)
-        with mock.patch.dict(core._SCREENS, {law: (name, refused, transform)}):
+        with mock.patch.dict(core._SCREENS, {law: (name, refused)}):
             block, exact = core.screened_draws(law, 2.0, rng, size, sample)
         assert exact is None and block.tobytes() == sample(2.0, RandomSource(4), size).tobytes()
         with mock.patch.object(core, "SCREEN_FLOOR", 0):
