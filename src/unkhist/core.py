@@ -114,6 +114,14 @@ def check_finite(what: str, value: float, **arguments: object) -> float:
     return value
 
 
+def check_noise(scale: float, draws: int, **arguments: object) -> float:
+    """scale, a noise scale formed from the named arguments, if a sum of
+    draws draws of it, each within MAX_DRAW * scale, stays in the float
+    range: one that can overflow is refused, before any draw, by naming them."""
+    check_finite("noise", draws * MAX_DRAW * scale, **arguments)
+    return scale
+
+
 def _shown(value: object) -> str:
     """repr(value), or the size of an int too long for repr to print."""
     try:
@@ -399,9 +407,11 @@ class RandomSource:
         """``[self.child(t) for t in tokens]``, draw for draw: many streams at
         once, seeded by one numpy pass over all the tokens rather than one
         SeedSequence each."""
+        entropy = [_token_entropy(t) for t in tokens]  # each below 2**128
+        if not entropy:
+            return []
         # Registered on first use, as importing unkhist.cli loads no numpy.random.
         np.random.bit_generator.ISeedSequence.register(_SeedState)
-        entropy = [_token_entropy(t) for t in tokens]  # each below 2**128
         # An int in as many 32-bit words as it needs (at least one), low word
         # first, as SeedSequence splits it; a row holds a token's padded to 4.
         parent = b"".join(e.to_bytes(4 * ((e.bit_length() + 31) // 32 or 1), "little")
@@ -418,19 +428,14 @@ class RandomSource:
             u = self._gen.random()
         return u
 
-    def uniforms(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
-        """The next n draws of repeated ``uniform()`` calls, as one array,
-        written into out (a float64 array of n entries) if given.
+    def uniforms(self, n: int) -> np.ndarray:
+        """The next n draws of repeated ``uniform()`` calls, as one array.
 
         Zeros are redrawn as ``uniform()`` redraws them, so a block of n
         draws leaves the source where n single draws would.
         """
         check_int("n", n, 0)
-        if out is None:
-            return self._redraw_zeros(self._gen.random(n))
-        if out.shape != (n,):
-            raise ParameterError(f"out must hold {n} entries, got shape {out.shape}")
-        return self._redraw_zeros(self._gen.random(out=out))
+        return self._redraw_zeros(self._gen.random(n))
 
     @staticmethod
     def fill(sources: Sequence["RandomSource"], sizes: Sequence[int], out: np.ndarray) -> np.ndarray:
@@ -502,10 +507,7 @@ def sample_laplace(
 ) -> float | np.ndarray:
     """One draw from the Laplace law with density exp(-|z|/scale)/(2*scale),
     or an array of that shape filled with the draws repeated calls make."""
-    check_positive("scale", scale)
-    if size is None:
-        return laplace_quantile(rng.uniform(), scale)
-    return _quantile_block(lambda u: _laplace_quantiles(u, scale), rng, size)
+    return _sample("laplace", scale, rng, size)
 
 
 def sample_gaussian(
@@ -513,10 +515,7 @@ def sample_gaussian(
 ) -> float | np.ndarray:
     """One draw from N(0, sigma^2), or an array of that shape filled with
     the draws repeated calls make."""
-    check_positive("sigma", sigma)
-    if size is None:
-        return gaussian_quantile(rng.uniform(), sigma)
-    return _quantile_block(lambda u: gaussian_quantiles(u, sigma), rng, size)
+    return _sample("gaussian", sigma, rng, size)
 
 
 def sample_gumbel(
@@ -524,10 +523,17 @@ def sample_gumbel(
 ) -> float | np.ndarray:
     """One draw from Gumbel(beta), mean beta*gamma, variance beta^2*pi^2/6,
     or an array of that shape filled with the draws repeated calls make."""
-    check_positive("beta", beta)
+    return _sample("gumbel", beta, rng, size)
+
+
+def _sample(law: str, scale: float, rng: RandomSource, size: tuple[int, ...] | None) -> float | np.ndarray:
+    """The samplers' one body: law's scalar quantile of one uniform, or its
+    block quantile over the next prod(size) uniforms (``_LAWS``)."""
+    name, quantile, quantiles, _ = _LAWS[law]
+    check_positive(name, scale)
     if size is None:
-        return gumbel_quantile(rng.uniform(), beta)
-    return _quantile_block(lambda u: _gumbel_quantiles(u, beta), rng, size)
+        return quantile(rng.uniform(), scale)
+    return _quantile_block(lambda u: quantiles(u, scale), rng, size)
 
 
 #: Uniforms turned into noise per step of a block draw, so the Python floats
@@ -545,8 +551,7 @@ def _quantile_block(
     """transform over the next prod(size) uniforms of rng, in row-major
     order and in steps of _BLOCK_STEP: element i is the draw the i-th single
     call would make, provided transform agrees with the scalar quantile bit
-    for bit (``gaussian_quantiles``, ``_laplace_quantiles`` or
-    ``_gumbel_quantiles``)."""
+    for bit (a block quantile of ``_LAWS``)."""
     out = np.empty(size)
     flat = out.reshape(-1)
     for start in range(0, flat.size, _BLOCK_STEP):
@@ -634,6 +639,12 @@ def normal_inverse_cdf(p: float) -> float:
     """
     check_probability("p", p)
     return standard_normal_quantile(p)
+
+
+def gaussian_threshold(linf: float, scale: float, ratio: float, factor: float, **arguments: object) -> float:
+    """T = linf + factor * scale * PhiInv(1 - ratio), which a count of linf plus
+    Gaussian noise of deviation factor * scale exceeds with probability ratio."""
+    return check_finite("threshold", linf + factor * scale * normal_upper_quantile(ratio), **arguments)
 
 
 def normal_upper_quantile(q: float) -> float:
@@ -814,11 +825,12 @@ def gumbel_screen(u: np.ndarray, beta: float) -> np.ndarray:
     return x
 
 
-#: Each screened law's sampler argument name and screen.
-_SCREENS = {
-    "gaussian": ("sigma", gaussian_screen),
-    "laplace": ("scale", laplace_screen),
-    "gumbel": ("beta", gumbel_screen),
+#: Each noise law's sampler argument name, scalar quantile, block quantile
+#: (the scalar one's bits over an array) and screen.
+_LAWS = {
+    "laplace": ("scale", laplace_quantile, _laplace_quantiles, laplace_screen),
+    "gaussian": ("sigma", gaussian_quantile, gaussian_quantiles, gaussian_screen),
+    "gumbel": ("beta", gumbel_quantile, _gumbel_quantiles, gumbel_screen),
 }
 
 
@@ -846,7 +858,7 @@ def screen(law: str, scale: float, u: np.ndarray,
     within ``screen_margin`` of a screened value, and those alone; exact
     holds u until it is dropped.
     """
-    name, screened = _SCREENS[law]
+    name, _, _, screened = _LAWS[law]
     check_positive(name, scale)
 
     def exact(index: np.ndarray) -> np.ndarray:
@@ -865,8 +877,11 @@ def screened_draws(
 
     The uniforms are those sample's ``_quantile_block`` transforms, so the
     source ends where sample leaves it.  Below SCREEN_FLOOR draws the block
-    is sample's own, and exact is None.
+    is sample's own, and exact is None.  At scale 0 the block is zeros,
+    nothing is drawn and exact is None: the noiseless run of a test hook.
     """
+    if scale == 0.0:
+        return np.zeros(size), None
     if size[0] * size[1] < SCREEN_FLOOR:
         return sample(scale, rng, size), None
     return screen(law, scale, _quantile_block(lambda u: u, rng, size), sample)

@@ -23,6 +23,7 @@ from .core import (
     check_finite,
     check_int,
     check_l0,
+    check_noise,
     check_positive,
     check_probability,
     flagged_rows,
@@ -162,7 +163,7 @@ def release_gumbel_topk_batch(
     threshold = gumbel_threshold(l0_for_threshold, epsilon, delta)
     check_int("trials", trials)
 
-    beta = 1.0 / float(epsilon)
+    beta = check_noise(1.0 / float(epsilon), 2, epsilon=epsilon)  # a flag test subtracts two noisy values
     ranks, width, cut = _label_ranks(labels), min(k, len(labels)), threshold + next_count
     z, exact = screened_draws("gumbel", beta, rng, (trials, 1 + len(labels)), sample_gumbel)
     noisy, at, surviving, key, order = _ranked(counts, ranks, z, cut, width, threshold_override)

@@ -22,11 +22,12 @@ from .core import (
     SensitivityBound,
     check_finite,
     check_int,
+    check_noise,
     check_positive,
     check_probability,
     check_real,
     check_sensitivity,
-    normal_upper_quantile,
+    gaussian_threshold,
     sample_gaussian,
     sample_laplace,
     screen_cut,
@@ -67,8 +68,7 @@ def threshold_gaussian(sens: SensitivityBound, epsilon: float, delta: float) -> 
     sens = check_sensitivity(sens)
     eps = check_positive("epsilon", epsilon)
     d = check_probability("delta", delta)
-    z = normal_upper_quantile(d / sens.l0)
-    return check_finite("threshold", sens.linf + (sens.linf / eps) * z, epsilon=eps, delta=d)
+    return gaussian_threshold(sens.linf, sens.linf / eps, d / sens.l0, 1.0, epsilon=eps, delta=d)
 
 
 _TAGS = {"laplace": "unknown-domain-laplace", "gaussian": "unknown-domain-gaussian"}
@@ -101,7 +101,7 @@ def release_batch(
     if its screened noisy count exceeds ``screen_cut`` for one draw and the
     largest count a draw can keep below T: the mask and the values are
     those of exact draws, bit for bit.  Below ``core.SCREEN_FLOOR`` draws
-    every draw is exact.
+    every draw is exact; at scale 0 nothing is drawn.
     """
     h = Histogram.coerce(h)
     if noise not in ("laplace", "gaussian"):
@@ -109,9 +109,10 @@ def release_batch(
     threshold = _THRESHOLDS[noise](sens, epsilon, delta)
     check_int("min_count", min_count)
     check_int("trials", trials)
-    scale = sens.linf / float(epsilon)
-    if scale_override is not None:
-        scale = check_real("scale_override", scale_override)
+    if scale_override is None:
+        scale, named = sens.linf / float(epsilon), {"epsilon": epsilon, "linf": sens.linf}
+    else:
+        scale, named = check_real("scale_override", scale_override), {"scale_override": scale_override}
     if threshold_override is not None:
         threshold = float(threshold_override)
     counts = h.counts
@@ -120,10 +121,8 @@ def release_batch(
         label, count = h.labels_at(below[:1])[0], int(counts[below[0]])
         raise IngestionError(f"count for {label!r} is {count}, below the ingestion floor {min_count}")
 
+    check_noise(scale, 1, **named)
     c = counts.astype(float)
-    if scale == 0.0:
-        kept = np.tile(c > threshold, (trials, 1))
-        return kept, np.tile(c[kept[0]], trials), threshold
     sampler = sample_laplace if noise == "laplace" else sample_gaussian
     noisy, exact = screened_draws(noise, scale, rng, (trials, c.size), sampler)
     noisy += c  # screened, unless exact is None
@@ -160,7 +159,8 @@ def release(
     part of the report.
 
     scale_override and threshold_override are test hooks; scale 0 makes the
-    release a deterministic count-above-threshold filter.
+    release a deterministic count-above-threshold filter that draws nothing.
+    A scale whose draws could overflow is refused (``core.check_noise``).
     """
     h = Histogram.coerce(h)
     budget = release_budget(sens, epsilon, delta)

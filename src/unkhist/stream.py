@@ -80,13 +80,14 @@ from .core import (
     check_int,
     check_l0,
     check_finite,
+    check_noise,
     check_positive,
     check_probability,
     check_real,
     flagged_rows,
     gaussian_quantile,
     gaussian_quantiles,
-    normal_upper_quantile,
+    gaussian_threshold,
     sample_gaussian,
     screen,
     screen_cut,
@@ -149,7 +150,8 @@ class CounterConfig:
     ``from_privacy`` derives sigma = 1/epsilon and
     T = 1 + sigma * sqrt(depth + 1) * PhiInv(1 - delta/(l0*L)) where
     depth = ceil(log2(L+1)); direct construction is open for test hooks
-    (e.g. sigma = 0 or a sunken threshold).
+    (e.g. sigma = 0 or a sunken threshold).  A sigma at which a total of
+    depth draws could leave the float range is refused (``core.check_noise``).
     """
 
     horizon: int
@@ -165,6 +167,7 @@ class CounterConfig:
         check_real("sigma", self.sigma)
         if not isinstance(self.budget, CdpBudget):
             raise ParameterError(f"budget must be a CdpBudget, got {self.budget!r}")
+        check_noise(self.sigma, self.depth, sigma=self.sigma)  # a total sums depth draws
 
     @property
     def depth(self) -> int:
@@ -184,11 +187,11 @@ class CounterConfig:
         ratio = delta / check_l0("l0 * horizon", l0 * horizon)
         depth = horizon.bit_length()
         sigma = 1.0 / epsilon
-        z = normal_upper_quantile(ratio)
-        threshold = 1.0 + sigma * math.sqrt(depth + 1.0) * z
-        threshold = check_finite("threshold", threshold, epsilon=epsilon, delta=delta)
+        threshold = gaussian_threshold(1.0, sigma, ratio, math.sqrt(depth + 1.0),
+                                       epsilon=epsilon, delta=delta)
         rho = check_finite("rho", epsilon_squared_rho(l0 * depth, eps, 2), l0=l0, horizon=horizon,
                            epsilon=epsilon)
+        check_noise(sigma, depth, epsilon=epsilon)
         budget = CdpBudget(delta=float(delta), rho=rho)
         return cls(
             horizon=horizon,
@@ -546,27 +549,25 @@ def _child_draws(config: CounterConfig) -> tuple[Draws, Screen | None]:
     as Counter draws them, one block per window filled label by label in
     place, and the screen ``_sweep`` runs them through.
 
-    At a finite sigma the draws are the uniforms themselves, for ``_sweep``
+    At a positive sigma the draws are the uniforms themselves, for ``_sweep``
     to screen.  A total sums at most depth node noises, and its counts total
     at most the horizon; ``core.screen_cut`` turns that into the cut.  The
     replay draws a label's uniforms again from a fresh child stream: as
     ``fill`` redraws a zero within its window, one ``uniforms`` call hands
-    out the same draws as the label's windows did.  At sigma 0 or infinity
-    the draws are the noise and there is no screen.
+    out the same draws as the label's windows did.  At sigma 0 the draws are
+    zeros and there is no screen.
     """
     master = RandomSource(config.seed)
     sigma = config.sigma
-    screened = 0.0 < sigma < math.inf
     sources: list[RandomSource] = []
 
     def draws(new: list[str], sizes: list[int]) -> np.ndarray:
         if not sigma > 0.0:
             return np.zeros(sum(sizes))
         sources.extend(master.children(new))
-        uniforms = RandomSource.fill(sources, sizes, np.empty(sum(sizes)))
-        return uniforms if screened else gaussian_quantiles(uniforms, sigma, out=uniforms)
+        return RandomSource.fill(sources, sizes, np.empty(sum(sizes)))
 
-    if not screened:
+    if not sigma > 0.0:
         return draws, None
     cut = screen_cut(config.threshold, sigma, config.depth, float(config.horizon))
     return draws, (cut, lambda label, n: master.child(label).uniforms(n))
@@ -633,8 +634,6 @@ def counter_batch(config: CounterConfig, events: Sequence[StreamEvent], rng: Ran
     def draws(labels: list[str], sizes: list[int]) -> np.ndarray:
         nonlocal exact
         shape = (trials, sum(sizes))  # one window, so every label is new
-        if not sigma > 0.0:
-            return np.zeros(shape)
         noise, exact = screened_draws("gaussian", sigma, rng, shape, sample_gaussian)
         return noise
 

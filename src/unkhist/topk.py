@@ -17,14 +17,14 @@ from .core import (
     ParameterError,
     RandomSource,
     SensitivityBound,
-    check_finite,
     check_int,
+    check_noise,
     check_positive,
     check_probability,
     check_real,
     check_sensitivity,
     flagged_rows,
-    normal_upper_quantile,
+    gaussian_threshold,
     sample_gaussian,
     screen_margin,
     screened_draws,
@@ -91,9 +91,7 @@ def topk_threshold(sens: SensitivityBound, epsilon: float, delta: float) -> floa
     sens = check_sensitivity(sens)
     eps = check_positive("epsilon", epsilon)
     d = check_probability("delta", delta)
-    z = normal_upper_quantile(d / sens.l0)
-    threshold = sens.linf + math.sqrt(2.0) * (sens.linf / eps) * z
-    return check_finite("threshold", threshold, epsilon=eps, delta=d)
+    return gaussian_threshold(sens.linf, sens.linf / eps, d / sens.l0, math.sqrt(2.0), epsilon=eps, delta=d)
 
 
 def above_noisy_threshold(
@@ -152,17 +150,16 @@ def release_topk_batch(
     trunc = truncate_topk(h, kbar)
     threshold = topk_threshold(sens, epsilon, delta)
     check_int("trials", trials)
-    sigma = sens.linf / float(epsilon)
-    if sigma_override is not None:
-        sigma = check_real("sigma_override", sigma_override)
+    # Each flag test subtracts two noisy values: two draws.
+    if sigma_override is None:
+        sigma = check_noise(sens.linf / float(epsilon), 2, epsilon=epsilon, linf=sens.linf)
+    else:
+        sigma = check_noise(check_real("sigma_override", sigma_override), 2, sigma_override=sigma_override)
 
     counts = np.array([count for _, count in trunc.top], dtype=float)
     shape = (trials, 1 + len(counts))
     cut = threshold + trunc.next_count
-    if sigma > 0.0:
-        z, exact = screened_draws("gaussian", sigma, rng, shape, sample_gaussian)
-    else:
-        z, exact = np.zeros(shape), None
+    z, exact = screened_draws("gaussian", sigma, rng, shape, sample_gaussian)
     if exact is not None:
         noisy, _, at = above_noisy_threshold(counts, z, cut, threshold_override)
         margin = decision_margin(sigma, counts, cut, threshold_override)
@@ -191,7 +188,8 @@ def release_topk(
     unreleased (kbar+1)-th count.
 
     sigma_override and threshold_override are test hooks; threshold_override
-    replaces the noisy threshold the counts are compared against.
+    replaces the noisy threshold the counts are compared against.  Sigma 0
+    draws nothing; one whose draws could overflow is refused (``core.check_noise``).
     """
     budget = release_budget(sens, epsilon, delta)
     hooks = {"sigma_override": sigma_override, "threshold_override": threshold_override}

@@ -26,6 +26,9 @@ from unkhist.core import (
     sample_gumbel,
     sample_laplace,
 )
+from unkhist.release import threshold_gaussian
+from unkhist.stream import CounterConfig
+from unkhist.topk import topk_threshold
 
 N_MOMENT_DRAWS = 10**6
 
@@ -280,13 +283,6 @@ class TestRandomSource:
         # draws leave it.
         assert block.uniforms(3).tolist() == [0.25, 0.5, 0.75]
         assert block.uniform() == single.uniform() == 0.125
-
-    def test_uniforms_into_out(self):
-        out = np.empty(17)
-        assert RandomSource(3).uniforms(17, out=out) is out
-        assert out.tolist() == RandomSource(3).uniforms(17).tolist()
-        with pytest.raises(ParameterError):
-            RandomSource(3).uniforms(16, out=out)
 
     class Gen:  # a generator whose stream holds exact zeros, for block calls
         def __init__(self, values):
@@ -548,3 +544,65 @@ def test_block_quantiles_match_the_scalar_bits_at_the_edges(block, scalar, scale
     u += RandomSource(9).uniforms(64).tolist()
     expected = np.array([scalar(x, scale) for x in u])
     assert block(np.array(u), scale).tobytes() == expected.tobytes()
+
+
+# The three Gaussian tail thresholds as their callers wrote them out before
+# core.gaussian_threshold stated the rule once: Algorithm 1's, the
+# noisy-threshold top-k's and the continual counter's.
+
+
+def written_out_release_threshold(sens, epsilon, delta):
+    sens = core.check_sensitivity(sens)
+    eps = core.check_positive("epsilon", epsilon)
+    d = core.check_probability("delta", delta)
+    z = core.normal_upper_quantile(d / sens.l0)
+    return core.check_finite("threshold", sens.linf + (sens.linf / eps) * z, epsilon=eps, delta=d)
+
+
+def written_out_topk_threshold(sens, epsilon, delta):
+    sens = core.check_sensitivity(sens)
+    eps = core.check_positive("epsilon", epsilon)
+    d = core.check_probability("delta", delta)
+    z = core.normal_upper_quantile(d / sens.l0)
+    threshold = sens.linf + math.sqrt(2.0) * (sens.linf / eps) * z
+    return core.check_finite("threshold", threshold, epsilon=eps, delta=d)
+
+
+def written_out_counter_threshold(horizon, l0, epsilon, delta):
+    ratio = delta / (l0 * horizon)
+    sigma = 1.0 / epsilon
+    z = core.normal_upper_quantile(ratio)
+    threshold = 1.0 + sigma * math.sqrt(horizon.bit_length() + 1.0) * z
+    return core.check_finite("threshold", threshold, epsilon=epsilon, delta=delta)
+
+
+def outcome(function, *args, **kwargs):
+    """function's value as its bytes, or the message of the ParameterError it raises."""
+    try:
+        return np.float64(function(*args, **kwargs)).tobytes()
+    except ParameterError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    epsilon=st.floats(1e-300, 1e300),
+    delta=st.floats(5e-324, 1.0 - 2.0**-53),
+    l0=st.integers(1, 2**60),
+    linf=st.floats(1e-300, 1e300),
+    horizon=st.integers(1, 2**40),
+)
+def test_gaussian_threshold_is_each_written_out_threshold(epsilon, delta, l0, linf, horizon):
+    sens = SensitivityBound(l0=l0, linf=linf)
+    for caller, written_out in [(threshold_gaussian, written_out_release_threshold),
+                                (topk_threshold, written_out_topk_threshold)]:  # fmt: skip
+        assert outcome(caller, sens, epsilon, delta) == outcome(written_out, sens, epsilon, delta)
+    expected = outcome(written_out_counter_threshold, horizon, l0, epsilon, delta)
+    factor = math.sqrt(horizon.bit_length() + 1.0)
+    ratio = delta / (l0 * horizon)
+    stated = outcome(core.gaussian_threshold, 1.0, 1.0 / epsilon, ratio, factor, epsilon=epsilon, delta=delta)
+    assert stated == expected
+    # from_privacy forms its threshold before its rho and noise refusals.
+    config = outcome(lambda: CounterConfig.from_privacy(horizon, l0, epsilon, delta, 0).threshold)
+    refused = isinstance(config, str) and re.search("no finite (rho|noise)$", config)
+    assert config == expected or isinstance(expected, bytes) and refused

@@ -8,14 +8,15 @@ drawn from one source) turns uniforms into cheap screened draws, and its
 ``exact`` makes exact the draws, or the Monte-Carlo rows, whose decisions
 come within ``core.screen_margin`` of a screened value, by handing their
 uniforms to the caller's sampler through ``core._Given``.  Each law's
-screen sits in ``core._SCREENS``; the ``counted`` fixture wraps those and
-``_Given`` to count the screened and the exact draws.  The screens must
-stay far inside their stated bound, and the mechanisms must release
-exactly what the fully exact paths release, also when the threshold sits
-on an exact noisy value or one float either side of it, and consecutive
-``release`` calls must be the rows of one ``release_batch``.  Blocks
-below ``core.SCREEN_FLOOR`` draws are not screened; the tests set the
-floor to 0 to screen small inputs too.
+screen sits in its row of ``core._LAWS``; the ``counted`` fixture wraps
+those and ``_Given`` to count the screened and the exact draws.  The
+screens must stay far inside their stated bound, and the mechanisms must
+release exactly what the fully exact paths release, also when the
+threshold sits on an exact noisy value or one float either side of it,
+and consecutive ``release`` calls must be the rows of one
+``release_batch``.  Blocks below ``core.SCREEN_FLOOR`` draws are not
+screened; the tests set the floor to 0 to screen small inputs too.  At
+scale 0 ``core.screened_draws`` draws nothing and gives zeros.
 """
 
 import dataclasses
@@ -126,7 +127,7 @@ def test_max_draw_bounds_every_uniform():
 
 @pytest.fixture
 def counted(monkeypatch):
-    """The sizes of the blocks that each screen of ``core._SCREENS`` is
+    """The sizes of the blocks that each screen of ``core._LAWS`` is
     given, in ``screened``, and of the blocks ``core._Given`` hands a sampler
     to make exact, in ``exact``: every screened path goes through both; and,
     for the stream sweep, the window blocks ``RandomSource.fill`` draws
@@ -142,8 +143,8 @@ def counted(monkeypatch):
 
         return counted_function
 
-    for law, (name, screen) in list(core._SCREENS.items()):
-        monkeypatch.setitem(core._SCREENS, law, (name, counting(screen, counts.screened)))
+    for law, (*row, screen) in list(core._LAWS.items()):
+        monkeypatch.setitem(core._LAWS, law, (*row, counting(screen, counts.screened)))
     monkeypatch.setattr(core, "_Given", counting(core._Given, counts.exact))
     for name, sizes in [("gaussian_quantiles", counts.exact), ("gaussian_quantile", counts.promoted)]:
         monkeypatch.setattr(stream_module, name, counting(getattr(stream_module, name), sizes))
@@ -441,17 +442,27 @@ def test_blocks_below_the_floor_are_not_screened(law):
     def refused(u, scale):
         raise AssertionError("screened below the floor")
 
-    name, _ = core._SCREENS[law]
+    *row, _ = core._LAWS[law]
     sample = SAMPLERS[law]
     for size in [(1, 1), (3, 5), (1, core.SCREEN_FLOOR - 1)]:
         rng, screened_rng = RandomSource(4), RandomSource(4)
-        with mock.patch.dict(core._SCREENS, {law: (name, refused)}):
+        with mock.patch.dict(core._LAWS, {law: (*row, refused)}):
             block, exact = core.screened_draws(law, 2.0, rng, size, sample)
         assert exact is None and block.tobytes() == sample(2.0, RandomSource(4), size).tobytes()
         with mock.patch.object(core, "SCREEN_FLOOR", 0):
             _, exact = core.screened_draws(law, 2.0, screened_rng, size, sample)
         assert exact(np.arange(size[0])).tobytes() == block.tobytes()
         assert screened_rng.uniform() == rng.uniform()
+
+
+@pytest.mark.parametrize("law", sorted(SAMPLERS))
+def test_zero_scale_draws_nothing(law):
+    # Below and from the floor: zeros, no exact, and the source untouched.
+    for size in [(1, 3), (2, core.SCREEN_FLOOR)]:
+        rng = RandomSource(4)
+        block, exact = core.screened_draws(law, 0.0, rng, size, SAMPLERS[law])
+        assert exact is None and block.tobytes() == np.zeros(size).tobytes()
+        assert rng.uniform() == RandomSource(4).uniform()
 
 
 def test_kernels_transform_few_rows_exactly(counted):

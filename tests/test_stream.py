@@ -304,3 +304,20 @@ def test_snapshots_raise_at_a_refused_event_before_pulling_more(labels, bad, mes
     with pytest.raises(ParameterError, match=message):
         list(snapshots(config, events))
     assert events.pulled == 30
+
+
+def test_windows_without_new_labels_seed_no_streams(monkeypatch):
+    # Every label arrives in round 1: one window of the 128 brings new labels,
+    # and only it seeds child streams.
+    from unkhist import core
+
+    seeded = []
+    seed_states = core._seed_states
+    monkeypatch.setattr(core, "_seed_states", lambda *args: seeded.append(1) or seed_states(*args))
+    labels = [f"l{i:02d}" for i in range(SWEEP_MIN_LABELS)]
+    events = [StreamEvent(1, labels)] + [StreamEvent(r, [labels[r % len(labels)]]) for r in range(2, 4097)]
+    config = CounterConfig.from_privacy(4096, len(labels), 1.0, 0.05, seed=3)
+    assert 4096 // stream.SWEEP_WINDOW == 128
+    for _ in counter_sweep(config, events):
+        pass
+    assert len(seeded) == 1
