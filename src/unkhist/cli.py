@@ -55,16 +55,11 @@ def _report_meta(args, *names: str) -> dict:
 
 
 def _cmd_release(args) -> int:
+    rng = RandomSource(args.seed)
     histogram = parse_histogram_csv(args.infile)
     sens = SensitivityBound(l0=args.l0, linf=args.linf)
     report = release(
-        histogram,
-        sens,
-        args.noise,
-        args.epsilon,
-        args.delta,
-        RandomSource(args.seed),
-        min_count=args.min_count,
+        histogram, sens, args.noise, args.epsilon, args.delta, rng, min_count=args.min_count
     )
     meta = _report_meta(args, "noise", "epsilon", "delta", "l0", "linf", "min_count")
     write_report_json(release_report_payload(report, **meta), args.out)
@@ -72,20 +67,20 @@ def _cmd_release(args) -> int:
 
 
 def _cmd_topk(args) -> int:
+    rng = RandomSource(args.seed)
     histogram = parse_histogram_csv(args.infile)
     sens = SensitivityBound(l0=args.l0, linf=args.linf)
-    report = release_topk(
-        histogram, args.kbar, sens, args.epsilon, args.delta, RandomSource(args.seed)
-    )
+    report = release_topk(histogram, args.kbar, sens, args.epsilon, args.delta, rng)
     meta = _report_meta(args, "kbar", "epsilon", "delta", "l0", "linf")
     write_report_json(release_report_payload(report, **meta), args.out)
     return 0
 
 
 def _cmd_gumbel_topk(args) -> int:
+    rng = RandomSource(args.seed)
     histogram = parse_histogram_csv(args.infile)
     ranked, budget = release_gumbel_topk(
-        histogram, args.k, args.kbar, args.l0, args.epsilon, args.delta, RandomSource(args.seed)
+        histogram, args.k, args.kbar, args.l0, args.epsilon, args.delta, rng
     )
     payload = ranked_report_payload(
         ranked,

@@ -59,6 +59,14 @@ def check_int(name: str, value: object, minimum: int = 1) -> int:
     return value
 
 
+def check_seed(value: object) -> int:
+    """An integer in [0, 2**64), the seeds that key the noise with all their
+    bits: a negative seed would alias one of them."""
+    if check_int("seed", value, 0) >= 2**64:
+        raise ParameterError("seed must fit in 64 bits")
+    return value
+
+
 def check_l0(name: str, value: object) -> int:
     """An integer >= 1 within the float range, as the threshold and budget
     arithmetic that takes an l0 sensitivity, or a list length k, needs."""
@@ -393,9 +401,7 @@ class RandomSource:
     def __init__(self, seed: int, *, _entropy: tuple[int, ...] | None = None,
                  _seed: _SeedState | None = None):
         if _entropy is None:
-            if check_int("seed", seed, 0) >= 2**64:
-                raise ParameterError("seed must fit in 64 bits")
-            _entropy = (seed,)
+            _entropy = (check_seed(seed),)
         self._entropy = _entropy
         self._gen = np.random.Generator(np.random.PCG64(_seed or np.random.SeedSequence(_entropy)))
 

@@ -27,13 +27,15 @@ as a from-scratch sum, hence bit-identical snapshots.  A label that arrives
 in round r fills ``sums[1 : popcount(r)]``, left to right, from the draws
 of the nodes that predate it.
 
-Two implementations share this layout.  ``Counter`` is the scalar,
+Two implementations share this layout, and both keep labels in order of
+arrival, each round's new labels sorted.  ``Counter`` is the scalar,
 incremental one: one ``observe`` per event, a Python loop over its labels'
 lists.  ``counter_sweep`` and ``counter_batch`` (the delta-event Monte
 Carlo's) run one array sweep over the events instead: the lists are the
 columns of one int64 [depth, labels] array and one float64 [depth + 1,
-labels] array, labels in order of arrival, and a round reads and writes
-whole rows.  The sweep draws noise per window of rounds, so its state is
+labels] array, and a round reads and writes whole rows.  Both return a
+round's released labels in that order, so their snapshots are equal dicts
+in equal order.  The sweep draws noise per window of rounds, so its state is
 O(labels * (window + log L)); ``counter_batch`` adds a leading trials axis
 to the sums and the noise.  ``snapshots``, which ``unkhist stream`` runs,
 picks Counter or the sweep for a stream as it reads it (SWEEP_MIN_LABELS).
@@ -64,7 +66,6 @@ goes into a report.
 from __future__ import annotations
 
 import math
-from bisect import insort
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice, repeat
@@ -84,6 +85,7 @@ from .core import (
     check_positive,
     check_probability,
     check_real,
+    check_seed,
     flagged_rows,
     gaussian_quantile,
     gaussian_quantiles,
@@ -165,6 +167,7 @@ class CounterConfig:
         check_int("horizon", self.horizon)
         check_l0("l0", self.l0)
         check_real("sigma", self.sigma)
+        check_seed(self.seed)
         if not isinstance(self.budget, CdpBudget):
             raise ParameterError(f"budget must be a CdpBudget, got {self.budget!r}")
         check_noise(self.sigma, self.depth, sigma=self.sigma)  # a total sums depth draws
@@ -207,14 +210,10 @@ class _LabelState(NamedTuple):
     """One label's stack in the module docstring's layout: its column of the
     sweep's arrays, as lists."""
 
-    debut: int  # round of the label's first event
+    label: str  # its key in Counter._labels: observe loops over the values
     noise: Callable[[], float]  # the label's next node noise
     counts: list[int]  # [depth] node counts; the first popcount(round) are active
     sums: list[float]  # [depth + 1]; sums[i + 1] = sums[i] + (counts[i] + noise_i)
-
-
-def _trailing_zeros(round: int) -> int:
-    return (round & -round).bit_length() - 1
 
 
 def check_event(config: CounterConfig, expected: int, event: object) -> StreamEvent:
@@ -261,7 +260,8 @@ class Counter:
     Per label the counter keeps the stack of the module docstring, its
     column of the sweep's arrays, as two lists: ``depth`` node counts and
     ``depth + 1`` running sums, written in place at the round's stack index.
-    State is O(labels * log L).
+    Labels are kept in the sweep's column order, which is order of arrival
+    with each round's new labels sorted.  State is O(labels * log L).
     """
 
     def __init__(self, config: CounterConfig, rng: RandomSource | None = None, *,
@@ -275,71 +275,19 @@ class Counter:
         # Test hooks, passed by nothing in the package: rng for a master stream
         # other than RandomSource(seed), noise(label) for a callable giving the
         # label's node noises in draw order (the reference tests feed it
-        # counter_batch's noise columns).  Normal use seeds from config.
+        # counter_batch's noise columns, or log its draws).  Normal use seeds
+        # from config.
         master = rng if rng is not None else RandomSource(config.seed)
         self._noise = noise if noise is not None else partial(_child_noise, master, config)
         self._labels: dict[str, _LabelState] = {}
-        self._ordered: list[tuple[str, _LabelState]] = []  # sorted by label
 
     @property
     def budget(self) -> CdpBudget:
         return self.config.budget
 
-    def labels_seen(self) -> list[str]:
-        return [label for label, _ in self._ordered]
-
-    def node_noises(self, label: str) -> dict[tuple[int, int], float]:
-        """Test hook: the noise on every node the label has used, in draw order.
-
-        Replayed from a fresh noise(label): the nodes of its debut round,
-        then the newest node of each later round.
-        """
-        state = self._labels.get(label)
-        if state is None:
-            return {}
-        nodes = list(dyadic_nodes(state.debut))
-        for r in range(state.debut + 1, self.round + 1):
-            tz = _trailing_zeros(r)
-            nodes.append((tz, (r >> tz) - 1))
-        noise = self._noise(label)
-        return {node: noise() for node in nodes}
-
-    def state_dict(self) -> dict:
-        """JSON-able state: round, config, and per label its debut round and
-        the event count of each active node.
-
-        This is an operator dump, not a release: the exact counts must be
-        handled like the input data.  It exports no noise value and no seed.
-        """
-        nodes = [f"{b}:{i}" for b, i in dyadic_nodes(self.round)] if self.round else []
-        labels = {
-            label: {"debut": state.debut, "counts": dict(zip(nodes, state.counts))}
-            for label, state in self._ordered
-        }
-        return {
-            "round": self.round,
-            "horizon": self.config.horizon,
-            "l0": self.config.l0,
-            "sigma": self.config.sigma,
-            "threshold": self.config.threshold,
-            "budget": self.config.budget.to_json_dict(),
-            "labels": labels,
-        }
-
-    def _add_label(self, label: str, r: int) -> None:
-        noise = self._noise(label)
-        depth = self.config.depth
-        counts, sums = [0] * depth, [0.0] * (depth + 1)
-        # The nodes of round r left of its newest one predate the label: no
-        # events, noise drawn leftmost first.
-        for i in range(r.bit_count() - 1):
-            sums[i + 1] = sums[i] + noise()
-        state = _LabelState(r, noise, counts, sums)
-        self._labels[label] = state
-        insort(self._ordered, (label, state))
-
     def observe(self, event: StreamEvent) -> dict[str, float]:
-        """Ingest the next round and return labels whose noisy prefix count exceeds T.
+        """Ingest the next round and return labels whose noisy prefix count
+        exceeds T, in order of arrival.
 
         Rejected events (wrong round, horizon exceeded, too many items) leave
         the counter untouched.
@@ -350,18 +298,28 @@ class Counter:
                 and len(event.items) <= config.l0):
             check_event(config, r, event)  # raises, naming the check that fails
         self.round = r
-        # The newest node, at level tz and stack index low, replaces the tz
-        # lowest nodes of round r-1 and covers exactly them plus round r.
-        tz = _trailing_zeros(r)
+        # The newest node, at level tz (r's trailing zero bits) and stack index
+        # low, replaces the tz lowest nodes of round r-1 and covers exactly
+        # them plus round r.
+        tz = (r & -r).bit_length() - 1
         low = r.bit_count() - 1
         items = event.items
+        labels = self._labels
         for label in items:
-            if label not in self._labels:
-                self._add_label(label, r)
+            if label not in labels:  # the round's new labels join in sorted order
+                for new in sorted(items.difference(labels)):
+                    noise = self._noise(new)
+                    sums = [0.0] * (config.depth + 1)
+                    # The nodes of round r left of its newest one predate the
+                    # label: no events, noise drawn leftmost first.
+                    for i in range(low):
+                        sums[i + 1] = sums[i] + noise()
+                    labels[new] = _LabelState(new, noise, [0] * config.depth, sums)
+                break
 
         threshold = config.threshold
         released: dict[str, float] = {}
-        for label, (_, noise, counts, sums) in self._ordered:
+        for label, noise, counts, sums in labels.values():
             count = sum(counts[low : low + tz]) if tz else 0
             if label in items:
                 count += 1
@@ -493,8 +451,8 @@ def _sweep(config: CounterConfig, events: Iterable[StreamEvent], window: int, dr
         del drawn  # so that the rounds, and the next window's draws, do not keep it
         for event, n in zip(batch, active):
             r = event.round
-            tz = _trailing_zeros(r)
-            low = r.bit_count() - 1  # the newest node's stack index
+            tz = (r & -r).bit_length() - 1  # the newest node's level
+            low = r.bit_count() - 1  # and its stack index
             count = counts[low : low + tz, :n].sum(0)
             count[[index[label] for label in event.items]] += 1
             total = sums[..., low, :n] + (count + noise[..., r - first, :n])
@@ -522,9 +480,9 @@ def _promote(rows: np.ndarray, r: int, labels: list[str], debuts: list[int],
     round's newest node, and ``later``, their noise for the window's later rounds.
 
     A label that debuted in round d drew its popcount(d) - 1 predating nodes
-    first, then one a round, as ``Counter.node_noises`` orders them: active
-    node i, which ends at round e, is its draw for round e if e >= d and its
-    i-th draw otherwise.  A promotion transforms at most depth + window draws,
+    first, then one a round, as ``Counter`` draws them: active node i, which
+    ends at round e, is its draw for round e if e >= d and its i-th draw
+    otherwise.  A promotion transforms at most depth + window draws,
     so they go through the scalar ``gaussian_quantile`` (under a microsecond a
     draw) rather than a block call (some 60 microseconds whatever its size).
     """

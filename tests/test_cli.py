@@ -398,20 +398,29 @@ class TestMain:
         assert captured.err.startswith("I/O error: ") and "does-not-exist.ndjson" in captured.err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("command", ["release", "validate"])
+    @pytest.mark.parametrize("command", ["release", "topk", "gumbel-topk", "stream", "validate"])
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
-    def test_seed_outside_64_bits_is_exit_two(self, hist_csv, tmp_path, capsys, command, seed):
+    def test_seed_outside_64_bits_is_exit_two(self, hist_csv, events_ndjson, tmp_path, capsys,
+                                              command, seed):  # fmt: skip
         # A seed keys the noise with its own bits: -1 would alias 2**64 - 1.
+        # It is refused before the input is read, so a missing input exits
+        # the same way.
         out = tmp_path / "r.json"
-        if command == "release":
-            argv = ["release", "--noise", "gaussian", "--epsilon", "1", "--delta", "1e-6",
-                    "--l0", "1", "--linf", "1", "--in", hist_csv, "--out", str(out)]  # fmt: skip
-        else:
-            argv = ["validate", "--suite", "renyi", "--report", str(out)]
-        assert main([*argv, "--seed", seed]) == 2
-        err = capsys.readouterr().err
-        assert "seed" in err and "Traceback" not in err
-        assert not out.exists()
+        privacy = ["--epsilon", "1", "--delta", "1e-6", "--l0", "1", "--out", str(out)]
+        argv = {
+            "release": ["--noise", "gaussian", "--linf", "1", *privacy],
+            "topk": ["--kbar", "2", "--linf", "1", *privacy],
+            "gumbel-topk": ["--k", "1", "--kbar", "2", *privacy],
+            "stream": ["--horizon", "4", *privacy],
+            "validate": ["--suite", "renyi", "--report", str(out)],
+        }[command]
+        source = events_ndjson if command == "stream" else hist_csv
+        inputs = [[]] if command == "validate" else [["--in", source], ["--in", str(tmp_path / "missing")]]
+        for extra in inputs:
+            assert main([command, *argv, *extra, "--seed", seed]) == 2
+            err = capsys.readouterr().err
+            assert "seed" in err and "Traceback" not in err
+            assert not out.exists()
 
     def test_bad_parameter_is_exit_two(self, hist_csv, capsys):
         code = main(

@@ -164,9 +164,9 @@ class TestReleaseTails:
         h = {"a": 2, "b": 2, "c": 2}
         delta = 0.05
         trials = 2 * 10**4
-        for noise in ("laplace", "gaussian"):
+        for noise, seed in (("laplace", 502), ("gaussian", 503)):
             hits = 0
-            master = RandomSource(hash(noise) & 0xFFFF)
+            master = RandomSource(seed)
             for i in range(trials):
                 report = release(h, sens, noise, 1.0, delta, master.child(i))
                 hits += bool(report.released)

@@ -1,9 +1,12 @@
 """Continual counter: dyadic structure, noise reuse, calibration, rejection."""
 
+import dataclasses
 import math
 import tracemalloc
 
 import pytest
+
+from counter_log import logged_counter, node_noises
 
 from unkhist.accountant import CdpBudget
 from unkhist import stream
@@ -86,6 +89,9 @@ class TestCounterConfig:
             CounterConfig.from_privacy(4, 1, 1.0, 1.5, seed=0)
         with pytest.raises(ParameterError):
             CounterConfig.from_privacy(4, 1, 0.0, 0.05, seed=0)
+        for seed in (-1, 2**64):  # refused as RandomSource refuses it
+            with pytest.raises(ParameterError, match="seed"):
+                CounterConfig.from_privacy(4, 1, 1.0, 0.05, seed=seed)
 
 
 class TestObserve:
@@ -119,7 +125,7 @@ class TestObserve:
         with pytest.raises(ParameterError):
             counter.observe(StreamEvent(2, {"a", "b"}))  # too many items
         assert counter.round == 1
-        assert counter.labels_seen() == ["a"]
+        assert list(counter._labels) == ["a"]
         snapshot = counter.observe(StreamEvent(2, {"a"}))
         assert snapshot == {"a": 2.0}
         counter.observe(StreamEvent(3, set()))
@@ -129,23 +135,22 @@ class TestObserve:
 
     def test_noise_drawn_once_per_node(self):
         config = hook_config(16, sigma=1.0, threshold=-math.inf, seed=9)
-        counter = Counter(config)
-        history = {}
+        counter, log = logged_counter(config)
+        used = set()
         for r in range(1, 17):
             counter.observe(StreamEvent(r, {"a"}))
-            noises = counter.node_noises("a")
-            for node, value in history.items():
-                assert noises[node] == value  # bit-identical reuse
-            history.update(noises)
+            used.update(dyadic_nodes(r))
+            # One draw per node the label has used: a node's noise is reused.
+            assert len(log["a"]) == len(used) and set(node_noises(log["a"])) == used
 
     def test_late_label_gets_fresh_noise_on_prior_nodes(self):
         config = hook_config(16, sigma=1.0, threshold=-math.inf, l0=2, seed=9)
-        counter = Counter(config)
+        counter, log = logged_counter(config)
         for r in range(1, 9):
             counter.observe(StreamEvent(r, {"a"}))
         counter.observe(StreamEvent(9, {"a", "late"}))
-        a_noises = counter.node_noises("a")
-        late_noises = counter.node_noises("late")
+        a_noises = node_noises(log["a"])
+        late_noises = node_noises(log["late"])
         assert set(late_noises) == set(dyadic_nodes(9))
         shared = set(a_noises) & set(late_noises)
         assert shared and all(a_noises[n] != late_noises[n] for n in shared)
@@ -165,10 +170,10 @@ class TestObserve:
 
     def test_noisy_count_sums_active_nodes(self):
         config = hook_config(16, sigma=1.0, threshold=-math.inf, seed=5)
-        counter = Counter(config)
+        counter, log = logged_counter(config)
         for r in range(1, 11):
             snapshot = counter.observe(StreamEvent(r, {"a"}))
-            noises = counter.node_noises("a")
+            noises = node_noises(log["a"])
             expected = r + sum(noises[node] for node in dyadic_nodes(r))
             assert snapshot["a"] == pytest.approx(expected, rel=1e-12)
 
@@ -201,21 +206,6 @@ def test_events_validate_labels():
         StreamEvent(1, {"⊥1"})
     with pytest.raises(ParameterError):
         StreamEvent(0, {"a"})
-
-
-def test_state_dict_is_json_ready():
-    import json
-
-    counter = Counter(CounterConfig.from_privacy(8, 2, 1.0, 0.05, seed=21))
-    for r in range(1, 5):
-        counter.observe(StreamEvent(r, {"a"} if r % 2 else {"a", "b"}))
-    state = counter.state_dict()
-    assert state["round"] == 4
-    assert "seed" not in state
-    assert set(state["labels"]) == {"a", "b"}
-    assert state["labels"]["b"] == {"debut": 2, "counts": {"2:0": 2}}
-    text = json.dumps(state)  # must serialize without help
-    assert '"noises"' not in text  # raw noise is never exported
 
 
 def test_sweep_memory_stays_windowed():
@@ -283,6 +273,26 @@ def test_snapshots_choose_the_sweep_at_the_event_that_brings_its_label(monkeypat
     counter = Counter(config)
     expected = [(e.round, counter.observe(e)) for e in events.events]
     assert [first, *rows] == expected and events.pulled == 64
+
+
+@pytest.mark.parametrize("threshold", [None, -math.inf])
+@pytest.mark.parametrize("labels", [3, SWEEP_MIN_LABELS + 4])
+def test_counter_and_sweep_release_labels_in_the_same_order(labels, threshold):
+    # Labels arrive in reverse name order, two in round 1, so order of
+    # arrival is not label order.  Both counters keep labels in order of
+    # arrival, each round's new ones sorted, and so does snapshots on its
+    # Counter path (3 labels) and its sweep path.
+    config = CounterConfig.from_privacy(64, 2, 1.0, 0.05, seed=3)
+    if threshold is not None:
+        config = dataclasses.replace(config, threshold=threshold)
+    names = [f"l{i:02d}" for i in reversed(range(labels))]
+    events = [StreamEvent(1, names[:2])] + [StreamEvent(r, [names[r % labels]]) for r in range(2, 65)]
+    counter = Counter(config)
+    observed = [list(counter.observe(event).items()) for event in events]
+    assert [list(released.items()) for _, released in counter_sweep(config, events)] == observed
+    assert [list(released.items()) for _, released in snapshots(config, events)] == observed
+    if threshold is not None:  # every label seen is released every round
+        assert [label for label, _ in observed[-1]] == sorted(names[:2]) + names[2:]
 
 
 @pytest.mark.parametrize("labels", [3, 40])

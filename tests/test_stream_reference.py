@@ -5,8 +5,9 @@ ReferenceCounter is the earlier ``Counter.observe``: every round it re-sums
 the round's dyadic nodes for every label seen so far, drawing each node's
 noise the first time it is needed and keeping every count and noise in
 per-label dicts.  The stack must give repr-identical snapshots, round by
-round.  ``counter_sweep``, which the CLI runs, must give a Counter's
-snapshots, and each row of ``counter_batch`` must be what a scalar Counter
+round, once the reference's label order (sorted) is set aside.
+``counter_sweep``, which the CLI runs, must give a Counter's snapshots in
+the same order, and each row of ``counter_batch`` must be what a scalar Counter
 gives when fed that row's noises through the noise hook.
 """
 
@@ -18,6 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from counter_log import logged_counter, node_counts, node_noises
 
 from unkhist import core
 from unkhist import stream as stream_module
@@ -124,22 +127,25 @@ def test_stack_matches_dict_reference(stream, sigma, threshold, seed, hook):
                            seed=seed, budget=CdpBudget(0.0, math.inf))  # fmt: skip
     if hook:
         counter = Counter(config, rng=RandomSource(seed).child(7))
+        logged, log = logged_counter(config, rng=RandomSource(seed).child(7))
         reference = ReferenceCounter(config, rng=RandomSource(seed).child(7))
     else:
         counter = Counter(config)
+        logged, log = logged_counter(config)
         reference = ReferenceCounter(config)
     for r, event in enumerate(events, start=1):
-        assert repr(counter.observe(event)) == repr(reference.observe(event))
-        # The stack keeps stale entries above the active nodes; none is exported.
-        exported = counter.state_dict()["labels"]
-        assert list(exported) == counter.labels_seen()
-        for label, state in exported.items():
-            node_counts = reference._labels[label][1]
-            assert state["counts"] == {f"{b}:{i}": node_counts.get((b, i), 0)
-                                       for b, i in dyadic_nodes(r)}  # fmt: skip
-    assert counter.labels_seen() == sorted(reference._labels)
+        released = counter.observe(event)
+        assert repr(dict(sorted(released.items()))) == repr(reference.observe(event))
+        assert repr(logged.observe(event)) == repr(released)
+        # The stack keeps stale entries above the active nodes; only the
+        # active ones are read.
+        for label in counter._labels:
+            counts = reference._labels[label][1]
+            assert node_counts(counter, label) == {node: counts.get(node, 0) for node in dyadic_nodes(r)}
+    # The reference adds each event's new labels sorted, as the stack does.
+    assert list(counter._labels) == list(reference._labels)
     for label in LABELS:
-        assert repr(counter.node_noises(label)) == repr(reference.node_noises(label))
+        assert repr(node_noises(log[label])) == repr(reference.node_noises(label))
 
 
 def _config(horizon, l0, sigma, threshold, seed):
@@ -204,7 +210,7 @@ def test_counter_batch_rows_match_hooked_counters(stream, sigma, threshold, seed
             assert all(next(feed, None) is None for feed in feeds.values())
             assert repr(row_every.tolist()) == repr([snapshot_all[label] for label in labels])
             hits = {label: total for label, total, hit in zip(labels, row_totals.tolist(), row_released) if hit}
-            assert repr(dict(sorted(hits.items()))) == repr(snapshot)
+            assert repr(hits) == repr(snapshot)
             assert repr(snapshot) == repr({label: snapshot_all[label] for label in snapshot})
 
 
@@ -243,8 +249,7 @@ def test_sweep_snapshots_match_counter(stream, sigma, threshold, seed, window):
         snapshots = list(counter_sweep(config, events))
     assert [r for r, _ in snapshots] == [event.round for event in events]
     for event, (_, released) in zip(events, snapshots):
-        # The sweep keeps labels in order of arrival, the Counter sorted.
-        assert repr(dict(sorted(released.items()))) == repr(counter.observe(event))
+        assert repr(released) == repr(counter.observe(event))
 
 
 def _bad_streams():
