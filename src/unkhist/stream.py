@@ -43,18 +43,15 @@ picks Counter or the sweep for a stream as it reads it (SWEEP_MIN_LABELS).
 ``counter_sweep`` runs the exact transform only on noise that can show.
 Most labels never come near the threshold, so each window's draws go
 through ``core.screen``, whose screened values lie within
-``core.SCREEN_ERROR * (sigma + |screen|)`` of the exact ones, and whose
-exact makes the promoted labels' draws exact.  A label whose screened total
-exceeds ``core.screen_cut`` (the threshold less a margin that bounds how
-far a screened total of at most depth draws and horizon counts can stray
-from the exact one; its derivation is in ``screen_cut``) is promoted: its
-stack is rebuilt bit for bit from the uniforms of its active nodes, drawn
-again from its child stream, and its noise is exact from then on.
-No total reaches a snapshot before its label is exact, and below the cut no
-exact total can clear the threshold, so the snapshots stay Counter's bit
-for bit.  Once most labels are promoted, the sweep promotes the rest and
-transforms every later draw exactly, since promotions then cost more than
-the screen saves.  ``Counter`` transforms every draw exactly.
+``core.SCREEN_ERROR * (sigma + |screen|)`` of the exact ones.  A label whose
+screened total exceeds ``core.screen_cut`` (the threshold less a margin that
+bounds how far a screened total of at most depth draws and horizon counts
+can stray from the exact one; its derivation is in ``screen_cut``) is
+promoted: its stack is rebuilt bit for bit from the uniforms of its active
+nodes, which the sweep keeps beside their counts, and its noise is exact
+from then on.  No total reaches a snapshot before its label is exact, and
+below the cut no exact total can clear the threshold, so the snapshots stay
+Counter's bit for bit.  ``Counter`` transforms every draw exactly.
 ``counter_batch`` screens by row instead: a Monte-Carlo row whose screened
 totals all stay below the cut releases nothing, and the other rows are
 swept again with their exact noise.
@@ -345,19 +342,15 @@ SWEEP_WINDOW = 32
 #: the same with twelve and 0.95x with sixteen (x86-64, numpy 2.4).
 SWEEP_MIN_LABELS = 16
 
-#: draws(new, sizes): the next sizes[i] node noises of the i-th label in order
-#: of arrival (or, to be screened, their uniforms), in its draw order,
-#: concatenated label after label; ``new`` are the labels that arrived in
-#: this window, the last len(new) of them.
-Draws = Callable[[list[str], list[int]], np.ndarray]
-
-#: (cut, replay): the screen's cut, and replay(label, n), the label's first n
-#: uniforms in its draw order, as ``Draws`` handed them out.
-Screen = tuple[float, Callable[[str, int], np.ndarray]]
+#: draws(new, order, sizes): the next sizes[i] node noises of label order[i]
+#: (its index in order of arrival), or, to be screened, their uniforms, each
+#: label's in its draw order, concatenated label after label; ``new`` are the
+#: labels that arrived in this window, the last len(new) of them.
+Draws = Callable[[list[str], list[int], list[int]], np.ndarray]
 
 
 def _sweep(config: CounterConfig, events: Iterable[StreamEvent], window: int, draws: Draws,
-           screened: Screen | None, lead: tuple[int, ...] = ()
+           cut: float | None, lead: tuple[int, ...] = ()
            ) -> Iterator[tuple[list[str], np.ndarray]]:
     """Counter.observe for every label at once: after each event, the labels
     in order of arrival and their [*lead, labels] running totals.
@@ -369,31 +362,23 @@ def _sweep(config: CounterConfig, events: Iterable[StreamEvent], window: int, dr
     labels], and each sum takes the float64 additions the scalar stack takes.
 
     The caller gives the noise (``counter_sweep`` Counter's, from
-    ``_child_draws``).  If screened, the draws are uniforms, which each
-    window runs through ``core.screen``, and a label runs on screened noise
-    until its total exceeds the cut.  Then ``_promote`` makes its sums and
-    later noise exact, from uniforms the replay draws again, and its draws
-    in later windows go through the screen's exact: the sweep keeps no
-    uniforms past the window.  Below the cut no exact total clears the
-    threshold.
-
-    A promotion costs as much as a few hundred exact draws (tens of
-    microseconds), so the screen pays only while most labels stay below the
-    cut.  Once most labels are promoted at the end of a window, the sweep
-    promotes the rest and transforms every later draw exactly, as it does
-    without a screen: a stream whose labels mostly clear the threshold then
-    costs about what it cost with no screen at all.
+    ``_child_draws``).  Given a cut, the draws are uniforms, and a label runs
+    on screened noise until its total exceeds the cut.  The sweep keeps the
+    uniforms a promotion needs: the window's, [width, labels] as its noise,
+    while one of its labels may yet be promoted, and those of the active
+    nodes, [depth, labels] as their counts.  ``_promote`` makes a label's sums
+    and its noise for the window's later rounds exact from them; in later
+    windows its draws go to the exact transform, the others' to the screen.
+    Below the cut no exact total clears the threshold.
     """
     depth = config.depth
     sigma = config.sigma
-    screening = screened is not None  # until most labels are promoted
-    cut, replay = screened or (math.inf, None)
     labels: list[str] = []
-    debuts: list[int] = []
     index: dict[str, int] = {}
     counts = np.zeros((depth, 0), dtype=np.int64)
     sums = np.zeros((*lead, depth + 1, 0))
-    cuts = np.zeros(0)  # while screening: each label's cut, +inf once it is promoted
+    cuts = np.zeros(0)  # given a cut: each label's, +inf once it is promoted
+    nodes = np.zeros((depth, 0))  # given a cut: the active nodes' uniforms, as counts
     events = iter(events)
     taken = 0
     while True:
@@ -406,49 +391,56 @@ def _sweep(config: CounterConfig, events: Iterable[StreamEvent], window: int, dr
         first, last = batch[0].round, batch[-1].round
         width = len(batch)
         old = len(labels)
-        sizes = [width] * old  # one node per round
+        sizes = []  # each new label's draws: its older nodes, then one a round
+        before = []  # and how many of them predate it
         active = []  # labels seen through each event
         for event in batch:
             for label in sorted(event.items.difference(index)):
                 index[label] = len(labels)
                 labels.append(label)
-                debuts.append(event.round)
-                sizes.append(event.round.bit_count() + last - event.round)  # older nodes, then one a round
+                before.append(event.round.bit_count() - 1)
+                sizes.append(before[-1] + 1 + last - event.round)
             active.append(len(labels))
         new = len(labels) - old
         if new:
             counts = np.concatenate((counts, np.zeros((depth, new), dtype=np.int64)), axis=1)
             sums = np.concatenate((sums, np.zeros((*lead, depth + 1, new))), axis=-1)
-            if screening:
-                cuts = np.concatenate((cuts, np.full(new, cut)))
-        drawn = draws(labels[old:], sizes)
-        if screening:
-            drawn, exact = screen("gaussian", sigma, drawn, sample_gaussian)
-            # The promoted labels' draws, width each: the old labels' come first.
-            promoted = np.flatnonzero(cuts[:old] == math.inf)[:, None] * width + np.arange(width)
-            drawn[promoted] = exact(promoted)
-            del exact  # and with it the window's uniforms
-        elif screened is not None:  # the draws are uniforms, no longer screened
-            drawn = gaussian_quantiles(drawn, sigma, out=drawn)
+            cuts = np.concatenate((cuts, np.full(new, math.inf if cut is None else cut)))
+            nodes = np.concatenate((nodes, np.empty((depth, new))), axis=1)
+        # The new labels' draws come first: each one's older nodes, left of its
+        # debut round's newest one, then one a round, which end its noise column.
+        size, before = np.array(sizes, dtype=np.int64), np.array(before, dtype=np.int64)
+        start = np.cumsum(size) - size
+        rounds = size - before
+        column = np.repeat(np.arange(old, len(labels)), rounds)
+        step = np.arange(column.size) - np.repeat(np.cumsum(rounds) - rounds, rounds)
+        row = np.repeat(width - rounds, rounds) + step
+        source = np.repeat(start + before, rounds) + step
+        # Then come the old labels', width each: those still screened, then
+        # the promoted ones, whose draws alone go to the exact transform.
+        head = sum(sizes)
+        promoted = cuts[:old] == math.inf
+        olds = np.argsort(promoted, kind="stable")
+        u = draws(labels[old:], [*range(old, len(labels)), *olds.tolist()], sizes + [width] * old)
+        drawn, uniforms = u, None  # the window's noise; its uniforms while a label may rise
+        if cut is not None:
+            screened = len(u) - width * np.count_nonzero(promoted)
+            drawn = np.empty(len(u))
+            gaussian_quantiles(u[screened:], sigma, out=drawn[screened:])
+            if screened:
+                drawn[:screened] = screen("gaussian", sigma, u[:screened], sample_gaussian)[0]
+                uniforms = np.empty((width, len(labels)))
+                uniforms[:, olds] = u[head:].reshape(old, width).T
+                uniforms[row, column] = u[source]
         noise = np.empty((*lead, width, len(labels)))  # [..., round - first, label]
-        noise[..., :old] = drawn[..., : old * width].reshape(*lead, old, width).swapaxes(-1, -2)
-        if new:
-            # The new labels' draws follow the old ones', label after label: first
-            # the nodes of its debut round left of its newest one, then one a round
-            # from its debut on, which end its noise column.
-            before = np.array([d.bit_count() - 1 for d in debuts[old:]])
-            size = np.array(sizes[old:])
-            start = old * width + np.cumsum(size) - size
-            rounds = size - before
-            column = np.repeat(np.arange(old, len(labels)), rounds)
-            step = np.arange(column.size) - np.repeat(np.cumsum(rounds) - rounds, rounds)
-            source = np.repeat(start + before, rounds) + step
-            row = np.repeat(width - rounds, rounds) + step
-            noise[..., row, column] = drawn[..., source]
-            for i in range(before.max()):  # the debut round's older nodes, left to right
-                has = np.flatnonzero(before > i)
-                sums[..., i + 1, old + has] = sums[..., i, old + has] + drawn[..., start[has] + i]
-        del drawn  # so that the rounds, and the next window's draws, do not keep it
+        noise[..., olds] = drawn[..., head:].reshape(*lead, old, width).swapaxes(-1, -2)
+        noise[..., row, column] = drawn[..., source]
+        for i in range(before.max(initial=0)):  # the debut round's older nodes, left to right
+            has = np.flatnonzero(before > i)
+            sums[..., i + 1, old + has] = sums[..., i, old + has] + drawn[..., start[has] + i]
+            if cut is not None:
+                nodes[i, old + has] = u[start[has] + i]
+        del u, drawn  # so that the rounds, and the next window's draws, do not keep them
         for event, n in zip(batch, active):
             r = event.round
             tz = (r & -r).bit_length() - 1  # the newest node's level
@@ -458,77 +450,53 @@ def _sweep(config: CounterConfig, events: Iterable[StreamEvent], window: int, dr
             total = sums[..., low, :n] + (count + noise[..., r - first, :n])
             counts[low, :n] = count
             sums[..., low + 1, :n] = total
-            if screening:
-                rising = np.flatnonzero(total > cuts[:n])
+            if uniforms is not None:
+                nodes[low, :n] = uniforms[r - first, :n]
+                rising = (total > cuts[:n]).nonzero()[0]
                 if rising.size:
                     cuts[rising] = math.inf
-                    _promote(rising, r, labels, debuts, replay, sigma, counts, sums, noise[r + 1 - first :])
+                    later = slice(r + 1 - first, None)
+                    _promote(rising, low, sigma, counts, sums, nodes, uniforms[later], noise[later])
                     total[rising] = sums[low + 1, rising]
             yield labels, total
-        if screening:
-            rest = np.flatnonzero(cuts < math.inf)
-            if 2 * rest.size < len(labels):  # most labels are promoted: see below
-                _promote(rest, last, labels, debuts, replay, sigma, counts, sums, noise[width:])
-                screening = False
-        del noise  # so that the next window's draws do not meet it
+        del noise, uniforms  # so that the next window's draws do not meet them
 
 
-def _promote(rows: np.ndarray, r: int, labels: list[str], debuts: list[int],
-             replay: Callable[[str, int], np.ndarray], sigma: float,
-             counts: np.ndarray, sums: np.ndarray, later: np.ndarray) -> None:
-    """Make the labels at rows exact at round r: their sums through the
-    round's newest node, and ``later``, their noise for the window's later rounds.
-
-    A label that debuted in round d drew its popcount(d) - 1 predating nodes
-    first, then one a round, as ``Counter`` draws them: active node i, which
-    ends at round e, is its draw for round e if e >= d and its i-th draw
-    otherwise.  A promotion transforms at most depth + window draws,
-    so they go through the scalar ``gaussian_quantile`` (under a microsecond a
-    draw) rather than a block call (some 60 microseconds whatever its size).
-    """
-    ends = [(m + 1) << level for level, m in dyadic_nodes(r)]
-    last = r + len(later)
-    picks: list[float] = []
-    for j in rows.tolist():
-        d = debuts[j]
-        at = d.bit_count() - 1 - d  # round s's draw is u[at + s]
-        u = replay(labels[j], at + last + 1).tolist()
-        picks.extend(u[at + e] if e >= d else u[i] for i, e in enumerate(ends))
-        picks.extend(u[at + r + 1 :])
-    z = np.array([gaussian_quantile(u, sigma) for u in picks])
-    z = z.reshape(rows.size, len(ends) + last - r).T  # [draw, label]
-    low = len(ends) - 1
+def _promote(rows: np.ndarray, low: int, sigma: float, counts: np.ndarray, sums: np.ndarray,
+             nodes: np.ndarray, uniforms: np.ndarray, later: np.ndarray) -> None:
+    """Make the labels at rows exact at a round whose newest node sits at
+    stack index low: their sums through that node, from the uniforms of
+    their active nodes, and ``later``, their noise for the window's later
+    rounds, from ``uniforms``.  A promotion transforms at most depth + window
+    draws, so they go through the scalar ``gaussian_quantile`` (under a
+    microsecond a draw) rather than a block call (some 60 microseconds
+    whatever its size)."""
+    u = np.concatenate((nodes[: low + 1, rows], uniforms[:, rows]))  # [draw, label]
+    z = np.array([gaussian_quantile(p, sigma) for p in u.ravel().tolist()]).reshape(u.shape)
     sums[1 : low + 2, rows] = np.cumsum(counts[: low + 1, rows] + z[: low + 1], axis=0)
     later[:, rows] = z[low + 1 :]
 
 
-def _child_draws(config: CounterConfig) -> tuple[Draws, Screen | None]:
+def _child_draws(config: CounterConfig) -> tuple[Draws, float | None]:
     """Each label's node draws from its child stream of RandomSource(seed),
     as Counter draws them, one block per window filled label by label in
-    place, and the screen ``_sweep`` runs them through.
+    place, and the cut ``_sweep`` screens them under.
 
     At a positive sigma the draws are the uniforms themselves, for ``_sweep``
     to screen.  A total sums at most depth node noises, and its counts total
-    at most the horizon; ``core.screen_cut`` turns that into the cut.  The
-    replay draws a label's uniforms again from a fresh child stream: as
-    ``fill`` redraws a zero within its window, one ``uniforms`` call hands
-    out the same draws as the label's windows did.  At sigma 0 the draws are
-    zeros and there is no screen.
+    at most the horizon; ``core.screen_cut`` turns that into the cut.  At
+    sigma 0 the draws are zeros and there is no cut.
     """
+    if not config.sigma > 0.0:
+        return (lambda new, order, sizes: np.zeros(sum(sizes))), None
     master = RandomSource(config.seed)
-    sigma = config.sigma
     sources: list[RandomSource] = []
 
-    def draws(new: list[str], sizes: list[int]) -> np.ndarray:
-        if not sigma > 0.0:
-            return np.zeros(sum(sizes))
+    def draws(new: list[str], order: list[int], sizes: list[int]) -> np.ndarray:
         sources.extend(master.children(new))
-        return RandomSource.fill(sources, sizes, np.empty(sum(sizes)))
+        return RandomSource.fill([sources[i] for i in order], sizes, np.empty(sum(sizes)))
 
-    if not sigma > 0.0:
-        return draws, None
-    cut = screen_cut(config.threshold, sigma, config.depth, float(config.horizon))
-    return draws, (cut, lambda label, n: master.child(label).uniforms(n))
+    return draws, screen_cut(config.threshold, config.sigma, config.depth, float(config.horizon))
 
 
 def counter_sweep(config: CounterConfig,
@@ -544,7 +512,7 @@ def counter_sweep(config: CounterConfig,
     threshold = config.threshold
     sweep = _sweep(config, events, SWEEP_WINDOW, *_child_draws(config))
     for r, (labels, totals) in enumerate(sweep, start=1):
-        hits = np.flatnonzero(totals > threshold)
+        hits = (totals > threshold).nonzero()[0]
         yield r, dict(zip(map(labels.__getitem__, hits.tolist()), totals[hits].tolist()))
 
 
@@ -589,9 +557,9 @@ def counter_batch(config: CounterConfig, events: Sequence[StreamEvent], rng: Ran
     sigma = config.sigma
     exact = None
 
-    def draws(labels: list[str], sizes: list[int]) -> np.ndarray:
+    def draws(labels: list[str], order: list[int], sizes: list[int]) -> np.ndarray:
         nonlocal exact
-        shape = (trials, sum(sizes))  # one window, so every label is new
+        shape = (trials, sum(sizes))  # one window, so every label is new, in order
         noise, exact = screened_draws("gaussian", sigma, rng, shape, sample_gaussian)
         return noise
 

@@ -554,12 +554,14 @@ def run_suite(suite: str, trials: int | None, seed: int) -> dict:
     """Execute one named validation suite and return a JSON-ready report.
 
     trials=None uses the per-check defaults (1e5 for delta-event frequency,
-    1e6 for distribution distance); an explicit value overrides both.
+    1e6 for distribution distance); an explicit value overrides both, and
+    every suite refuses one below MIN_TRIALS before any check runs.
     """
     if suite not in SUITES:
         raise ParameterError(f"suite must be one of {SUITES}, got {suite!r}")
-    event_trials = trials if trials is not None else DEFAULT_DELTA_EVENT_TRIALS
-    distance_trials = trials if trials is not None else DEFAULT_DISTANCE_TRIALS
+    event_trials, distance_trials = DEFAULT_DELTA_EVENT_TRIALS, DEFAULT_DISTANCE_TRIALS
+    if trials is not None:
+        event_trials = distance_trials = check_int("trials", trials, MIN_TRIALS)
     rng = RandomSource(seed)
     checks: list[dict] = []
 

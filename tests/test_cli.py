@@ -31,7 +31,14 @@ from unkhist.fileio import (
     write_histogram_csv,
     write_report_json,
 )
-from unkhist.stream import SWEEP_MIN_LABELS, SWEEP_WINDOW, counter_sweep
+from unkhist.stream import (
+    SWEEP_MIN_LABELS,
+    SWEEP_WINDOW,
+    Counter,
+    CounterConfig,
+    StreamEvent,
+    counter_sweep,
+)
 
 
 def write(path, text):
@@ -789,6 +796,21 @@ def test_long_stream_output_matches_golden_digest(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == STREAM_LONG_SHA256
 
 
+# A hot stream from plain arithmetic: 48 labels, label i arriving in round
+# 4i + 1 and then coming in two rounds of three, over 200 rounds (not a
+# multiple of SWEEP_WINDOW).  At l0 32 and epsilon 1, 45 labels clear the
+# threshold; the sweep promotes them at stack heights 0 to 6 and at most
+# positions in a window, many after the first window.  CI writes the same
+# file with the same one-liner.  Its digest was computed before promotions
+# kept the window's uniforms, when they drew the label's child stream again.
+HOT_STREAM = "".join(
+    json.dumps({"round": r, "items": [f"k{i:02d}" for i in range(48) if 4 * i < r and (r + i) % 3]})
+    + "\n" for r in range(1, 201)
+)
+HOT_STREAM_ARGV = ["--horizon", "200", "--epsilon", "1", "--l0", "32", "--seed", "7"]
+HOT_STREAM_SHA256 = "8f413e223215c99065b97e799a29882226a371f9cc63a877bf256dd3b78e6dc6"
+
+
 # SWEEP_MIN_LABELS below which stream.snapshots, which unkhist stream runs,
 # runs Counter.observe, set so that every stream takes one path: 0 for the
 # array sweep, 10**9 for Counter.
@@ -805,18 +827,45 @@ STREAM_PATHS = {"sweep": 0, "counter": 10**9}
          STREAM_LONG_SHA256),
         (STREAM_LONG, ["--horizon", "512", "--epsilon", "2", "--l0", "3", "--seed", str(2**64 - 1)],
          STREAM_LONG_TOP_SEED_SHA256),
+        (HOT_STREAM, HOT_STREAM_ARGV, HOT_STREAM_SHA256),
     ],
-    ids=["golden", "long", "long-top-seed"],
+    ids=["golden", "long", "long-top-seed", "hot"],
 )  # fmt: skip
 def test_stream_digests_hold_on_either_path(tmp_path, monkeypatch, path, source, argv, digest):
-    # The golden stream has 6 labels and takes Counter, the long one 30 and
-    # takes the sweep; each must give the same bytes on the other path.  At
-    # the largest seed the master's entropy is two words, not one.
+    # The golden stream has 6 labels and takes Counter, the long and the hot
+    # ones 30 and 48 and take the sweep; each must give the same bytes on the
+    # other path.  At the largest seed the master's entropy is two words.
+    if isinstance(source, str):
+        source = tmp_path / "hot.ndjson"
+        source.write_text(HOT_STREAM, encoding="utf-8")
     monkeypatch.setattr(stream, "SWEEP_MIN_LABELS", STREAM_PATHS[path])
     out = tmp_path / "snapshots.ndjson"
     code = main(["stream", *argv, "--delta", "0.05", "--in", str(source), "--out", str(out)])
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "lines, horizon, l0, epsilon, seed",
+    [(STREAM_LONG.read_text(encoding="utf-8"), 512, 3, 2.0, 11), (HOT_STREAM, 200, 32, 1.0, 7)],
+    ids=["long", "hot"],
+)  # fmt: skip
+def test_sweep_seeds_each_child_stream_once(monkeypatch, lines, horizon, l0, epsilon, seed):
+    # A label's child stream is seeded once, when it arrives: a promotion
+    # makes its stack exact from the uniforms the sweep kept, drawing none
+    # again, and the snapshots stay Counter's.
+    config = CounterConfig.from_privacy(horizon, l0, epsilon, 0.05, seed)
+    events = [StreamEvent(**json.loads(line)) for line in lines.splitlines()]
+    counter = Counter(config)
+    expected = [(event.round, counter.observe(event)) for event in events]
+
+    def child(self, *tokens):
+        raise AssertionError(f"child stream {tokens} seeded again")
+
+    monkeypatch.setattr(RandomSource, "child", child)
+    snapshots = list(counter_sweep(config, events))
+    assert repr(snapshots) == repr(expected)
+    assert len(snapshots[-1][1]) >= 10
 
 
 @pytest.mark.parametrize("labels", [1, SWEEP_MIN_LABELS - 1, SWEEP_MIN_LABELS, 40])

@@ -4,13 +4,17 @@ A noise scale at which one noisy value (a release's noisy count, a top-k
 flag test's difference of two noisy values, a stream total of depth
 draws) could leave the float range is refused by name, before any draw
 (``core.check_noise``).  Every other input runs, or is refused with exit 2
-and no report, and a report holds finite numbers only.  Each command runs
-in process under ``warnings.simplefilter("error")``, so a numpy overflow
-warning fails the run.
+and no report, and a report holds finite numbers only.  So does every
+``account`` action at each edge float, and every ``validate`` suite refuses
+a trial count below ``MIN_TRIALS`` or a seed outside 64 bits before any
+trial runs.  Each command runs in process under
+``warnings.simplefilter("error")``, so a numpy overflow warning fails the
+run.
 """
 
 import json
 import math
+import sys
 import warnings
 from itertools import product
 from pathlib import Path
@@ -18,11 +22,12 @@ from pathlib import Path
 import pytest
 
 from unkhist.accountant import CdpBudget
-from unkhist.cli import main
+from unkhist.cli import _ACCOUNT_ACTIONS, main
 from unkhist.core import Histogram, ParameterError, RandomSource, SensitivityBound
 from unkhist.release import release
 from unkhist.stream import CounterConfig
 from unkhist.topk import release_topk
+from unkhist.validation import SUITES
 
 HIST = str(Path(__file__).parent / "data" / "hist_golden.csv")
 EVENTS = ['{"round": 1, "items": ["a", "b"]}', '{"round": 2, "items": ["a"]}', '{"round": 3, "items": []}']
@@ -147,3 +152,36 @@ def test_float_range_edge_table(tmp_path, capsys):
         lines = out.read_text(encoding="utf-8").splitlines()
         assert all(math.isfinite(x) for line in lines for x in numbers(json.loads(line))), argv
         out.unlink()
+
+
+def budget_runs(report):
+    """Every account action with each float flag at each edge of the float
+    range, and every validate suite with trials or seeds it must refuse,
+    writing its report to report."""
+    edges = ["nan", "inf", "-inf", "0", "5e-324", "1e-300", "1", "1e300", repr(sys.float_info.max)]
+    for action, (_, flags, _) in _ACCOUNT_ACTIONS.items():
+        for values in product(edges, repeat=len(flags)):
+            yield ["account", action, *(f"{flag}={value}" for flag, value in zip(flags, values))]
+    for suite, trials, seed in product(SUITES, [None, "-5", "0", "1", "9999"], ["0", "-1", str(2**64)]):
+        if trials or seed != "0":  # each refused before any trial runs
+            argv = ["validate", "--suite", suite, f"--seed={seed}", "--report", str(report)]
+            yield argv if trials is None else [*argv, f"--trials={trials}"]
+
+
+def test_budget_edge_table(tmp_path, capsys):
+    report = tmp_path / "report"
+    runs = list(budget_runs(report))
+    assert len(runs) == 1711 + 70
+    for argv in runs:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(argv)
+        except Exception as exc:  # a warning turned error, or any other escape
+            pytest.fail(f"{argv}: {exc!r}")
+        out, err = capsys.readouterr()
+        assert code in (0, 2), (argv, err)
+        if code == 2:
+            assert out == "" and not report.exists(), argv
+        elif argv[0] == "account":
+            assert all(math.isfinite(x) for x in numbers(json.loads(out))), argv

@@ -7,7 +7,9 @@ protocol: ``core.screen`` (through ``core.screened_draws`` for a block
 drawn from one source) turns uniforms into cheap screened draws, and its
 ``exact`` makes exact the draws, or the Monte-Carlo rows, whose decisions
 come within ``core.screen_margin`` of a screened value, by handing their
-uniforms to the caller's sampler through ``core._Given``.  Each law's
+uniforms to the caller's sampler through ``core._Given``; ``counter_sweep``
+instead makes a promoted label's draws exact itself, from the uniforms it
+keeps, and screens only the other labels' draws.  Each law's
 screen sits in its row of ``core._LAWS``; the ``counted`` fixture wraps
 those and ``_Given`` to count the screened and the exact draws.  The
 screens must stay far inside their stated bound, and the mechanisms must
@@ -131,10 +133,11 @@ def counted(monkeypatch):
     given, in ``screened``, and of the blocks ``core._Given`` hands a sampler
     to make exact, in ``exact``: every screened path goes through both; and,
     for the stream sweep, the window blocks ``RandomSource.fill`` draws
-    (``filled``), its block transform of the draws it no longer screens (in
-    ``exact`` too) and its scalar transforms of a promoted label's draws
-    (``promoted``)."""
-    counts = SimpleNamespace(screened=[], exact=[], filled=[], promoted=[])
+    (``filled``), its block transform of the promoted labels' draws (in
+    ``exact`` too), its scalar transforms of the draws a promotion makes
+    exact (``promoted``), and for each ``_promote`` call the labels it
+    promotes and the draws it transforms (``promotions``)."""
+    counts = SimpleNamespace(screened=[], exact=[], filled=[], promoted=[], promotions=[])
 
     def counting(function, sizes):
         def counted_function(u, *args, **kwargs):
@@ -155,6 +158,14 @@ def counted(monkeypatch):
         return fill(sources, sizes, out)
 
     monkeypatch.setattr(RandomSource, "fill", staticmethod(counted_fill))
+    promote = stream_module._promote
+
+    def counted_promote(rows, *args):
+        drawn = len(counts.promoted)
+        promote(rows, *args)
+        counts.promotions.append((rows.size, len(counts.promoted) - drawn))
+
+    monkeypatch.setattr(stream_module, "_promote", counted_promote)
     return counts
 
 
@@ -520,7 +531,8 @@ def test_sweep_at_a_threshold_on_an_exact_total(horizon, seed, window, pick, sid
 def test_sweep_transforms_few_draws_exactly(counted):
     # 600 labels over 512 rounds: each of five comes every fifth round and
     # clears the threshold, the rest come once or twice and stay below it.
-    # The hot labels are promoted, and their draws in later windows made exact.
+    # The hot labels are promoted, and their draws in later windows made
+    # exact; every other draw is screened, and none goes through both.
     cold = [f"c{i:03d}" for i in range(595)]
     hot = [f"h{i}" for i in range(5)]
     events = [StreamEvent(r, [hot[r % 5], cold[2 * r % 595], cold[(2 * r + 1) % 595]])
@@ -530,9 +542,11 @@ def test_sweep_transforms_few_draws_exactly(counted):
     released = set().union(*(released for _, released in snapshots))
     assert len(set().union(*(event.items for event in events))) == 600
     assert released and released <= set(hot)
-    assert sum(counted.screened) == sum(counted.filled)
+    assert sum(counted.screened) + sum(counted.exact) == sum(counted.filled)
     assert 0 < sum(counted.promoted) and 0 < sum(counted.exact)
     assert sum(counted.exact) + sum(counted.promoted) <= 0.1 * sum(counted.filled)
+    most = config.depth + stream_module.SWEEP_WINDOW  # a promotion's draws, per label
+    assert all(draws <= rows * most for rows, draws in counted.promotions)
     counter = Counter(config)
     assert all(repr(s) == repr(counter.observe(event))
                for event, (_, s) in zip(events, snapshots))  # fmt: skip
@@ -542,20 +556,22 @@ def test_sweep_promotes_the_labels_of_a_hot_stream(counted):
     # 60 labels, each in most rounds and some arriving late, so that most
     # clear the threshold and are promoted at every stack height and window
     # position.  The sweep must still give Counter's snapshots bit for bit.
-    # Once most labels are promoted it stops screening, so few draws are
-    # screened, and the block transforms see each draw at most once.
+    # Most draws are the promoted labels', which go to the exact transform
+    # rather than the screen: each draw goes through one block transform.
     labels = [f"h{i:02d}" for i in range(60)]
     rng = np.random.default_rng(4)
     events = [StreamEvent(r, rng.choice(labels[: 20 + r // 4], size=12, replace=False).tolist())
               for r in range(1, 301)]  # fmt: skip
     config = CounterConfig.from_privacy(300, 12, 1.0, 0.5, seed=2)
     for window in (1, 5, 32):
-        counted.filled.clear(), counted.screened.clear(), counted.exact.clear()
+        for log in vars(counted).values():
+            log.clear()
         with mock.patch.object(stream_module, "SWEEP_WINDOW", window):
             snapshots = list(counter_sweep(config, events))
         counter = Counter(config)
         for event, (_, released) in zip(events, snapshots):
             assert repr(released) == repr(counter.observe(event))
         assert len(snapshots[-1][1]) > 40
-        assert sum(counted.screened) <= 0.1 * sum(counted.filled)
-        assert sum(counted.filled) / 2 < sum(counted.exact) <= sum(counted.filled)
+        assert sum(counted.screened) + sum(counted.exact) == sum(counted.filled)
+        assert sum(counted.filled) / 2 < sum(counted.exact)
+        assert all(draws <= rows * (config.depth + window) for rows, draws in counted.promotions)
