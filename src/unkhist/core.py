@@ -167,16 +167,40 @@ def validate_label(label: object) -> str:
     return label
 
 
+def label_order(labels: Sequence[str]) -> np.ndarray:
+    """The indices of distinct labels in sorted order, as an intp array: an
+    argsort of each label's first 8 UTF-8 bytes, zero-padded and read as a
+    big-endian uint64 (byte order is code-point order, which is str order).
+    A smaller word is a smaller label, so one ``sorted`` call over all the
+    labels whose words tie orders each run of equal words in place."""
+    try:
+        words = np.array(labels, dtype="S8")
+    except UnicodeEncodeError:  # 8 characters are 8+ bytes; surrogatepass keeps code-point order
+        words = np.array([label[:8].encode("utf-8", "surrogatepass") for label in labels], dtype="S8")
+    words = words.view(">u8").astype(np.uint64)
+    order = words.argsort()
+    ranked = words[order]
+    at = (ranked[1:] == ranked[:-1]).nonzero()[0]
+    if at.size:
+        tied = np.zeros(len(order), dtype=bool)
+        tied[at] = tied[at + 1] = True
+        order[tied] = np.fromiter(sorted(order[tied].tolist(), key=labels.__getitem__), np.intp)
+    return order
+
+
 class Histogram:
     """Finite map from label to non-negative integer count, built from a mapping,
     from (label, count) pairs, or from a label column and a count column: ints,
     or a 1-d int64 array, kept as it is if read-only and owning its data.
 
     Every entry is checked on construction.  ``columns`` gives the labels and
-    read-only int64 counts in input order.  The sort permutation and ``counts``,
-    in sorted label order, are built on first use; the labels are gathered in
-    sorted order only for ``items``, ``labels``, ``get``, ``[]``, ``in``,
-    iteration, ``==`` and ``repr``; ``labels_at`` takes a few by position.
+    read-only int64 counts in input order.  The sort permutation, from
+    ``label_order``, and ``counts``, in sorted label order, are built on first
+    use.  Labels whose 8-byte words tie ("a" and "a\\x00", or a shared 8-byte
+    prefix) fall to ``sorted``, so labels that all share their first 8 bytes
+    cost a full key sort.  The labels are gathered in sorted order only for
+    ``items``, ``labels``, ``get``, ``[]``, ``in``, iteration, ``==`` and
+    ``repr``; ``labels_at`` takes a few by position.
     Iteration is in sorted label order so that seeded mechanism runs are
     reproducible.
     """
@@ -241,7 +265,7 @@ class Histogram:
         view = self._sorted
         if view is None:
             labels, counts = self._columns
-            order = np.array(sorted(range(len(labels)), key=labels.__getitem__), dtype=np.intp)
+            order = label_order(labels)
             counts = counts[order]
             counts.flags.writeable = False
             view = self._sorted = (order, counts)

@@ -27,6 +27,7 @@ from .core import (
     check_positive,
     check_probability,
     flagged_rows,
+    label_order,
     sample_gumbel,
     screened_draws,
 )
@@ -105,16 +106,9 @@ def select_gumbel(
     them are released: row i's ranked list is labels[order[i, :taken[i]]],
     closed by the bottom marker when taken[i] < k.
     """
-    width = min(k, len(labels))
-    _, _, surviving, _, order = _ranked(counts, _label_ranks(labels), noise, cut, width, threshold_override)
+    width, ranks = min(k, len(labels)), label_order(labels).argsort()
+    _, _, surviving, _, order = _ranked(counts, ranks, noise, cut, width, threshold_override)
     return order[:, :width], np.minimum(surviving.sum(axis=1), width)
-
-
-def _label_ranks(labels: Sequence[str]) -> np.ndarray:
-    """Each label's position in sorted order: the ranking's tie-break."""
-    ranks = np.empty(len(labels), dtype=np.int64)
-    ranks[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(len(labels))
-    return ranks
 
 
 def _ranked(
@@ -125,7 +119,8 @@ def _ranked(
     width: int,
     threshold_override: float | None,
 ) -> tuple[np.ndarray, np.ndarray | float, np.ndarray, np.ndarray, np.ndarray]:
-    """select_gumbel's ranking: above_noisy_threshold's noisy counts, their
+    """select_gumbel's ranking, with ranks each label's position in label order
+    (label_order's inverse): above_noisy_threshold's noisy counts, their
     thresholds and survivors, the sort key (-noisy for a survivor, NaN,
     which sorts last, for the rest) and the first width + 1 candidates of
     each row in rank order, survivors first, each part by label."""
@@ -164,7 +159,7 @@ def release_gumbel_topk_batch(
     check_int("trials", trials)
 
     beta = check_noise(1.0 / float(epsilon), 2, epsilon=epsilon)  # a flag test subtracts two noisy values
-    ranks, width, cut = _label_ranks(labels), min(k, len(labels)), threshold + next_count
+    ranks, width, cut = label_order(labels).argsort(), min(k, len(labels)), threshold + next_count
     z, exact = screened_draws("gumbel", beta, rng, (trials, 1 + len(labels)), sample_gumbel)
     noisy, at, surviving, key, order = _ranked(counts, ranks, z, cut, width, threshold_override)
     survivors = surviving.sum(axis=1)

@@ -25,6 +25,7 @@ from .core import (
     check_sensitivity,
     flagged_rows,
     gaussian_threshold,
+    label_order,
     sample_gaussian,
     screen_margin,
     screened_draws,
@@ -68,14 +69,14 @@ def truncate_topk(h: Histogram, kbar: int) -> TruncatedHistogram:
     h = Histogram.coerce(h)
     kbar = check_int("kbar", kbar)
     labels, counts = h.columns
-    ranked, next_count = range(len(counts)), 0
+    ranked, next_count = np.arange(len(counts)), 0
     if len(counts) > kbar:
         # Only counts at or above the kbar-th largest can make the cut.
         part = np.partition(counts, (-kbar - 1, -kbar))
-        ranked, next_count = np.flatnonzero(counts >= part[-kbar]).tolist(), int(part[-kbar - 1])
+        ranked, next_count = np.flatnonzero(counts >= part[-kbar]), int(part[-kbar - 1])
     # Sorted by label, then stably by count: the (-count, label) order, whatever
     # the order of the columns, and only the candidates are sorted.
-    ranked = np.array(sorted(ranked, key=labels.__getitem__), dtype=np.intp)
+    ranked = ranked[label_order(list(map(labels.__getitem__, ranked.tolist())))]
     ranked = ranked[np.argsort(-counts[ranked], kind="stable")][:kbar].tolist()
     top = [(labels[i], count) for i, count in zip(ranked, counts[ranked].tolist())]
     return TruncatedHistogram(top=tuple(top), next_count=next_count)

@@ -1,5 +1,6 @@
 """Domain types, samplers, and normal special functions."""
 
+import itertools
 import math
 import re
 
@@ -154,6 +155,59 @@ class TestLabels:
         assert every_accessor(lazy) == every_accessor(built)
         assert_input_order(lazy)
         assert lazy == built and repr(lazy) == repr(built)
+
+
+def key_sort(labels):
+    return sorted(range(len(labels)), key=labels.__getitem__)
+
+
+#: ASCII, NUL, Latin-1, BMP (either side of the surrogates, and the last),
+#: astral characters and lone surrogates, whose UTF-8 bytes start with each
+#: lead-byte range.
+LABEL_CHARS = ["a", "b", "z", "\x00", "\x01", "\x7f", "\xe9", "\xff", "\u0800", "\ud7ff",
+               "\ud800", "\udfff", "\ue000", "\uffff", "\U00010000", "\U0010ffff"]  # fmt: skip
+
+
+class TestLabelOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        prefix=st.text(st.sampled_from(LABEL_CHARS), max_size=24),
+        tails=st.lists(
+            st.sampled_from([0, 1, 6, 7, 8, 9, 15, 16, 17]).flatmap(
+                lambda size: st.text(st.sampled_from(LABEL_CHARS), min_size=size, max_size=size)
+            ),
+            unique=True,
+            max_size=200,
+        ),
+        shared=st.integers(0, 200),
+    )
+    def test_label_order_is_the_key_sort(self, prefix, tails, shared):
+        # The first `shared` labels share the prefix: it puts the 8-byte
+        # boundary anywhere inside or past the tails.
+        labels = tuple(dict.fromkeys(prefix + tail if i < shared else tail
+                                     for i, tail in enumerate(tails)))  # fmt: skip
+        order = core.label_order(labels)
+        assert order.dtype == np.intp
+        assert order.tolist() == key_sort(labels)
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            (),
+            ("x",),
+            ("a", "a\x00"),
+            ("a\x00\x00", "a\x00"),
+            ("abcdefghZ", "abcdefghA", "abcdefgh"),
+            ("\xe9", "e\uffff"),
+            ("\ud7ff", "\ud800", "\ue000"),
+            ("\U00010000", "\uffff", "\ud800x", "\ud800"),
+        ],
+    )
+    def test_label_order_edge_cases(self, labels):
+        # Each order of the labels: trailing NULs and 8-byte prefixes tie on
+        # the words, and the UTF-8 bytes of non-ASCII labels order them.
+        for order in set(itertools.permutations(labels)):
+            assert core.label_order(order).tolist() == key_sort(order)
 
 
 class TestSensitivityBound:

@@ -5,7 +5,9 @@ flag test's difference of two noisy values, a stream total of depth
 draws) could leave the float range is refused by name, before any draw
 (``core.check_noise``).  Every other input runs, or is refused with exit 2
 and no report, and a report holds finite numbers only.  So does every
-``account`` action at each edge float, and every ``validate`` suite refuses
+release command with one flag at a time at an edge (a float flag nan, +-inf,
+0, 5e-324 or 1e300, an int flag -1, 0, 2**63 or 10**23), every ``account``
+action at each edge float, and every ``validate`` suite refuses
 a trial count below ``MIN_TRIALS`` or a seed outside 64 bits before any
 trial runs.  Each command runs in process under
 ``warnings.simplefilter("error")``, so a numpy overflow warning fails the
@@ -136,16 +138,42 @@ def edge_runs(events):
         yield ["stream", "--horizon", "3", "--l0", "2", "--in", events, *common]
 
 
+def hostile_runs(events):
+    """Every release command with one flag at a time set to an edge: each float
+    flag to nan, +-inf, 0, 5e-324 and 1e300, each int flag to -1, 0, 2**63
+    and 10**23, and the other flags valid."""
+    histogram = ["--epsilon", "1", "--delta", "0.05", "--l0", "1", "--in", HIST, "--seed", "1"]
+    commands = [
+        (["release", "--noise", "laplace", "--linf", "1", "--min-count", "1", *histogram],
+         ["--epsilon", "--delta", "--linf"], ["--l0", "--min-count"]),
+        (["release", "--noise", "gaussian", "--linf", "1", "--min-count", "1", *histogram],
+         ["--epsilon", "--delta", "--linf"], ["--l0", "--min-count"]),
+        (["topk", "--kbar", "20", "--linf", "1", *histogram],
+         ["--epsilon", "--delta", "--linf"], ["--kbar", "--l0"]),
+        (["gumbel-topk", "--k", "3", "--kbar", "20", *histogram],
+         ["--epsilon", "--delta"], ["--k", "--kbar", "--l0"]),
+        (["stream", "--horizon", "3", "--epsilon", "1", "--delta", "0.05", "--l0", "2", "--in", events,
+          "--seed", "1"], ["--epsilon", "--delta"], ["--horizon", "--l0"]),
+    ]  # fmt: skip
+    for argv, floats, ints in commands:
+        edges = [(flag, value) for flag in floats for value in ["nan", "inf", "-inf", "0", "5e-324", "1e300"]]
+        edges += [(flag, value) for flag in ints for value in ["-1", "0", str(2**63), str(10**23)]]
+        for flag, value in edges:
+            at = argv.index(flag) + 1
+            yield [*argv[:at], value, *argv[at + 1 :]]
+
+
 def test_float_range_edge_table(tmp_path, capsys):
     out = tmp_path / "report"
-    runs = list(edge_runs(write_events(tmp_path, 3)))
-    assert len(runs) == 440
+    events = write_events(tmp_path, 3)
+    runs = [*edge_runs(events), *hostile_runs(events)]
+    assert len(runs) == 440 + 122
     for argv in runs:
         try:
             code, err = run(argv, out, capsys)
         except Exception as exc:  # a warning turned error, or any other escape
             pytest.fail(f"{argv}: {exc!r}")
-        assert code in (0, 2), (argv, err)
+        assert code in (0, 2) and "unrecognized arguments" not in err, (argv, err)
         if code == 2:
             assert not out.exists(), argv
             continue

@@ -342,11 +342,16 @@ def assert_truncation_matches(h, kbar):
 top_counts = st.integers(0, 4) | st.integers(MAX_COUNT - 3, MAX_COUNT)
 
 
+#: Labels that tie on core.label_order's 8-byte words: "prefix-8" is 8 bytes,
+#: and NUL, non-ASCII and astral characters follow it or stand alone.
+top_labels = st.tuples(
+    st.sampled_from(["", "prefix-8", "prefix-8\x00", "\xe9\U0001f600"]),
+    st.text(alphabet="abcxyz\x00\xe9\U0001f600", min_size=1, max_size=3),
+).map("".join)
+
+
 @settings(max_examples=300, deadline=None)
-@given(
-    counts=st.dictionaries(st.text(alphabet="abcxyz", min_size=1, max_size=3), top_counts),
-    kbar=st.integers(1, 14),
-)
+@given(counts=st.dictionaries(top_labels, top_counts), kbar=st.integers(1, 14))
 def test_truncate_topk_matches_a_full_sort(counts, kbar):
     assert_truncation_matches(Histogram(counts), kbar)
 
