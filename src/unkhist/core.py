@@ -12,9 +12,11 @@ import hashlib
 import math
 import operator
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Mapping, Sequence
+from itertools import accumulate
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -167,64 +169,116 @@ def validate_label(label: object) -> str:
     return label
 
 
+#: The reserved prefix's UTF-8 bytes, and as the top 3 bytes of a label's word.
+_RESERVED_BYTES = RESERVED_LABEL_PREFIX.encode()
+_RESERVED_WORD = int.from_bytes(_RESERVED_BYTES, "big")
+#: The masks that keep a word's first k bytes, for k = 0..8.
+_WORD_MASKS = np.array([2**64 - 2 ** (64 - 8 * k) for k in range(9)], dtype=np.uint64)
+
+
+class LabelBuffer:
+    """Labels as one buffer: label i is the ``sizes[i]`` bytes of ``data`` from
+    ``starts[i]`` (int64 arrays), its UTF-8 bytes (``surrogatepass``, so a
+    lone surrogate is kept).  UTF-8 byte order is code-point order, which is
+    str order.  Only ``decode`` makes a str."""
+
+    __slots__ = ("data", "starts", "sizes")
+
+    def __init__(self, data: bytes, starts: np.ndarray, sizes: np.ndarray):
+        self.data, self.starts, self.sizes = data, starts, sizes
+
+    @classmethod
+    def encode(cls, labels: Sequence[str]) -> "LabelBuffer":
+        """One join and one encode; a label that is not text raises TypeError."""
+        text = "".join(labels)
+        data = text.encode("utf-8", "surrogatepass")
+        bounds = np.fromiter(accumulate(map(len, labels), initial=0), np.int64, len(labels) + 1)
+        if len(data) != len(text):  # character offsets to byte offsets: each character's lead byte
+            leads = ((np.frombuffer(data, np.uint8) & 0xC0) != 0x80).nonzero()[0]
+            bounds = np.append(leads, len(data))[bounds]
+        return cls(data, bounds[:-1], bounds[1:] - bounds[:-1])
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def decode(self, index: np.ndarray | slice) -> list[str]:
+        """The labels at these indices, as str."""
+        data, spans = self.data, zip(self.starts[index].tolist(), self.sizes[index].tolist())
+        return [data[at : at + size].decode("utf-8", "surrogatepass") for at, size in spans]
+
+    def order(self) -> tuple[np.ndarray, np.ndarray]:
+        """The permutation that sorts the labels (intp) and their words in that
+        order.  A label's word is its first 8 bytes, zero-padded, as a big-endian
+        uint64: a smaller word is a smaller label.  Labels whose words tie ("a"
+        and "a\\x00", a shared 8-byte prefix) are sorted again, together, by their
+        bytes; equal labels tie, so a repeat raises ParameterError naming it."""
+        data, starts, sizes = self.data, self.starts, self.sizes
+        words = np.ndarray((len(data) + 1,), ">u8", data + bytes(8), 0, (1,))[starts]  # one at each byte
+        words = words & _WORD_MASKS.take(sizes, mode="clip")  # in native byte order
+        order = words.argsort()
+        words = words[order]
+        at = (words[1:] == words[:-1]).nonzero()[0]
+        if at.size:
+            tied = np.zeros(len(order), dtype=bool)
+            tied[at] = tied[at + 1] = True
+            index = order[tied]
+            spans = zip(starts[index].tolist(), sizes[index].tolist(), index.tolist())
+            keys = sorted([(data[at : at + size], i) for at, size, i in spans])
+            for (label, _), (after, _) in zip(keys, keys[1:]):
+                if label == after:
+                    raise ParameterError(f"repeated label {label.decode('utf-8', 'surrogatepass')!r}")
+            order[tied] = [i for _, i in keys]
+        return order, words
+
+
 def label_order(labels: Sequence[str]) -> np.ndarray:
-    """The indices of distinct labels in sorted order, as an intp array: an
-    argsort of each label's first 8 UTF-8 bytes, zero-padded and read as a
-    big-endian uint64 (byte order is code-point order, which is str order).
-    A smaller word is a smaller label, so one ``sorted`` call over all the
-    labels whose words tie orders each run of equal words in place."""
-    try:
-        words = np.array(labels, dtype="S8")
-    except UnicodeEncodeError:  # 8 characters are 8+ bytes; surrogatepass keeps code-point order
-        words = np.array([label[:8].encode("utf-8", "surrogatepass") for label in labels], dtype="S8")
-    words = words.view(">u8").astype(np.uint64)
-    order = words.argsort()
-    ranked = words[order]
-    at = (ranked[1:] == ranked[:-1]).nonzero()[0]
-    if at.size:
-        tied = np.zeros(len(order), dtype=bool)
-        tied[at] = tied[at + 1] = True
-        order[tied] = np.fromiter(sorted(order[tied].tolist(), key=labels.__getitem__), np.intp)
-    return order
+    """The indices of the labels in sorted order (``LabelBuffer.order``); a repeat raises ParameterError."""
+    return LabelBuffer.encode(labels).order()[0]
 
 
 class Histogram:
     """Finite map from label to non-negative integer count, built from a mapping,
-    from (label, count) pairs, or from a label column and a count column: ints,
-    or a 1-d int64 array, kept as it is if read-only and owning its data.
+    from (label, count) pairs, or from a label column (str, or a ``LabelBuffer``)
+    and a count column: ints, or a 1-d int64 array, kept as it is if read-only
+    and owning its data.
 
-    Every entry is checked on construction.  ``columns`` gives the labels and
-    read-only int64 counts in input order.  The sort permutation, from
-    ``label_order``, and ``counts``, in sorted label order, are built on first
-    use.  Labels whose 8-byte words tie ("a" and "a\\x00", or a shared 8-byte
-    prefix) fall to ``sorted``, so labels that all share their first 8 bytes
-    cost a full key sort.  The labels are gathered in sorted order only for
-    ``items``, ``labels``, ``get``, ``[]``, ``in``, iteration, ``==`` and
-    ``repr``; ``labels_at`` takes a few by position.
-    Iteration is in sorted label order so that seeded mechanism runs are
-    reproducible.
+    The labels are kept as one ``LabelBuffer`` and the counts as an int64
+    array, in input order.  Every entry is checked on construction, a column
+    at a time, and the sort permutation is built then, as its tie pass is the
+    distinctness check; ``counts`` is in sorted label order.  A label becomes
+    a str only where a call returns it: ``labels_at`` decodes a few by sorted
+    position, and the first ``items``, ``labels``, ``get``, ``[]``, ``in``,
+    iteration, ``==`` or ``repr`` decodes them all, in sorted order, once.
+    Iteration is in sorted label order so that seeded runs are reproducible.
     """
 
-    __slots__ = ("_columns", "_sorted", "_sorted_labels")
+    __slots__ = ("_buffer", "_counts", "_sorted", "_sorted_labels")
 
     def __init__(self, counts: Mapping[str, int] | Iterable = (), values: Iterable | None = None):
-        if values is None:
-            pairs = list(counts.items() if isinstance(counts, Mapping) else counts)
-            labels, values = tuple([label for label, _ in pairs]), [count for _, count in pairs]
+        if values is None and isinstance(counts, Mapping):
+            labels, values = list(counts), list(counts.values())
+        elif values is None:
+            pairs = list(counts)
+            labels, values = [label for label, _ in pairs], [count for _, count in pairs]
         else:
-            labels = tuple(counts)
+            labels = counts if isinstance(counts, LabelBuffer) else list(counts)
             if not (isinstance(values, np.ndarray) and values.dtype == np.int64 and values.ndim == 1):
                 values = list(values)
             if len(labels) != len(values):
                 raise ParameterError(f"{len(labels)} labels but {len(values)} counts")
         column = isinstance(values, np.ndarray)
+        try:
+            buffer = labels if isinstance(labels, LabelBuffer) else LabelBuffer.encode(labels)
+            order, words = buffer.order()
+        except (TypeError, ParameterError):  # a label that is not text, or a repeat
+            buffer = None
         # Whole-column checks; where one fails, per-entry checks raise for the first
-        # invalid entry in input order, or pass (str or int subclasses, inner "⊥").
+        # invalid entry in input order, or pass (int subclasses).
         if not (
-            set(map(type, labels)) <= {str}
-            and all(labels)
-            and RESERVED_LABEL_PREFIX not in "".join(labels)
-            and len(set(labels)) == len(labels)
+            buffer is not None
+            # An empty label's word is 0, the smallest: count sizes only when the first word is 0.
+            and (not len(words) or words[0] or np.count_nonzero(buffer.sizes) == len(words))
+            and (_RESERVED_BYTES not in buffer.data or not (words >> 40 == _RESERVED_WORD).any())
             and (
                 values.min(initial=0) >= 0
                 if column
@@ -233,7 +287,7 @@ class Histogram:
                 and max(values, default=0) <= MAX_COUNT
             )
         ):
-            seen = set()
+            seen, labels = set(), labels.decode(slice(None)) if isinstance(labels, LabelBuffer) else labels
             for label, count in zip(labels, values.tolist() if column else values):
                 validate_label(label)
                 if label in seen:
@@ -248,8 +302,9 @@ class Histogram:
         if not (column and values.flags.owndata and not values.flags.writeable):
             values = np.array(values, dtype=np.int64)  # a copy the caller cannot change
             values.flags.writeable = False
-        self._columns = (labels, values)
-        self._sorted = self._sorted_labels = None
+        counts = values[order]
+        counts.flags.writeable = False
+        self._buffer, self._counts, self._sorted, self._sorted_labels = buffer, values, (order, counts), None
 
     @classmethod
     def coerce(cls, value: "Histogram" | Mapping[str, int]) -> "Histogram":
@@ -257,34 +312,23 @@ class Histogram:
 
     @property
     def columns(self) -> tuple[tuple[str, ...], np.ndarray]:
-        """The labels and their read-only int64 counts, in input order."""
-        return self._columns
-
-    def _view(self) -> tuple[np.ndarray, np.ndarray]:
-        """The permutation that sorts the labels and the counts in that order."""
-        view = self._sorted
-        if view is None:
-            labels, counts = self._columns
-            order = label_order(labels)
-            counts = counts[order]
-            counts.flags.writeable = False
-            view = self._sorted = (order, counts)
-        return view
+        """The labels, decoded, and their read-only int64 counts, in input order."""
+        return tuple(self._buffer.decode(slice(None))), self._counts
 
     def _labels(self) -> tuple[str, ...]:
-        """Every label in sorted order, gathered on first use."""
+        """Every label in sorted order, decoded on first use."""
         if self._sorted_labels is None:
             self._sorted_labels = tuple(self.labels_at(slice(None)))
         return self._sorted_labels
 
     def labels_at(self, positions: np.ndarray | slice) -> list[str]:
-        """The labels at these positions of sorted order, without gathering the rest."""
-        return list(map(self._columns[0].__getitem__, self._view()[0][positions].tolist()))
+        """The labels at these positions of sorted order, decoding no others."""
+        return self._buffer.decode(self._sorted[0][positions])
 
     @property
     def counts(self) -> np.ndarray:
         """The counts in sorted label order, as a read-only int64 array."""
-        return self._view()[1]
+        return self._sorted[1]
 
     def items(self) -> list[tuple[str, int]]:
         return list(zip(self._labels(), self.counts.tolist()))
@@ -306,7 +350,7 @@ class Histogram:
         return self.get(label, None) is not None
 
     def __len__(self) -> int:
-        return len(self._columns[0])
+        return len(self._counts)
 
     def __iter__(self):
         return iter(self._labels())

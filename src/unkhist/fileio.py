@@ -1,5 +1,8 @@
 """File formats: histogram CSV in, canonical report JSON out.
 
+A histogram CSV's bytes become the Histogram's ``core.LabelBuffer`` in a few
+numpy passes: its labels are checked and sorted as bytes, and decoded when returned.
+
 Report JSON is canonical (keys sorted, floats printed with 17 significant
 digits) so identical runs produce byte-identical files.  This module alone
 knows the report layout and writes every report.  A report's item list is
@@ -12,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import errno
-import io
 import json
 import math
 import os
@@ -28,7 +30,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 import numpy as np
 
 from .accountant import CdpBudget
-from .core import MAX_COUNT, Histogram, IngestionError, ParameterError, validate_label
+from .core import MAX_COUNT, Histogram, IngestionError, LabelBuffer, ParameterError, validate_label
 from .gumbel import MECHANISM_TAG as GUMBEL_TAG, RankedList
 from .release import ReleaseReport
 from .stream import MECHANISM_TAG as STREAM_TAG
@@ -69,63 +71,57 @@ def open_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
 
 
 def parse_histogram_csv(path: str | Path) -> Histogram:
-    """Read `label,count` rows into a Histogram: one read collects both columns,
-    and any failed check reads the file again row by row to name the line."""
+    """Read `label,count` rows into a Histogram: one read, split in numpy, and
+    any failed check reads the file again row by row to name the line."""
     try:
         with open(path, "rb") as handle:
-            columns = _csv_columns(handle.read())
-        if columns is not None:
-            labels, raw_counts = columns
-            digits = "".join(raw_counts)
-            if digits.isascii() and digits.isdigit():
-                return Histogram(labels, _count_column(raw_counts))
-    except (ValueError, csv.Error):  # IngestionError and UnicodeDecodeError included
+            histogram = _split_csv(handle.read())
+        if histogram is not None:
+            return histogram
+    except ValueError:  # IngestionError and UnicodeDecodeError included
         pass
     return _parse_histogram_rows(path)
 
 
-def _count_column(raw_counts: list[str]) -> np.ndarray | list[int]:
-    """Fields of ASCII digits as an int64 array in one numpy call.  numpy clamps
-    a value past the int64 range, so a column that reaches 10**18, like one
-    with an empty field, goes through int()."""
-    if all(raw_counts):
-        counts = np.fromstring(",".join(raw_counts).encode(), np.int64, sep=",")
-        if counts.max(initial=0) < 10**18:
-            counts.flags.writeable = False  # for Histogram to keep without a copy
-            return counts
-    return list(map(int, raw_counts))
-
-
 _HEADER_LINE = b"label,count\n"
-#: Every byte but the two separators, for bytes.translate to delete.
-_NOT_SEPARATORS = bytes(range(256)).translate(None, b",\n")
+#: 10**k, the weight of a digit with k digits after it in a count of at most 18.
+_POWERS = 10 ** np.arange(18, dtype=np.int64)
 
 
-def _csv_columns(data: bytes) -> tuple[list[str], list[str]] | None:
-    """The label and count columns of a CSV file's bytes, as csv.reader
-    splits them with blank lines skipped, or None for a header other than
-    `label,count`.  A row of other than two fields raises ValueError.
+def _split_csv(data: bytes) -> Histogram | None:
+    """The Histogram of a CSV file's bytes, or None for a file to read row by
+    row: one that only csv.reader splits right, or a count that is not a run
+    of ASCII digits.  A failed Histogram check raises IngestionError.
 
-    Outside quotes, CRLF and LF end a record alike, so a file with no quote
-    has its CRLFs folded to LF.  If it then holds no CR, its first line is
-    the header and each line holds one comma and ends in LF, the text is
-    split at once.  Any other file goes through csv.reader."""
-    if b'"' not in data:
-        data = data.replace(b"\r\n", b"\n")
-        if b"\r" not in data and data.startswith(_HEADER_LINE) and data.endswith(b"\n"):
-            separators = data.translate(None, _NOT_SEPARATORS)
-            if separators == b",\n" * (len(separators) // 2):
-                # The header's two fields lead, the empty text after the last LF trails.
-                fields = data.decode("utf-8").replace("\n", ",").split(",")
-                return fields[2:-1:2], fields[3::2]
-    reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
-    if next(reader, None) != _HEADER:
+    Outside quotes, CRLF and LF end a record alike, so CRLFs are folded to LF
+    and the file made to end in one LF.  If it then holds no quote and no CR,
+    starts with the `label,count` line and holds one comma on each line, its
+    bytes are the labels' ``LabelBuffer``.  Counts of up to 18 digits are
+    summed from their digits in numpy; a longer one goes through int()."""
+    data = data.replace(b"\r\n", b"\n")
+    if not data.endswith(b"\n") or data.endswith(b"\n\n"):  # csv.reader skips blank lines
+        data = data.rstrip(b"\n") + b"\n"
+    if b'"' in data or b"\r" in data or not data.startswith(_HEADER_LINE):
         return None
-    labels, raw_counts = [], []
-    for label, raw_count in filter(None, reader):  # skips blank lines
-        labels.append(label)
-        raw_counts.append(raw_count)
-    return labels, raw_counts
+    data.decode("utf-8")  # valid UTF-8, so each label, between ASCII separators, is too
+    text = np.frombuffer(data, np.uint8)
+    lines, commas = (text == 10).nonzero()[0], (text == 44).nonzero()[0]
+    # Comma i must come before LF i; a second comma on a line would sit in its count.
+    if len(commas) != len(lines) or (commas > lines).any():
+        return None
+    starts, stops = commas[1:] + 1, lines[1:]  # the count fields, past the header
+    sizes = stops - starts
+    ends = np.cumsum(sizes)  # of each field's digits, in the digits of all fields
+    at = np.arange(ends[-1] if ends.size else 0) + np.repeat(stops - ends, sizes)
+    digits = text[at] - 48  # a byte below "0" wraps past 9
+    if not sizes.all() or (digits > 9).any():
+        return None
+    if sizes.max(initial=0) < 19:
+        counts = np.add.reduceat(digits * _POWERS[np.repeat(stops, sizes) - at - 1], ends - sizes)
+        counts.flags.writeable = False  # for Histogram to keep without a copy
+    else:
+        counts = list(map(int, map(data.__getitem__, map(slice, starts.tolist(), stops.tolist()))))
+    return Histogram(LabelBuffer(data, lines[:-1] + 1, commas[1:] - lines[:-1] - 1), counts)
 
 
 def _parse_histogram_rows(path: str | Path) -> Histogram:

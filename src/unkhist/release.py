@@ -116,7 +116,7 @@ def release_batch(
     if threshold_override is not None:
         threshold = float(threshold_override)
     counts = h.counts
-    below = np.flatnonzero(counts < min_count)
+    below = (counts < min_count).nonzero()[0]
     if below.size:
         label, count = h.labels_at(below[:1])[0], int(counts[below[0]])
         raise IngestionError(f"count for {label!r} is {count}, below the ingestion floor {min_count}")
@@ -168,7 +168,7 @@ def release(
         h, sens, noise, epsilon, delta, rng, 1, min_count=min_count,
         scale_override=scale_override, threshold_override=threshold_override,
     )  # fmt: skip
-    released = dict(zip(h.labels_at(np.flatnonzero(kept[0])), values.tolist()))
+    released = dict(zip(h.labels_at(kept[0].nonzero()[0]), values.tolist()))
     return ReleaseReport(mechanism=_TAGS[noise], released=released, threshold=threshold, budget=budget)
 
 

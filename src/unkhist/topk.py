@@ -25,7 +25,6 @@ from .core import (
     check_sensitivity,
     flagged_rows,
     gaussian_threshold,
-    label_order,
     sample_gaussian,
     screen_margin,
     screened_draws,
@@ -68,17 +67,17 @@ def truncate_topk(h: Histogram, kbar: int) -> TruncatedHistogram:
     """
     h = Histogram.coerce(h)
     kbar = check_int("kbar", kbar)
-    labels, counts = h.columns
+    counts = h.counts
     ranked, next_count = np.arange(len(counts)), 0
     if len(counts) > kbar:
         # Only counts at or above the kbar-th largest can make the cut.
-        part = np.partition(counts, (-kbar - 1, -kbar))
-        ranked, next_count = np.flatnonzero(counts >= part[-kbar]), int(part[-kbar - 1])
-    # Sorted by label, then stably by count: the (-count, label) order, whatever
-    # the order of the columns, and only the candidates are sorted.
-    ranked = ranked[label_order(list(map(labels.__getitem__, ranked.tolist())))]
-    ranked = ranked[np.argsort(-counts[ranked], kind="stable")][:kbar].tolist()
-    top = [(labels[i], count) for i, count in zip(ranked, counts[ranked].tolist())]
+        part = counts.copy()
+        part.partition((-kbar - 1, -kbar))
+        ranked, next_count = (counts >= part[-kbar]).nonzero()[0], int(part[-kbar - 1])
+    # The candidates are in label order, so a stable sort by count puts them
+    # in (-count, label) order; only the top kbar labels are decoded.
+    ranked = ranked[(-counts[ranked]).argsort(kind="stable")][:kbar]
+    top = zip(h.labels_at(ranked), counts[ranked].tolist())
     return TruncatedHistogram(top=tuple(top), next_count=next_count)
 
 
@@ -195,7 +194,7 @@ def release_topk(
     budget = release_budget(sens, epsilon, delta)
     hooks = {"sigma_override": sigma_override, "threshold_override": threshold_override}
     trunc, noisy, kept, threshold = release_topk_batch(h, kbar, sens, epsilon, delta, rng, 1, **hooks)
-    survivors = np.flatnonzero(kept[0]).tolist()
+    survivors = kept[0].nonzero()[0].tolist()
     return ReleaseReport(
         mechanism=MECHANISM_TAG,
         released=dict(zip([trunc.top[i][0] for i in survivors], noisy[0, survivors].tolist())),

@@ -132,10 +132,10 @@ class TestLabels:
 
     @pytest.mark.parametrize("first", ORDERED_ACCESSORS)
     def test_sorted_view_is_built_on_first_use(self, first):
-        # Whichever accessor comes first builds the view, and every accessor
-        # gives what it gives on a histogram whose view was built before.
-        # Only ``counts`` leaves the labels ungathered, and the columns stay
-        # in input order throughout.
+        # The sort is built on construction; whichever accessor comes first
+        # gives what it gives on a histogram whose labels were decoded
+        # before.  Only ``counts`` leaves the labels undecoded, and the
+        # columns stay in input order throughout.
         def every_accessor(h):
             return [accessor(h) for accessor in ORDERED_ACCESSORS.values()]
 
@@ -146,7 +146,7 @@ class TestLabels:
         lazy = Histogram(["pear", "fig", "apple"], [1, 0, 3])
         built = Histogram({"apple": 3, "fig": 0, "pear": 1})
         built.counts
-        assert (lazy._sorted, len(lazy)) == (None, 3)
+        assert (lazy._sorted_labels, len(lazy)) == (None, 3)
         assert_input_order(lazy)
         assert ORDERED_ACCESSORS[first](lazy) == ORDERED_ACCESSORS[first](built)
         assert lazy._sorted is not None
@@ -189,6 +189,17 @@ class TestLabelOrder:
         order = core.label_order(labels)
         assert order.dtype == np.intp
         assert order.tolist() == key_sort(labels)
+
+    @settings(max_examples=100, deadline=None)
+    @given(labels=st.lists(st.text(st.sampled_from(LABEL_CHARS), min_size=1, max_size=12), unique=True,
+                           max_size=60))  # fmt: skip
+    def test_histogram_gives_back_the_labels_it_was_given(self, labels):
+        # Lone surrogates included: the label buffer keeps them (surrogatepass).
+        counts = list(range(len(labels)))
+        h = Histogram(labels, counts)
+        assert h.columns[0] == tuple(labels)
+        assert h.labels_at(np.arange(len(labels))[::-1]) == sorted(labels)[::-1]
+        assert h.items() == sorted(zip(labels, counts))
 
     @pytest.mark.parametrize(
         "labels",

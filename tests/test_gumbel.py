@@ -2,11 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from unkhist.accountant import CdpBudget
 from unkhist.core import BOTTOM, Histogram, ParameterError, RandomSource
-from unkhist.gumbel import RankedList, gumbel_threshold, release_gumbel_topk
+from unkhist.gumbel import RankedList, gumbel_threshold, release_gumbel_topk, select_gumbel
 from unkhist.validation import (
     exact_expmech_topk_distribution,
     sample_gumbel_topk_outcomes,
@@ -28,6 +29,37 @@ class TestRankedList:
             RankedList(items=(BOTTOM, "a"))
         assert RankedList(items=("a", BOTTOM)).labels == ("a",)
         assert RankedList(items=(BOTTOM,)).labels == ()
+
+
+class TestSelectGumbel:
+    def test_repeated_labels_are_refused_by_name(self):
+        # With repeated labels the tie-break among equal labels would follow
+        # numpy's unstable argsort, which may differ between CPUs.
+        labels = [("a", "b", "c")[i] for i in np.random.default_rng(1).integers(0, 3, 5000).tolist()]
+        noise = np.random.default_rng(1).gumbel(size=(2, 5001))
+        with pytest.raises(ParameterError, match="repeated label 'a'"):
+            select_gumbel(np.zeros(5000), labels, noise, 1e9, 8)
+        with pytest.raises(ParameterError, match="repeated label 'x'"):
+            select_gumbel(np.zeros(3), ["x", "y", "x"], noise[:, :4], 0.0, 2)
+
+    @pytest.mark.parametrize("k", [1, 7, 40, 500])
+    def test_distinct_labels_rank_by_noisy_count_then_label(self, k):
+        # Noise on a coarse grid makes many noisy counts tie, and the labels
+        # tie on their first 8 bytes or hold non-ASCII characters, so the
+        # label tie-break decides much of the order.
+        rng = np.random.default_rng(3)
+        stems = ["shared-8", "shared-8\x00", "\xe9", "\U0001f600", ""]
+        labels = [f"{stems[i % 5]}{i:03d}" for i in rng.permutation(400).tolist()]
+        counts = rng.integers(0, 4, 400).astype(float)
+        noise = rng.integers(-2, 3, (6, 401)).astype(float)
+        cut = 2.0
+        order, taken = select_gumbel(counts, labels, noise, cut, k)
+        for row in range(6):
+            noisy = counts + noise[row, 1:]
+            surviving = noisy > cut + noise[row, 0]
+            ranked = sorted(range(400), key=lambda j: (not surviving[j], -noisy[j] if surviving[j] else 0.0, labels[j]))
+            assert order[row].tolist() == ranked[:k]
+            assert taken[row] == min(int(surviving.sum()), k)
 
 
 class TestGumbelThreshold:

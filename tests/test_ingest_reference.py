@@ -8,9 +8,10 @@ one accepted and raise the identical error for the rest; the one-pass CSV
 parser must return an equal histogram or raise the identical error, naming
 the same physical line, whether it splits the file at once or runs
 csv.reader over it, and whether numpy or int() converts its counts.
-``truncate_topk`` must pick what a full sort by (-count, label) picks, from
-the input-order columns, so that ``topk`` and ``gumbel-topk`` never build
-the sorted view, and ``release`` must look up only its survivors' labels.
+``truncate_topk`` must pick what a full sort by (-count, label) picks while
+decoding only the labels it returns, so that ``topk`` and ``gumbel-topk``
+never decode the whole label column, and ``release`` must decode only its
+survivors' labels.
 """
 
 import contextlib
@@ -314,6 +315,57 @@ def test_split_scan_edge_files(tmp_path, text):
     assert_parses_like_reference(path)
 
 
+# Bytes aimed at the numpy scan: its words, its tie pass (the distinctness
+# check) and its digit sums.  csv.reader refuses NUL before Python 3.11.
+_NUL_LABELS = ["a\x00b", "a\x00"] if _NUL else []
+HOSTILE_EDGE_FILES = {
+    "bom-label": "label,count\n\ufeffa,1\na,2\n",
+    "nul-label": "label,count\na\x00b,1\na,2\na\x00,3\n" if _NUL else "label,count\na,2\n",
+    "partial-reserved": "label,count\n\u2280x,1\n\u22a4,2\nb,3\n",
+    "reserved-after-partial": "label,count\n\u2280x,1\n\u22a5x,2\n",
+    "tie-past-byte-8": "label,count\nabcdefghij,1\nabcdefghik,2\nabcdefgh,3\nabcdefgh\x7f,4\n",
+    "duplicate-past-byte-8": "label,count\nabcdefghij,1\nabcdefghik,2\nabcdefghij,3\n",
+    "late-duplicate": "label,count\nb,1\nz,1\nz,2\nb,3\n",
+    "18-digits": f"label,count\na,{'9' * 18}\nb,{'0' * 17}1\n",
+    "19-digits": f"label,count\na,{10**18}\nb,{'0' * 18}1\nc,{MAX_COUNT}\n",
+    "19-digits-overflow": f"label,count\na,1\nb,{'9' * 19}\n",
+    "empty": "",
+    "header-only": "label,count\n",
+}
+
+
+@pytest.mark.parametrize("text", HOSTILE_EDGE_FILES.values(), ids=HOSTILE_EDGE_FILES)
+def test_hostile_edge_files(tmp_path, text):
+    path = tmp_path / "h.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert_parses_like_reference(path)
+
+
+def test_late_duplicate_names_the_first_in_input_order(tmp_path):
+    # The sort meets "b" first; the message names "z", the first repeat by line.
+    path = tmp_path / "h.csv"
+    path.write_bytes(HOSTILE_EDGE_FILES["late-duplicate"].encode())
+    assert outcome(parse_histogram_csv, path) == (IngestionError, f"{path}: line 4: duplicate label 'z'")
+
+
+hostile_rows = st.tuples(
+    st.sampled_from(["a", "b", "\ufeffa", "\u2280", "\u22a5", "abcdefgh", "abcdefghij", "abcdefghik",
+                     "\xe9\U0001f600", *_NUL_LABELS]),
+    st.sampled_from(["0", "1", "9" * 18, "1" + "0" * 18, "0" * 18 + "5", str(MAX_COUNT), "9" * 19, ""]),
+).map(lambda row: ",".join(row).encode("utf-8"))  # fmt: skip
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    body=st.lists(hostile_rows | good_rows, max_size=12),
+    newline=st.sampled_from([b"\n", b"\r\n"]),
+)
+def test_hostile_rows_match_the_reference(body, newline, tmp_path_factory):
+    path = tmp_path_factory.mktemp("csv") / "h.csv"
+    path.write_bytes(newline.join([b"label,count", *body]) + newline)
+    assert_parses_like_reference(path)
+
+
 def test_separator_check_is_exact_not_a_comma_count(tmp_path):
     # Two rows, two commas, three line ends: a count of either alone would pass.
     path = tmp_path / "h.csv"
@@ -383,7 +435,7 @@ def test_truncate_topk_edge_cases(counts):
 def test_truncate_topk_does_not_depend_on_insertion_order(entries, kbar):
     h = Histogram(entries)
     assert truncate_topk(h, kbar) == truncate_topk(Histogram(sorted(entries)), kbar)
-    assert h._sorted is None  # the input-order columns sufficed
+    assert h._sorted_labels is None  # only the top kbar labels were decoded
     assert_truncation_matches(h, kbar)
 
 
@@ -402,7 +454,7 @@ def test_topk_mechanisms_never_build_the_sorted_view(mechanism):
     built.items()
     assert built._sorted is not None
     assert run(lazy) == run(built)
-    assert lazy._sorted is None
+    assert lazy._sorted_labels is None
 
 
 @pytest.mark.parametrize("noise", ["gaussian", "laplace"])
