@@ -31,8 +31,6 @@ __all__ = [
     "Histogram",
     "SensitivityBound",
     "RandomSource",
-    "laplace_inverse_cdf",
-    "gumbel_inverse_cdf",
     "sample_laplace",
     "sample_gaussian",
     "sample_gumbel",
@@ -229,11 +227,6 @@ class LabelBuffer:
                     raise ParameterError(f"repeated label {label.decode('utf-8', 'surrogatepass')!r}")
             order[tied] = [i for _, i in keys]
         return order, words
-
-
-def label_order(labels: Sequence[str]) -> np.ndarray:
-    """The indices of the labels in sorted order (``LabelBuffer.order``); a repeat raises ParameterError."""
-    return LabelBuffer.encode(labels).order()[0]
 
 
 class Histogram:
@@ -540,34 +533,20 @@ class RandomSource:
         return u
 
 
-def laplace_inverse_cdf(u: float, scale: float) -> float:
-    """Quantile of Lap(scale): scale*ln(2u) below the median, -scale*ln(2(1-u)) above."""
-    check_positive("scale", scale)
-    check_probability("u", u)
-    return laplace_quantile(u, scale)
-
-
-def gumbel_inverse_cdf(u: float, beta: float) -> float:
-    """Quantile of Gumbel(beta): -beta*ln(-ln u)."""
-    check_positive("beta", beta)
-    check_probability("u", u)
-    return gumbel_quantile(u, beta)
-
-
 # The unchecked quantiles below are the noise transforms every draw goes
 # through; u comes from RandomSource, so it lies in (0, 1), and the caller
 # checks the scale once.
 
 
 def laplace_quantile(u: float, scale: float) -> float:
-    """laplace_inverse_cdf without the argument checks."""
+    """Quantile of Lap(scale): scale*ln(2u) below the median, -scale*ln(2(1-u)) above."""
     if u < 0.5:
         return scale * math.log(2.0 * u)
     return -scale * math.log(2.0 * (1.0 - u)) + 0.0
 
 
 def gumbel_quantile(u: float, beta: float) -> float:
-    """gumbel_inverse_cdf without the argument checks."""
+    """Quantile of Gumbel(beta): -beta*ln(-ln u)."""
     return -beta * math.log(-math.log(u)) + 0.0
 
 
@@ -953,7 +932,10 @@ def screened_draws(
     source ends where sample leaves it.  Below SCREEN_FLOOR draws the block
     is sample's own, and exact is None.  At scale 0 the block is zeros,
     nothing is drawn and exact is None: the noiseless run of a test hook.
+    An rng that is not a RandomSource is refused, at any scale.
     """
+    if not isinstance(rng, RandomSource):
+        raise ParameterError(f"rng must be a RandomSource, got {_shown(rng)}")
     if scale == 0.0:
         return np.zeros(size), None
     if size[0] * size[1] < SCREEN_FLOOR:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -27,17 +26,16 @@ from .core import (
     check_positive,
     check_probability,
     flagged_rows,
-    label_order,
     sample_gumbel,
     screened_draws,
 )
-from .topk import above_noisy_threshold, decision_margin, truncate_topk
+# truncate_topk stays bound here for perfbench/tracing.py, which wraps the name.
+from .topk import _top_positions, above_noisy_threshold, decision_margin, truncate_topk  # noqa: F401
 
 __all__ = [
     "RankedList",
     "gumbel_threshold",
     "gumbel_candidates",
-    "select_gumbel",
     "release_gumbel_topk_batch",
     "release_gumbel_topk",
 ]
@@ -76,58 +74,42 @@ def gumbel_threshold(l0_for_threshold: int, epsilon: float, delta: float) -> flo
     return check_finite("threshold", 1.0 + math.log(l0 / d) / eps, epsilon=eps, delta=d)
 
 
-def gumbel_candidates(h: Histogram, k: int, kbar: int) -> tuple[list[str], np.ndarray, int]:
+def gumbel_candidates(h: Histogram, k: int, kbar: int) -> tuple[list[str], np.ndarray, np.ndarray, int]:
     """The entries Gumbel selection ranks for a list of k labels: the positive
-    counts among the top kbar, as their labels and float counts in truncated
-    order, and the (kbar+1)-th count the threshold is centred on."""
+    counts among the top kbar, in truncated order, as their labels, their
+    positions in h's sorted label order, their float counts, and the
+    (kbar+1)-th count the threshold is centred on."""
     check_l0("k", k)
-    trunc = truncate_topk(h, kbar)
+    h, positions, next_count = _top_positions(h, kbar)
     if k > kbar:
         raise ParameterError("k must not exceed kbar")
-    top = [(label, count) for label, count in trunc.top if count > 0]
-    counts = np.array([count for _, count in top], dtype=float)
-    return [label for label, _ in top], counts, trunc.next_count
-
-
-def select_gumbel(
-    counts: np.ndarray,
-    labels: Sequence[str],
-    noise: np.ndarray,
-    cut: float,
-    k: int,
-    threshold_override: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The selection rule, one row per trial, over noise [trials, 1 + n]
-    whose column 0 is the threshold draw and the rest one per candidate.
-
-    Candidates that clear the row's noisy threshold (above_noisy_threshold)
-    are ranked by (-noisy count, label).  Returns ``order``, [trials, min(k, n)]
-    candidate indices in rank order, and ``taken``, [trials] how many of
-    them are released: row i's ranked list is labels[order[i, :taken[i]]],
-    closed by the bottom marker when taken[i] < k.
-    """
-    width, ranks = min(k, len(labels)), label_order(labels).argsort()
-    _, _, surviving, _, order = _ranked(counts, ranks, noise, cut, width, threshold_override)
-    return order[:, :width], np.minimum(surviving.sum(axis=1), width)
+    positions = positions[h.counts[positions] > 0]
+    return h.labels_at(positions), positions, h.counts[positions].astype(float), next_count
 
 
 def _ranked(
     counts: np.ndarray,
-    ranks: np.ndarray,
+    positions: np.ndarray,
     noise: np.ndarray,
     cut: float,
     width: int,
     threshold_override: float | None,
 ) -> tuple[np.ndarray, np.ndarray | float, np.ndarray, np.ndarray, np.ndarray]:
-    """select_gumbel's ranking, with ranks each label's position in label order
-    (label_order's inverse): above_noisy_threshold's noisy counts, their
-    thresholds and survivors, the sort key (-noisy for a survivor, NaN,
-    which sorts last, for the rest) and the first width + 1 candidates of
-    each row in rank order, survivors first, each part by label."""
+    """The selection rule, one row per trial, over noise [trials, 1 + n] whose
+    column 0 is the threshold draw and the rest one per candidate.
+
+    Candidates that clear the row's noisy threshold (above_noisy_threshold)
+    are ranked by (-noisy count, label), with positions the candidates'
+    distinct places in sorted label order (gumbel_candidates) as the label
+    key.  Returns above_noisy_threshold's noisy counts, their thresholds and
+    survivors, the sort key (-noisy for a survivor, NaN, which sorts last,
+    for the rest) and the first width + 1 candidates of each row in rank
+    order, survivors first, each part by label.
+    """
     noisy, surviving, threshold = above_noisy_threshold(counts, noise, cut, threshold_override)
     key = np.where(surviving, noisy, np.nan)
     np.negative(key, out=key)
-    order = np.lexsort((np.broadcast_to(ranks, noisy.shape), key), axis=1)[:, : width + 1]
+    order = np.lexsort((np.broadcast_to(positions, noisy.shape), key), axis=1)[:, : width + 1]
     return noisy, threshold, surviving, key, order
 
 
@@ -144,7 +126,10 @@ def release_gumbel_topk_batch(
     threshold_override: float | None = None,
 ) -> tuple[list[str], np.ndarray, np.ndarray]:
     """``trials`` runs of ``release_gumbel_topk`` on consecutive draws of rng,
-    as the candidate labels and select_gumbel's (order, taken).
+    as the candidate labels, ``order``, [trials, min(k, n)] candidate indices
+    in rank order (``_ranked``), and ``taken``, [trials] how many of them are
+    released: row i's ranked list is labels[order[i, :taken[i]]], closed by
+    the bottom marker when taken[i] < k.
 
     Row i is what the i-th of ``trials`` consecutive ``release_gumbel_topk``
     calls on rng would draw and release.  From SCREEN_FLOOR draws on, the
@@ -154,14 +139,14 @@ def release_gumbel_topk_batch(
     each other.  The orders and counts taken are those of exact draws, bit
     for bit; the noisy values are never released.
     """
-    labels, counts, next_count = gumbel_candidates(h, k, kbar)
+    labels, positions, counts, next_count = gumbel_candidates(h, k, kbar)
     threshold = gumbel_threshold(l0_for_threshold, epsilon, delta)
     check_int("trials", trials)
 
     beta = check_noise(1.0 / float(epsilon), 2, epsilon=epsilon)  # a flag test subtracts two noisy values
-    ranks, width, cut = label_order(labels).argsort(), min(k, len(labels)), threshold + next_count
+    width, cut = min(k, len(labels)), threshold + next_count
     z, exact = screened_draws("gumbel", beta, rng, (trials, 1 + len(labels)), sample_gumbel)
-    noisy, at, surviving, key, order = _ranked(counts, ranks, z, cut, width, threshold_override)
+    noisy, at, surviving, key, order = _ranked(counts, positions, z, cut, width, threshold_override)
     survivors = surviving.sum(axis=1)
     if exact is not None:
         margin = decision_margin(beta, counts, cut, threshold_override)
@@ -169,7 +154,8 @@ def release_gumbel_topk_batch(
         close = np.diff(np.take_along_axis(key, order, axis=1), axis=1) <= margin
         near = np.abs(noisy - at) <= margin  # none at an infinite threshold_override
         rows = np.unique(np.concatenate((flagged_rows(near), flagged_rows(close))))
-        _, _, surviving, _, order[rows] = _ranked(counts, ranks, exact(rows), cut, width, threshold_override)
+        _, _, surviving, _, order[rows] = _ranked(counts, positions, exact(rows), cut, width,
+                                                  threshold_override)  # fmt: skip
         survivors[rows] = surviving.sum(axis=1)
     return labels, order[:, :width], np.minimum(survivors, width)
 

@@ -75,6 +75,7 @@ from .core import (
     IngestionError,
     ParameterError,
     RandomSource,
+    _shown,
     check_int,
     check_l0,
     check_finite,
@@ -133,6 +134,8 @@ class StreamEvent:
 
     def __init__(self, round: int, items: Iterable[str]):
         object.__setattr__(self, "round", check_int("round", round))
+        if isinstance(items, str):  # one label, not a set of one-character labels
+            raise ParameterError(f"items must be a collection of labels, not the str {items!r}")
         labels = frozenset(validate_label(label) for label in items)
         try:  # a label's noise stream is keyed by its UTF-8 bytes
             "".join(labels).encode("utf-8")
@@ -266,7 +269,7 @@ class Counter:
         if not isinstance(config, CounterConfig):
             raise ParameterError(f"expected a CounterConfig, got {config!r}")
         if rng is not None and not isinstance(rng, RandomSource):
-            raise ParameterError(f"rng must be a RandomSource, got {rng!r}")
+            raise ParameterError(f"rng must be a RandomSource, got {_shown(rng)}")
         self.config = config
         self.round = 0
         # Test hooks, passed by nothing in the package: rng for a master stream

@@ -65,6 +65,14 @@ def truncate_topk(h: Histogram, kbar: int) -> TruncatedHistogram:
     Nothing is padded: the mechanisms release only labels of the input, so
     a short list changes no report, only the number of draws a call makes.
     """
+    h, positions, next_count = _top_positions(h, kbar)
+    top = zip(h.labels_at(positions), h.counts[positions].tolist())  # only the top kbar labels are decoded
+    return TruncatedHistogram(top=tuple(top), next_count=next_count)
+
+
+def _top_positions(h: Histogram, kbar: int) -> tuple[Histogram, np.ndarray, int]:
+    """truncate_topk's entries as positions of sorted label order, in
+    (-count, label) order, with the histogram they index and the next count."""
     h = Histogram.coerce(h)
     kbar = check_int("kbar", kbar)
     counts = h.counts
@@ -75,10 +83,8 @@ def truncate_topk(h: Histogram, kbar: int) -> TruncatedHistogram:
         part.partition((-kbar - 1, -kbar))
         ranked, next_count = (counts >= part[-kbar]).nonzero()[0], int(part[-kbar - 1])
     # The candidates are in label order, so a stable sort by count puts them
-    # in (-count, label) order; only the top kbar labels are decoded.
-    ranked = ranked[(-counts[ranked]).argsort(kind="stable")][:kbar]
-    top = zip(h.labels_at(ranked), counts[ranked].tolist())
-    return TruncatedHistogram(top=tuple(top), next_count=next_count)
+    # in (-count, label) order.
+    return h, ranked[(-counts[ranked]).argsort(kind="stable")][:kbar], next_count
 
 
 def topk_threshold(sens: SensitivityBound, epsilon: float, delta: float) -> float:

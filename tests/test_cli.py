@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from unkhist import cli, core, stream
 from unkhist.accountant import CdpBudget, compose
 from unkhist.cli import main
-from unkhist.core import Histogram, IngestionError, ParameterError, RandomSource
+from unkhist.core import BOTTOM, Histogram, IngestionError, ParameterError, RandomSource
 from unkhist.fileio import (
     canonical_json,
     parse_histogram_csv,
@@ -1012,7 +1012,7 @@ def test_screened_histogram_output_matches_golden_digest(tmp_path, monkeypatch, 
 
 
 # SHA-256 of each histogram mechanism's report, with the arguments above, on
-# 1600 labels whose sorted order the 8-byte words of core.label_order do not
+# 1600 labels whose sorted order the 8-byte words of LabelBuffer.order do not
 # settle alone: seven groups share their first 8 bytes ("group-3/"), labels
 # of exactly 8 bytes ("w0000012") prefix labels of 9 ("w00000122"), and the
 # rest start with "é" or an astral character.  The rows come in a shuffled
@@ -1045,6 +1045,39 @@ def test_label_order_histogram_output_matches_golden_digest(tmp_path, case):
     )  # fmt: skip
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ORDER_HIST_CASES[case]
+
+
+# SHA-256 of `gumbel-topk --k 9 --epsilon 1 --delta 0.05 --l0 1 --seed 7` on a
+# histogram whose top ten counts tie, as floats, at 2^60 + 1024 over a next
+# count of 2^60, computed while Gumbel ranked its candidates' labels in a
+# second sort.  At 2^60 floats are 256 apart, so every noisy count of the
+# tier rounds to 2^60 + 1024 and each noisy threshold to 2^60: with --kbar 10
+# the tier survives and its ranks are the label order alone, the same at any
+# seed; with --kbar 9 the threshold is centred on the tier, and nothing is
+# released.  The exact counts, 2^60 + 1024 + i, rise through the list, so
+# the truncated order is not the label order.  The labels share 8-byte
+# prefixes, "a" precedes "a\x00", and "é" and the astral characters sort by
+# their UTF-8 bytes.  CI writes the same file with the same one-liner.
+TIE_LABELS = ["prefix-8", "prefix-8a", "prefix-8\x00", "prefix-88", "a", "a\x00", "é", "\U0001f600", "\U0001f601", "b"]
+TIE_CASES = {
+    10: ("7ea1da1a7515a0561c2d6fb718af9785b1beffde7f47554e1026836c38539a10", sorted(TIE_LABELS)[:9]),
+    9: ("0a1fa022ab489e46a66c0a726f51ae979fef1781f3252b03e55f23e69f332367", [BOTTOM]),
+}
+
+
+@pytest.mark.parametrize("kbar", sorted(TIE_CASES))
+def test_gumbel_breaks_ties_by_label_at_the_cli(tmp_path, kbar):
+    source = tmp_path / "tie.csv"
+    rows = [f"{label},{2**60 + 1024 + i}\n" for i, label in enumerate(TIE_LABELS)] + [f"next,{2**60}\n", "small,3\n"]
+    source.write_text("label,count\n" + "".join(rows), encoding="utf-8")
+    digest, ranked = TIE_CASES[kbar]
+    for seed in (7, 1, 2, 3):
+        out = tmp_path / f"tie{seed}.json"
+        code = main(["gumbel-topk", "--k", "9", "--kbar", str(kbar), "--epsilon", "1", "--delta", "0.05",
+                     "--l0", "1", "--in", str(source), "--out", str(out), "--seed", str(seed)])  # fmt: skip
+        assert code == 0
+        assert [item["label"] for item in json.loads(out.read_bytes())["items"]] == ranked
+    assert hashlib.sha256((tmp_path / "tie7.json").read_bytes()).hexdigest() == digest
 
 
 # SHA-256 of `unkhist validate --suite S --trials 20000 --seed N`, computed

@@ -7,7 +7,7 @@ import pytest
 
 from unkhist.accountant import CdpBudget
 from unkhist.core import BOTTOM, Histogram, ParameterError, RandomSource
-from unkhist.gumbel import RankedList, gumbel_threshold, release_gumbel_topk, select_gumbel
+from unkhist.gumbel import RankedList, _ranked, gumbel_threshold, release_gumbel_topk
 from unkhist.validation import (
     exact_expmech_topk_distribution,
     sample_gumbel_topk_outcomes,
@@ -32,34 +32,38 @@ class TestRankedList:
 
 
 class TestSelectGumbel:
+    """The selection rule, ``gumbel._ranked``, on injected noise."""
+
     def test_repeated_labels_are_refused_by_name(self):
-        # With repeated labels the tie-break among equal labels would follow
-        # numpy's unstable argsort, which may differ between CPUs.
+        # The tie-break key is a label's position in the Histogram, which
+        # refuses a repeat by name: equal labels, whose order would follow
+        # numpy's unstable sort, never reach the ranking.
         labels = [("a", "b", "c")[i] for i in np.random.default_rng(1).integers(0, 3, 5000).tolist()]
-        noise = np.random.default_rng(1).gumbel(size=(2, 5001))
-        with pytest.raises(ParameterError, match="repeated label 'a'"):
-            select_gumbel(np.zeros(5000), labels, noise, 1e9, 8)
-        with pytest.raises(ParameterError, match="repeated label 'x'"):
-            select_gumbel(np.zeros(3), ["x", "y", "x"], noise[:, :4], 0.0, 2)
+        for entries, repeat in [(list(zip(labels, [1] * 5000)), "b"), ([("x", 1), ("y", 1), ("x", 1)], "x")]:
+            with pytest.raises(ParameterError, match=f"duplicate label '{repeat}'"):
+                release_gumbel_topk(entries, 2, 8, 1, 1.0, 0.05, RandomSource(0))
 
     @pytest.mark.parametrize("k", [1, 7, 40, 500])
     def test_distinct_labels_rank_by_noisy_count_then_label(self, k):
         # Noise on a coarse grid makes many noisy counts tie, and the labels
         # tie on their first 8 bytes or hold non-ASCII characters, so the
-        # label tie-break decides much of the order.
+        # label tie-break, each label's position in a Histogram's sorted
+        # order, decides much of the order.
         rng = np.random.default_rng(3)
         stems = ["shared-8", "shared-8\x00", "\xe9", "\U0001f600", ""]
         labels = [f"{stems[i % 5]}{i:03d}" for i in rng.permutation(400).tolist()]
         counts = rng.integers(0, 4, 400).astype(float)
         noise = rng.integers(-2, 3, (6, 401)).astype(float)
         cut = 2.0
-        order, taken = select_gumbel(counts, labels, noise, cut, k)
+        position = {label: i for i, label in enumerate(Histogram(labels, [1] * 400).labels())}
+        positions = np.array([position[label] for label in labels])
+        _, _, kept, _, order = _ranked(counts, positions, noise, cut, min(k, 400), None)
         for row in range(6):
             noisy = counts + noise[row, 1:]
             surviving = noisy > cut + noise[row, 0]
             ranked = sorted(range(400), key=lambda j: (not surviving[j], -noisy[j] if surviving[j] else 0.0, labels[j]))
-            assert order[row].tolist() == ranked[:k]
-            assert taken[row] == min(int(surviving.sum()), k)
+            assert order[row, :k].tolist() == ranked[:k]
+            assert kept[row].tolist() == surviving.tolist()
 
 
 class TestGumbelThreshold:

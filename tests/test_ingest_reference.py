@@ -394,7 +394,7 @@ def assert_truncation_matches(h, kbar):
 top_counts = st.integers(0, 4) | st.integers(MAX_COUNT - 3, MAX_COUNT)
 
 
-#: Labels that tie on core.label_order's 8-byte words: "prefix-8" is 8 bytes,
+#: Labels that tie on LabelBuffer.order's 8-byte words: "prefix-8" is 8 bytes,
 #: and NUL, non-ASCII and astral characters follow it or stand alone.
 top_labels = st.tuples(
     st.sampled_from(["", "prefix-8", "prefix-8\x00", "\xe9\U0001f600"]),

@@ -27,12 +27,8 @@ from unkhist.core import (
     sample_gumbel,
     sample_laplace,
 )
-from unkhist.gumbel import (
-    gumbel_threshold,
-    release_gumbel_topk,
-    release_gumbel_topk_batch,
-    select_gumbel,
-)
+from unkhist import gumbel
+from unkhist.gumbel import gumbel_threshold, release_gumbel_topk, release_gumbel_topk_batch
 from unkhist.release import release
 from unkhist.topk import release_topk, release_topk_batch, truncate_topk
 
@@ -212,17 +208,12 @@ def test_gumbel_is_its_kernel_on_its_noise_row(
     row = gumbel_noise_row(trunc, 1.0 / epsilon, RandomSource(seed))
 
     assert ranked.items == reference_gumbel(trunc, row, threshold, k, threshold_override)
-    candidates = gumbel_candidates(trunc)
-    names = [label for label, _ in candidates]
-    order, taken = select_gumbel(
-        np.array([c for _, c in candidates], dtype=float),
-        names,
-        np.array([row]),
-        threshold + trunc.next_count,
-        k,
-        threshold_override,
+    names, positions, kernel_counts, _ = gumbel.gumbel_candidates(h, k, kbar)
+    assert names == [label for label, _ in gumbel_candidates(trunc)]
+    _, _, surviving, _, order = gumbel._ranked(
+        kernel_counts, positions, np.array([row]), threshold + trunc.next_count, k, threshold_override
     )
-    kernel_items = [names[j] for j in order[0, : taken[0]]]
+    kernel_items = [names[j] for j in order[0, : min(int(surviving.sum()), k)]]
     if len(kernel_items) < k:
         kernel_items.append(BOTTOM)
     assert ranked.items == tuple(kernel_items)

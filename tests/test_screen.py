@@ -39,14 +39,15 @@ from unkhist.core import (
     SCREEN_ERROR,
     Histogram,
     IngestionError,
+    ParameterError,
     RandomSource,
     SensitivityBound,
     gumbel_screen,
 )
-from unkhist.gumbel import gumbel_candidates, gumbel_threshold, release_gumbel_topk_batch, select_gumbel
+from unkhist.gumbel import gumbel_candidates, release_gumbel_topk, release_gumbel_topk_batch
 from unkhist.release import release, release_batch
 from unkhist.stream import Counter, CounterConfig, StreamEvent, counter_batch, counter_sweep
-from unkhist.topk import release_topk_batch, topk_threshold, truncate_topk
+from unkhist.topk import release_topk, release_topk_batch, topk_threshold, truncate_topk
 
 LAWS = {
     "gaussian": (core.gaussian_screen, core.gaussian_quantiles),
@@ -377,11 +378,14 @@ def test_topk_batch_at_a_threshold_on_an_exact_noisy_count(base, monkeypatch):
 
 def exact_gumbel(h, k, kbar, seed, trials, threshold):
     """release_gumbel_topk_batch's candidates, order and taken with every
-    draw exact: select_gumbel over sample_gumbel's block, and the noisy counts."""
-    labels, counts, next_count = gumbel_candidates(h, k, kbar)
-    z = core.sample_gumbel(1.0, RandomSource(seed), (trials, 1 + len(labels)))
-    cut = gumbel_threshold(1, 1.0, 0.05) + next_count
-    return labels, *select_gumbel(counts, labels, z, cut, k, threshold), counts + z[:, 1:]
+    draw exact (below the floor, nothing is screened), and the noisy counts:
+    the candidates' counts plus sample_gumbel's block."""
+    with mock.patch.object(core, "SCREEN_FLOOR", math.inf):
+        ranked = release_gumbel_topk_batch(h, k, kbar, 1, 1.0, 0.05, RandomSource(seed), trials,
+                                           threshold_override=threshold)  # fmt: skip
+    counts = gumbel_candidates(h, k, kbar)[2]
+    z = core.sample_gumbel(1.0, RandomSource(seed), (trials, 1 + len(counts)))
+    return *ranked, counts + z[:, 1:]
 
 
 @pytest.mark.parametrize("base", [1, 2**53 - 40, 2**60])
@@ -464,6 +468,35 @@ def test_blocks_below_the_floor_are_not_screened(law):
             _, exact = core.screened_draws(law, 2.0, screened_rng, size, sample)
         assert exact(np.arange(size[0])).tobytes() == block.tobytes()
         assert screened_rng.uniform() == rng.uniform()
+
+
+#: Each entry point that draws from a caller's rng, on a non-empty input,
+#: and Counter, whose rng is optional.
+RNG_USERS = {
+    "release": lambda rng: release(Histogram({"a": 5, "b": 3}), SENS, "gaussian", 1.0, 1e-6, rng),
+    "release_batch": lambda rng: release_batch(Histogram({"a": 5}), SENS, "laplace", 1.0, 1e-6, rng, 2),
+    "release_topk": lambda rng: release_topk(Histogram({"a": 5, "b": 3}), 2, SENS, 1.0, 1e-6, rng),
+    "release_topk_batch": lambda rng: release_topk_batch(Histogram({"a": 5}), 1, SENS, 1.0, 1e-6, rng, 2),
+    "release_gumbel_topk": lambda rng: release_gumbel_topk(Histogram({"a": 5, "b": 3}), 1, 2, 1, 1.0, 0.05, rng),
+    "release_gumbel_topk_batch": lambda rng: release_gumbel_topk_batch(Histogram({"a": 5}), 1, 1, 1, 1.0, 0.05,
+                                                                       rng, 2),  # fmt: skip
+    "counter_batch": lambda rng: counter_batch(CounterConfig.from_privacy(4, 1, 1.0, 0.05, 0),
+                                               [StreamEvent(1, {"a"})], rng, 2),  # fmt: skip
+    "Counter": lambda rng: Counter(CounterConfig.from_privacy(4, 1, 1.0, 0.05, 0), rng),
+}
+WRONG_RNGS = {"None": (None, "None"), "int": (7, "7"), "float": (0.5, "0.5"),
+              "huge int": (10**5000, "a 16610-bit integer")}  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "entry, wrong", [(entry, wrong) for entry in sorted(RNG_USERS) for wrong in WRONG_RNGS
+                     if (entry, wrong) != ("Counter", "None")],
+)  # fmt: skip
+def test_a_wrong_rng_is_refused_by_name(entry, wrong):
+    # With one message: the kernels draw through core.screened_draws.
+    rng, shown = WRONG_RNGS[wrong]
+    with pytest.raises(ParameterError, match=f"^rng must be a RandomSource, got {shown}$"):
+        RNG_USERS[entry](rng)
 
 
 @pytest.mark.parametrize("law", sorted(SAMPLERS))

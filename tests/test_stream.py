@@ -208,6 +208,13 @@ def test_events_validate_labels():
         StreamEvent(0, {"a"})
 
 
+def test_events_refuse_a_str_as_items():
+    # A str is iterable: taken as items it would be one label per character.
+    with pytest.raises(ParameterError, match="^items must be a collection of labels, not the str 'abc'$"):
+        StreamEvent(1, "abc")
+    assert StreamEvent(1, ["abc"]).items == frozenset({"abc"})
+
+
 def test_sweep_memory_stays_windowed():
     # Noise for every label in every round would take 1040 * 4096 float64s,
     # 32.5 MiB; the sweep holds one window's worth per label at a time.
