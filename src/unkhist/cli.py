@@ -3,17 +3,16 @@
 Exit codes: 0 success, 2 parameter or input error, 3 I/O error or out of
 memory.  Results go to the output file (or standard output, only when no
 file is given); diagnostics go to standard error.  `main` registers every
-subcommand but fills in the arguments of the invoked one only.  `stream`
-reads its event file lazily, as its report is built, and leaves the choice
-of counter to `stream.snapshots`.
+subcommand but fills in the arguments of the invoked one only.  The four
+release commands share one handler, `_run`.  `fileio` reads both input
+formats; `stream` reads its event file lazily, as its report is built, and
+leaves the choice of counter to `stream.snapshots`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import Iterator
 
 from . import __version__
 from .accountant import (
@@ -27,14 +26,14 @@ from .accountant import (
     gaussian_cdp,
     laplace_pure_dp,
 )
-from .core import IngestionError, ParameterError, RandomSource, SensitivityBound
+from .core import ParameterError, RandomSource, SensitivityBound, check_seed
 # canonical_json stays bound here for perfbench/tracing.py, which wraps it.
 from .fileio import (  # noqa: F401
     canonical_json,
-    open_text,
     parse_histogram_csv,
     ranked_report_payload,
     read_budget,
+    read_stream_events,
     release_report_payload,
     snapshot_payload,
     stream_header_payload,
@@ -42,97 +41,54 @@ from .fileio import (  # noqa: F401
 )
 from .gumbel import gumbel_threshold, release_gumbel_topk
 from .release import release
-from .stream import CounterConfig, StreamEvent, check_event, snapshots
+from .stream import CounterConfig, snapshots
 from .topk import release_topk
 from .validation import SUITES, run_suite
 
 __all__ = ["build_parser", "main", "entrypoint"]
 
-
-def _report_meta(args, *names: str) -> dict:
-    """A report header's params (the named arguments as parsed) and seed."""
-    return {"params": {name: getattr(args, name) for name in names}, "seed": args.seed}
+#: Namespace entries of a release command that are not among its report's params.
+_NOT_PARAMS = ("command", "handler", "infile", "out", "seed")
 
 
-def _cmd_release(args) -> int:
-    rng = RandomSource(args.seed)
-    histogram = parse_histogram_csv(args.infile)
-    sens = SensitivityBound(l0=args.l0, linf=args.linf)
-    report = release(
-        histogram, sens, args.noise, args.epsilon, args.delta, rng, min_count=args.min_count
-    )
-    meta = _report_meta(args, "noise", "epsilon", "delta", "l0", "linf", "min_count")
-    write_report_json(release_report_payload(report, **meta), args.out)
-    return 0
-
-
-def _cmd_topk(args) -> int:
-    rng = RandomSource(args.seed)
-    histogram = parse_histogram_csv(args.infile)
-    sens = SensitivityBound(l0=args.l0, linf=args.linf)
-    report = release_topk(histogram, args.kbar, sens, args.epsilon, args.delta, rng)
-    meta = _report_meta(args, "kbar", "epsilon", "delta", "l0", "linf")
-    write_report_json(release_report_payload(report, **meta), args.out)
-    return 0
-
-
-def _cmd_gumbel_topk(args) -> int:
-    rng = RandomSource(args.seed)
-    histogram = parse_histogram_csv(args.infile)
-    ranked, budget = release_gumbel_topk(
-        histogram, args.k, args.kbar, args.l0, args.epsilon, args.delta, rng
-    )
-    payload = ranked_report_payload(
-        ranked,
-        budget,
-        **_report_meta(args, "k", "kbar", "l0", "epsilon", "delta"),
-        threshold_public=gumbel_threshold(args.l0, args.epsilon, args.delta),
-    )
-    write_report_json(payload, args.out)
-    return 0
-
-
-def _read_stream_events(config: CounterConfig, path: str) -> Iterator[StreamEvent]:
-    """The events of an NDJSON file, read lazily, each checked as it is read:
-    the first line that is not an event the counter takes (out of order, past
-    the horizon, over l0) is named, before any later line is parsed."""
-    taken = 0
-    with open_text(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # also too many digits, or too deep
-                raise IngestionError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
-            if not isinstance(payload, dict) or set(payload) != {"round", "items"}:
-                raise IngestionError(
-                    f"{path}: line {lineno}: events must be objects with round and items"
-                )
-            if not isinstance(payload["items"], list):
-                raise IngestionError(f"{path}: line {lineno}: items must be a list")
-            taken += 1
-            try:
-                event = check_event(config, taken, StreamEvent(payload["round"], payload["items"]))
-            except ParameterError as exc:
-                raise IngestionError(f"{path}: line {lineno}: {exc}") from None
-            yield event
-
-
-def _cmd_stream(args) -> int:
-    config = CounterConfig.from_privacy(
-        args.horizon, args.l0, args.epsilon, args.delta, args.seed
-    )
-    header = stream_header_payload(
-        **_report_meta(args, "horizon", "l0", "epsilon", "delta"),
-        threshold_public=config.threshold,
-        budget=config.budget,
-    )
-    # Lazy: the file is read, and the counter run, as the report is built.
-    events = _read_stream_events(config, args.infile)
-    rows = (snapshot_payload(r, released) for r, released in snapshots(config, events))
-    write_report_json(header, args.out, rows)
+def _run(args) -> int:
+    """Each release command, in one order: check the seed; read and check the
+    input, run the mechanism and build the report; then write the report,
+    only once all of that has succeeded.  The report's params are the flags
+    of its command but --in, --out and --seed.  The fileio and mechanism
+    functions are looked up in this module when called (perfbench wraps them)."""
+    seed = check_seed(args.seed)
+    params = {name: value for name, value in vars(args).items() if name not in _NOT_PARAMS}
+    meta = {"params": params, "seed": seed}
+    rows = ()
+    if args.command == "stream":
+        config = CounterConfig.from_privacy(args.horizon, args.l0, args.epsilon, args.delta, seed)
+        payload = stream_header_payload(
+            **meta, threshold_public=config.threshold, budget=config.budget
+        )
+        # Lazy: the file is read, and the counter run, as the report is built.
+        events = read_stream_events(config, args.infile)
+        rows = (snapshot_payload(r, released) for r, released in snapshots(config, events))
+    else:
+        histogram = parse_histogram_csv(args.infile)
+        rng = RandomSource(seed)
+        if args.command == "gumbel-topk":
+            ranked, budget = release_gumbel_topk(
+                histogram, args.k, args.kbar, args.l0, args.epsilon, args.delta, rng
+            )
+            threshold = gumbel_threshold(args.l0, args.epsilon, args.delta)
+            payload = ranked_report_payload(ranked, budget, **meta, threshold_public=threshold)
+        else:
+            sens = SensitivityBound(l0=args.l0, linf=args.linf)
+            if args.command == "topk":
+                report = release_topk(histogram, args.kbar, sens, args.epsilon, args.delta, rng)
+            else:
+                report = release(
+                    histogram, sens, args.noise, args.epsilon, args.delta, rng,
+                    min_count=args.min_count,
+                )  # fmt: skip
+            payload = release_report_payload(report, **meta)
+    write_report_json(payload, args.out, rows)
     return 0
 
 
@@ -147,17 +103,19 @@ def _cmd_validate(args) -> int:
     return 0 if report["passed"] else 1
 
 
-def _add_common_release_flags(parser, *, with_linf: bool) -> None:
+def _add_release_flags(parser) -> None:
+    """The flags every release command takes, and `_run` as its handler."""
     parser.add_argument("--epsilon", type=float, required=True, help="privacy loss per run")
     parser.add_argument("--delta", type=float, required=True, help="failure probability")
-    parser.add_argument("--l0", type=int, required=True, help="labels one user can touch")
-    if with_linf:
-        parser.add_argument(
-            "--linf", type=float, required=True, help="per-count change one user can cause"
-        )
-    parser.add_argument("--in", dest="infile", required=True, help="input histogram CSV")
+    parser.add_argument(
+        "--l0", type=int, required=True, help="labels one user (or stream event) can touch"
+    )
+    parser.add_argument(
+        "--in", dest="infile", required=True, help="input: histogram CSV, or NDJSON stream events"
+    )
     parser.add_argument("--out", default=None, help="report path (default: stdout)")
     parser.add_argument("--seed", type=int, required=True, help="root seed, in [0, 2**64)")
+    parser.set_defaults(handler=_run)
 
 
 #: Each `account` action: its help, its required float flags and the budget they give.
@@ -196,32 +154,26 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help, allow_abbrev=False)
         return p if fill_all or name == command else None
 
+    linf_help = "per-count change one user can cause"
     if p := add("release", "thresholded noisy histogram release"):
         p.add_argument("--noise", choices=("laplace", "gaussian"), required=True)
-        _add_common_release_flags(p, with_linf=True)
+        p.add_argument("--linf", type=float, required=True, help=linf_help)
         p.add_argument("--min-count", type=int, default=1, help="ingestion floor (default 1)")
-        p.set_defaults(handler=_cmd_release)
+        _add_release_flags(p)
 
     if p := add("topk", "release from the top-kbar truncated histogram"):
         p.add_argument("--kbar", type=int, required=True, help="available top entries")
-        _add_common_release_flags(p, with_linf=True)
-        p.set_defaults(handler=_cmd_topk)
+        p.add_argument("--linf", type=float, required=True, help=linf_help)
+        _add_release_flags(p)
 
     if p := add("gumbel-topk", "one-shot ranked top-k, no counts"):
         p.add_argument("--k", type=int, required=True, help="list length to release")
         p.add_argument("--kbar", type=int, required=True, help="available top entries")
-        _add_common_release_flags(p, with_linf=False)
-        p.set_defaults(handler=_cmd_gumbel_topk)
+        _add_release_flags(p)
 
     if p := add("stream", "continual counter over NDJSON events"):
         p.add_argument("--horizon", type=int, required=True, help="maximum stream length")
-        p.add_argument("--epsilon", type=float, required=True)
-        p.add_argument("--delta", type=float, required=True)
-        p.add_argument("--l0", type=int, required=True, help="items one event can carry")
-        p.add_argument("--in", dest="infile", required=True, help="NDJSON event file")
-        p.add_argument("--out", default=None, help="snapshot NDJSON path (default: stdout)")
-        p.add_argument("--seed", type=int, required=True, help="root seed, in [0, 2**64)")
-        p.set_defaults(handler=_cmd_stream)
+        _add_release_flags(p)
 
     if p := add("account", "budget arithmetic"):
         actions = p.add_subparsers(dest="action", required=True, metavar="action")

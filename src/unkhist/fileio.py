@@ -1,7 +1,9 @@
-"""File formats: histogram CSV in, canonical report JSON out.
+"""File formats: histogram CSV and NDJSON stream events in, canonical report JSON out.
 
 A histogram CSV's bytes become the Histogram's ``core.LabelBuffer`` in a few
 numpy passes: its labels are checked and sorted as bytes, and decoded when returned.
+A stream's NDJSON events are read lazily, one line at a time, and each is
+checked against the counter's configuration as it is read.
 
 Report JSON is canonical (keys sorted, floats printed with 17 significant
 digits) so identical runs produce byte-identical files.  This module alone
@@ -33,11 +35,12 @@ from .accountant import CdpBudget
 from .core import MAX_COUNT, Histogram, IngestionError, LabelBuffer, ParameterError, validate_label
 from .gumbel import MECHANISM_TAG as GUMBEL_TAG, RankedList
 from .release import ReleaseReport
-from .stream import MECHANISM_TAG as STREAM_TAG
+from .stream import MECHANISM_TAG as STREAM_TAG, CounterConfig, StreamEvent, check_event
 
 __all__ = [
     "open_text",
     "parse_histogram_csv",
+    "read_stream_events",
     "write_histogram_csv",
     "canonical_json",
     "release_report_payload",
@@ -154,6 +157,34 @@ def _parse_histogram_rows(path: str | Path) -> Histogram:
             line = reader.line_num if header == _HEADER else 1
             raise IngestionError(f"{path}: line {line}: {exc}") from None
     return Histogram(counts)
+
+
+def read_stream_events(config: CounterConfig, path: str | Path) -> Iterator[StreamEvent]:
+    """The events of an NDJSON file, read lazily, each checked as it is read:
+    the first line that is not an event the counter takes (out of order, past
+    the horizon, over l0) is named, before any later line is parsed."""
+    taken = 0
+    with open_text(path) as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                payload = json.loads(line)
+            except (ValueError, RecursionError) as exc:  # also too many digits, or too deep
+                raise IngestionError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
+            if not isinstance(payload, dict) or set(payload) != {"round", "items"}:
+                raise IngestionError(
+                    f"{path}: line {lineno}: events must be objects with round and items"
+                )
+            if not isinstance(payload["items"], list):
+                raise IngestionError(f"{path}: line {lineno}: items must be a list")
+            taken += 1
+            try:
+                event = check_event(config, taken, StreamEvent(payload["round"], payload["items"]))
+            except ParameterError as exc:
+                raise IngestionError(f"{path}: line {lineno}: {exc}") from None
+            yield event
 
 
 def write_histogram_csv(h: Histogram, path: str | Path) -> None:
@@ -324,7 +355,8 @@ def _replace_file(path: str | Path, text: str) -> None:
             handle.write(text)
         return
     target = os.path.realpath(path)  # through a symlink, as open() writes
-    tmp = f"{target}.{secrets.token_hex(8)}.tmp"
+    # A name of fixed length: one built from the target's could pass NAME_MAX.
+    tmp = os.path.join(os.path.dirname(target), f".unkhist-{secrets.token_hex(8)}.tmp")
     try:
         if os.path.exists(target) and not os.access(target, os.W_OK):
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))

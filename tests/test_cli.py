@@ -243,6 +243,15 @@ class TestReportFiles:
         assert self.release_to(hist_csv, out) == 3
         assert f"No such file or directory: {str(out)!r}" in capsys.readouterr().err
 
+    def test_long_file_name_is_written_and_leaves_no_temp_file(self, hist_csv, tmp_path):
+        # The temp file's name has a fixed length: a report name of 250
+        # bytes, which open(path, "w") takes, leaves no room for a suffix.
+        out = tmp_path / ("r" * 250)
+        before = sorted(tmp_path.iterdir())
+        assert self.release_to(hist_csv, out) == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["mechanism"]
+        assert sorted(tmp_path.iterdir()) == sorted([*before, out])
+
     def test_replaced_file_keeps_its_mode(self, hist_csv, tmp_path):
         out = tmp_path / "r.json"
         out.write_text("old report\n", encoding="utf-8")
@@ -613,6 +622,19 @@ def test_l0_beyond_the_float_range_exits_2(case, hist_csv, events_ndjson, tmp_pa
 
 
 @pytest.mark.parametrize("case", RELEASE_ARGV)
+def test_a_bad_seed_is_named_before_a_bad_flag(case, hist_csv, events_ndjson, tmp_path, capsys):
+    # Every release command checks --seed first, so with epsilon bad too the
+    # error names the seed.
+    source = events_ndjson if case == "stream" else hist_csv
+    out = tmp_path / "report"
+    code = main(RELEASE_ARGV[case] + ["--epsilon", "-1", "--delta", "0.05", "--in", source,
+                                      "--seed", "-1", "--out", str(out)])  # fmt: skip
+    assert code == 2
+    assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", RELEASE_ARGV)
 def test_epsilon_without_a_finite_rho_exits_2_before_any_draw(
     case, hist_csv, events_ndjson, tmp_path, capsys, monkeypatch
 ):
@@ -750,6 +772,50 @@ def test_stream_event_files_exit_0_or_2_naming_the_line(makers, newline, tmp_pat
         assert not out.exists()
     else:
         assert out.exists()
+
+
+# Rows of a histogram CSV that the parser takes: a NUL in a label, quoted
+# fields, a blank line, and counts of 19 digits and more.  "a" twice is a
+# duplicate label.
+good_csv_rows = [b"a,3", b"b,0", b"\xc3\xa9,12", b"a\x00b,2", b'"q,x",4', b'"a",5', b'"a\rb",6', b"",
+                 b"big,1234567890123456789", b"pad,0000000000000000000007"]  # fmt: skip
+# And rows it refuses: a lone CR in a label, bytes that are not UTF-8, an
+# unclosed quote, an extra comma, an empty or reserved label, and bad counts,
+# one above 2^63 - 1.
+bad_csv_rows = [b"x\ry,2", b"caf\xe9,3", b'"open,3', b"e,3,9", b",3", b"\xe2\x8a\xa5x,2",
+                b"huge,9223372036854775808", b"neg,-1", b"half,1.5"]  # fmt: skip
+# The header, or a BOM before it, another header, or none.
+csv_headers = [b"label,count"] * 3 + [b"\xef\xbb\xbflabel,count", b"name,value", None]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(header=st.sampled_from(csv_headers),
+       rows=st.lists(st.sampled_from(good_csv_rows * 4 + bad_csv_rows), max_size=6, unique=True),
+       newline=st.sampled_from([b"\n", b"\r\n"]), last=st.booleans())  # fmt: skip
+def test_histogram_files_exit_0_or_2_naming_the_line(header, rows, newline, last, tmp_path_factory):
+    # Any histogram file, valid or not, ends each release command in exit 0
+    # with a complete report, or in exit 2 naming the offending line and
+    # leaving the earlier report as it was; nothing else escapes.
+    folder = tmp_path_factory.mktemp("csv")
+    source, out = folder / "h.csv", folder / "out.json"
+    lines = rows if header is None else [header, *rows]
+    source.write_bytes(newline.join(lines) + (newline if last and lines else b""))
+    for argv in (["release", "--noise", "laplace", "--linf", "1"], ["topk", "--kbar", "3", "--linf", "1"],
+                 ["gumbel-topk", "--k", "2", "--kbar", "3"]):  # fmt: skip
+        out.write_bytes(b"old report\n")
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv + ["--epsilon", "1", "--delta", "0.05", "--l0", "1",
+                                "--in", str(source), "--seed", "1", "--out", str(out)])  # fmt: skip
+        assert code in (0, 2) and "Traceback" not in err.getvalue()
+        if code == 2:
+            # release's --min-count floor, which refuses a count of 0, names
+            # the label but not its line.
+            floor = argv[0] == "release" and err.getvalue().endswith("below the ingestion floor 1\n")
+            assert re.search(r"line \d+: ", err.getvalue()) or floor
+            assert out.read_bytes() == b"old report\n"
+        else:
+            report = json.loads(out.read_bytes())
+            assert report["mechanism"] and isinstance(report["items"], list)
 
 
 # SHA-256 of the snapshots below, computed with the dict-based counter that

@@ -670,3 +670,26 @@ def test_gaussian_threshold_is_each_written_out_threshold(epsilon, delta, l0, li
     config = outcome(lambda: CounterConfig.from_privacy(horizon, l0, epsilon, delta, 0).threshold)
     refused = isinstance(config, str) and re.search("no finite (rho|noise)$", config)
     assert config == expected or isinstance(expected, bytes) and refused
+
+
+#: Grid indices k of the uniforms k * 2^-53 at which a noise transform
+#: changes branch or ends: Acklam's p_low and its mirror, the median, and
+#: the least and greatest uniform a RandomSource gives.
+_P_LOW_K = round(core._ICDF_P_LOW * 2**53)
+BRANCH_POINTS = {"p_low": _P_LOW_K, "mirror": 2**53 - _P_LOW_K, "median": 2**52,
+                 "least": 1, "greatest": 2**53 - 1}  # fmt: skip
+
+
+@pytest.mark.parametrize("law", sorted(core._LAWS))
+@pytest.mark.parametrize("point", sorted(BRANCH_POINTS))
+def test_noise_transforms_never_decrease_on_the_uniform_grid(law, point):
+    # Every uniform is k * 2^-53, so monotone over consecutive k is monotone
+    # over every input the transforms see.  Between neighbouring doubles off
+    # the grid the Gaussian transform does decrease (near p_low, and near
+    # 50 * 2^-53), so an exact audit must bisect over k, not over doubles.
+    _, quantile, quantiles, _ = core._LAWS[law]
+    k = BRANCH_POINTS[point]
+    u = np.arange(max(k - 10**5, 1), min(k + 10**5, 2**53 - 1) + 1, dtype=np.int64) * 2.0**-53
+    scalar = np.array([quantile(x, 1.0) for x in u.tolist()])
+    assert (np.diff(scalar) >= 0).all()
+    assert (np.diff(quantiles(u, 1.0)) >= 0).all()
