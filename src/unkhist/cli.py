@@ -5,8 +5,8 @@ memory.  Results go to the output file (or standard output, only when no
 file is given); diagnostics go to standard error.  `main` registers every
 subcommand but fills in the arguments of the invoked one only.  The four
 release commands share one handler, `_run`.  `fileio` reads both input
-formats; `stream` reads its event file lazily, as its report is built, and
-leaves the choice of counter to `stream.snapshots`.
+formats; `stream` reads its event file lazily, as `stream.counter_sweep`
+builds its report, at most a window of events ahead.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .fileio import (  # noqa: F401
 )
 from .gumbel import gumbel_threshold, release_gumbel_topk
 from .release import release
-from .stream import CounterConfig, snapshots
+from .stream import CounterConfig, counter_sweep
 from .topk import release_topk
 from .validation import SUITES, run_suite
 
@@ -68,9 +68,10 @@ def _run(args) -> int:
         )
         # Lazy: the file is read, and the counter run, as the report is built.
         events = read_stream_events(config, args.infile)
-        rows = (snapshot_payload(r, released) for r, released in snapshots(config, events))
+        rows = (snapshot_payload(r, released) for r, released in counter_sweep(config, events))
     else:
-        histogram = parse_histogram_csv(args.infile)
+        # release's floor is checked as the file is read, to name the line.
+        histogram = parse_histogram_csv(args.infile, getattr(args, "min_count", 0))
         rng = RandomSource(seed)
         if args.command == "gumbel-topk":
             ranked, budget = release_gumbel_topk(

@@ -73,17 +73,21 @@ def open_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
             raise
 
 
-def parse_histogram_csv(path: str | Path) -> Histogram:
+def parse_histogram_csv(path: str | Path, min_count: int = 0) -> Histogram:
     """Read `label,count` rows into a Histogram: one read, split in numpy, and
-    any failed check reads the file again row by row to name the line."""
+    any failed check reads the file again row by row to name the line.  A
+    count below min_count (release's ingestion floor) is refused only once
+    every other check has passed, naming the first such row's line."""
     try:
         with open(path, "rb") as handle:
             histogram = _split_csv(handle.read())
-        if histogram is not None:
-            return histogram
     except ValueError:  # IngestionError and UnicodeDecodeError included
-        pass
-    return _parse_histogram_rows(path)
+        histogram = None
+    if histogram is None:
+        histogram = _parse_histogram_rows(path)
+    if (histogram.counts < min_count).any():
+        _parse_histogram_rows(path, min_count)  # raises at the first row below it
+    return histogram
 
 
 _HEADER_LINE = b"label,count\n"
@@ -127,7 +131,7 @@ def _split_csv(data: bytes) -> Histogram | None:
     return Histogram(LabelBuffer(data, lines[:-1] + 1, commas[1:] - lines[:-1] - 1), counts)
 
 
-def _parse_histogram_rows(path: str | Path) -> Histogram:
+def _parse_histogram_rows(path: str | Path, min_count: int = 0) -> Histogram:
     """parse_histogram_csv row by row: the first offending row raises, naming its line."""
     counts: dict[str, int] = {}
     header = None
@@ -148,9 +152,17 @@ def _parse_histogram_rows(path: str | Path) -> Histogram:
                     raise IngestionError(
                         f"count must be a non-negative integer, got {raw_count!r}"
                     )
-                counts[label] = int(raw_count)
-                if counts[label] > MAX_COUNT:
+                # Past 19 digits a count exceeds 64-bit range, and int() could
+                # meet Python's limit on the digits it converts.
+                digits = raw_count.lstrip("0")
+                count = int(digits or "0") if len(digits) <= 19 else MAX_COUNT + 1
+                if count > MAX_COUNT:
                     raise IngestionError(f"count for {label!r} exceeds 64-bit range")
+                if count < min_count:
+                    raise IngestionError(
+                        f"count for {label!r} is {count}, below the ingestion floor {min_count}"
+                    )
+                counts[label] = count
         except (IngestionError, csv.Error) as exc:
             # A fault in the header is on line 1; any other is on the physical
             # line its record ends on, as a quoted label may span lines.

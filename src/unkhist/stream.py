@@ -30,15 +30,17 @@ of the nodes that predate it.
 Two implementations share this layout, and both keep labels in order of
 arrival, each round's new labels sorted.  ``Counter`` is the scalar,
 incremental one: one ``observe`` per event, a Python loop over its labels'
-lists.  ``counter_sweep`` and ``counter_batch`` (the delta-event Monte
-Carlo's) run one array sweep over the events instead: the lists are the
-columns of one int64 [depth, labels] array and one float64 [depth + 1,
-labels] array, and a round reads and writes whole rows.  Both return a
-round's released labels in that order, so their snapshots are equal dicts
-in equal order.  The sweep draws noise per window of rounds, so its state is
-O(labels * (window + log L)); ``counter_batch`` adds a leading trials axis
-to the sums and the noise.  ``snapshots``, which ``unkhist stream`` runs,
-picks Counter or the sweep for a stream as it reads it (SWEEP_MIN_LABELS).
+lists.  It is the public incremental API and the reference the sweep is
+tested against; nothing in the package runs it.  ``counter_sweep``, which
+``unkhist stream`` runs on every stream, and ``counter_batch`` (the
+delta-event Monte Carlo's) run one array sweep over the events instead: the
+lists are the columns of one int64 [depth, labels] array and one float64
+[depth + 1, labels] array, and a round reads and writes whole rows.  Both
+return a round's released labels in that order, so their snapshots are
+equal dicts in equal order.  The sweep draws noise per window of rounds, so
+its state is O(labels * (window + log L)) and it reads at most a window of
+events ahead; ``counter_batch`` adds a leading trials axis to the sums and
+the noise.
 
 ``counter_sweep`` runs the exact transform only on noise that can show.
 Most labels never come near the threshold, so each window's draws go
@@ -65,7 +67,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -105,7 +107,6 @@ __all__ = [
     "counter_batch",
     "counter_sweep",
     "dyadic_nodes",
-    "snapshots",
 ]
 
 MECHANISM_TAG = "continual-counter"
@@ -262,6 +263,11 @@ class Counter:
     ``depth + 1`` running sums, written in place at the round's stack index.
     Labels are kept in the sweep's column order, which is order of arrival
     with each round's new labels sorted.  State is O(labels * log L).
+
+    Nothing in the package constructs a Counter: ``unkhist stream`` runs
+    ``counter_sweep``, which yields what observe returns, bit for bit.  On a
+    stream of a few labels the sweep's ten or so numpy calls a round cost
+    more than this loop, about twice as much with one label.
     """
 
     def __init__(self, config: CounterConfig, rng: RandomSource | None = None, *,
@@ -336,14 +342,6 @@ class Counter:
 #: windows make fewer calls but larger arrays: at 64 rounds the stream-zipf
 #: benchmark's peak RSS rose 0.3 MiB above the per-label Counter's.
 SWEEP_WINDOW = 32
-
-#: Labels a stream must hold for ``snapshots`` to run the sweep rather than
-#: Counter.observe; both give the same values.  The sweep costs some ten
-#: numpy calls per round whatever the label count, Counter about a
-#: microsecond per label per round: on 4096-round CLI streams of 0-3 items a
-#: round the sweep took 1.7x Counter's time with one label, 1.1x with ten,
-#: the same with twelve and 0.95x with sixteen (x86-64, numpy 2.4).
-SWEEP_MIN_LABELS = 16
 
 #: draws(new, order, sizes): the next sizes[i] node noises of label order[i]
 #: (its index in order of arrival), or, to be screened, their uniforms, each
@@ -472,7 +470,7 @@ def _promote(rows: np.ndarray, low: int, sigma: float, counts: np.ndarray, sums:
     their active nodes, and ``later``, their noise for the window's later
     rounds, from ``uniforms``.  A promotion transforms at most depth + window
     draws, so they go through the scalar ``gaussian_quantile`` (under a
-    microsecond a draw) rather than a block call (some 60 microseconds
+    microsecond a draw) rather than a block call (25 to 40 microseconds
     whatever its size)."""
     u = np.concatenate((nodes[: low + 1, rows], uniforms[:, rows]))  # [draw, label]
     z = np.array([gaussian_quantile(p, sigma) for p in u.ravel().tolist()]).reshape(u.shape)
@@ -507,35 +505,18 @@ def counter_sweep(config: CounterConfig,
     """Each event's round and what ``Counter(config).observe`` returns for it,
     bit for bit, from one array sweep over all labels.
 
-    Events are checked in order as observe checks them, each before any later
-    event is taken; a refused event raises observe's ParameterError.  At a
-    finite sigma, most noise is screened rather than transformed exactly
-    (see ``_sweep``).
+    ``unkhist stream`` runs it on every stream.  It takes the events a window
+    (SWEEP_WINDOW) at a time, so it holds at most one window of them before
+    it yields.  Events are checked in order as observe checks them, each
+    before any later event is taken; a refused event raises observe's
+    ParameterError.  At a finite sigma, most noise is screened rather than
+    transformed exactly (see ``_sweep``).
     """
     threshold = config.threshold
     sweep = _sweep(config, events, SWEEP_WINDOW, *_child_draws(config))
     for r, (labels, totals) in enumerate(sweep, start=1):
         hits = (totals > threshold).nonzero()[0]
         yield r, dict(zip(map(labels.__getitem__, hits.tolist()), totals[hits].tolist()))
-
-
-def snapshots(config: CounterConfig,
-              events: Iterable[StreamEvent]) -> Iterator[tuple[int, dict[str, float]]]:
-    """What ``counter_sweep`` yields: from the sweep once SWEEP_MIN_LABELS
-    labels have arrived, which then takes the events held so far and the
-    rest, and from ``Counter.observe`` if the stream ends first.  Each event
-    is checked as it is taken, before any later one is."""
-    events = iter(events)
-    held: list[StreamEvent] = []
-    labels: set[str] = set()
-    for event in events:
-        held.append(check_event(config, len(held) + 1, event))
-        labels.update(event.items)
-        if len(labels) >= SWEEP_MIN_LABELS:
-            yield from counter_sweep(config, chain(held, events))
-            return
-    # observe refuses every round but the next, so snapshot k is round k.
-    yield from enumerate(map(Counter(config).observe, held), start=1)
 
 
 def counter_batch(config: CounterConfig, events: Sequence[StreamEvent], rng: RandomSource,

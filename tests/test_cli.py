@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unkhist import cli, core, stream
+from unkhist import cli, core
 from unkhist.accountant import CdpBudget, compose
 from unkhist.cli import main
 from unkhist.core import BOTTOM, Histogram, IngestionError, ParameterError, RandomSource
@@ -32,7 +32,6 @@ from unkhist.fileio import (
     write_report_json,
 )
 from unkhist.stream import (
-    SWEEP_MIN_LABELS,
     SWEEP_WINDOW,
     Counter,
     CounterConfig,
@@ -83,6 +82,46 @@ class TestParseHistogramCsv:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{path}: line 3: count for 'b' exceeds 64-bit range" in err
+
+    @pytest.mark.parametrize("count", ["1" * 5000, "0" * 5000 + "1" * 20], ids=["digits", "padded"])
+    def test_count_of_too_many_digits_names_file_and_line(self, tmp_path, capsys, count):
+        # Past 19 digits after its leading zeros a count is out of 64-bit
+        # range, however many digits it has: int() is not asked to convert
+        # more than Python's limit of 4300.
+        path = write(tmp_path / "h.csv", f"label,count\na,3\nb,{count}\n")
+        out = tmp_path / "out.json"
+        for argv in (["release", "--noise", "laplace", "--linf", "1"], ["topk", "--kbar", "3", "--linf", "1"],
+                     ["gumbel-topk", "--k", "2", "--kbar", "3"]):  # fmt: skip
+            out.write_bytes(b"old report\n")
+            code = main(argv + ["--epsilon", "1", "--delta", "0.05", "--l0", "1", "--in", path,
+                                "--seed", "3", "--out", str(out)])  # fmt: skip
+            assert code == 2
+            assert capsys.readouterr().err == f"error: {path}: line 3: count for 'b' exceeds 64-bit range\n"
+            assert out.read_bytes() == b"old report\n"
+
+    def test_zero_padded_count_of_many_digits_is_its_value(self, tmp_path):
+        path = write(tmp_path / "h.csv", "label,count\na,3\nb," + "0" * 5000 + "7\n")
+        assert parse_histogram_csv(path) == Histogram({"a": 3, "b": 7})
+        code = main(["release", "--noise", "laplace", "--linf", "1", "--epsilon", "1", "--delta", "0.05",
+                     "--l0", "1", "--in", path, "--seed", "3", "--out", str(tmp_path / "out.json")])  # fmt: skip
+        assert code == 0
+
+    def test_count_below_the_floor_names_file_and_line(self, tmp_path, capsys):
+        # release's --min-count floor is checked as the file is read; topk
+        # and gumbel-topk have none and take a count of 0.
+        path = write(tmp_path / "h.csv", "label,count\na,3\nb,0\n")
+        common = ["--epsilon", "1", "--delta", "0.05", "--l0", "1", "--in", path, "--seed", "3"]
+        release_argv = ["release", "--noise", "laplace", "--linf", "1", *common]
+        assert main(release_argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 3: count for 'b' is 0, below the ingestion floor 1\n"
+        )
+        assert main([*release_argv, "--min-count", "4"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 2: count for 'a' is 3, below the ingestion floor 4\n"
+        )
+        assert main(["topk", "--kbar", "3", "--linf", "1", *common]) == 0
+        assert main(["gumbel-topk", "--k", "2", "--kbar", "3", *common]) == 0
 
     def test_error_names_physical_line_after_multiline_label(self, tmp_path, capsys):
         path = tmp_path / "h.csv"
@@ -775,15 +814,17 @@ def test_stream_event_files_exit_0_or_2_naming_the_line(makers, newline, tmp_pat
 
 
 # Rows of a histogram CSV that the parser takes: a NUL in a label, quoted
-# fields, a blank line, and counts of 19 digits and more.  "a" twice is a
-# duplicate label.
+# fields, a blank line, counts of 19 digits and more, one of them padded
+# past Python's 4300-digit int() limit, and an unquoted label of 2^20 bytes.
+# "a" twice is a duplicate label, and release's floor refuses "b,0".
 good_csv_rows = [b"a,3", b"b,0", b"\xc3\xa9,12", b"a\x00b,2", b'"q,x",4', b'"a",5', b'"a\rb",6', b"",
-                 b"big,1234567890123456789", b"pad,0000000000000000000007"]  # fmt: skip
+                 b"big,1234567890123456789", b"pad,0000000000000000000007",
+                 b"zeros," + b"0" * 5000 + b"7", b"L" * 2**20 + b",5"]  # fmt: skip
 # And rows it refuses: a lone CR in a label, bytes that are not UTF-8, an
 # unclosed quote, an extra comma, an empty or reserved label, and bad counts,
-# one above 2^63 - 1.
+# one above 2^63 - 1 and one of 5000 digits.
 bad_csv_rows = [b"x\ry,2", b"caf\xe9,3", b'"open,3', b"e,3,9", b",3", b"\xe2\x8a\xa5x,2",
-                b"huge,9223372036854775808", b"neg,-1", b"half,1.5"]  # fmt: skip
+                b"huge,9223372036854775808", b"neg,-1", b"half,1.5", b"digits," + b"1" * 5000]  # fmt: skip
 # The header, or a BOM before it, another header, or none.
 csv_headers = [b"label,count"] * 3 + [b"\xef\xbb\xbflabel,count", b"name,value", None]
 
@@ -808,10 +849,7 @@ def test_histogram_files_exit_0_or_2_naming_the_line(header, rows, newline, last
                                 "--in", str(source), "--seed", "1", "--out", str(out)])  # fmt: skip
         assert code in (0, 2) and "Traceback" not in err.getvalue()
         if code == 2:
-            # release's --min-count floor, which refuses a count of 0, names
-            # the label but not its line.
-            floor = argv[0] == "release" and err.getvalue().endswith("below the ingestion floor 1\n")
-            assert re.search(r"line \d+: ", err.getvalue()) or floor
+            assert re.search(r"line \d+: ", err.getvalue())
             assert out.read_bytes() == b"old report\n"
         else:
             report = json.loads(out.read_bytes())
@@ -876,11 +914,24 @@ HOT_STREAM = "".join(
 HOT_STREAM_ARGV = ["--horizon", "200", "--epsilon", "1", "--l0", "32", "--seed", "7"]
 HOT_STREAM_SHA256 = "8f413e223215c99065b97e799a29882226a371f9cc63a877bf256dd3b78e6dc6"
 
+# A stream of one label, "a" in two rounds of three over 4096 rounds, with a
+# digest computed from Counter.observe.  CI writes the same file with the
+# same one-liner.
+ONE_LABEL_STREAM = "".join(
+    json.dumps({"round": r, "items": ["a"] if r % 3 else []}) + "\n" for r in range(1, 4097)
+)
+ONE_LABEL_STREAM_ARGV = ["--horizon", "4096", "--epsilon", "1", "--l0", "1", "--seed", "7"]
+ONE_LABEL_STREAM_SHA256 = "8355bebca645337584b61838141e343df2d59c404ef28e710ddf974be5e21b8a"
 
-# SWEEP_MIN_LABELS below which stream.snapshots, which unkhist stream runs,
-# runs Counter.observe, set so that every stream takes one path: 0 for the
-# array sweep, 10**9 for Counter.
-STREAM_PATHS = {"sweep": 0, "counter": 10**9}
+
+def reference_rows(config, events):
+    """What counter_sweep yields, from the reference Counter.observe."""
+    return enumerate(map(Counter(config).observe, events), start=1)
+
+
+# What builds unkhist stream's rows: counter_sweep, which it runs on every
+# stream, or the reference Counter.observe patched in for it.
+STREAM_PATHS = {"sweep": counter_sweep, "counter": reference_rows}
 
 
 @pytest.mark.parametrize("path", STREAM_PATHS)
@@ -894,17 +945,18 @@ STREAM_PATHS = {"sweep": 0, "counter": 10**9}
         (STREAM_LONG, ["--horizon", "512", "--epsilon", "2", "--l0", "3", "--seed", str(2**64 - 1)],
          STREAM_LONG_TOP_SEED_SHA256),
         (HOT_STREAM, HOT_STREAM_ARGV, HOT_STREAM_SHA256),
+        (ONE_LABEL_STREAM, ONE_LABEL_STREAM_ARGV, ONE_LABEL_STREAM_SHA256),
     ],
-    ids=["golden", "long", "long-top-seed", "hot"],
+    ids=["golden", "long", "long-top-seed", "hot", "one-label"],
 )  # fmt: skip
 def test_stream_digests_hold_on_either_path(tmp_path, monkeypatch, path, source, argv, digest):
-    # The golden stream has 6 labels and takes Counter, the long and the hot
-    # ones 30 and 48 and take the sweep; each must give the same bytes on the
-    # other path.  At the largest seed the master's entropy is two words.
+    # The golden stream has 6 labels, the long and the hot ones 30 and 48,
+    # the last one 1: the sweep and the reference Counter must give each the
+    # same bytes.  At the largest seed the master's entropy is two words.
     if isinstance(source, str):
-        source = tmp_path / "hot.ndjson"
-        source.write_text(HOT_STREAM, encoding="utf-8")
-    monkeypatch.setattr(stream, "SWEEP_MIN_LABELS", STREAM_PATHS[path])
+        text, source = source, tmp_path / "events.ndjson"
+        source.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(cli, "counter_sweep", STREAM_PATHS[path])
     out = tmp_path / "snapshots.ndjson"
     code = main(["stream", *argv, "--delta", "0.05", "--in", str(source), "--out", str(out)])
     assert code == 0
@@ -934,22 +986,34 @@ def test_sweep_seeds_each_child_stream_once(monkeypatch, lines, horizon, l0, eps
     assert len(snapshots[-1][1]) >= 10
 
 
-@pytest.mark.parametrize("labels", [1, SWEEP_MIN_LABELS - 1, SWEEP_MIN_LABELS, 40])
-def test_stream_sweeps_from_sweep_min_labels_on(tmp_path, monkeypatch, labels):
-    calls = []
+@pytest.mark.parametrize("labels", [1, 15, 16, 40])
+def test_stream_reads_at_most_a_window_ahead_of_its_rows(tmp_path, monkeypatch, labels):
+    # The sweep runs every stream from its first event, a window of events at
+    # a time: however many labels a stream holds, and however late they
+    # arrive, the report's row r is built before event r + SWEEP_WINDOW is
+    # read.  Here the labels arrive evenly over 128 rounds.
+    read, rows = [], []
+    reader, payload = cli.read_stream_events, cli.snapshot_payload
 
-    def counted(config, events):
-        calls.append(config)
-        return counter_sweep(config, events)
+    def counted(config, path):
+        for event in reader(config, path):
+            read.append(event.round)
+            yield event
 
-    monkeypatch.setattr(stream, "counter_sweep", counted)
+    def row(r, released):
+        rows.append(len(read))
+        return payload(r, released)
+
+    monkeypatch.setattr(cli, "read_stream_events", counted)
+    monkeypatch.setattr(cli, "snapshot_payload", row)
     events, out = tmp_path / "ev.ndjson", tmp_path / "out.ndjson"
-    lines = [json.dumps({"round": r, "items": [f"l{r % labels}"]}) for r in range(1, 65)]
+    lines = [json.dumps({"round": r, "items": [f"l{(r - 1) * labels // 128}"]}) for r in range(1, 129)]
     events.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    code = main(["stream", "--horizon", "64", "--epsilon", "1", "--delta", "0.05", "--l0", "1",
+    code = main(["stream", "--horizon", "128", "--epsilon", "1", "--delta", "0.05", "--l0", "1",
                  "--in", str(events), "--out", str(out), "--seed", "1"])  # fmt: skip
     assert code == 0
-    assert len(calls) == (labels >= SWEEP_MIN_LABELS)
+    assert len(rows) == len(read) == 128
+    assert all(n < r + SWEEP_WINDOW for r, n in enumerate(rows, start=1))
 
 
 @pytest.mark.parametrize(
@@ -964,9 +1028,10 @@ def test_stream_sweeps_from_sweep_min_labels_on(tmp_path, monkeypatch, labels):
 def test_stream_names_the_line_of_a_refused_event_past_a_window(
     tmp_path, capsys, monkeypatch, path, horizon, line, message
 ):
-    # The sweep takes events a window at a time; on either path the line
-    # named is the refused event's, and no report is written.
-    monkeypatch.setattr(stream, "SWEEP_MIN_LABELS", STREAM_PATHS[path])
+    # The sweep takes events a window at a time, the reference Counter one
+    # at a time; for both the line named is the refused event's, and no
+    # report is written.
+    monkeypatch.setattr(cli, "counter_sweep", STREAM_PATHS[path])
     good = [json.dumps({"round": r, "items": ["a", "b"] if r % 3 else ["a"]}) for r in range(1, 101)]
     events, out = tmp_path / "ev.ndjson", tmp_path / "out.ndjson"
     events.write_text("\n".join(good + [line] + good[:20]) + "\n", encoding="utf-8")
@@ -981,7 +1046,7 @@ def test_stream_names_the_line_of_a_refused_event_past_a_window(
 def test_stream_names_a_refused_event_before_a_later_bad_line(tmp_path, capsys, monkeypatch, path):
     # Each event is checked as it is read: the refused round on line 2 is
     # named, not the broken JSON on line 4.
-    monkeypatch.setattr(stream, "SWEEP_MIN_LABELS", STREAM_PATHS[path])
+    monkeypatch.setattr(cli, "counter_sweep", STREAM_PATHS[path])
     events, out = tmp_path / "ev.ndjson", tmp_path / "out.ndjson"
     events.write_text('{"round":1,"items":["a"]}\n{"round":3,"items":[]}\n'
                       '{"round":3,"items":["b"]}\n{"round":4,\n', encoding="utf-8")  # fmt: skip

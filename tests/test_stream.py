@@ -9,17 +9,15 @@ import pytest
 from counter_log import logged_counter, node_noises
 
 from unkhist.accountant import CdpBudget
-from unkhist import stream
 from unkhist.core import ParameterError, RandomSource
 from unkhist.stream import (
-    SWEEP_MIN_LABELS,
+    SWEEP_WINDOW,
     Counter,
     CounterConfig,
     StreamEvent,
     active_node_count,
     counter_sweep,
     dyadic_nodes,
-    snapshots,
 )
 
 # mpmath (50 digits): 1 + 2*PhiInv(0.99).
@@ -260,35 +258,26 @@ def one_label_a_round(labels, rounds):
     return [StreamEvent(r, {f"l{r % labels}"}) for r in range(1, rounds + 1)]
 
 
-def test_snapshots_choose_the_sweep_at_the_event_that_brings_its_label(monkeypatch):
-    # Only the events through the SWEEP_MIN_LABELS-th label are held: the
-    # sweep is chosen before any later event is pulled, and then takes the
-    # held events and the rest, giving Counter's snapshots.
+def test_counter_sweep_pulls_one_window_before_its_first_snapshot():
+    # The sweep holds at most a window of events, and gives Counter's
+    # snapshots.
     config = CounterConfig.from_privacy(64, 1, 1.0, 0.05, seed=3)
     events = Pulls(one_label_a_round(40, 64))
-    seen = []
-
-    def sweep(config, rest):
-        seen.append(events.pulled)
-        return counter_sweep(config, rest)
-
-    monkeypatch.setattr(stream, "counter_sweep", sweep)
-    rows = snapshots(config, events)
+    rows = counter_sweep(config, events)
     assert events.pulled == 0  # nothing is read before the first snapshot is asked for
     first = next(rows)
-    assert seen == [SWEEP_MIN_LABELS]
+    assert events.pulled == SWEEP_WINDOW
     counter = Counter(config)
     expected = [(e.round, counter.observe(e)) for e in events.events]
     assert [first, *rows] == expected and events.pulled == 64
 
 
 @pytest.mark.parametrize("threshold", [None, -math.inf])
-@pytest.mark.parametrize("labels", [3, SWEEP_MIN_LABELS + 4])
+@pytest.mark.parametrize("labels", [3, 20])
 def test_counter_and_sweep_release_labels_in_the_same_order(labels, threshold):
     # Labels arrive in reverse name order, two in round 1, so order of
     # arrival is not label order.  Both counters keep labels in order of
-    # arrival, each round's new ones sorted, and so does snapshots on its
-    # Counter path (3 labels) and its sweep path.
+    # arrival, each round's new ones sorted.
     config = CounterConfig.from_privacy(64, 2, 1.0, 0.05, seed=3)
     if threshold is not None:
         config = dataclasses.replace(config, threshold=threshold)
@@ -297,7 +286,6 @@ def test_counter_and_sweep_release_labels_in_the_same_order(labels, threshold):
     counter = Counter(config)
     observed = [list(counter.observe(event).items()) for event in events]
     assert [list(released.items()) for _, released in counter_sweep(config, events)] == observed
-    assert [list(released.items()) for _, released in snapshots(config, events)] == observed
     if threshold is not None:  # every label seen is released every round
         assert [label for label, _ in observed[-1]] == sorted(names[:2]) + names[2:]
 
@@ -313,13 +301,13 @@ def test_counter_and_sweep_release_labels_in_the_same_order(labels, threshold):
     ids=["round", "l0", "type"],
 )
 def test_snapshots_raise_at_a_refused_event_before_pulling_more(labels, bad, message):
-    # The 29 events before the refused one hold 3 labels (Counter) or 29
-    # (the sweep, chosen at event 16, which takes events a window at a time).
+    # The 29 events before the refused one hold 3 labels or 29; the sweep
+    # takes events a window at a time, and checks each as it takes it.
     config = CounterConfig.from_privacy(64, 1, 1.0, 0.05, seed=3)
     good = one_label_a_round(labels, 64)
     events = Pulls(good[:29] + [bad] + good[30:])
     with pytest.raises(ParameterError, match=message):
-        list(snapshots(config, events))
+        list(counter_sweep(config, events))
     assert events.pulled == 30
 
 
@@ -331,10 +319,10 @@ def test_windows_without_new_labels_seed_no_streams(monkeypatch):
     seeded = []
     seed_states = core._seed_states
     monkeypatch.setattr(core, "_seed_states", lambda *args: seeded.append(1) or seed_states(*args))
-    labels = [f"l{i:02d}" for i in range(SWEEP_MIN_LABELS)]
+    labels = [f"l{i:02d}" for i in range(16)]
     events = [StreamEvent(1, labels)] + [StreamEvent(r, [labels[r % len(labels)]]) for r in range(2, 4097)]
     config = CounterConfig.from_privacy(4096, len(labels), 1.0, 0.05, seed=3)
-    assert 4096 // stream.SWEEP_WINDOW == 128
+    assert 4096 // SWEEP_WINDOW == 128
     for _ in counter_sweep(config, events):
         pass
     assert len(seeded) == 1
